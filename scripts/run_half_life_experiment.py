@@ -13,7 +13,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 from pathlib import Path
 
@@ -54,17 +53,7 @@ def main() -> int:
         )
         result = simulate(code, model, cfg)
         csv_path = args.out / f"rate-{rate:g}.csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["time_s", "F0", "F0_err", "Fplus", "Fplus_err", "Frand", "Frand_err"]
-            )
-            for i, t in enumerate(result.times):
-                row = [f"{t:.6g}"]
-                for metric in ("F0", "Fplus", "Frand"):
-                    mean, err = result.column(metric)
-                    row += [f"{mean[i]:.8g}", f"{err[i]:.8g}"]
-                writer.writerow(row)
+        csv_path.write_text(result.to_csv(), encoding="utf-8", newline="")
         mean, _ = result.column("Frand")
         fit = fit_half_life(result.times, mean)
         half_lives.append(fit.lambda_half)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from pathlib import Path
 
@@ -293,18 +292,7 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
     )
     result = simulate(code, model, cfg, backend=args.backend)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["time_s", "F0", "F0_err", "Fplus", "Fplus_err", "Frand", "Frand_err"]
-    )
-    for i, t in enumerate(result.times):
-        row = [f"{t:.6g}"]
-        for metric in ("F0", "Fplus", "Frand"):
-            mean, err = result.column(metric)
-            row += [f"{mean[i]:.8g}", f"{err[i]:.8g}"]
-        writer.writerow(row)
-    _write_output(buf.getvalue(), args.out)
+    _write_output(result.to_csv(), args.out)
     return 0
 
 

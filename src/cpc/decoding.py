@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .circuits import PauliString, conjugate_pauli, decode_circuit
 from .gf2 import Gf2Matrix, multiply
 from .model import (
@@ -270,6 +272,10 @@ class TableEntry:
     category: str  # no_error | harmless | corrected | uncorrectable
 
 
+# 2**20 rows of two int64 masks: 16 MB per side at most.
+_DENSE_SYNDROME_BITS = 20
+
+
 @dataclass(frozen=True)
 class DecodeTable:
     """Inversion of the single-error syndrome map.
@@ -326,6 +332,36 @@ class DecodeTable:
             return TableEntry(correction, "uncorrectable")
         category = "harmless" if (rx == 0 and rz == 0) else "corrected"
         return TableEntry(correction, category)
+
+    def correction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense syndrome-indexed form of :meth:`decode`, for batched lookups.
+
+        Returns ``(first, second)``, int64 arrays of shape (2**n_first, 2)
+        and (2**n_second, 2).  Row ``s`` holds the (X, Z) correction masks
+        read off side mask ``s`` of a syndrome, or -1 in both columns when
+        that side has no single-error explanation.  The correction for side
+        masks (a, b) is ``first[a] ^ second[b]``, an unknown side
+        contributing nothing, and the syndrome is uncorrectable when either
+        row is unknown.  Generalized codes have an empty second side, so
+        ``second`` is the single row (0, 0).
+        """
+        if max(self.n_first, self.n_second) > _DENSE_SYNDROME_BITS:
+            raise ValueError(
+                f"dense decode arrays support at most {_DENSE_SYNDROME_BITS} "
+                f"checks per syndrome side, got {max(self.n_first, self.n_second)}"
+            )
+        first = np.full((1 << self.n_first, 2), -1, dtype=np.int64)
+        second = np.full((1 << self.n_second, 2), -1, dtype=np.int64)
+        first[0] = second[0] = 0
+        if self.kind == "split":
+            for sx, rx in self._x_side.items():
+                first[sx] = (rx, 0)
+            for sz, rz in self._z_side.items():
+                second[sz] = (0, rz)
+        else:
+            for sx, (rx, rz) in self._general.items():
+                first[sx] = (rx, rz)
+        return first, second
 
 
 def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:

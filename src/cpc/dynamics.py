@@ -11,10 +11,23 @@ backend, kept as the cross-checking oracle and for coherent errors).
 
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
+
+The Pauli-frame backend is array code, one trial at a time.  A trial's errors
+are sampled as (cycle, fault) pairs, and each error cycle's syndrome and
+residual are the XOR of per-fault columns built from the single-error
+records.  A cycle's correction depends only on its own syndrome, never on the
+frame, so the corrections of all error cycles are looked up at once in dense
+syndrome-indexed arrays, and the frame at each sample time is a prefix XOR
+(``np.bitwise_xor.accumulate``) of the per-cycle net residuals.  A trial
+visits at most 4^k distinct frames, so the Haar-state overlaps behind
+``Frand`` are computed once per distinct frame of the trial.  This is the
+batched Pauli-frame pattern of Stim (Gidney, arXiv:2103.02202), in numpy.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -22,7 +35,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .circuits import Circuit
-from .decoding import DecodeTable, decode_table, single_error_records
+from .decoding import decode_table, single_error_records
 from .model import CpcCode, GeneralCpcCode, require_valid
 
 __all__ = [
@@ -147,6 +160,11 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 # --- stochastic cycle simulation ---------------------------------------------
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Independent X and Z error rates per qubit, in events per second."""
@@ -155,6 +173,8 @@ class ErrorModel:
     eps_phase: float
 
     def __post_init__(self):
+        _require_finite("eps_bit", self.eps_bit)
+        _require_finite("eps_phase", self.eps_phase)
         if self.eps_bit < 0 or self.eps_phase < 0:
             raise ValueError("error rates must be non-negative")
 
@@ -170,13 +190,21 @@ class SimConfig:
     metrics: tuple[str, ...] = ("F0", "Fplus", "Frand")
 
     def __post_init__(self):
+        _require_finite("cycle_rate", self.cycle_rate)
+        _require_finite("t_max", self.t_max)
         if self.cycle_rate <= 0:
             raise ValueError("cycle_rate must be positive")
+        if self.t_max <= 0:
+            raise ValueError("t_max must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
         for m in self.metrics:
             if m not in ("F0", "Fplus", "Frand"):
                 raise ValueError(f"unknown metric {m!r}")
+        if "Frand" in self.metrics and self.haar_states < 1:
+            raise ValueError("haar_states must be at least 1 when Frand is requested")
 
 
 @dataclass
@@ -191,122 +219,92 @@ class SimResult:
     def column(self, metric: str) -> tuple[np.ndarray, np.ndarray]:
         return self.means[metric], self.errors[metric]
 
+    def to_csv(self) -> str:
+        """The curves as CSV text: time, then mean and error of each metric."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(
+            ["time_s", "F0", "F0_err", "Fplus", "Fplus_err", "Frand", "Frand_err"]
+        )
+        for i, t in enumerate(self.times):
+            row = [f"{t:.6g}"]
+            for metric in ("F0", "Fplus", "Frand"):
+                mean, err = self.column(metric)
+                row += [f"{mean[i]:.8g}", f"{err[i]:.8g}"]
+            writer.writerow(row)
+        return buf.getvalue()
+
 
 def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _distinct_cycles(rng: np.random.Generator, n_cycles: int, count: int) -> list[int]:
-    """First ``count`` distinct draws from Uniform{0..n_cycles-1}."""
-    chosen: dict[int, None] = {}
-    while len(chosen) < count:
-        draws = rng.integers(0, n_cycles, size=count - len(chosen))
-        for d in draws:
-            chosen.setdefault(int(d), None)
-    return list(chosen)
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    # np.unique hashes before sorting, several times slower on these sizes.
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _sample_error_cycles(
+def _sample_error_events(
     rng: np.random.Generator, n_qubits: int, n_cycles: int, p_x: float, p_z: float
-) -> dict[int, list[int]]:
-    """Cycle -> [x_mask, z_mask] for every cycle with at least one error.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle and fault index of every sampled single-qubit error.
 
-    Each qubit suffers an X (Z) error in each cycle independently with
-    probability p_x (p_z); sampling the binomial count and then a uniform
-    subset of cycles per qubit reproduces that law exactly.
+    Fault ``part * n_qubits + q`` is an X (part 0) or Z (part 1) error on
+    qubit q.  Each qubit suffers an X (Z) error in each cycle independently
+    with probability p_x (p_z); sampling the binomial count and then a
+    uniform subset of cycles per qubit reproduces that law exactly.  The
+    subset is the set of distinct values of repeated uniform draws, each
+    round drawing as many values as are still missing; the draws are the
+    seeded contract, so their order and sizes must not change.
     """
-    events: dict[int, list[int]] = {}
+    chosen: list[np.ndarray] = []
+    faults: list[int] = []
     for q in range(n_qubits):
-        for prob, part in ((p_x, 0), (p_z, 1)):
+        for part, prob in enumerate((p_x, p_z)):
             if prob <= 0.0:
                 continue
             count = int(rng.binomial(n_cycles, prob))
             if not count:
                 continue
-            for c in _distinct_cycles(rng, n_cycles, count):
-                events.setdefault(c, [0, 0])[part] ^= 1 << q
-    return events
+            cycles = _sorted_distinct(rng.integers(0, n_cycles, size=count))
+            while cycles.size < count:
+                more = rng.integers(0, n_cycles, size=count - cycles.size)
+                cycles = _sorted_distinct(np.concatenate((cycles, more)))
+            chosen.append(cycles)
+            faults.append(part * n_qubits + q)
+    if not chosen:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    sizes = [c.size for c in chosen]
+    return np.concatenate(chosen), np.repeat(np.array(faults, dtype=np.int64), sizes)
 
 
-@dataclass(frozen=True)
-class _ErrorChannels:
-    """Per-qubit syndrome/residual masks for sampled X and Z errors."""
-
-    sx_x: list[int]
-    sz_x: list[int]
-    rx_x: list[int]
-    rz_x: list[int]
-    sx_z: list[int]
-    sz_z: list[int]
-    rx_z: list[int]
-    rz_z: list[int]
+def _fault_effects(code) -> np.ndarray:
+    """(2, n, 4) array of (sx, sz, rx, rz) for an X (row 0) or Z (row 1) fault per qubit."""
+    effects = np.zeros((2, code.qubit_count, 4), dtype=np.int64)
+    for rec in single_error_records(code):
+        if rec.kind != "Y":
+            effects["XZ".index(rec.kind), rec.qubit] = (rec.sx, rec.sz, rec.rx, rec.rz)
+    return effects
 
 
-def _error_channels(code) -> _ErrorChannels:
-    recs = {(r.qubit, r.kind): r for r in single_error_records(code)}
-    n = code.qubit_count
-    chan = _ErrorChannels([], [], [], [], [], [], [], [])
-    for q in range(n):
-        rx_rec = recs[(q, "X")]
-        rz_rec = recs[(q, "Z")]
-        chan.sx_x.append(rx_rec.sx)
-        chan.sz_x.append(rx_rec.sz)
-        chan.rx_x.append(rx_rec.rx)
-        chan.rz_x.append(rx_rec.rz)
-        chan.sx_z.append(rz_rec.sx)
-        chan.sz_z.append(rz_rec.sz)
-        chan.rx_z.append(rz_rec.rx)
-        chan.rz_z.append(rz_rec.rz)
-    return chan
+def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct cycles in increasing order, with the XOR of ``rows`` over each."""
+    order = np.argsort(cycles, kind="stable")
+    cycles = cycles[order]
+    starts = np.flatnonzero(np.diff(cycles, prepend=-1))
+    return cycles[starts], np.bitwise_xor.reduceat(rows[order], starts, axis=0)
 
 
-def _cycle_effect(
-    chan: _ErrorChannels, x_mask: int, z_mask: int
-) -> tuple[int, int, int, int]:
-    """Syndrome and residual masks of one cycle's sampled error pattern."""
-    sx = sz = rx = rz = 0
-    m = x_mask
-    while m:
-        q = (m & -m).bit_length() - 1
-        m &= m - 1
-        sx ^= chan.sx_x[q]
-        sz ^= chan.sz_x[q]
-        rx ^= chan.rx_x[q]
-        rz ^= chan.rz_x[q]
-    m = z_mask
-    while m:
-        q = (m & -m).bit_length() - 1
-        m &= m - 1
-        sx ^= chan.sx_z[q]
-        sz ^= chan.sz_z[q]
-        rx ^= chan.rx_z[q]
-        rz ^= chan.rz_z[q]
-    return sx, sz, rx, rz
+def _lookup_corrections(first, second, sx, sz) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Z) corrections and known flags for syndrome side masks.
 
-
-def _correction_lookup(table: DecodeTable, sx: int, sz: int) -> tuple[int, int, bool]:
-    """(corr_x, corr_z, fully_known) for a syndrome given as side masks."""
-    cx = cz = 0
-    known = True
-    if table.kind == "split":
-        if sx:
-            if sx in table._x_side:
-                cx = table._x_side[sx]
-            else:
-                known = False
-        if sz:
-            if sz in table._z_side:
-                cz = table._z_side[sz]
-            else:
-                known = False
-    else:
-        if sx:
-            if sx in table._general:
-                cx, cz = table._general[sx]
-            else:
-                known = False
-    return cx, cz, known
+    ``first``/``second`` come from :meth:`DecodeTable.correction_arrays`; a
+    side with no single-error explanation corrects nothing.
+    """
+    a, b = first[sx], second[sz]
+    return np.maximum(a, 0) ^ np.maximum(b, 0), (a[..., 0] >= 0) & (b[..., 0] >= 0)
 
 
 def _frame_overlaps(
@@ -323,6 +321,29 @@ def _frame_overlaps(
     permuted = states[:, idx ^ frame_x] * signs[np.newaxis, :]
     amps = np.einsum("ij,ij->i", states.conj(), permuted)
     return np.abs(amps) ** 2
+
+
+def _frame_values(cycles, net, sample_cycles, haar, metrics) -> dict[str, np.ndarray]:
+    """Metric values at the sample times from each error cycle's net frame change.
+
+    The frame at a sample is the prefix XOR of the net changes of the error
+    cycles before it.  Frand is evaluated once per distinct frame.
+    """
+    frames = np.zeros((cycles.size + 1, 2), dtype=np.int64)
+    np.bitwise_xor.accumulate(net, axis=0, out=frames[1:])
+    at = frames[np.searchsorted(cycles, sample_cycles)]
+    values = {}
+    if "F0" in metrics:
+        values["F0"] = np.where(at[:, 0] & 1, 0.0, 1.0)
+    if "Fplus" in metrics:
+        values["Fplus"] = np.where(at[:, 1] & 1, 0.0, 1.0)
+    if "Frand" in metrics:
+        distinct, which = np.unique(at, axis=0, return_inverse=True)
+        fidelity = np.array(
+            [float(np.mean(_frame_overlaps(int(fx), int(fz), haar))) for fx, fz in distinct]
+        )
+        values["Frand"] = fidelity[which]
+    return values
 
 
 def simulate(
@@ -345,10 +366,16 @@ def simulate(
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "statevector" and code.qubit_count > 14:
         raise ValueError("statevector backend is limited to 14 qubits")
-    table = decode_table(code, require_correcting=False)
-    chan = _error_channels(code)
     n = code.qubit_count
     k = code.k
+    if n > 62:
+        raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
+    first, second = decode_table(code, require_correcting=False).correction_arrays()
+    effects = _fault_effects(code).reshape(2 * n, 4)
+    # The X and Z error masks each fault applies, for the statevector oracle.
+    error_masks = np.zeros((2, n, 2), dtype=np.int64)
+    error_masks[0, :, 0] = error_masks[1, :, 1] = 1 << np.arange(n)
+    error_masks = error_masks.reshape(2 * n, 2)
     r = cfg.cycle_rate
     n_cycles = max(1, int(round(cfg.t_max * r)))
     p_x = 1.0 - math.exp(-model.eps_bit / r)
@@ -368,23 +395,28 @@ def simulate(
         haar = (
             np.array([haar_state(1 << k, rng_haar) for _ in range(cfg.haar_states)])
             if "Frand" in cfg.metrics
-            else np.zeros((0, 1 << k), dtype=np.complex128)
+            else None
         )
-        events = _sample_error_cycles(rng_events, n, n_cycles, p_x, p_z)
-        ordered = sorted(events.items())
-
-        # The frame pass is exact and cheap; it supplies the uncorrectable
-        # count for both backends so the two report identical statistics.
-        frame_values, bad = _run_frame_trial(
-            table, chan, ordered, sample_cycles, k, haar, cfg.metrics
+        event_cycles, faults = _sample_error_events(rng_events, n, n_cycles, p_x, p_z)
+        # A cycle's correction depends only on its own syndrome, so every
+        # error cycle's net frame change is known before any frame is built.
+        cycles, effect = _xor_by_cycle(event_cycles, effects[faults])
+        correction, known = _lookup_corrections(
+            first, second, effect[:, 0], effect[:, 1]
         )
+        # Cycles from the last sample time on are never applied or counted.
+        seen = np.searchsorted(cycles, sample_cycles[-1])
+        uncorrectable += int(np.count_nonzero(~known[:seen]))
         if backend == "pauli_frame":
-            values = frame_values
-        else:
-            values = _run_statevector_trial(
-                code, table, ordered, sample_cycles, haar, cfg.metrics, rng_events
+            values = _frame_values(
+                cycles, effect[:, 2:] ^ correction, sample_cycles, haar, cfg.metrics
             )
-        uncorrectable += bad
+        else:
+            _, masks = _xor_by_cycle(event_cycles, error_masks[faults])
+            values = _run_statevector_trial(
+                code, first, second, list(zip(cycles.tolist(), masks.tolist())),
+                sample_cycles, haar, cfg.metrics, rng_events,
+            )
         for m in cfg.metrics:
             sums[m] += values[m]
             sumsq[m] += values[m] ** 2
@@ -407,33 +439,9 @@ def simulate(
     )
 
 
-def _run_frame_trial(table, chan, ordered_events, sample_cycles, k, haar, metrics):
-    frame_x = frame_z = 0
-    bad = 0
-    values = {m: np.zeros(len(sample_cycles)) for m in metrics}
-    ev_idx = 0
-    for s_idx, limit in enumerate(sample_cycles):
-        while ev_idx < len(ordered_events) and ordered_events[ev_idx][0] < limit:
-            _, (x_mask, z_mask) = ordered_events[ev_idx]
-            ev_idx += 1
-            sx, sz, rx, rz = _cycle_effect(chan, x_mask, z_mask)
-            cx, cz, known = _correction_lookup(table, sx, sz)
-            if not known:
-                bad += 1
-            frame_x ^= rx ^ cx
-            frame_z ^= rz ^ cz
-        if "F0" in metrics:
-            values["F0"][s_idx] = 0.0 if frame_x & 1 else 1.0
-        if "Fplus" in metrics:
-            values["Fplus"][s_idx] = 0.0 if frame_z & 1 else 1.0
-        if "Frand" in metrics and haar.shape[0]:
-            values["Frand"][s_idx] = float(
-                np.mean(_frame_overlaps(frame_x, frame_z, haar))
-            )
-    return values, bad
-
-
-def _run_statevector_trial(code, table, ordered_events, sample_cycles, haar, metrics, rng):
+def _run_statevector_trial(
+    code, first, second, ordered_events, sample_cycles, haar, metrics, rng
+):
     from .circuits import decode_circuit, encode_circuit
 
     n = code.qubit_count
@@ -484,8 +492,8 @@ def _run_statevector_trial(code, table, ordered_events, sample_cycles, haar, met
                 else:
                     sx = sum(b << i for i, b in enumerate(outcomes))
                     sz = 0
-                cx, cz, _ = _correction_lookup(table, sx, sz)
-                state = apply_pauli_masks(state, cx, cz)
+                (cx, cz), _ = _lookup_corrections(first, second, sx, sz)
+                state = apply_pauli_masks(state, int(cx), int(cz))
             if probe == "overlap":
                 out[s_idx] = float(np.abs(np.vdot(reference, state)) ** 2)
             else:
@@ -493,13 +501,13 @@ def _run_statevector_trial(code, table, ordered_events, sample_cycles, haar, met
                 out[s_idx] = float(np.sum(np.abs(view[idx[(idx & 1) == 0]]) ** 2))
         return out
 
-    values = {m: np.zeros(len(sample_cycles)) for m in metrics}
+    values = {}
     if "F0" in metrics:
         values["F0"] = run(zero_state(k), "zero0")
     if "Fplus" in metrics:
         plus = np.full(1 << k, 1.0 / math.sqrt(1 << k), dtype=np.complex128)
         values["Fplus"] = run(plus, "plus0")
-    if "Frand" in metrics and haar.shape[0]:
+    if "Frand" in metrics:
         acc = np.zeros(len(sample_cycles))
         for h in haar:
             acc += run(h, "overlap")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 
+import pytest
+
 from cpc.cli import main
 
 
@@ -156,6 +158,61 @@ def test_simulate_and_fit_round_trip(tmp_path, capsys, fixture_dir):
     code, out, _ = _run(capsys, "fit", str(csv_path), "--metric", "F0")
     assert code == 0
     assert "lambda_half:" in out
+
+
+# simulate CSV of the command below, captured before the Pauli-frame kernel
+# was vectorized; csv.writer ends rows with CRLF
+_PINNED_SIMULATE_CSV = "\r\n".join([
+    "time_s,F0,F0_err,Fplus,Fplus_err,Frand,Frand_err",
+    "0,1,0,1,0,1,0",
+    "2.5,0.8,0.13333333,0.8,0.13333333,0.32964036,0.11336119",
+    "5,0.8,0.13333333,0.8,0.13333333,0.19921046,0.090771262",
+    "7.5,0.7,0.15275252,0.7,0.15275252,0.20829336,0.089201019",
+    "10,0.4,0.16329932,0.7,0.15275252,0.1990163,0.091098444",
+    "12.5,0.5,0.16666667,0.5,0.16666667,0.12463305,0.035210584",
+    "15,0.7,0.15275252,0.6,0.16329932,0.2039528,0.091282931",
+    "17.5,0.5,0.16666667,0.6,0.16329932,0.19199403,0.091804547",
+    "20,0.4,0.16329932,0.6,0.16329932,0.062993554,0.012244375",
+]) + "\r\n"
+
+_SIMULATE_ARGS = (
+    "--eps-bit", "0.3", "--eps-phase", "0.1", "--rate", "10", "--t-max", "20",
+    "--trials", "10", "--haar-states", "3", "--samples", "8", "--seed", "5",
+)
+
+
+def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, fixture_dir):
+    code, out, _ = _run(capsys, "simulate", str(fixture_dir / "11-3-3.cpc"), *_SIMULATE_ARGS)
+    assert code == 0
+    assert out == _PINNED_SIMULATE_CSV
+    csv_path = tmp_path / "curve.csv"
+    code, _, _ = _run(
+        capsys, "simulate", str(fixture_dir / "11-3-3.cpc"), *_SIMULATE_ARGS,
+        "--out", str(csv_path),
+    )
+    assert code == 0
+    assert csv_path.read_bytes() == _PINNED_SIMULATE_CSV.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--t-max", "-5"),
+        ("--haar-states", "0"),
+        ("--samples", "0"),
+        ("--rate", "nan"),
+        ("--eps-bit", "nan"),
+    ],
+)
+def test_simulate_rejects_out_of_domain_input(capsys, fixture_dir, flag, value):
+    args = {"--eps-bit": "0.1", "--t-max": "5", flag: value}
+    argv = ["simulate", str(fixture_dir / "6-3-1.cpc"), "--trials", "2"]
+    for name, val in args.items():
+        argv += [name, val]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag.lstrip("-").replace("-", "_") in err
 
 
 def test_search_command_writes_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -152,6 +153,32 @@ def test_decode_y_on_parity_qubit_composes_sides():
     rec = recs[(code.phase_index(0), "Y")]  # Y on p1
     entry = decode(table, rec.syndrome(code.n_b, code.n_p))
     assert entry.correction.x_bits == rec.rx and entry.correction.z_bits == rec.rz
+
+
+def test_correction_arrays_match_decode_on_every_syndrome():
+    codes = [fx.code_1133(), fx.code_1033_general(), fx.code_631(), fx.code_1131_flawed()]
+    codes += seeded_random_codes(10, seed=91) + seeded_random_general_codes(10, seed=92)
+    for code in codes:
+        table = decode_table(code, require_correcting=False)
+        first, second = table.correction_arrays()
+        assert first.shape == (1 << table.n_first, 2)
+        assert second.shape == (1 << table.n_second, 2)
+        for a, b in itertools.product(range(first.shape[0]), range(second.shape[0])):
+            syndrome = tuple((a >> i) & 1 for i in range(table.n_first)) + tuple(
+                (b >> i) & 1 for i in range(table.n_second)
+            )
+            entry = table.decode(syndrome)
+            known = first[a, 0] >= 0 and second[b, 0] >= 0
+            assert known == (entry.category != "uncorrectable"), (code, syndrome)
+            cx, cz = np.maximum(first[a], 0) ^ np.maximum(second[b], 0)
+            assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
+
+
+def test_correction_arrays_refuse_wide_syndromes():
+    table = decode_table(fx.code_1133())
+    wide = dataclasses.replace(table, n_first=21)
+    with pytest.raises(ValueError, match="at most 20 checks"):
+        wide.correction_arrays()
 
 
 def test_decode_table_obstruction_certificate():

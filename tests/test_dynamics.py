@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from cpc import dynamics
 from cpc import fixtures as fx
+from cpc.decoding import decode_table, single_error_records
 from cpc.dynamics import (
     ErrorModel,
     SimConfig,
@@ -19,6 +22,11 @@ from cpc.dynamics import (
 def test_error_model_validation():
     with pytest.raises(ValueError):
         ErrorModel(eps_bit=-1.0, eps_phase=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ErrorModel(eps_bit=bad, eps_phase=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            ErrorModel(eps_bit=0.0, eps_phase=bad)
 
 
 def test_sim_config_validation():
@@ -28,6 +36,20 @@ def test_sim_config_validation():
         SimConfig(cycle_rate=1.0, t_max=1.0, trials=0)
     with pytest.raises(ValueError):
         SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=("F9",))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(cycle_rate=bad, t_max=1.0, trials=1)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(cycle_rate=1.0, t_max=bad, trials=1)
+    for t_max in (0.0, -5.0):
+        with pytest.raises(ValueError, match="t_max"):
+            SimConfig(cycle_rate=1.0, t_max=t_max, trials=1)
+    with pytest.raises(ValueError, match="samples"):
+        SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, samples=0)
+    with pytest.raises(ValueError, match="haar_states"):
+        SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, haar_states=0)
+    # Haar states are only drawn for Frand
+    SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, haar_states=0, metrics=("F0", "Fplus"))
 
 
 def test_zero_rates_give_unit_fidelity():
@@ -122,6 +144,21 @@ def test_statevector_qubit_limit():
         simulate(bigger, ErrorModel(0.0, 0.0), cfg, backend="statevector")
 
 
+def test_pauli_frame_qubit_limit():
+    from cpc.gf2 import Gf2Matrix
+    from cpc.model import CpcCode
+
+    k = 61  # 63 qubits: the int64 frame masks would overflow
+    code = CpcCode(
+        mb=Gf2Matrix.from_rows([[1]] * k, cols=1),
+        mp=Gf2Matrix.from_rows([[1]] * k, cols=1),
+        mc=Gf2Matrix.from_rows([[0]], cols=1),
+    )
+    cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=("F0",))
+    with pytest.raises(ValueError, match="at most 62 qubits"):
+        simulate(code, ErrorModel(0.1, 0.1), cfg)
+
+
 def test_uncorrectable_cycles_logged_for_flawed_code():
     # the flawed code keeps running; ambiguous syndromes are only counted
     cfg = SimConfig(cycle_rate=10.0, t_max=50.0, trials=20, haar_states=2, rng_seed=3, samples=5)
@@ -207,3 +244,235 @@ def test_coherent_fidelity_quartic_scaling():
     f1 = 1.0 - coherent_fidelity_631(0.02).fidelity
     f2 = 1.0 - coherent_fidelity_631(0.01).fidelity
     assert f1 / f2 == pytest.approx(16.0, rel=0.05)
+
+
+def _curve_sha256(res) -> str:
+    h = hashlib.sha256()
+    for metric in sorted(res.means):
+        h.update(res.means[metric].tobytes())
+        h.update(res.errors[metric].tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "code, model, cfg, uncorrectable, digest",
+    [
+        (
+            fx.code_1133(),
+            ErrorModel(0.5, 0.3),
+            SimConfig(cycle_rate=10.0, t_max=20.0, trials=12, haar_states=3, rng_seed=101, samples=10),
+            81,
+            "ecc27ee3fcf27ee302e7a335e3d14edb43431a4bf25288cc9665e59c975545f3",
+        ),
+        (
+            fx.code_1033_general(),
+            ErrorModel(0.4, 0.2),
+            SimConfig(cycle_rate=10.0, t_max=20.0, trials=12, haar_states=3, rng_seed=202, samples=10),
+            173,
+            "f9513f07e2675612e5f9861984978a01ec8f322d600dcb9eaed85d153b843244",
+        ),
+    ],
+    ids=["11-3-3", "10-3-3"],
+)
+def test_fixed_seed_output_is_pinned(code, model, cfg, uncorrectable, digest):
+    # Exact bytes of the curves: a speed-up must not move a fixed-seed result.
+    res = simulate(code, model, cfg)
+    assert res.uncorrectable_cycles == uncorrectable
+    assert _curve_sha256(res) == digest
+
+
+# --- scalar reference for the batched Pauli-frame kernel -----------------------
+#
+# The one-cycle-at-a-time sampler and frame loop the array kernel replaced.
+# Corrections come from DecodeTable.decode, not from the dense arrays.
+
+
+def _scalar_distinct_cycles(rng, n_cycles, count, rounds):
+    """First ``count`` distinct draws from Uniform{0..n_cycles-1}."""
+    chosen: dict[int, None] = {}
+    n_rounds = 0
+    while len(chosen) < count:
+        n_rounds += 1
+        draws = rng.integers(0, n_cycles, size=count - len(chosen))
+        for d in draws:
+            chosen.setdefault(int(d), None)
+    rounds.append(n_rounds)
+    return list(chosen)
+
+
+def _scalar_sample_error_cycles(rng, n_qubits, n_cycles, p_x, p_z, rounds):
+    """Cycle -> [x_mask, z_mask] for every cycle with at least one error."""
+    events: dict[int, list[int]] = {}
+    for q in range(n_qubits):
+        for prob, part in ((p_x, 0), (p_z, 1)):
+            if prob <= 0.0:
+                continue
+            count = int(rng.binomial(n_cycles, prob))
+            if not count:
+                continue
+            for c in _scalar_distinct_cycles(rng, n_cycles, count, rounds):
+                events.setdefault(c, [0, 0])[part] ^= 1 << q
+    return events
+
+
+def _scalar_cycle_effect(records, x_mask, z_mask):
+    """Syndrome and residual masks of one cycle's sampled error pattern."""
+    sx = sz = rx = rz = 0
+    for kind, mask in (("X", x_mask), ("Z", z_mask)):
+        q = 0
+        while mask >> q:
+            if (mask >> q) & 1:
+                rec = records[(q, kind)]
+                sx, sz, rx, rz = sx ^ rec.sx, sz ^ rec.sz, rx ^ rec.rx, rz ^ rec.rz
+            q += 1
+    return sx, sz, rx, rz
+
+
+def _scalar_frame_trial(table, records, ordered_events, sample_cycles, haar, metrics):
+    frame_x = frame_z = 0
+    bad = 0
+    values = {m: np.zeros(len(sample_cycles)) for m in metrics}
+    ev_idx = 0
+    for s_idx, limit in enumerate(sample_cycles):
+        while ev_idx < len(ordered_events) and ordered_events[ev_idx][0] < limit:
+            _, (x_mask, z_mask) = ordered_events[ev_idx]
+            ev_idx += 1
+            sx, sz, rx, rz = _scalar_cycle_effect(records, x_mask, z_mask)
+            syndrome = tuple((sx >> i) & 1 for i in range(table.n_first)) + tuple(
+                (sz >> i) & 1 for i in range(table.n_second)
+            )
+            entry = table.decode(syndrome)
+            if entry.category == "uncorrectable":
+                bad += 1
+            frame_x ^= rx ^ entry.correction.x_bits
+            frame_z ^= rz ^ entry.correction.z_bits
+        if "F0" in metrics:
+            values["F0"][s_idx] = 0.0 if frame_x & 1 else 1.0
+        if "Fplus" in metrics:
+            values["Fplus"][s_idx] = 0.0 if frame_z & 1 else 1.0
+        if "Frand" in metrics:
+            values["Frand"][s_idx] = float(
+                np.mean(dynamics._frame_overlaps(frame_x, frame_z, haar))
+            )
+    return values, bad
+
+
+def _scalar_simulate(code, model, cfg, log):
+    """The Pauli-frame simulate loop, one cycle at a time."""
+    table = decode_table(code, require_correcting=False)
+    records = {(r.qubit, r.kind): r for r in single_error_records(code)}
+    n, k, r = code.qubit_count, code.k, cfg.cycle_rate
+    n_cycles = max(1, int(round(cfg.t_max * r)))
+    p_x = 1.0 - math.exp(-model.eps_bit / r)
+    p_z = 1.0 - math.exp(-model.eps_phase / r)
+    times = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
+    sample_cycles = np.minimum(np.floor(times * r + 1e-9).astype(int), n_cycles)
+    sums = {m: np.zeros(times.size) for m in cfg.metrics}
+    sumsq = {m: np.zeros(times.size) for m in cfg.metrics}
+    uncorrectable = 0
+    for trial in range(cfg.trials):
+        rng_events = dynamics._trial_rng(cfg.rng_seed, trial, 0)
+        rng_haar = dynamics._trial_rng(cfg.rng_seed, trial, 1)
+        haar = (
+            np.array([haar_state(1 << k, rng_haar) for _ in range(cfg.haar_states)])
+            if "Frand" in cfg.metrics
+            else None
+        )
+        events = _scalar_sample_error_cycles(
+            rng_events, n, n_cycles, p_x, p_z, log["rounds"]
+        )
+        log["events"].append(events)
+        values, bad = _scalar_frame_trial(
+            table, records, sorted(events.items()), sample_cycles, haar, cfg.metrics
+        )
+        uncorrectable += bad
+        for m in cfg.metrics:
+            sums[m] += values[m]
+            sumsq[m] += values[m] ** 2
+    means = {m: sums[m] / cfg.trials for m in cfg.metrics}
+    errors = {}
+    for m in cfg.metrics:
+        if cfg.trials > 1:
+            var = (sumsq[m] - cfg.trials * means[m] ** 2) / (cfg.trials - 1)
+            errors[m] = np.sqrt(np.maximum(var, 0.0) / cfg.trials)
+        else:
+            errors[m] = np.zeros_like(means[m])
+    return means, errors, uncorrectable
+
+
+def _batched_events(code, model, cfg, trial):
+    """The array sampler's events of one trial, in the scalar sampler's form."""
+    n, r = code.qubit_count, cfg.cycle_rate
+    cycles, faults = dynamics._sample_error_events(
+        dynamics._trial_rng(cfg.rng_seed, trial, 0),
+        n,
+        max(1, int(round(cfg.t_max * r))),
+        1.0 - math.exp(-model.eps_bit / r),
+        1.0 - math.exp(-model.eps_phase / r),
+    )
+    events: dict[int, list[int]] = {}
+    for c, f in zip(cycles.tolist(), faults.tolist()):
+        events.setdefault(c, [0, 0])[f // n] ^= 1 << (f % n)
+    return events
+
+
+def _oracle_configs():
+    """Fixed corner cases plus seeded random configs on four fixtures."""
+    codes = {
+        "11-3-3": fx.code_1133(),
+        "10-3-3": fx.code_1033_general(),
+        "6-3-1": fx.code_631(),
+        "11-3-1": fx.code_1131_flawed(),
+    }
+    cases = [
+        # no errors at all, a single trial
+        ("11-3-3", 0.0, 0.0, SimConfig(10.0, 5.0, 1, haar_states=2, rng_seed=1, samples=4)),
+        ("10-3-3", 0.0, 0.0, SimConfig(10.0, 5.0, 3, haar_states=1, rng_seed=2, samples=1)),
+        # p close to 1: most cycles fire, so the distinct-draw rejection loop
+        # runs many rounds and cycles carry many errors
+        ("11-3-3", 30.0, 20.0, SimConfig(10.0, 2.0, 2, haar_states=2, rng_seed=3, samples=5)),
+        ("10-3-3", 25.0, 25.0, SimConfig(10.0, 2.0, 2, haar_states=2, rng_seed=4, samples=5)),
+        ("6-3-1", 30.0, 0.0, SimConfig(10.0, 3.0, 2, haar_states=2, rng_seed=5, samples=6)),
+        # single trial at the rates of the protection experiment
+        ("11-3-3", 0.007, 0.0007, SimConfig(100.0, 600.0, 1, haar_states=3, rng_seed=6, samples=10)),
+    ]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(8128)))
+    metric_sets = [("F0", "Fplus", "Frand"), ("Frand",), ("F0",), ("Fplus", "F0")]
+    for i in range(24):
+        name = list(codes)[i % len(codes)]
+        rate = float(rng.choice([2.0, 5.0, 10.0, 40.0]))
+        eps_bit = float(rng.uniform(0.0, 3.0) * rate / 10.0)
+        eps_phase = 0.0 if name == "6-3-1" else float(rng.uniform(0.0, 2.0) * rate / 10.0)
+        cfg = SimConfig(
+            cycle_rate=rate,
+            t_max=float(rng.uniform(0.5, 6.0)),
+            trials=int(rng.integers(1, 5)),
+            haar_states=int(rng.integers(1, 4)),
+            rng_seed=int(rng.integers(0, 2**31)),
+            samples=int(rng.integers(1, 12)),
+            metrics=metric_sets[i % len(metric_sets)],
+        )
+        cases.append((name, eps_bit, eps_phase, cfg))
+    return [(codes[name], ErrorModel(eb, ep), cfg) for name, eb, ep, cfg in cases]
+
+
+def test_batched_kernel_matches_scalar_reference():
+    log = {"rounds": [], "events": []}
+    total_uncorrectable = 0
+    for code, model, cfg in _oracle_configs():
+        start = len(log["events"])
+        means, errors, uncorrectable = _scalar_simulate(code, model, cfg, log)
+        for trial in range(cfg.trials):
+            assert _batched_events(code, model, cfg, trial) == log["events"][start + trial]
+        res = simulate(code, model, cfg)
+        assert res.uncorrectable_cycles == uncorrectable
+        for m in cfg.metrics:
+            assert np.array_equal(res.means[m], means[m]), (cfg, m)
+            assert np.array_equal(res.errors[m], errors[m]), (cfg, m)
+        total_uncorrectable += uncorrectable
+    # the configs exercised what they were chosen for
+    all_events = [e for events in log["events"] for e in events.values()]
+    assert max(log["rounds"]) > 1
+    assert sum(1 for x, z in all_events if bin(x).count("1") + bin(z).count("1") > 2) > 100
+    assert total_uncorrectable > 100
+    assert any(not events for events in log["events"])
