@@ -40,8 +40,8 @@ from .propagation import (
 from .stabilizers import (
     CssConversionError,
     CssToCpcResult,
+    check_matrix,
     code_distance,
-    cpc_to_css,
     css_to_cpc,
     logical_operators,
     stabilizers_general,
@@ -55,7 +55,6 @@ from .decoding import (
     IsingProblem,
     augment_for_cnot,
     cnot_compatible,
-    decode,
     decode_table,
     error_table,
     is_single_error_correcting,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -19,9 +20,9 @@ from .circuits import circuit_to_text, decode_circuit, encode_circuit
 from .decoding import (
     DecodingObstruction,
     decode_table,
-    error_table,
     is_single_error_correcting,
     ising_problem,
+    single_error_records,
 )
 from .dynamics import ErrorModel, SimConfig, fit_half_life, simulate
 from .gf2 import Gf2Matrix
@@ -44,12 +45,12 @@ from .search import (
 from .stabilizers import (
     CssConversionError,
     code_distance,
-    cpc_to_css,
     css_to_cpc,
     logical_operators,
     stabilizer_to_text,
     stabilizers_general,
     stabilizers_split,
+    symplectic_matrix,
 )
 
 __all__ = ["main"]
@@ -158,10 +159,10 @@ def _cmd_error_table(args) -> int:
     code = _load_code(args.code)
     table = decode_table(code, require_correcting=False)
     rows = ["error\tsyndrome\tclass"]
-    for pauli, syndrome in error_table(code).items():
-        label = pauli.label(code.qubit_label)
+    for rec in single_error_records(code):
+        syndrome = rec.syndrome(table.n_first, table.n_second)
         entry = table.decode(syndrome)
-        rows.append(f"{label}\t{_syndrome_str(syndrome)}\t{entry.category}")
+        rows.append(f"{rec.label}\t{_syndrome_str(syndrome)}\t{entry.category}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -197,7 +198,7 @@ def _cmd_css_to_cpc(args) -> int:
 
 def _cmd_cpc_to_css(args) -> int:
     code = _require_split(_load_code(args.code), "cpc-to-css")
-    g_z, g_x = cpc_to_css(code)
+    g_z, g_x = symplectic_matrix(code)
     _write_output(_serialize_css(g_z, g_x), args.out)
     return 0
 
@@ -259,6 +260,8 @@ def _cmd_ising(args) -> int:
         if args.side != "general":
             raise InvalidCodeError("generalized codes only support --side general")
         cc = general_to_classical(code)
+    if not re.fullmatch(r"[01]*", args.syndrome):
+        raise ValueError(f"--syndrome must be a string of 0/1 bits, got {args.syndrome!r}")
     syndrome = [int(ch) for ch in args.syndrome]
     if len(syndrome) != len(cc.checks):
         raise InvalidCodeError(
@@ -315,9 +318,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.require:
-        if not args.require.startswith("cnot:"):
-            raise ValueError("--require supports only 'cnot:<control>,<target>'")
-        c, t = (int(x) for x in args.require[len("cnot:"):].split(","))
+        match = re.fullmatch(r"cnot:(\d+),(\d+)", args.require)
+        if match is None:
+            raise ValueError(
+                f"--require supports only 'cnot:<control>,<target>', got {args.require!r}"
+            )
+        c, t = int(match[1]), int(match[2])
         predicate = cnot_compatible_predicate(c, t)
         predicate_name = f"cnot-compatible({c},{t})"
     else:
@@ -374,9 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker count")
     common.add_argument("--out", help="output file (or directory for search)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -426,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-check", type=float, default=0.1)
     p.set_defaults(func=_cmd_ising)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo fidelity curves")
+    p = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo fidelity curves")
     p.add_argument("code")
     p.add_argument("--eps-bit", type=float, required=True)
     p.add_argument("--eps-phase", type=float, default=0.0)
@@ -443,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["F0", "Fplus", "Frand"], default="Frand")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("search", parents=[common], help="random code search")
+    p = sub.add_parser("search", parents=[seeded], help="random code search")
     p.add_argument("--data", type=int, required=True)
     p.add_argument("--bit", type=int, required=True)
     p.add_argument("--phase", type=int, required=True)
@@ -451,6 +457,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mirror-bp", action="store_true")
     p.add_argument("--require", help="extra predicate, e.g. cnot:0,1")
     p.add_argument("--cap", type=int, default=100)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; the search runs serially",
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("logical-h", parents=[common], help="encoder realising a logical H")

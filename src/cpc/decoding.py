@@ -2,9 +2,12 @@
 
 A syndrome is the tuple of parity-check measurement flips after one cycle:
 for split codes the n_b bit-check outcomes followed by the n_p phase-check
-outcomes, for generalized codes the n_c check outcomes.  Error propagation is
-linear, so the syndrome (and the residual Pauli left on the data register) of
-any error pattern is the XOR of single-qubit contributions.
+outcomes, for generalized codes the n_c check outcomes.  CPC codes are CSS
+codes, so the single-error map is the anticommutation pattern of the check
+matrix (:func:`cpc.stabilizers.check_matrix`): a fault flips the checks whose
+generators it anticommutes with.  Error propagation is linear, so the
+syndrome (and the residual Pauli left on the data register) of any error
+pattern is the XOR of single-qubit contributions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, decode_circuit
-from .gf2 import Gf2Matrix, multiply
+from .gf2 import Gf2Matrix, pack_rows
 from .model import (
     ClassicalCode,
     CpcCode,
@@ -23,6 +26,7 @@ from .model import (
     InvalidCodeError,
     require_valid,
 )
+from .stabilizers import check_matrix
 
 __all__ = [
     "Syndrome",
@@ -35,7 +39,6 @@ __all__ = [
     "DecodeTable",
     "DecodingObstruction",
     "decode_table",
-    "decode",
     "CnotCompatibilityReport",
     "cnot_compatible",
     "augment_for_cnot",
@@ -89,123 +92,65 @@ def _syndrome_widths(code: CpcCode | GeneralCpcCode) -> tuple[int, int]:
 def single_error_records(code: CpcCode | GeneralCpcCode) -> list[ErrorRecord]:
     """Syndrome and data residual of every single-qubit X, Y, Z error.
 
-    Derived directly from the code matrices under the canonical gate order:
-    data errors fire the checks wired to them; an X (bit-flip) on a phase
-    check travels through its data neighbours onto bit checks and leaves X on
-    those data qubits; a Z on a bit check does the mirror image.  Errors on a
-    check in the basis it is protected by only flip its own measurement.
+    Read off the check matrix: an X fault fires the checks in its column of
+    ``hz``, a Z fault those in its column of ``hx``, and a Y fault both.  A
+    data fault leaves itself on the data.  A fault on a check qubit leaves
+    that check's generator restricted to the data when it has a component of
+    the check's own type (Z on a bit or generalized check, X on a phase
+    check); its other component only flips the check's own measurement.  A
+    check fault is harmful when that generator has data support.
     """
-    require_valid(code)
+    hx, hz = check_matrix(code)
+    k = code.k
+    n_first, _ = _syndrome_widths(code)
+    first_mask = (1 << n_first) - 1
+    x_syndromes, z_syndromes = pack_rows(hz.T), pack_rows(hx.T)
+    data_x, data_z = pack_rows(hx[:, :k]), pack_rows(hz[:, :k])
+    none = (0, 0)
     records: list[ErrorRecord] = []
-    if isinstance(code, CpcCode):
-        mb_rows = code.mb.row_masks()
-        mp_rows = code.mp.row_masks()
-        mb_cols = code.mb.col_masks()
-        mp_cols = code.mp.col_masks()
-        mc_rows = code.mc.row_masks()
-        mediated = multiply(code.mb.transpose(), code.mp)
-        cross_cols = code.mc.add(mediated).col_masks()
-
-        def add(qubit, label, x_part, z_part, harmful):
-            # x_part/z_part: (syndrome, residual) of the pure X / pure Z error
-            combos = {
-                "X": (x_part[0], 0, x_part[1], 0),
-                "Z": (0, z_part[0], 0, z_part[1]),
-                "Y": (x_part[0], z_part[0], x_part[1], z_part[1]),
-            }
-            for kind in _KINDS:
-                sx, sz, rx, rz = combos[kind]
-                records.append(
-                    ErrorRecord(qubit, kind, f"{kind}_{label}", sx, sz, rx, rz, harmful)
-                )
-
-        for j in range(code.k):
-            add(j, f"d{j + 1}", (mb_rows[j], 1 << j), (mp_rows[j], 1 << j), True)
-        for b in range(code.n_b):
-            add(
-                code.bit_index(b),
-                f"b{b + 1}",
-                (1 << b, 0),
-                (mc_rows[b], mb_cols[b]),
-                mb_cols[b] != 0,
-            )
-        for p in range(code.n_p):
-            add(
-                code.phase_index(p),
-                f"p{p + 1}",
-                (cross_cols[p], mp_cols[p]),
-                (1 << p, 0),
-                mp_cols[p] != 0,
-            )
-        return records
-
-    mbs_rows = code.mbs.row_masks()
-    mps_rows = code.mps.row_masks()
-    mbs_cols = code.mbs.col_masks()
-    mps_cols = code.mps.col_masks()
-    paths = multiply(code.mps.transpose(), code.mbs).data
-    sym = code.mcs.data | code.mcs.data.T
-    net = paths ^ sym
-    net_rows = [
-        sum(int(net[c, d]) << d for d in range(code.n_c)) for c in range(code.n_c)
-    ]
-    for j in range(code.k):
+    for q in range(code.qubit_count):
+        if q < k:
+            x_res, z_res, harmful = (1 << q, 0), (0, 1 << q), True
+        else:
+            gen = (data_x[q - k], data_z[q - k])
+            x_res, z_res = (none, gen) if hz[q - k, q] else (gen, none)
+            harmful = gen != none
         parts = {
-            "X": (mbs_rows[j], 1 << j, 0),
-            "Z": (mps_rows[j], 0, 1 << j),
-            "Y": (mbs_rows[j] ^ mps_rows[j], 1 << j, 1 << j),
+            "X": (x_syndromes[q], x_res),
+            "Z": (z_syndromes[q], z_res),
+            "Y": (x_syndromes[q] ^ z_syndromes[q], (x_res[0] ^ z_res[0], x_res[1] ^ z_res[1])),
         }
+        label = code.qubit_label(q)
         for kind in _KINDS:
-            s, rx, rz = parts[kind]
-            records.append(ErrorRecord(j, kind, f"{kind}_d{j + 1}", s, 0, rx, rz, True))
-    for c in range(code.n_c):
-        harmful = (mbs_cols[c] | mps_cols[c]) != 0
-        z_synd = net_rows[c]
-        parts = {
-            "X": (1 << c, 0, 0),
-            "Z": (z_synd, mps_cols[c], mbs_cols[c]),
-            "Y": ((1 << c) ^ z_synd, mps_cols[c], mbs_cols[c]),
-        }
-        for kind in _KINDS:
-            s, rx, rz = parts[kind]
+            s, (rx, rz) = parts[kind]
             records.append(
                 ErrorRecord(
-                    code.check_index(c), kind, f"{kind}_c{c + 1}", s, 0, rx, rz, harmful
+                    q, kind, f"{kind}_{label}", s & first_mask, s >> n_first, rx, rz, harmful
                 )
             )
     return records
 
 
-def _propagate_through_decode(code, error: PauliString) -> tuple[Syndrome, PauliString]:
-    """Circuit route: conjugate the error through the decode circuit."""
-    prop = conjugate_pauli(decode_circuit(code), error)
-    k = code.k
-    if isinstance(code, CpcCode):
-        sx = (prop.x_bits >> k) & ((1 << code.n_b) - 1)
-        sz = (prop.z_bits >> (k + code.n_b)) & ((1 << code.n_p) - 1)
-        syndrome = _mask_to_tuple(sx, code.n_b) + _mask_to_tuple(sz, code.n_p)
-    else:
-        s = (prop.x_bits >> k) & ((1 << code.n_c) - 1)
-        syndrome = _mask_to_tuple(s, code.n_c)
-    residual = prop.restrict(list(range(k)))
-    return syndrome, residual
-
-
 def error_table(code: CpcCode | GeneralCpcCode) -> dict[PauliString, Syndrome]:
     """Map every single-qubit X, Y, Z error to its measured syndrome.
 
-    Errors are inserted in the window between encode and decode and pushed
+    The circuit route, kept as the oracle of :func:`single_error_records`:
+    errors are inserted in the window between encode and decode and pushed
     through the decode circuit; bit checks are read in the computational
     basis (X flips) and phase checks in the conjugate basis (Z flips).
     """
     require_valid(code)
-    n = code.qubit_count
+    n, k = code.qubit_count, code.k
+    n_first, n_second = _syndrome_widths(code)
+    decoder = decode_circuit(code)
     table: dict[PauliString, Syndrome] = {}
     for q in range(n):
         for kind in _KINDS:
             err = PauliString.single(n, q, kind)
-            syndrome, _ = _propagate_through_decode(code, err)
-            table[err] = syndrome
+            prop = conjugate_pauli(decoder, err)
+            first = (prop.x_bits >> k) & ((1 << n_first) - 1)
+            second = (prop.z_bits >> (k + n_first)) & ((1 << n_second) - 1)
+            table[err] = _mask_to_tuple(first, n_first) + _mask_to_tuple(second, n_second)
     return table
 
 
@@ -228,6 +173,31 @@ class CorrectabilityReport:
         return self.ok
 
 
+def _syndrome_classes(
+    records: list[ErrorRecord],
+) -> dict[tuple[int, int], list[ErrorRecord]]:
+    """Records grouped by syndrome side masks (sx, sz), in record order."""
+    classes: dict[tuple[int, int], list[ErrorRecord]] = {}
+    for rec in records:
+        classes.setdefault((rec.sx, rec.sz), []).append(rec)
+    return classes
+
+
+def _correctability(code, classes) -> CorrectabilityReport:
+    """Verdict of :func:`is_single_error_correcting` from the syndrome classes."""
+    n1, n2 = _syndrome_widths(code)
+    collisions = []
+    for (sx, sz), members in sorted(classes.items()):
+        if not any(m.harmful for m in members):
+            continue
+        if len(members) > 1 or (sx == 0 and sz == 0):
+            labels = tuple(m.label for m in members)
+            if sx == 0 and sz == 0:
+                labels = ("no error",) + labels
+            collisions.append(CollisionGroup(members[0].syndrome(n1, n2), labels))
+    return CorrectabilityReport(ok=not collisions, collisions=tuple(collisions))
+
+
 def is_single_error_correcting(
     code: CpcCode | GeneralCpcCode,
 ) -> CorrectabilityReport:
@@ -239,22 +209,7 @@ def is_single_error_correcting(
     harmless errors may share syndromes only with each other (and with the
     no-error outcome).
     """
-    records = single_error_records(code)
-    groups: dict[tuple[int, int], list[ErrorRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.sx, rec.sz), []).append(rec)
-    n1, n2 = _syndrome_widths(code)
-    collisions = []
-    for (sx, sz), members in sorted(groups.items()):
-        harmful = [m for m in members if m.harmful]
-        if not harmful:
-            continue
-        if len(members) > 1 or (sx == 0 and sz == 0):
-            labels = tuple(m.label for m in members)
-            if sx == 0 and sz == 0:
-                labels = ("no error",) + labels
-            collisions.append(CollisionGroup(members[0].syndrome(n1, n2), labels))
-    return CorrectabilityReport(ok=not collisions, collisions=tuple(collisions))
+    return _correctability(code, _syndrome_classes(single_error_records(code)))
 
 
 class DecodingObstruction(ValueError):
@@ -280,20 +235,24 @@ _DENSE_SYNDROME_BITS = 20
 class DecodeTable:
     """Inversion of the single-error syndrome map.
 
-    For split codes the bit-check and phase-check halves of a syndrome are
-    decoded independently against the X-type and Z-type error tables, so
-    mixed X/Z multi-qubit events (including Y errors) decompose cleanly.
-    Syndromes with no single-error explanation decode as uncorrectable.
+    A syndrome splits into two side masks: its bit-check and phase-check
+    halves for split codes, or the whole syndrome and an empty second side
+    for generalized codes.  ``first`` and ``second`` map each side mask that
+    has a single-error explanation to its (X, Z) correction; both map 0 to
+    (0, 0), and a generalized code's ``second`` holds only that.  The
+    correction for side masks (a, b) is ``first[a] ^ second[b]``, an unknown
+    side contributing nothing, and the syndrome is uncorrectable when either
+    side is unknown.  For split codes the halves are decoded independently
+    against the X-type and Z-type errors, so mixed X/Z multi-qubit events
+    (including Y errors) decompose cleanly.
     """
 
-    kind: str  # "split" | "general"
     k: int
     n_first: int
     n_second: int
     entries: dict[Syndrome, TableEntry] = field(repr=False)
-    _x_side: dict[int, int] = field(repr=False)
-    _z_side: dict[int, int] = field(repr=False)
-    _general: dict[int, tuple[int, int]] = field(repr=False)
+    first: dict[int, tuple[int, int]] = field(repr=False)
+    second: dict[int, tuple[int, int]] = field(repr=False)
 
     def split_sides(self, syndrome: Syndrome) -> tuple[int, int]:
         if len(syndrome) != self.n_first + self.n_second:
@@ -305,63 +264,38 @@ class DecodeTable:
         return first, second
 
     def decode(self, syndrome: Syndrome) -> TableEntry:
-        first, second = self.split_sides(syndrome)
-        if first == 0 and second == 0:
+        """Correction for a measured syndrome; the scalar form of :meth:`correction_arrays`."""
+        a, b = self.split_sides(syndrome)
+        if a == 0 and b == 0:
             return TableEntry(PauliString.identity(self.k), "no_error")
-        if self.kind == "split":
-            rx, rz = 0, 0
-            known = True
-            if first:
-                if first in self._x_side:
-                    rx = self._x_side[first]
-                else:
-                    known = False
-            if second:
-                if second in self._z_side:
-                    rz = self._z_side[second]
-                else:
-                    known = False
-        else:
-            if first in self._general:
-                rx, rz = self._general[first]
-                known = True
-            else:
-                rx, rz, known = 0, 0, False
+        ax, az = self.first.get(a, (0, 0))
+        bx, bz = self.second.get(b, (0, 0))
+        rx, rz = ax ^ bx, az ^ bz
         correction = PauliString(self.k, rx, rz)
-        if not known:
+        if a not in self.first or b not in self.second:
             return TableEntry(correction, "uncorrectable")
         category = "harmless" if (rx == 0 and rz == 0) else "corrected"
         return TableEntry(correction, category)
 
     def correction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense syndrome-indexed form of :meth:`decode`, for batched lookups.
+        """Dense syndrome-indexed form of ``first`` and ``second``, for batched lookups.
 
-        Returns ``(first, second)``, int64 arrays of shape (2**n_first, 2)
-        and (2**n_second, 2).  Row ``s`` holds the (X, Z) correction masks
-        read off side mask ``s`` of a syndrome, or -1 in both columns when
-        that side has no single-error explanation.  The correction for side
-        masks (a, b) is ``first[a] ^ second[b]``, an unknown side
-        contributing nothing, and the syndrome is uncorrectable when either
-        row is unknown.  Generalized codes have an empty second side, so
-        ``second`` is the single row (0, 0).
+        Returns int64 arrays of shape (2**n_first, 2) and (2**n_second, 2).
+        Row ``s`` holds the (X, Z) correction of side mask ``s``, or -1 in
+        both columns when that side has no single-error explanation.
         """
         if max(self.n_first, self.n_second) > _DENSE_SYNDROME_BITS:
             raise ValueError(
                 f"dense decode arrays support at most {_DENSE_SYNDROME_BITS} "
                 f"checks per syndrome side, got {max(self.n_first, self.n_second)}"
             )
-        first = np.full((1 << self.n_first, 2), -1, dtype=np.int64)
-        second = np.full((1 << self.n_second, 2), -1, dtype=np.int64)
-        first[0] = second[0] = 0
-        if self.kind == "split":
-            for sx, rx in self._x_side.items():
-                first[sx] = (rx, 0)
-            for sz, rz in self._z_side.items():
-                second[sz] = (0, rz)
-        else:
-            for sx, (rx, rz) in self._general.items():
-                first[sx] = (rx, rz)
-        return first, second
+        arrays = []
+        for width, side in ((self.n_first, self.first), (self.n_second, self.second)):
+            dense = np.full((1 << width, 2), -1, dtype=np.int64)
+            for mask, correction in side.items():
+                dense[mask] = correction
+            arrays.append(dense)
+        return arrays[0], arrays[1]
 
 
 def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:
@@ -383,54 +317,33 @@ def decode_table(
     Otherwise colliding syndromes resolve to the harmless explanation when
     one exists, matching maximum likelihood under independent rare errors.
     """
-    report = is_single_error_correcting(code)
-    if require_correcting and not report.ok:
-        raise DecodingObstruction(report)
-    records = single_error_records(code)
+    classes = _syndrome_classes(single_error_records(code))
+    if require_correcting:
+        report = _correctability(code, classes)
+        if not report.ok:
+            raise DecodingObstruction(report)
     n1, n2 = _syndrome_widths(code)
     k = code.k
-
-    entries: dict[Syndrome, TableEntry] = {}
-    x_side: dict[int, int] = {}
-    z_side: dict[int, int] = {}
-    general: dict[int, tuple[int, int]] = {}
-
-    groups: dict[tuple[int, int], list[ErrorRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.sx, rec.sz), []).append(rec)
-    for (sx, sz), members in sorted(groups.items()):
-        rx, rz = _resolve_group(members)
-        syndrome = members[0].syndrome(n1, n2)
+    entries: dict[Syndrome, TableEntry] = {
+        tuple([0] * (n1 + n2)): TableEntry(PauliString.identity(k), "no_error")
+    }
+    first: dict[int, tuple[int, int]] = {0: (0, 0)}
+    second: dict[int, tuple[int, int]] = {0: (0, 0)}
+    for (sx, sz), members in sorted(classes.items()):
         if sx == 0 and sz == 0:
-            entries[syndrome] = TableEntry(PauliString.identity(k), "no_error")
             continue
+        rx, rz = _resolve_group(members)
         category = "harmless" if (rx == 0 and rz == 0) else "corrected"
-        entries[syndrome] = TableEntry(PauliString(k, rx, rz), category)
-        if isinstance(code, CpcCode):
-            if sz == 0 and sx:
-                x_side[sx] = rx
-            if sx == 0 and sz:
-                z_side[sz] = rz
-        else:
-            general[sx] = (rx, rz)
-
-    zero = tuple([0] * (n1 + n2))
-    entries.setdefault(zero, TableEntry(PauliString.identity(k), "no_error"))
+        entries[members[0].syndrome(n1, n2)] = TableEntry(PauliString(k, rx, rz), category)
+        if sz == 0:
+            first[sx] = (rx, rz)
+        elif sx == 0:
+            # A split code's phase side corrects Z only: a Y fault there
+            # leaves its X part to the bit side.
+            second[sz] = (0, rz)
     return DecodeTable(
-        kind="split" if isinstance(code, CpcCode) else "general",
-        k=k,
-        n_first=n1,
-        n_second=n2,
-        entries=entries,
-        _x_side=x_side,
-        _z_side=z_side,
-        _general=general,
+        k=k, n_first=n1, n_second=n2, entries=entries, first=first, second=second
     )
-
-
-def decode(table: DecodeTable, syndrome: Syndrome) -> TableEntry:
-    """Look up the correction for a measured syndrome."""
-    return table.decode(syndrome)
 
 
 @dataclass(frozen=True)
@@ -455,29 +368,27 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CnotCompatibili
         raise ValueError("control and target must differ")
     if not (0 <= control < code.k and 0 <= target < code.k):
         raise ValueError(f"data indices must lie in 0..{code.k - 1}")
-    base = is_single_error_correcting(code)
+    records = single_error_records(code)
+    classes = _syndrome_classes(records)
+    base = _correctability(code, classes)
     if not base.ok:
         return CnotCompatibilityReport(ok=False, collisions=base.collisions)
 
-    records = single_error_records(code)
-    by_syndrome: dict[tuple[int, int], list[str]] = {}
-    for rec in records:
-        by_syndrome.setdefault((rec.sx, rec.sz), []).append(rec.label)
-    rec_of = {(r.qubit, r.kind): r for r in records}
+    # data qubit j's X, Y, Z records sit at 3j, 3j + 1, 3j + 2
     pairs = [
         (
-            (rec_of[(control, "X")].sx ^ rec_of[(target, "X")].sx, 0),
+            (records[3 * control].sx ^ records[3 * target].sx, 0),
             f"X_d{control + 1} X_d{target + 1}",
         ),
         (
-            (0, rec_of[(control, "Z")].sz ^ rec_of[(target, "Z")].sz),
+            (0, records[3 * control + 2].sz ^ records[3 * target + 2].sz),
             f"Z_d{control + 1} Z_d{target + 1}",
         ),
     ]
     n1, n2 = _syndrome_widths(code)
     collisions = []
     for idx, (synd, label) in enumerate(pairs):
-        clash = list(by_syndrome.get(synd, []))
+        clash = [m.label for m in classes.get(synd, [])]
         if synd == (0, 0):
             clash.append("no error")
         if idx == 0 and synd == pairs[1][0]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Gf2Matrix", "RrefResult", "multiply", "rref", "row_space_equal"]
+__all__ = ["Gf2Matrix", "RrefResult", "multiply", "pack_rows", "rref", "row_space_equal"]
 
 
 class Gf2Matrix:
@@ -99,14 +99,6 @@ class Gf2Matrix:
     def is_zero(self) -> bool:
         return not self._data.any()
 
-    def row_masks(self) -> list[int]:
-        """Each row as an integer bitmask (bit j set iff entry (i, j) is 1)."""
-        return [_bits_to_mask(row) for row in self._data]
-
-    def col_masks(self) -> list[int]:
-        """Each column as an integer bitmask over row indices."""
-        return [_bits_to_mask(col) for col in self._data.T]
-
     def to_lines(self) -> list[str]:
         """One '0'/'1' string per row, no separators."""
         return ["".join(str(int(b)) for b in row) for row in self._data]
@@ -121,12 +113,10 @@ class Gf2Matrix:
         return cls.from_rows(rows, cols=cols)
 
 
-def _bits_to_mask(bits) -> int:
-    mask = 0
-    for j, b in enumerate(bits):
-        if b:
-            mask |= 1 << j
-    return mask
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-d 0/1 array as an integer bitmask (bit j = column j)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import Gf2Matrix, multiply
+from .gf2 import Gf2Matrix
 from .model import ClassicalCode, CpcCode, GeneralCpcCode, require_valid
+from .stabilizers import check_matrix
 
 __all__ = [
     "cross_propagation",
@@ -29,9 +30,8 @@ def cross_propagation(code: CpcCode) -> Gf2Matrix:
     check plus the parity of two-step paths through shared data qubits.  A
     bit-flip on phase check p fires exactly the bit checks in column p.
     """
-    require_valid(code)
-    mediated = multiply(code.mb.transpose(), code.mp)
-    return code.mc.add(mediated)
+    _, hz = check_matrix(code)
+    return Gf2Matrix(hz[: code.n_b, code.k + code.n_b :])
 
 
 def _harmless_phase(code: CpcCode) -> set[int]:
@@ -94,12 +94,9 @@ def general_propagation(gcode: GeneralCpcCode) -> tuple[Gf2Matrix, tuple[int, ..
     ``self_loops[c] = 1`` iff c reaches an odd number of data qubits by both
     edge types, which turns its own phase errors into detectable bit-flips.
     """
-    require_valid(gcode)
-    paths = multiply(gcode.mps.transpose(), gcode.mbs).data
-    sym = gcode.mcs.data | gcode.mcs.data.T
-    net = (paths ^ sym).astype(np.uint8)
-    self_loops = tuple(int(net[c, c]) for c in range(gcode.n_c))
-    arrows = net.copy()
+    hx, _ = check_matrix(gcode)
+    arrows = hx[:, gcode.k :].T.copy()
+    self_loops = tuple(int(v) for v in np.diagonal(arrows))
     np.fill_diagonal(arrows, 0)
     return Gf2Matrix(arrows), self_loops
 

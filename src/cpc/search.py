@@ -1,13 +1,11 @@
 """Seeded random search for codes satisfying a predicate.
 
 Each trial draws its own RNG stream keyed by (seed, trial index), so the
-result set depends only on (seed, budget, dimensions, predicate) and not on
-execution order or worker count.
+result set depends only on (seed, budget, dimensions, predicate).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -91,29 +89,17 @@ def search(
     """Evaluate the predicate on ``budget`` random codes and collect the hits.
 
     At most ``cap`` codes are returned (the earliest trial indices win);
-    ``successes`` counts all hits.  Output is identical for any thread count.
+    ``successes`` counts all hits.  Trials run serially in one thread:
+    ``threads`` is accepted for compatibility and changes neither the result
+    nor the speed (worker threads only contend for the interpreter lock).
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-
-    def run_chunk(bounds: tuple[int, int]) -> list[tuple[int, CpcCode]]:
-        start, stop = bounds
-        hits = []
-        for trial in range(start, stop):
-            code = _trial_code(seed, trial, dims, constraint)
-            if predicate(code):
-                hits.append((trial, code))
-        return hits
-
-    if threads <= 1 or budget < 2:
-        all_hits = run_chunk((0, budget))
-    else:
-        chunk = max(1, -(-budget // threads))
-        bounds = [(i, min(i + chunk, budget)) for i in range(0, budget, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, bounds))
-        all_hits = [hit for part in parts for hit in part]
-    all_hits.sort(key=lambda item: item[0])
-    return SearchResult(
-        found=tuple(all_hits[:cap]), trials=budget, successes=len(all_hits)
-    )
+    if cap < 0:
+        raise ValueError("cap must be non-negative")
+    hits = []
+    for trial in range(budget):
+        code = _trial_code(seed, trial, dims, constraint)
+        if predicate(code):
+            hits.append((trial, code))
+    return SearchResult(found=tuple(hits[:cap]), trials=budget, successes=len(hits))

@@ -1,9 +1,11 @@
-"""Stabilizer generators, symplectic form, CSS conversion, logicals, distance.
+"""Check matrix, stabilizer generators, CSS conversion, logicals, distance.
 
 Each bit check contributes one Z-type generator and each phase check one
 X-type generator; the Z-type generators pick up extra support on phase checks
 through the cross-propagation correction, which is exactly what makes the set
-mutually commuting.
+mutually commuting.  :func:`check_matrix` holds these supports, and every
+other presentation here (generators, the CSS pair, the distance search) reads
+its rows.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, encode_circuit
-from .gf2 import Gf2Matrix, multiply, row_space_equal, rref
+from .gf2 import Gf2Matrix, multiply, pack_rows, row_space_equal, rref
 from .model import CpcCode, GeneralCpcCode, require_valid
-from .propagation import cross_propagation
 
 __all__ = [
+    "check_matrix",
     "stabilizers_split",
     "stabilizers_general",
     "symplectic_matrix",
-    "cpc_to_css",
     "css_to_cpc",
     "CssConversionError",
     "CssToCpcResult",
@@ -32,70 +33,73 @@ __all__ = [
 ]
 
 
-def stabilizers_split(code: CpcCode) -> list[PauliString]:
-    """Measured stabilizer generators of a split code.
+def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z supports of the measured stabilizer generators.
 
-    Bit check i yields a Z-type generator supported on itself, the data
-    qubits in column i of the bit matrix, and the phase checks in row i of
-    the cross-propagation matrix.  Phase check i yields an X-type generator
-    supported on itself, column i of the phase matrix, and column i of the
-    cross-check matrix.
+    Returns ``(hx, hz)``, uint8 arrays of shape (checks, qubits) whose row i
+    is the generator read out by syndrome bit i: the n_b bit checks then the
+    n_p phase checks of a split code, or the n_c checks of a generalized one.
+
+    Split code: bit check i is Z on itself, on the data in column i of mb, and
+    on the phase checks in row i of the cross propagation mc + mb^T mp.  Phase
+    check i is X on itself, on column i of mp and on column i of mc.
+
+    Generalized code: check i is Z on itself and on its CNOT data neighbours,
+    X on its conjugate-CZ data neighbours, and X on every check j with
+    mcs[j,i] + mcs[i,j] + sum_k mps[k,j]*mbs[k,i] odd (on itself too, for a
+    self loop).
+
+    A single-qubit fault anticommutes with generator i, and so flips syndrome
+    bit i, exactly when the column of ``hz`` (X part) or ``hx`` (Z part) at
+    its qubit has a 1 in row i.
     """
     require_valid(code)
-    n = code.qubit_count
-    cross = cross_propagation(code)
-    gens: list[PauliString] = []
-    for i in range(code.n_b):
-        z = 1 << code.bit_index(i)
-        for j in range(code.k):
-            if code.mb[j, i]:
-                z |= 1 << j
-        for p in range(code.n_p):
-            if cross[i, p]:
-                z |= 1 << code.phase_index(p)
-        gens.append(PauliString(n, z_bits=z))
-    for i in range(code.n_p):
-        x = 1 << code.phase_index(i)
-        for j in range(code.k):
-            if code.mp[j, i]:
-                x |= 1 << j
-        for b in range(code.n_b):
-            if code.mc[b, i]:
-                x |= 1 << code.bit_index(b)
-        gens.append(PauliString(n, x_bits=x))
-    return gens
+    k, n = code.k, code.qubit_count
+    # uint8 products wrap mod 256, which keeps their parity
+    if isinstance(code, CpcCode):
+        mb, mp, mc = code.mb.data, code.mp.data, code.mc.data
+        n_b, n_p = code.n_b, code.n_p
+        hx = np.zeros((n_b + n_p, n), dtype=np.uint8)
+        hz = np.zeros_like(hx)
+        hz[:n_b, :k] = mb.T
+        hz[:n_b, k : k + n_b] = np.eye(n_b, dtype=np.uint8)
+        hz[:n_b, k + n_b :] = mc ^ ((mb.T @ mp) & 1)
+        hx[n_b:, :k] = mp.T
+        hx[n_b:, k : k + n_b] = mc.T
+        hx[n_b:, k + n_b :] = np.eye(n_p, dtype=np.uint8)
+        return hx, hz
+    mbs, mps, mcs = code.mbs.data, code.mps.data, code.mcs.data
+    net = ((mps.T @ mbs) & 1) ^ (mcs | mcs.T)
+    hx = np.hstack([mps.T, net.T])
+    hz = np.hstack([mbs.T, np.eye(code.n_c, dtype=np.uint8)])
+    return hx, hz
+
+
+def _generators(code: CpcCode | GeneralCpcCode) -> list[PauliString]:
+    hx, hz = check_matrix(code)
+    n, data = code.qubit_count, (1 << code.k) - 1
+    # Conjugating the initial Z through the encoder reorders X past Z once per
+    # data qubit wired to the check by both edge types: a factor -1 each.
+    return [
+        PauliString(n, x, z, phase=2 * ((x & z & data).bit_count() & 1))
+        for x, z in zip(pack_rows(hx), pack_rows(hz))
+    ]
+
+
+def stabilizers_split(code: CpcCode) -> list[PauliString]:
+    """Measured stabilizer generators of a split code, rows of :func:`check_matrix`."""
+    return _generators(code)
 
 
 def stabilizers_general(gcode: GeneralCpcCode) -> list[PauliString]:
     """Measured stabilizer generators of a generalized code.
 
-    Check i yields Z on itself and on its CNOT data neighbours, X on its
-    conjugate-CZ data neighbours, and X on every check j with
-    mcs[j,i] + mcs[i,j] + sum_k mps[k,j]*mbs[k,i] odd.  A self loop puts both
-    Z and X on the check itself.  Signs match conjugation of the initial
-    Z through the encoder: each data qubit wired to check i by both edge
-    types contributes a factor -1 (reordering X past Z once per loop).
+    Rows of :func:`check_matrix`.  A self loop puts both Z and X on the check
+    itself.  Signs match conjugation of the initial Z through the encoder:
+    each data qubit wired to check i by both edge types contributes a factor
+    -1 (reordering X past Z once per loop).
     """
-    require_valid(gcode)
-    n = gcode.qubit_count
-    paths = multiply(gcode.mps.transpose(), gcode.mbs).data
-    sym = gcode.mcs.data | gcode.mcs.data.T
-    xfactor = (paths ^ sym).astype(np.uint8)
-    loops = (gcode.mbs.data & gcode.mps.data).sum(axis=0)
-    gens: list[PauliString] = []
-    for i in range(gcode.n_c):
-        z_bits = 1 << gcode.check_index(i)
-        x_bits = 0
-        for j in range(gcode.k):
-            if gcode.mbs[j, i]:
-                z_bits |= 1 << j
-            if gcode.mps[j, i]:
-                x_bits |= 1 << j
-        for j in range(gcode.n_c):
-            if xfactor[j, i]:
-                x_bits |= 1 << gcode.check_index(j)
-        gens.append(PauliString(n, x_bits, z_bits, phase=2 * (int(loops[i]) & 1)))
-    return gens
+    return _generators(gcode)
 
 
 def symplectic_matrix(code: CpcCode) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -105,19 +109,8 @@ def symplectic_matrix(code: CpcCode) -> tuple[Gf2Matrix, Gf2Matrix]:
     i-th bit-check generator and row i of ``g_x`` the X support of the i-th
     phase-check generator, over the global qubit ordering.
     """
-    gens = stabilizers_split(code)
-    n = code.qubit_count
-    z_rows = [[(g.z_bits >> q) & 1 for q in range(n)] for g in gens[: code.n_b]]
-    x_rows = [[(g.x_bits >> q) & 1 for q in range(n)] for g in gens[code.n_b:]]
-    return (
-        Gf2Matrix.from_rows(z_rows, cols=n),
-        Gf2Matrix.from_rows(x_rows, cols=n),
-    )
-
-
-def cpc_to_css(code: CpcCode) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """Present the stabilizer group as a CSS pair (Z-type rows, X-type rows)."""
-    return symplectic_matrix(code)
+    hx, hz = check_matrix(code)
+    return Gf2Matrix(hz[: code.n_b]), Gf2Matrix(hx[code.n_b :])
 
 
 class CssConversionError(ValueError):
@@ -279,14 +272,12 @@ def code_distance(code: CpcCode | GeneralCpcCode, w_max: int = 4) -> int | None:
     Exhaustive over all Pauli strings of weight 1..w_max; returns None when
     none exists in that range (distance greater than w_max).
     """
-    require_valid(code)
-    if isinstance(code, CpcCode):
-        gens = stabilizers_split(code)
-    else:
-        gens = stabilizers_general(code)
+    if w_max < 1:
+        raise ValueError(f"w_max must be at least 1, got {w_max}")
+    hx, hz = check_matrix(code)
     n = code.qubit_count
     # Symplectic masks (x | z<<n) for commutation tests and group membership.
-    gen_masks = [(g.x_bits, g.z_bits) for g in gens]
+    gen_masks = list(zip(pack_rows(hx), pack_rows(hz)))
     basis = _build_mask_basis([x | (z << n) for x, z in gen_masks])
     letters = (("X", 1, 0), ("Z", 0, 1), ("Y", 1, 1))
     for weight in range(1, w_max + 1):

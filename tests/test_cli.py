@@ -284,3 +284,63 @@ def test_effective_listing_general(capsys, fixture_dir):
     code, out, _ = _run(capsys, "effective", str(fixture_dir / "10-3-3.cpc"))
     assert code == 0
     assert "combined code:" in out and "c7.phase" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "distance"])
+@pytest.mark.parametrize("w_max", ["0", "-1"])
+def test_distance_search_range_must_be_positive(capsys, fixture_dir, command, w_max):
+    code, out, err = _run(capsys, command, str(fixture_dir / "11-3-3.cpc"), "--w-max", w_max)
+    assert code == 2
+    assert "> " not in out
+    assert err.startswith("error: ") and "w_max must be at least 1" in err
+
+
+def test_search_rejects_negative_cap(tmp_path, capsys):
+    out_dir = tmp_path / "hits"
+    code, out, err = _run(
+        capsys,
+        "search",
+        "--data", "3", "--bit", "4", "--phase", "4",
+        "--budget", "3000", "--seed", "2", "--cap", "-1", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == "" and not out_dir.exists()
+    assert err.startswith("error: ") and "cap must be non-negative" in err
+
+
+def test_ising_rejects_non_binary_syndrome(capsys, fixture_dir):
+    code, out, err = _run(
+        capsys, "ising", str(fixture_dir / "6-3-1.cpc"), "--syndrome", "0a1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --syndrome must be a string of 0/1 bits")
+
+
+@pytest.mark.parametrize("require", ["cnot:0", "cnot:a,b", "cnot:0,1,2", "swap:0,1"])
+def test_search_rejects_malformed_require(tmp_path, capsys, require):
+    code, out, err = _run(
+        capsys,
+        "search",
+        "--data", "3", "--bit", "4", "--phase", "4",
+        "--budget", "10", "--require", require, "--out", str(tmp_path / "hits"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --require supports only 'cnot:<control>,<target>'")
+    assert repr(require) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{fixture}", "--seed", "1"],
+        ["distance", "{fixture}", "--threads", "2"],
+        ["simulate", "{fixture}", "--eps-bit", "0.1", "--t-max", "1", "--threads", "2"],
+    ],
+)
+def test_seed_and_threads_only_where_read(capsys, fixture_dir, argv):
+    # --seed belongs to simulate and search, --threads to search only
+    argv = [a.format(fixture=fixture_dir / "6-3-1.cpc") for a in argv]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and "unrecognized arguments" in err

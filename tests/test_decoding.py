@@ -14,7 +14,6 @@ from cpc.decoding import (
     DecodingObstruction,
     augment_for_cnot,
     cnot_compatible,
-    decode,
     decode_table,
     error_table,
     infer_check_errors,
@@ -117,19 +116,19 @@ def test_decode_table_known_corrections():
     code = fx.code_1133()
     table = decode_table(code)
     # single data error
-    entry = decode(table, (1, 0, 1, 0, 0, 0, 0, 0))
+    entry = table.decode((1, 0, 1, 0, 0, 0, 0, 0))
     assert entry.correction == PauliString(3, x_bits=0b001) and entry.category == "corrected"
     # propagated bit-flip from the first phase check: fix both data qubits
-    entry = decode(table, (0, 0, 1, 1, 0, 0, 0, 0))
+    entry = table.decode((0, 0, 1, 1, 0, 0, 0, 0))
     assert entry.correction == PauliString(3, x_bits=0b011)
     # harmless: an X on a bit check flags only itself
-    entry = decode(table, (1, 0, 0, 0, 0, 0, 0, 0))
+    entry = table.decode((1, 0, 0, 0, 0, 0, 0, 0))
     assert entry.category == "harmless" and entry.correction.weight() == 0
     # empty syndrome
-    entry = decode(table, (0,) * 8)
+    entry = table.decode((0,) * 8)
     assert entry.category == "no_error"
     # unknown syndrome
-    entry = decode(table, (1, 1, 1, 0, 0, 0, 0, 0))
+    entry = table.decode((1, 1, 1, 0, 0, 0, 0, 0))
     assert entry.category == "uncorrectable"
 
 
@@ -140,7 +139,7 @@ def test_decode_corrects_every_harmful_single_error():
         n1 = code.n_b if hasattr(code, "n_b") else code.n_c
         n2 = code.n_p if hasattr(code, "n_p") else 0
         for rec in single_error_records(code):
-            entry = decode(table, rec.syndrome(n1, n2))
+            entry = table.decode(rec.syndrome(n1, n2))
             # correction must cancel the residual exactly
             assert entry.correction.x_bits == rec.rx, rec.label
             assert entry.correction.z_bits == rec.rz, rec.label
@@ -151,7 +150,7 @@ def test_decode_y_on_parity_qubit_composes_sides():
     table = decode_table(code)
     recs = {(r.qubit, r.kind): r for r in single_error_records(code)}
     rec = recs[(code.phase_index(0), "Y")]  # Y on p1
-    entry = decode(table, rec.syndrome(code.n_b, code.n_p))
+    entry = table.decode(rec.syndrome(code.n_b, code.n_p))
     assert entry.correction.x_bits == rec.rx and entry.correction.z_bits == rec.rz
 
 
@@ -187,7 +186,7 @@ def test_decode_table_obstruction_certificate():
     assert "Z_b1" in str(err.value)
     # non-strict mode still yields a usable (best-effort) table
     table = decode_table(fx.code_1131_flawed(), require_correcting=False)
-    assert decode(table, (0,) * 8).category == "no_error"
+    assert table.decode((0,) * 8).category == "no_error"
 
 
 def test_cnot_compatible_fixtures():

@@ -5,13 +5,14 @@ import pytest
 
 from conftest import seeded_random_codes, seeded_random_general_codes
 from cpc import fixtures as fx
-from cpc.circuits import PauliString, conjugate_pauli, encode_circuit
+from cpc.circuits import PauliString, conjugate_pauli, decode_circuit, encode_circuit
+from cpc.decoding import single_error_records
 from cpc.gf2 import Gf2Matrix, multiply, row_space_equal
 from cpc.model import CpcCode, GeneralCpcCode, generalize
 from cpc.stabilizers import (
     CssConversionError,
+    check_matrix,
     code_distance,
-    cpc_to_css,
     css_to_cpc,
     logical_operators,
     stabilizer_to_text,
@@ -114,6 +115,43 @@ def test_general_formula_equals_circuit_with_self_loops():
     assert loops_seen > 0
 
 
+def _bit_rows(paulis: list[PauliString], n: int) -> tuple[list, list]:
+    x = [[(p.x_bits >> q) & 1 for q in range(n)] for p in paulis]
+    z = [[(p.z_bits >> q) & 1 for q in range(n)] for p in paulis]
+    return x, z
+
+
+def test_check_matrix_and_harmful_match_circuit():
+    # check_matrix rows are the circuit-conjugated generators, and a record is
+    # harmful exactly when its qubit is a data qubit or some X/Y/Z fault on it
+    # leaves a nonzero data residual through the decode circuit.
+    codes = [
+        fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1131_flawed(),
+        fx.code_1333_augmented(), fx.code_1133_cnot_ready(), fx.code_1243_cnot_ready(),
+        fx.code_1033_general(), generalize(fx.code_1133()),
+    ]
+    codes += seeded_random_codes(30, seed=4242)
+    codes += seeded_random_general_codes(30, seed=4343)
+    for code in codes:
+        n = code.qubit_count
+        if isinstance(code, CpcCode):
+            circuit_gens = _circuit_stabilizers(code)
+        else:
+            circuit_gens = _circuit_stabilizers_general(code)
+        hx, hz = check_matrix(code)
+        assert hx.dtype == hz.dtype == np.uint8
+        assert (hx.tolist(), hz.tolist()) == _bit_rows(circuit_gens, n)
+
+        dec = decode_circuit(code)
+        data = (1 << code.k) - 1
+        for rec in single_error_records(code):
+            reaches = any(
+                conjugate_pauli(dec, PauliString.single(n, rec.qubit, kind)).support & data
+                for kind in "XYZ"
+            )
+            assert rec.harmful == (rec.qubit < code.k or bool(reaches)), rec.label
+
+
 def test_general_split_relabelling_recovers_split_stabilizers():
     # Hadamard on the phase checks swaps X and Z there; the generalized
     # formula then reproduces the split-code generators.
@@ -204,7 +242,7 @@ def test_css_to_cpc_steane():
 
 def test_css_round_trip_preserves_group():
     for code in (fx.code_1133(), fx.code_1243()):
-        g_z, g_x = cpc_to_css(code)
+        g_z, g_x = symplectic_matrix(code)
         result = css_to_cpc(g_z, g_x)
         new_gz, new_gx = symplectic_matrix(result.code)
         inverse = np.argsort(np.array(result.permutation))
@@ -229,7 +267,7 @@ def test_css_to_cpc_rejects_non_commuting():
 
 def test_cpc_to_css_1133_matches_table():
     code = fx.code_1133()
-    g_z, g_x = cpc_to_css(code)
+    g_z, g_x = symplectic_matrix(code)
     assert g_z.rows == 4 and g_x.rows == 4
     gens = stabilizers_split(code)
     for i in range(4):
@@ -239,7 +277,7 @@ def test_cpc_to_css_1133_matches_table():
 
 def test_cpc_to_css_empty():
     code = CpcCode(Gf2Matrix.zeros(1, 0), Gf2Matrix.zeros(1, 0), Gf2Matrix.zeros(0, 0))
-    g_z, g_x = cpc_to_css(code)
+    g_z, g_x = symplectic_matrix(code)
     assert g_z.rows == 0 and g_x.rows == 0
 
 
@@ -278,3 +316,9 @@ def test_code_distances():
 
 def test_code_distance_beyond_search_limit():
     assert code_distance(fx.code_1133(), w_max=2) is None
+
+
+@pytest.mark.parametrize("w_max", [0, -1])
+def test_code_distance_rejects_empty_search_range(w_max):
+    with pytest.raises(ValueError, match="w_max must be at least 1"):
+        code_distance(fx.code_1133(), w_max=w_max)
