@@ -117,7 +117,14 @@ def _require_split(code, command: str) -> CpcCode:
 # --- subcommand handlers -----------------------------------------------------
 
 
+def _require_w_max(w_max: int) -> None:
+    """Reject an empty distance search range before any work."""
+    if w_max < 1:
+        raise ValueError(f"w_max must be at least 1, got {w_max}")
+
+
 def _cmd_verify(args) -> int:
+    _require_w_max(args.w_max)
     code = _load_code(args.code)
     report = is_single_error_correcting(code)
     if not report.ok:
@@ -149,6 +156,7 @@ def _cmd_logicals(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    _require_w_max(args.w_max)
     code = _load_code(args.code)
     distance = code_distance(code, w_max=args.w_max)
     print(f"distance: {distance if distance is not None else f'> {args.w_max}'}")

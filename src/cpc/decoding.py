@@ -12,8 +12,10 @@ pattern is the XOR of single-qubit contributions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +43,10 @@ __all__ = [
     "decode_table",
     "CnotCompatibilityReport",
     "cnot_compatible",
+    "correcting_mask",
+    "cnot_compatible_mask",
+    "single_error_correcting_predicate",
+    "cnot_compatible_predicate",
     "augment_for_cnot",
     "IsingTerm",
     "IsingProblem",
@@ -397,6 +403,118 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CnotCompatibili
             tup = _mask_to_tuple(synd[0], n1) + _mask_to_tuple(synd[1], n2)
             collisions.append(CollisionGroup(tup, tuple([label] + clash)))
     return CnotCompatibilityReport(ok=not collisions, collisions=tuple(collisions))
+
+
+# --- batched verdicts for the code search ------------------------------------
+#
+# The masks below judge N split codes at once from stacked matrices mb
+# (N, k, n_b), mp (N, k, n_p) and mc (N, n_b, n_p).  A fault's syndrome is the
+# key ``sx | sz << n_b``, read off the same check-matrix columns as
+# :func:`single_error_records`; keys carry one spare bit for a sort tag.
+
+_KEY_BITS = 63
+
+
+def _packed(bits: np.ndarray, shift: int = 0) -> np.ndarray:
+    """(..., m) 0/1 uint8 -> (...) uint64 masks, entry i at bit ``shift + i``."""
+    weights = np.left_shift(
+        np.uint64(1), np.arange(shift, shift + bits.shape[-1], dtype=np.uint64)
+    )
+    return bits @ weights
+
+
+def _single_fault_keys(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome keys and harmful flags of every single fault of N split codes.
+
+    Returns (N, 3n) uint64 keys and bools: the X faults of qubits 0..n-1,
+    then their Z faults, then their Y faults.  A data fault reads its rows of
+    mb/mp; bit check b fires itself on X and row b of mc on Z; phase check p
+    fires column p of the cross propagation mc + mb^T mp on X and itself on
+    Z.  A check is harmful when it touches data.
+    """
+    n_codes, k, n_b = mb.shape
+    n_p = mp.shape[2]
+    if n_b + n_p > _KEY_BITS:
+        raise ValueError(
+            f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}"
+        )
+    # uint8 products wrap mod 256, which keeps their parity
+    cross = mc ^ ((mb.transpose(0, 2, 1) @ mp) & 1)
+    own = np.left_shift(np.uint64(1), np.arange(n_b + n_p, dtype=np.uint64))
+    x = np.concatenate(
+        [
+            _packed(mb),
+            np.broadcast_to(own[:n_b], (n_codes, n_b)),
+            _packed(cross.transpose(0, 2, 1)),
+        ],
+        axis=1,
+    )
+    z = np.concatenate(
+        [_packed(mp, n_b), _packed(mc, n_b), np.broadcast_to(own[n_b:], (n_codes, n_p))],
+        axis=1,
+    )
+    harmful = np.concatenate(
+        [np.ones((n_codes, k), dtype=bool), mb.any(axis=1), mp.any(axis=1)], axis=1
+    )
+    return np.concatenate([x, z, x ^ z], axis=1), np.tile(harmful, 3)
+
+
+def _correcting_keys(keys: np.ndarray, harmful: np.ndarray) -> np.ndarray:
+    """(N,) verdicts: no harmful key is shared with another key in its row.
+
+    A zero key needs no test of its own: a qubit's Y key is the XOR of its X
+    and Z keys, so when one of the three is 0 the other two are equal.
+    """
+    # Sort each row with the harmful flag in bit 0: equal keys end up side by
+    # side, harmless before harmful, so a shared harmful key follows its twin.
+    tagged = np.sort((keys << np.uint64(1)) | harmful, axis=1)
+    key, harmful = tagged >> np.uint64(1), (tagged & np.uint64(1)).astype(bool)
+    return ~((key[:, 1:] == key[:, :-1]) & harmful[:, 1:]).any(axis=1)
+
+
+def correcting_mask(mb, mp, mc) -> np.ndarray:
+    """Batched :func:`is_single_error_correcting` verdicts of N split codes."""
+    return _correcting_keys(*_single_fault_keys(mb, mp, mc))
+
+
+def cnot_compatible_mask(mb, mp, mc, control: int, target: int) -> np.ndarray:
+    """Batched :func:`cnot_compatible` verdicts of N split codes.
+
+    Both propagated pair keys must be nonzero, distinct from each other and
+    from every single-fault key of their code, on top of correctability.
+    """
+    k = mb.shape[1]
+    if control == target:
+        raise ValueError("control and target must differ")
+    if not (0 <= control < k and 0 <= target < k):
+        raise ValueError(f"data indices must lie in 0..{k - 1}")
+    keys, harmful = _single_fault_keys(mb, mp, mc)
+    n = keys.shape[1] // 3
+    pairs = np.stack(
+        [keys[:, control] ^ keys[:, target], keys[:, n + control] ^ keys[:, n + target]],
+        axis=1,
+    )
+    # A zero pair key means two data faults share a key, which correctability
+    # rejects; the X pair fires only bit checks and the Z pair only phase
+    # checks, so nonzero pair keys also differ from each other.
+    fresh = ~(keys[:, :, None] == pairs[:, None, :]).any(axis=(1, 2))
+    return _correcting_keys(keys, harmful) & fresh
+
+
+def single_error_correcting_predicate() -> Callable[..., np.ndarray]:
+    """Search predicate ``(mb, mp, mc) -> (N,) bool`` of :func:`correcting_mask`."""
+    return correcting_mask
+
+
+def cnot_compatible_predicate(control: int, target: int) -> Callable[..., np.ndarray]:
+    """Search predicate ``(mb, mp, mc) -> (N,) bool`` of :func:`cnot_compatible_mask`.
+
+    Equal indices are rejected here; out-of-range ones when the data count
+    is known, on the first block of codes.
+    """
+    if control == target:
+        raise ValueError("control and target must differ")
+    return functools.partial(cnot_compatible_mask, control=control, target=target)
 
 
 def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:

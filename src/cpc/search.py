@@ -1,7 +1,11 @@
 """Seeded random search for codes satisfying a predicate.
 
 Each trial draws its own RNG stream keyed by (seed, trial index), so the
-result set depends only on (seed, budget, dimensions, predicate).
+result set depends only on (seed, budget, dimensions, predicate).  Trials are
+drawn in blocks into stacked uint8 arrays mb (N, k, n_b), mp (N, k, n_p) and
+mc (N, n_b, n_p), and a predicate judges a whole block at once:
+``predicate(mb, mp, mc)`` returns an (N,) bool array.  Codes are built only
+for the hits.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decoding import cnot_compatible, is_single_error_correcting
+from .decoding import cnot_compatible_predicate, single_error_correcting_predicate
 from .gf2 import Gf2Matrix
 from .model import CpcCode
 
@@ -22,6 +26,36 @@ __all__ = [
     "single_error_correcting_predicate",
     "cnot_compatible_predicate",
 ]
+
+# Trials drawn and judged per predicate call; bounds the (block, 3n) key arrays.
+_BLOCK = 2048
+
+
+def _check_draw(k: int, n_b: int, n_p: int, constraint: str | None) -> None:
+    if constraint not in (None, "mirror_bp"):
+        raise ValueError(f"unknown constraint {constraint!r}")
+    if min(k, n_b, n_p) < 0:
+        raise ValueError("dimensions must be non-negative")
+    if constraint == "mirror_bp" and n_b != n_p:
+        raise ValueError("mirror_bp requires n_b == n_p")
+
+
+def _draw(rng: np.random.Generator, k: int, n_b: int, n_p: int, constraint):
+    """One code's uint8 matrices (mb, mp, mc), drawn in that order.
+
+    With ``constraint="mirror_bp"`` mp is mb instead of being drawn.
+    """
+    mb = rng.integers(0, 2, size=(k, n_b), dtype=np.uint8)
+    if constraint == "mirror_bp":
+        mp = mb
+    else:
+        mp = rng.integers(0, 2, size=(k, n_p), dtype=np.uint8)
+    mc = rng.integers(0, 2, size=(n_b, n_p), dtype=np.uint8)
+    return mb, mp, mc
+
+
+def _code(mb, mp, mc) -> CpcCode:
+    return CpcCode(mb=Gf2Matrix(mb), mp=Gf2Matrix(mp), mc=Gf2Matrix(mc))
 
 
 def random_code(
@@ -36,27 +70,8 @@ def random_code(
     With ``constraint="mirror_bp"`` the phase matrix is set equal to the bit
     matrix instead of being drawn (requires n_b == n_p).
     """
-    if constraint not in (None, "mirror_bp"):
-        raise ValueError(f"unknown constraint {constraint!r}")
-    if min(k, n_b, n_p) < 0:
-        raise ValueError("dimensions must be non-negative")
-    mb = Gf2Matrix(rng.integers(0, 2, size=(k, n_b), dtype=np.uint8))
-    if constraint == "mirror_bp":
-        if n_b != n_p:
-            raise ValueError("mirror_bp requires n_b == n_p")
-        mp = mb
-    else:
-        mp = Gf2Matrix(rng.integers(0, 2, size=(k, n_p), dtype=np.uint8))
-    mc = Gf2Matrix(rng.integers(0, 2, size=(n_b, n_p), dtype=np.uint8))
-    return CpcCode(mb=mb, mp=mp, mc=mc)
-
-
-def single_error_correcting_predicate() -> Callable[[CpcCode], bool]:
-    return lambda code: is_single_error_correcting(code).ok
-
-
-def cnot_compatible_predicate(control: int, target: int) -> Callable[[CpcCode], bool]:
-    return lambda code: cnot_compatible(code, control, target).ok
+    _check_draw(k, n_b, n_p, constraint)
+    return _code(*_draw(rng, k, n_b, n_p, constraint))
 
 
 @dataclass(frozen=True)
@@ -70,16 +85,22 @@ class SearchResult:
         return self.successes / self.trials if self.trials else 0.0
 
 
-def _trial_code(seed: int, trial: int, dims, constraint) -> CpcCode:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    rng = np.random.Generator(np.random.Philox(ss))
+def _draw_block(seed: int, trials: range, dims, constraint):
+    """Stacked (mb, mp, mc) of the given trials, each from its own Philox stream."""
     k, n_b, n_p = dims
-    return random_code(k, n_b, n_p, rng, constraint=constraint)
+    mb = np.empty((len(trials), k, n_b), dtype=np.uint8)
+    mp = mb if constraint == "mirror_bp" else np.empty((len(trials), k, n_p), dtype=np.uint8)
+    mc = np.empty((len(trials), n_b, n_p), dtype=np.uint8)
+    for i, trial in enumerate(trials):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        mb[i], mp[i], mc[i] = _draw(rng, k, n_b, n_p, constraint)
+    return mb, mp, mc
 
 
 def search(
     dims: tuple[int, int, int],
-    predicate: Callable[[CpcCode], bool],
+    predicate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     budget: int,
     seed: int,
     constraint: str | None = None,
@@ -87,6 +108,12 @@ def search(
     threads: int = 1,
 ) -> SearchResult:
     """Evaluate the predicate on ``budget`` random codes and collect the hits.
+
+    ``predicate(mb, mp, mc)`` takes a block of N stacked trials (shapes
+    (N, k, n_b), (N, k, n_p), (N, n_b, n_p)) and returns their (N,) bool
+    verdicts, e.g. :func:`single_error_correcting_predicate` or
+    :func:`cnot_compatible_predicate`.  Every trial draws the same matrices
+    as :func:`random_code` on its own stream.
 
     At most ``cap`` codes are returned (the earliest trial indices win);
     ``successes`` counts all hits.  Trials run serially in one thread:
@@ -97,9 +124,14 @@ def search(
         raise ValueError("budget must be non-negative")
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    hits = []
-    for trial in range(budget):
-        code = _trial_code(seed, trial, dims, constraint)
-        if predicate(code):
-            hits.append((trial, code))
-    return SearchResult(found=tuple(hits[:cap]), trials=budget, successes=len(hits))
+    _check_draw(*dims, constraint)
+    found: list[tuple[int, CpcCode]] = []
+    successes = 0
+    for start in range(0, budget, _BLOCK):
+        trials = range(start, min(start + _BLOCK, budget))
+        mb, mp, mc = _draw_block(seed, trials, dims, constraint)
+        hits = np.flatnonzero(predicate(mb, mp, mc))
+        successes += len(hits)
+        for i in hits[: cap - len(found)]:
+            found.append((trials[i], _code(mb[i], mp[i], mc[i])))
+    return SearchResult(found=tuple(found), trials=budget, successes=successes)

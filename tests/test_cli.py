@@ -295,6 +295,37 @@ def test_distance_search_range_must_be_positive(capsys, fixture_dir, command, w_
     assert err.startswith("error: ") and "w_max must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "distance"])
+def test_w_max_is_rejected_before_any_work(capsys, fixture_dir, tmp_path, command):
+    # 11-3-1 is not single-error correcting and the second path does not
+    # exist: neither the certificate nor a missing-file error may come first.
+    for path in (fixture_dir / "11-3-1.cpc", tmp_path / "missing.cpc"):
+        code, out, err = _run(capsys, command, str(path), "--w-max", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: w_max must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "require, message",
+    [
+        ("cnot:1,1", "control and target must differ"),
+        ("cnot:0,7", "data indices must lie in 0..2"),
+    ],
+)
+def test_search_rejects_bad_cnot_indices(tmp_path, capsys, require, message):
+    out_dir = tmp_path / "hits"
+    code, out, err = _run(
+        capsys,
+        "search",
+        "--data", "3", "--bit", "4", "--phase", "4",
+        "--budget", "10", "--require", require, "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == "" and not out_dir.exists()
+    assert err == f"error: {message}\n"
+
+
 def test_search_rejects_negative_cap(tmp_path, capsys):
     out_dir = tmp_path / "hits"
     code, out, err = _run(

@@ -14,16 +14,21 @@ from cpc.decoding import (
     DecodingObstruction,
     augment_for_cnot,
     cnot_compatible,
+    cnot_compatible_mask,
+    cnot_compatible_predicate,
+    correcting_mask,
     decode_table,
     error_table,
     infer_check_errors,
     is_single_error_correcting,
     ising_problem,
     ml_decode_exhaustive,
+    single_error_correcting_predicate,
     single_error_records,
     solve_ising,
 )
-from cpc.model import generalize
+from cpc.gf2 import Gf2Matrix
+from cpc.model import CpcCode, generalize
 from cpc.propagation import effective_codes, general_to_classical
 
 
@@ -200,6 +205,70 @@ def test_cnot_compatible_fixtures():
         cnot_compatible(fx.code_1133(), 1, 1)
     with pytest.raises(ValueError):
         cnot_compatible(fx.code_1133(), 0, 7)
+
+
+# (k, n_b, n_p), mirrored mp = mb, code count, CNOT (control, target) pairs
+_BATCH_ORACLE_CASES = [
+    ((3, 6, 6), False, 3000, [(0, 1), (1, 2)]),
+    ((3, 6, 6), True, 1500, [(0, 1), (2, 0)]),
+    ((3, 5, 5), True, 1500, [(0, 1), (1, 2)]),
+    ((3, 4, 4), False, 1500, [(2, 0)]),
+    ((4, 5, 5), False, 1000, [(0, 1)]),
+    ((2, 4, 4), False, 400, [(1, 0)]),
+    ((1, 3, 3), False, 400, []),
+    ((0, 3, 3), False, 300, []),
+    ((3, 0, 4), False, 300, [(0, 1)]),
+    ((3, 4, 0), False, 300, [(0, 1)]),
+]
+
+
+def test_batched_verdicts_match_scalar():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(404)))
+    checked = 0
+    hits = {"correcting": 0, (0, 1): 0, (1, 2): 0, (2, 0): 0}
+    for (k, n_b, n_p), mirrored, count, pairs in _BATCH_ORACLE_CASES:
+        mb = rng.integers(0, 2, size=(count, k, n_b), dtype=np.uint8)
+        mp = mb if mirrored else rng.integers(0, 2, size=(count, k, n_p), dtype=np.uint8)
+        mc = rng.integers(0, 2, size=(count, n_b, n_p), dtype=np.uint8)
+        codes = [
+            CpcCode(mb=Gf2Matrix(b), mp=Gf2Matrix(p), mc=Gf2Matrix(c))
+            for b, p, c in zip(mb, mp, mc)
+        ]
+        shape = ((k, n_b, n_p), mirrored)
+        batch = correcting_mask(mb, mp, mc)
+        scalar = np.array([is_single_error_correcting(code).ok for code in codes])
+        assert batch.shape == (count,)
+        assert np.array_equal(batch, scalar), (shape, np.flatnonzero(batch != scalar)[:5])
+        hits["correcting"] += int(batch.sum())
+        for control, target in pairs:
+            batch = cnot_compatible_mask(mb, mp, mc, control, target)
+            scalar = np.array([cnot_compatible(code, control, target).ok for code in codes])
+            assert np.array_equal(batch, scalar), (
+                shape, (control, target), np.flatnonzero(batch != scalar)[:5]
+            )
+            if (control, target) in hits:
+                hits[(control, target)] += int(batch.sum())
+        checked += count
+    assert checked >= 10_000
+    # both verdicts occur for every predicate, so the agreement is not vacuous
+    assert all(0 < n < checked for n in hits.values()), hits
+
+
+def test_batched_predicates_check_their_arguments():
+    rng = np.random.Generator(np.random.Philox(9))
+    mb, mp = rng.integers(0, 2, size=(2, 4, 3, 5), dtype=np.uint8)
+    mc = rng.integers(0, 2, size=(4, 5, 5), dtype=np.uint8)
+    assert np.array_equal(single_error_correcting_predicate()(mb, mp, mc), correcting_mask(mb, mp, mc))
+    assert np.array_equal(
+        cnot_compatible_predicate(0, 2)(mb, mp, mc), cnot_compatible_mask(mb, mp, mc, 0, 2)
+    )
+    with pytest.raises(ValueError, match="must differ"):
+        cnot_compatible_predicate(1, 1)
+    with pytest.raises(ValueError, match=r"0\.\.2"):
+        cnot_compatible_predicate(0, 7)(mb, mp, mc)
+    wide = np.zeros((1, 1, 32), dtype=np.uint8)
+    with pytest.raises(ValueError, match="at most 63 checks"):
+        correcting_mask(wide, wide, np.zeros((1, 32, 32), dtype=np.uint8))
 
 
 def test_augment_for_cnot_reproduces_1333():

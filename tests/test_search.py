@@ -101,3 +101,34 @@ def test_search_cap_limits_found_list():
     full = search((3, 4, 4), single_error_correcting_predicate(), 4000, seed=2)
     assert result.successes == full.successes
     assert result.found == full.found[:2]
+
+
+# Found trial indices of two seeded searches, pinned from the per-code
+# predicate implementation: the batched predicates must reproduce them.
+_PINNED_366_SEED4 = [
+    26, 41, 47, 99, 200, 225, 311, 339, 380, 407, 439, 505, 517, 582, 590, 608,
+    615, 640, 663, 759, 772, 790, 939, 967, 1089, 1099, 1123, 1142, 1196, 1303,
+    1316, 1319, 1353, 1413, 1422, 1517, 1536, 1564, 1645, 1656, 1683, 1689,
+    1900, 1909, 1930, 1978, 1985, 1986, 2014, 2075, 2098, 2108, 2143, 2156,
+    2187, 2207, 2208, 2210, 2297, 2377, 2409, 2423, 2428, 2478, 2482, 2543,
+    2546, 2551, 2588, 2613, 2628, 2687, 2717, 2727, 2752, 2769, 2775, 2834,
+    2858, 2878, 2955, 2989,
+]
+_PINNED_355_MIRROR_CNOT01_SEED4 = [705, 797, 1153, 1387, 1693, 2766, 2888]
+
+
+def test_search_found_trials_are_pinned():
+    sec = search((3, 6, 6), single_error_correcting_predicate(), 3000, seed=4)
+    assert sec.successes == 82
+    assert [t for t, _ in sec.found] == _PINNED_366_SEED4
+    cnot = search(
+        (3, 5, 5), cnot_compatible_predicate(0, 1), 3000, seed=4, constraint="mirror_bp"
+    )
+    assert cnot.successes == 7
+    assert [t for t, _ in cnot.found] == _PINNED_355_MIRROR_CNOT01_SEED4
+    for trial, code in sec.found[:10] + cnot.found:
+        ss = np.random.SeedSequence(entropy=4, spawn_key=(trial,))
+        constraint = "mirror_bp" if code.n_b == 5 else None
+        dims = (code.k, code.n_b, code.n_p)
+        rng = np.random.Generator(np.random.Philox(ss))
+        assert code == random_code(*dims, rng, constraint=constraint)
