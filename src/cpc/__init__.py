@@ -44,8 +44,7 @@ from .stabilizers import (
     code_distance,
     css_to_cpc,
     logical_operators,
-    stabilizers_general,
-    stabilizers_split,
+    stabilizers,
     symplectic_matrix,
 )
 from .decoding import (

@@ -122,17 +122,6 @@ class PauliString:
             return cls(n, x_bits=bit, z_bits=bit, phase=1)
         raise ValueError(f"kind must be X, Y or Z, got {kind!r}")
 
-    def __mul__(self, other: PauliString) -> PauliString:
-        if self.qubit_count != other.qubit_count:
-            raise ValueError("qubit-count mismatch")
-        extra = 2 * (self.z_bits & other.x_bits).bit_count()
-        return PauliString(
-            self.qubit_count,
-            self.x_bits ^ other.x_bits,
-            self.z_bits ^ other.z_bits,
-            self.phase + other.phase + extra,
-        )
-
     def commutes_with(self, other: PauliString) -> bool:
         anti = (self.x_bits & other.z_bits).bit_count() + (
             self.z_bits & other.x_bits
@@ -150,14 +139,6 @@ class PauliString:
 
     def weight(self) -> int:
         return self.support.bit_count()
-
-    def restrict(self, qubits: list[int]) -> PauliString:
-        """Project onto the named qubits, reindexed 0..len-1; drops the phase."""
-        x = z = 0
-        for new_q, q in enumerate(qubits):
-            x |= ((self.x_bits >> q) & 1) << new_q
-            z |= ((self.z_bits >> q) & 1) << new_q
-        return PauliString(len(qubits), x, z)
 
     def label(self, namer=None) -> str:
         """Human-readable form like 'X_d1 X_b2'; identity reads '-'."""

@@ -33,8 +33,8 @@ from .model import (
     GeneralCpcCode,
     InvalidCodeError,
     parse,
+    require_valid,
     serialize,
-    validate,
 )
 from .propagation import effective_codes, general_to_classical
 from .search import (
@@ -48,8 +48,7 @@ from .stabilizers import (
     css_to_cpc,
     logical_operators,
     stabilizer_to_text,
-    stabilizers_general,
-    stabilizers_split,
+    stabilizers,
     symplectic_matrix,
 )
 
@@ -57,11 +56,8 @@ __all__ = ["main"]
 
 
 def _load_code(path: str) -> CpcCode | GeneralCpcCode:
-    text = Path(path).read_text(encoding="utf-8")
-    code = parse(text)
-    violations = validate(code)
-    if violations:
-        raise InvalidCodeError("; ".join(violations))
+    code = parse(Path(path).read_text(encoding="utf-8"))
+    require_valid(code)
     return code
 
 
@@ -140,8 +136,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stabilizers(args) -> int:
     code = _load_code(args.code)
-    gens = stabilizers_split(code) if isinstance(code, CpcCode) else stabilizers_general(code)
-    lines = [stabilizer_to_text(g, code.qubit_label) for g in gens]
+    lines = [stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -182,9 +177,12 @@ def _cmd_decode_table(args) -> int:
     except DecodingObstruction as exc:
         print(f"decode table unavailable: {exc}", file=sys.stderr)
         return 1
+    widths = table.n_first, table.n_second
+    syndromes = {rec.syndrome(*widths) for rec in single_error_records(code)}
+    syndromes.add((0,) * sum(widths))
     rows = ["syndrome\tclass\tcorrection"]
-    for syndrome in sorted(table.entries):
-        entry = table.entries[syndrome]
+    for syndrome in sorted(syndromes):
+        entry = table.decode(syndrome)
         corr = entry.correction.label(lambda q: f"d{q + 1}")
         rows.append(f"{_syndrome_str(syndrome)}\t{entry.category}\t{corr}")
     _write_output("\n".join(rows) + "\n", args.out)
@@ -310,6 +308,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     with open(args.csv, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = sorted({"time_s", args.metric} - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{args.csv} has no {' or '.join(missing)} column")
         times, values = [], []
         for row in reader:
             times.append(float(row["time_s"]))
@@ -394,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="validate + correctability + distance")
+    p = sub.add_parser("verify", help="validate + correctability + distance")
     p.add_argument("code")
     p.add_argument("--w-max", type=int, default=4)
     p.set_defaults(func=_cmd_verify)
@@ -407,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.set_defaults(func=_cmd_logicals)
 
-    p = sub.add_parser("distance", parents=[common], help="exhaustive code distance")
+    p = sub.add_parser("distance", help="exhaustive code distance")
     p.add_argument("code")
     p.add_argument("--w-max", type=int, default=4)
     p.set_defaults(func=_cmd_distance)
@@ -452,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["pauli_frame", "statevector"], default="pauli_frame")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common], help="half-life fit of a simulate CSV")
+    p = sub.add_parser("fit", help="half-life fit of a simulate CSV")
     p.add_argument("csv")
     p.add_argument("--metric", choices=["F0", "Fplus", "Frand"], default="Frand")
     p.set_defaults(func=_cmd_fit)
@@ -497,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CpcFormatError, InvalidCodeError, FileNotFoundError, ValueError) as exc:
+    except (CpcFormatError, InvalidCodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,6 @@ __all__ = [
     "DecodeTable",
     "DecodingObstruction",
     "decode_table",
-    "CnotCompatibilityReport",
     "cnot_compatible",
     "correcting_mask",
     "cnot_compatible_mask",
@@ -256,7 +255,6 @@ class DecodeTable:
     k: int
     n_first: int
     n_second: int
-    entries: dict[Syndrome, TableEntry] = field(repr=False)
     first: dict[int, tuple[int, int]] = field(repr=False)
     second: dict[int, tuple[int, int]] = field(repr=False)
 
@@ -329,39 +327,22 @@ def decode_table(
         if not report.ok:
             raise DecodingObstruction(report)
     n1, n2 = _syndrome_widths(code)
-    k = code.k
-    entries: dict[Syndrome, TableEntry] = {
-        tuple([0] * (n1 + n2)): TableEntry(PauliString.identity(k), "no_error")
-    }
     first: dict[int, tuple[int, int]] = {0: (0, 0)}
     second: dict[int, tuple[int, int]] = {0: (0, 0)}
     for (sx, sz), members in sorted(classes.items()):
         if sx == 0 and sz == 0:
             continue
         rx, rz = _resolve_group(members)
-        category = "harmless" if (rx == 0 and rz == 0) else "corrected"
-        entries[members[0].syndrome(n1, n2)] = TableEntry(PauliString(k, rx, rz), category)
         if sz == 0:
             first[sx] = (rx, rz)
         elif sx == 0:
             # A split code's phase side corrects Z only: a Y fault there
             # leaves its X part to the bit side.
             second[sz] = (0, rz)
-    return DecodeTable(
-        k=k, n_first=n1, n_second=n2, entries=entries, first=first, second=second
-    )
+    return DecodeTable(k=code.k, n_first=n1, n_second=n2, first=first, second=second)
 
 
-@dataclass(frozen=True)
-class CnotCompatibilityReport:
-    ok: bool
-    collisions: tuple[CollisionGroup, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def cnot_compatible(code: CpcCode, control: int, target: int) -> CnotCompatibilityReport:
+def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityReport:
     """Can the code absorb the error pairs an in-cycle CNOT propagates?
 
     A bit-flip before the control becomes X on control and target together; a
@@ -378,7 +359,7 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CnotCompatibili
     classes = _syndrome_classes(records)
     base = _correctability(code, classes)
     if not base.ok:
-        return CnotCompatibilityReport(ok=False, collisions=base.collisions)
+        return base
 
     # data qubit j's X, Y, Z records sit at 3j, 3j + 1, 3j + 2
     pairs = [
@@ -402,7 +383,7 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CnotCompatibili
         if clash:
             tup = _mask_to_tuple(synd[0], n1) + _mask_to_tuple(synd[1], n2)
             collisions.append(CollisionGroup(tup, tuple([label] + clash)))
-    return CnotCompatibilityReport(ok=not collisions, collisions=tuple(collisions))
+    return CorrectabilityReport(ok=not collisions, collisions=tuple(collisions))
 
 
 # --- batched verdicts for the code search ------------------------------------

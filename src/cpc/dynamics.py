@@ -196,6 +196,9 @@ class SimConfig:
             raise ValueError("cycle_rate must be positive")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
+        if self.t_max * self.cycle_rate >= 2**63:
+            # numpy draws the per-trial event count from a 64-bit cycle count
+            raise ValueError("t_max * cycle_rate must be below 2**63 cycles")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.samples < 1:
@@ -580,9 +583,9 @@ def coherent_fidelity_631(
     coherent rotation error cos(e)*I + i*sin(e)*X on every qubit.
 
     One full encode/error/decode round is computed on the statevector; each
-    of the eight check outcomes is then handled with the standard policy (no
-    fired checks or a single fired check or all three: do nothing; two fired
-    checks: flip the data qubit they share) and the resulting fidelity
+    of the eight check outcomes is then corrected by the code's decode table
+    (no fired checks or a single fired check or all three: do nothing; two
+    fired checks: flip the data qubit they share) and the resulting fidelity
     contributions are summed.  The data register defaults to |000>, for which
     interference terms between distinct error patterns vanish.
     """
@@ -607,22 +610,14 @@ def coherent_fidelity_631(
         state = apply_1q(state, q, err)
     state = apply_circuit(state, decode_circuit(code))
 
-    # data qubit covered by both checks of each two-check syndrome
-    pair_to_qubit = {}
-    for q in range(k):
-        fired = tuple(i for i in range(code.n_b) if code.mb[q, i])
-        pair_to_qubit[frozenset(fired)] = q
-
+    corrections = decode_table(code, require_correcting=False).first
     fidelity = 0.0
     probs: dict[str, float] = {}
     dim_k = 1 << k
     for synd in range(1 << code.n_b):
         branch = state[synd * dim_k : (synd + 1) * dim_k]
         p = float(np.sum(np.abs(branch) ** 2))
-        fired = frozenset(i for i in range(code.n_b) if (synd >> i) & 1)
-        x_mask = 0
-        if len(fired) == 2:
-            x_mask = 1 << pair_to_qubit[fired]
+        x_mask, _ = corrections.get(synd, (0, 0))
         corrected = branch[np.arange(dim_k) ^ x_mask]
         amp = np.vdot(data_state, corrected)
         fidelity += float(np.abs(amp) ** 2)

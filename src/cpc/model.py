@@ -74,9 +74,6 @@ class CpcCode:
     def qubit_count(self) -> int:
         return self.k + self.n_b + self.n_p
 
-    def data_index(self, j: int) -> int:
-        return j
-
     def bit_index(self, i: int) -> int:
         return self.k + i
 

@@ -1,10 +1,11 @@
 """Graphical error-propagation rules and extraction of effective classical codes.
 
 Under the canonical gate ordering, a bit-flip on a phase check travels through
-the data qubits it controls and surfaces on the bit checks downstream; the mod-2
-bookkeeping of those paths is what the functions here compute.  The resulting
-"effective" classical codes govern one error species each and are what the
-decoder actually works with.
+the data qubits it controls and surfaces on the bit checks downstream.  The
+mod-2 bookkeeping of those paths lives in :func:`~cpc.stabilizers.check_matrix`;
+the functions here are views of its rows.  The resulting "effective"
+classical codes govern one error species each and are what the decoder
+actually works with.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf2 import Gf2Matrix
-from .model import ClassicalCode, CpcCode, GeneralCpcCode, require_valid
+from .model import ClassicalCode, CpcCode, GeneralCpcCode
 from .stabilizers import check_matrix
 
 __all__ = [
@@ -34,52 +35,41 @@ def cross_propagation(code: CpcCode) -> Gf2Matrix:
     return Gf2Matrix(hz[: code.n_b, code.k + code.n_b :])
 
 
-def _harmless_phase(code: CpcCode) -> set[int]:
-    return {p for p, col in enumerate(code.mp.data.T) if not col.any()}
+def _classical(h: np.ndarray, check_data: np.ndarray, offset: int) -> ClassicalCode:
+    """Parity checks from the rows of ``h`` (checks x bits).
 
-
-def _harmless_bit(code: CpcCode) -> set[int]:
-    return {b for b, col in enumerate(code.mb.data.T) if not col.any()}
+    Bit ``offset + i`` stands for check qubit i; it is harmless when row i of
+    ``check_data``, that qubit's data support, is zero.
+    """
+    return ClassicalCode(
+        bit_count=h.shape[1],
+        checks=tuple((i, frozenset(np.flatnonzero(row).tolist())) for i, row in enumerate(h)),
+        harmless=frozenset(offset + i for i, row in enumerate(check_data) if not row.any()),
+    )
 
 
 def effective_codes(code: CpcCode) -> tuple[ClassicalCode, ClassicalCode]:
     """The two classical codes governing bit-flip and phase errors.
 
-    Bit code: bits are the k data qubits (ids 0..k-1) followed by the n_p
-    phase checks (ids k..k+n_p-1); check i covers data j with mb[j,i] = 1 and
-    phase check p with cross_propagation[i,p] = 1.
+    Both are row blocks of :func:`~cpc.stabilizers.check_matrix`.  Bit code:
+    bits are the k data qubits (ids 0..k-1) followed by the n_p phase checks
+    (ids k..k+n_p-1); check i is bit-check generator i's Z support on them:
+    data j with mb[j,i] = 1 and phase check p with cross_propagation[i,p] = 1.
 
     Phase code: bits are the data qubits followed by the n_b bit checks;
-    check i covers data j with mp[j,i] = 1 and bit check b with mc[b,i] = 1.
+    check i is phase-check generator i's X support on them: data j with
+    mp[j,i] = 1 and bit check b with mc[b,i] = 1.
 
     A parity qubit that shares no gate with any data qubit cannot propagate
     errors to the data; the corresponding bit is listed as harmless.
     """
-    require_valid(code)
-    k = code.k
-    cross = cross_propagation(code)
-
-    bit_checks = []
-    for i in range(code.n_b):
-        members = {j for j in range(k) if code.mb[j, i]}
-        members |= {k + p for p in range(code.n_p) if cross[i, p]}
-        bit_checks.append((i, frozenset(members)))
-    bit_code = ClassicalCode(
-        bit_count=k + code.n_p,
-        checks=tuple(bit_checks),
-        harmless=frozenset(k + p for p in _harmless_phase(code)),
+    hx, hz = check_matrix(code)
+    k, n_b = code.k, code.n_b
+    bit_rows, phase_rows = hz[:n_b], hx[n_b:]
+    bit_code = _classical(
+        np.delete(bit_rows, np.s_[k : k + n_b], axis=1), phase_rows[:, :k], k
     )
-
-    phase_checks = []
-    for i in range(code.n_p):
-        members = {j for j in range(k) if code.mp[j, i]}
-        members |= {k + b for b in range(code.n_b) if code.mc[b, i]}
-        phase_checks.append((i, frozenset(members)))
-    phase_code = ClassicalCode(
-        bit_count=k + code.n_b,
-        checks=tuple(phase_checks),
-        harmless=frozenset(k + b for b in _harmless_bit(code)),
-    )
+    phase_code = _classical(phase_rows[:, : k + n_b], bit_rows[:, :k], k)
     return bit_code, phase_code
 
 
@@ -106,25 +96,14 @@ def general_to_classical(gcode: GeneralCpcCode) -> ClassicalCode:
 
     Each data qubit contributes two bits (ids j for its bit-flip state and
     k + j for its phase state); each check contributes one bit (id 2k + c,
-    its own phase state) and one parity check.  Check c covers the data bits
-    it touches by CNOT, the data phase bits it touches by conjugate-CZ, every
-    check phase bit with an arrow into c, and its own phase bit when it
-    carries a self loop.
+    its own phase state) and one parity check.  Check c is row c of the
+    check matrix, its Z support on the data followed by its X support: the
+    data bits it touches by CNOT, the data phase bits it touches by
+    conjugate-CZ, every check phase bit with an arrow into c (see
+    :func:`general_propagation`), and its own phase bit when it carries a
+    self loop.
     """
-    require_valid(gcode)
-    k, n_c = gcode.k, gcode.n_c
-    arrows, self_loops = general_propagation(gcode)
-    checks = []
-    for c in range(n_c):
-        members = {j for j in range(k) if gcode.mbs[j, c]}
-        members |= {k + j for j in range(k) if gcode.mps[j, c]}
-        members |= {2 * k + a for a in range(n_c) if arrows[a, c]}
-        if self_loops[c]:
-            members.add(2 * k + c)
-        checks.append((c, frozenset(members)))
-    harmless = frozenset(
-        2 * k + c
-        for c in range(n_c)
-        if not gcode.mbs.data[:, c].any() and not gcode.mps.data[:, c].any()
-    )
-    return ClassicalCode(bit_count=2 * k + n_c, checks=tuple(checks), harmless=harmless)
+    hx, hz = check_matrix(gcode)
+    k = gcode.k
+    rows = np.hstack([hz[:, :k], hx])
+    return _classical(rows, rows[:, : 2 * k], 2 * k)

@@ -21,8 +21,7 @@ from .model import CpcCode, GeneralCpcCode, require_valid
 
 __all__ = [
     "check_matrix",
-    "stabilizers_split",
-    "stabilizers_general",
+    "stabilizers",
     "symplectic_matrix",
     "css_to_cpc",
     "CssConversionError",
@@ -75,31 +74,20 @@ def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray
     return hx, hz
 
 
-def _generators(code: CpcCode | GeneralCpcCode) -> list[PauliString]:
+def stabilizers(code: CpcCode | GeneralCpcCode) -> list[PauliString]:
+    """Measured stabilizer generators, the rows of :func:`check_matrix`.
+
+    A self loop of a generalized code puts both Z and X on the check itself.
+    Signs match conjugation of the initial Z through the encoder: each data
+    qubit wired to the check by both edge types contributes a factor -1
+    (reordering X past Z once per such qubit).
+    """
     hx, hz = check_matrix(code)
     n, data = code.qubit_count, (1 << code.k) - 1
-    # Conjugating the initial Z through the encoder reorders X past Z once per
-    # data qubit wired to the check by both edge types: a factor -1 each.
     return [
         PauliString(n, x, z, phase=2 * ((x & z & data).bit_count() & 1))
         for x, z in zip(pack_rows(hx), pack_rows(hz))
     ]
-
-
-def stabilizers_split(code: CpcCode) -> list[PauliString]:
-    """Measured stabilizer generators of a split code, rows of :func:`check_matrix`."""
-    return _generators(code)
-
-
-def stabilizers_general(gcode: GeneralCpcCode) -> list[PauliString]:
-    """Measured stabilizer generators of a generalized code.
-
-    Rows of :func:`check_matrix`.  A self loop puts both Z and X on the check
-    itself.  Signs match conjugation of the initial Z through the encoder:
-    each data qubit wired to check i by both edge types contributes a factor
-    -1 (reordering X past Z once per loop).
-    """
-    return _generators(gcode)
 
 
 def symplectic_matrix(code: CpcCode) -> tuple[Gf2Matrix, Gf2Matrix]:

@@ -46,6 +46,12 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_directory_is_input_error(capsys, tmp_path):
+    code, out, err = _run(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Is a directory" in err
+
+
 def test_malformed_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.cpc"
     bad.write_text("CPC split\ndata 1\nbit 1\nphase 0\nB\n2\nP\nC\n", encoding="utf-8")
@@ -160,6 +166,19 @@ def test_simulate_and_fit_round_trip(tmp_path, capsys, fixture_dir):
     assert "lambda_half:" in out
 
 
+@pytest.mark.parametrize(
+    "header, metric, missing",
+    [("t,F0,Frand", "Frand", "time_s"), ("time_s,F0,Fplus", "Frand", "Frand")],
+)
+def test_fit_rejects_csv_without_needed_column(tmp_path, capsys, header, metric, missing):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text(f"{header}\n0,1,1\n1,0.5,0.5\n", encoding="utf-8")
+    code, out, err = _run(capsys, "fit", str(csv_path), "--metric", metric)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {csv_path} has no {missing} column\n"
+
+
 # simulate CSV of the command below, captured before the Pauli-frame kernel
 # was vectorized; csv.writer ends rows with CRLF
 _PINNED_SIMULATE_CSV = "\r\n".join([
@@ -198,6 +217,7 @@ def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, fixture_dir):
     "flag, value",
     [
         ("--t-max", "-5"),
+        ("--t-max", "1e300"),
         ("--haar-states", "0"),
         ("--samples", "0"),
         ("--rate", "nan"),
@@ -368,10 +388,14 @@ def test_search_rejects_malformed_require(tmp_path, capsys, require):
         ["verify", "{fixture}", "--seed", "1"],
         ["distance", "{fixture}", "--threads", "2"],
         ["simulate", "{fixture}", "--eps-bit", "0.1", "--t-max", "1", "--threads", "2"],
+        ["verify", "{fixture}", "--out", "result.txt"],
+        ["distance", "{fixture}", "--out", "result.txt"],
+        ["fit", "{fixture}", "--out", "result.txt"],
     ],
 )
 def test_seed_and_threads_only_where_read(capsys, fixture_dir, argv):
-    # --seed belongs to simulate and search, --threads to search only
+    # --seed belongs to simulate and search, --threads to search only, and
+    # --out to the commands that write their output to it
     argv = [a.format(fixture=fixture_dir / "6-3-1.cpc") for a in argv]
     code, _, err = _run(capsys, *argv)
     assert code == 2 and "unrecognized arguments" in err

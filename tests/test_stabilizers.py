@@ -16,8 +16,7 @@ from cpc.stabilizers import (
     css_to_cpc,
     logical_operators,
     stabilizer_to_text,
-    stabilizers_general,
-    stabilizers_split,
+    stabilizers,
     symplectic_matrix,
 )
 
@@ -60,13 +59,13 @@ def _circuit_stabilizers_general(code: GeneralCpcCode) -> list[PauliString]:
 
 def test_stabilizers_1133_table():
     code = fx.code_1133()
-    got = {stabilizer_to_text(g, code.qubit_label) for g in stabilizers_split(code)}
+    got = {stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)}
     assert got == EXPECTED_1133
 
 
 def test_stabilizers_pure_bit_flip_code():
     code = fx.code_631()
-    gens = stabilizers_split(code)
+    gens = stabilizers(code)
     assert len(gens) == 3
     texts = {stabilizer_to_text(g, code.qubit_label) for g in gens}
     assert texts == {"Z d1 d2 b1", "Z d2 d3 b2", "Z d1 d3 b3"}
@@ -74,7 +73,7 @@ def test_stabilizers_pure_bit_flip_code():
 
 def test_stabilizers_mutually_commute():
     for code in (fx.code_1133(), fx.code_1243(), fx.code_1333_augmented()):
-        gens = stabilizers_split(code)
+        gens = stabilizers(code)
         for a in gens:
             for b in gens:
                 assert a.commutes_with(b)
@@ -82,21 +81,21 @@ def test_stabilizers_mutually_commute():
 
 def test_formula_equals_circuit_on_fixtures():
     for code in (fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1333_augmented()):
-        assert stabilizers_split(code) == _circuit_stabilizers(code)
+        assert stabilizers(code) == _circuit_stabilizers(code)
 
 
 def test_formula_equals_circuit_on_random_codes():
     for code in seeded_random_codes(100, seed=13):
-        assert stabilizers_split(code) == _circuit_stabilizers(code)
+        assert stabilizers(code) == _circuit_stabilizers(code)
 
 
 def test_general_formula_equals_circuit():
     fixtures = [fx.code_1033_general(), generalize(fx.code_1133())]
     for gcode in fixtures:
-        assert stabilizers_general(gcode) == _circuit_stabilizers_general(gcode)
+        assert stabilizers(gcode) == _circuit_stabilizers_general(gcode)
     for code in seeded_random_codes(40, seed=1234):
         g = generalize(code)
-        assert stabilizers_general(g) == _circuit_stabilizers_general(g)
+        assert stabilizers(g) == _circuit_stabilizers_general(g)
 
 
 def test_general_formula_equals_circuit_with_self_loops():
@@ -104,7 +103,7 @@ def test_general_formula_equals_circuit_with_self_loops():
     # by both edge types (Y components on the check, phases and all)
     loops_seen = 0
     for g in seeded_random_general_codes(60):
-        gens = stabilizers_general(g)
+        gens = stabilizers(g)
         assert gens == _circuit_stabilizers_general(g)
         for a in gens:
             for b in gens:
@@ -157,8 +156,8 @@ def test_general_split_relabelling_recovers_split_stabilizers():
     # formula then reproduces the split-code generators.
     code = fx.code_1133()
     g = generalize(code)
-    split_gens = stabilizers_split(code)
-    general_gens = stabilizers_general(g)
+    split_gens = stabilizers(code)
+    general_gens = stabilizers(g)
     n = code.qubit_count
     phase_mask = sum(1 << code.phase_index(i) for i in range(code.n_p))
     relabelled = []
@@ -174,7 +173,7 @@ def test_general_split_relabelling_recovers_split_stabilizers():
 
 
 def test_general_1033_commutes():
-    gens = stabilizers_general(fx.code_1033_general())
+    gens = stabilizers(fx.code_1033_general())
     assert len(gens) == 7
     for a in gens:
         for b in gens:
@@ -185,7 +184,7 @@ def test_general_single_check_minimal():
     gcode = GeneralCpcCode(
         mbs=Gf2Matrix([[1]]), mps=Gf2Matrix.zeros(1, 1), mcs=Gf2Matrix.zeros(1, 1)
     )
-    (gen,) = stabilizers_general(gcode)
+    (gen,) = stabilizers(gcode)
     assert stabilizer_to_text(gen, gcode.qubit_label) == "Z d1 c1"
 
 
@@ -269,7 +268,7 @@ def test_cpc_to_css_1133_matches_table():
     code = fx.code_1133()
     g_z, g_x = symplectic_matrix(code)
     assert g_z.rows == 4 and g_x.rows == 4
-    gens = stabilizers_split(code)
+    gens = stabilizers(code)
     for i in range(4):
         mask = sum(int(g_z.data[i, q]) << q for q in range(code.qubit_count))
         assert mask == gens[i].z_bits
@@ -298,7 +297,7 @@ def test_logical_operators_1133():
 
 def test_logical_operators_commute_with_stabilizers():
     for code in (fx.code_1133(), fx.code_1243()):
-        gens = stabilizers_split(code)
+        gens = stabilizers(code)
         logical_x, logical_z = logical_operators(code)
         for op in logical_x + logical_z:
             assert all(op.commutes_with(s) for s in gens)
