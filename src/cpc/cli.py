@@ -177,11 +177,8 @@ def _cmd_decode_table(args) -> int:
     except DecodingObstruction as exc:
         print(f"decode table unavailable: {exc}", file=sys.stderr)
         return 1
-    widths = table.n_first, table.n_second
-    syndromes = {rec.syndrome(*widths) for rec in single_error_records(code)}
-    syndromes.add((0,) * sum(widths))
     rows = ["syndrome\tclass\tcorrection"]
-    for syndrome in sorted(syndromes):
+    for syndrome in sorted(table.syndrome(*sides) for sides in table.sides):
         entry = table.decode(syndrome)
         corr = entry.correction.label(lambda q: f"d{q + 1}")
         rows.append(f"{_syndrome_str(syndrome)}\t{entry.category}\t{corr}")

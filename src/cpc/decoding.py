@@ -249,7 +249,8 @@ class DecodeTable:
     side contributing nothing, and the syndrome is uncorrectable when either
     side is unknown.  For split codes the halves are decoded independently
     against the X-type and Z-type errors, so mixed X/Z multi-qubit events
-    (including Y errors) decompose cleanly.
+    (including Y errors) decompose cleanly.  ``sides`` holds the side masks
+    of the zero syndrome and of every single-error syndrome.
     """
 
     k: int
@@ -257,6 +258,7 @@ class DecodeTable:
     n_second: int
     first: dict[int, tuple[int, int]] = field(repr=False)
     second: dict[int, tuple[int, int]] = field(repr=False)
+    sides: frozenset[tuple[int, int]] = field(repr=False)
 
     def split_sides(self, syndrome: Syndrome) -> tuple[int, int]:
         if len(syndrome) != self.n_first + self.n_second:
@@ -266,6 +268,10 @@ class DecodeTable:
         first = sum(b << i for i, b in enumerate(syndrome[: self.n_first]))
         second = sum(b << i for i, b in enumerate(syndrome[self.n_first:]))
         return first, second
+
+    def syndrome(self, first: int, second: int) -> Syndrome:
+        """The syndrome with these side masks; the inverse of :meth:`split_sides`."""
+        return _mask_to_tuple(first, self.n_first) + _mask_to_tuple(second, self.n_second)
 
     def decode(self, syndrome: Syndrome) -> TableEntry:
         """Correction for a measured syndrome; the scalar form of :meth:`correction_arrays`."""
@@ -339,7 +345,10 @@ def decode_table(
             # A split code's phase side corrects Z only: a Y fault there
             # leaves its X part to the bit side.
             second[sz] = (0, rz)
-    return DecodeTable(k=code.k, n_first=n1, n_second=n2, first=first, second=second)
+    return DecodeTable(
+        k=code.k, n_first=n1, n_second=n2, first=first, second=second,
+        sides=frozenset(classes) | {(0, 0)},
+    )
 
 
 def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityReport:

@@ -258,6 +258,18 @@ def test_search_command_writes_codes(tmp_path, capsys):
     assert written[0].read_text(encoding="utf-8") == first
 
 
+def test_search_rejects_negative_seed(tmp_path, capsys):
+    code, out, err = _run(
+        capsys,
+        "search",
+        "--data", "3", "--bit", "4", "--phase", "4",
+        "--budget", "10", "--seed", "-1", "--out", str(tmp_path / "hits"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected non-negative integer\n"
+
+
 def test_emit_circuit(capsys, fixture_dir):
     code, out, _ = _run(capsys, "emit-circuit", str(fixture_dir / "11-3-3.cpc"))
     assert code == 0

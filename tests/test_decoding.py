@@ -164,6 +164,7 @@ def test_correction_arrays_match_decode_on_every_syndrome():
     codes += seeded_random_codes(10, seed=91) + seeded_random_general_codes(10, seed=92)
     for code in codes:
         table = decode_table(code, require_correcting=False)
+        assert table.sides == {(0, 0)} | {(r.sx, r.sz) for r in single_error_records(code)}
         first, second = table.correction_arrays()
         assert first.shape == (1 << table.n_first, 2)
         assert second.shape == (1 << table.n_second, 2)
@@ -171,6 +172,8 @@ def test_correction_arrays_match_decode_on_every_syndrome():
             syndrome = tuple((a >> i) & 1 for i in range(table.n_first)) + tuple(
                 (b >> i) & 1 for i in range(table.n_second)
             )
+            assert table.syndrome(a, b) == syndrome
+            assert table.split_sides(syndrome) == (a, b)
             entry = table.decode(syndrome)
             known = first[a, 0] >= 0 and second[b, 0] >= 0
             assert known == (entry.category != "uncorrectable"), (code, syndrome)

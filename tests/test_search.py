@@ -5,6 +5,7 @@ import pytest
 
 from cpc.decoding import cnot_compatible, is_single_error_correcting
 from cpc.search import (
+    _draw_block,
     cnot_compatible_predicate,
     random_code,
     search,
@@ -132,3 +133,87 @@ def test_search_found_trials_are_pinned():
         dims = (code.k, code.n_b, code.n_p)
         rng = np.random.Generator(np.random.Philox(ss))
         assert code == random_code(*dims, rng, constraint=constraint)
+
+
+def _numpy_streams(seed, trials, dims, constraint=None):
+    """Oracle of the vectorized draw: numpy's per-trial Philox streams."""
+    codes = [
+        random_code(
+            *dims,
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(t,)))),
+            constraint=constraint,
+        )
+        for t in trials
+    ]
+    k, n_b, n_p = dims
+    shapes = [(k, n_b), (k, n_p), (n_b, n_p)]
+    return [
+        np.array([getattr(c, name).data for c in codes], dtype=np.uint8).reshape(
+            len(trials), *shape
+        )
+        for name, shape in zip(("mb", "mp", "mc"), shapes)
+    ]
+
+
+# Seeds of 1, 2, 4, 5 and 8 entropy words, and a sequence seed.
+_SEEDS = [0, 5, 2**32, 2**63 - 5, 2**127 + 3, 2**150 + 12345, 2**255 - 1, [7, 2**40]]
+# Trial ranges at the start, across the 1- to 2-word spawn key boundary at
+# 2**32, and past 2**63.
+_TRIALS = [range(0, 6), range(2**32 - 3, 2**32 + 3), range(2**63, 2**63 + 4)]
+# Includes cell counts that are not multiples of 4 and empty matrices.
+_DIMS = [
+    (3, 4, 4), (3, 6, 6), (1, 3, 3), (4, 5, 5), (5, 9, 9), (0, 3, 3), (3, 0, 4),
+    (3, 4, 0), (2, 3, 5), (1, 1, 1), (0, 0, 0),
+]
+
+
+def test_vectorized_draw_matches_numpy_streams():
+    cases = [(dims, None) for dims in _DIMS] + [((3, 5, 5), "mirror_bp"), ((2, 3, 3), "mirror_bp")]
+    for seed in _SEEDS:
+        for trials in _TRIALS:
+            for dims, constraint in cases:
+                got = _draw_block(seed, trials, dims, constraint)
+                want = _numpy_streams(seed, trials, dims, constraint)
+                for g, w in zip(got, want):
+                    assert g.dtype == np.uint8 and g.flags.c_contiguous
+                    assert np.array_equal(g, w), (seed, trials, dims, constraint)
+                if constraint == "mirror_bp":
+                    assert got[1] is got[0]
+
+
+@pytest.mark.parametrize("budget", [0, 2047, 2048, 2049])
+def test_search_draws_numpy_streams_across_blocks(budget):
+    seen = []
+
+    def record(mb, mp, mc):
+        seen.append((mb.copy(), mp.copy(), mc.copy()))
+        return np.zeros(len(mb), dtype=bool)
+
+    seed = 2**63 - 5
+    result = search((2, 3, 3), record, budget, seed=seed, constraint="mirror_bp")
+    assert result.trials == budget and result.successes == 0
+    assert [len(block[0]) for block in seen] == [
+        min(2048, budget - start) for start in range(0, budget, 2048)
+    ]
+    want = _numpy_streams(seed, range(budget), (2, 3, 3), "mirror_bp")
+    for i, w in enumerate(want):
+        got = np.concatenate([block[i] for block in seen]) if seen else w[:0]
+        assert np.array_equal(got, w)
+
+
+def test_search_validates_seed_as_numpy_does():
+    predicate = single_error_correcting_predicate()
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        search((3, 4, 4), predicate, 10, seed=-1)
+    with pytest.raises(TypeError):
+        search((3, 4, 4), predicate, 10, seed=5.0)
+
+
+def test_search_timings_do_not_affect_equality():
+    args = ((3, 4, 4), single_error_correcting_predicate(), 4000)
+    a, b = search(*args, seed=2), search(*args, seed=2)
+    assert a.successes >= 1
+    assert a == b
+    assert a.draw_s > 0 and a.predicate_s > 0
+    empty = search(*args[:2], 0, seed=2)
+    assert (empty.draw_s, empty.predicate_s) == (0.0, 0.0)
