@@ -331,6 +331,9 @@ def _cmd_search(args) -> int:
             )
         c, t = int(match[1]), int(match[2])
         predicate = cnot_compatible_predicate(c, t)
+        # before any trial; a negative --data fails the search's dimension check
+        if 0 <= args.data <= max(c, t):
+            raise ValueError(f"data indices must lie in 0..{args.data - 1}")
         predicate_name = f"cnot-compatible({c},{t})"
     else:
         predicate = single_error_correcting_predicate()

@@ -28,7 +28,7 @@ from .model import (
     InvalidCodeError,
     require_valid,
 )
-from .stabilizers import check_matrix
+from .stabilizers import check_matrix, split_check_rows
 
 __all__ = [
     "Syndrome",
@@ -274,7 +274,7 @@ class DecodeTable:
         return _mask_to_tuple(first, self.n_first) + _mask_to_tuple(second, self.n_second)
 
     def decode(self, syndrome: Syndrome) -> TableEntry:
-        """Correction for a measured syndrome; the scalar form of :meth:`correction_arrays`."""
+        """Correction for a measured syndrome; the scalar form of :meth:`lookup`."""
         a, b = self.split_sides(syndrome)
         if a == 0 and b == 0:
             return TableEntry(PauliString.identity(self.k), "no_error")
@@ -290,10 +290,15 @@ class DecodeTable:
     def correction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense syndrome-indexed form of ``first`` and ``second``, for batched lookups.
 
-        Returns int64 arrays of shape (2**n_first, 2) and (2**n_second, 2).
-        Row ``s`` holds the (X, Z) correction of side mask ``s``, or -1 in
-        both columns when that side has no single-error explanation.
+        Returns read-only int64 arrays of shape (2**n_first, 2) and
+        (2**n_second, 2), built on the first call.  Row ``s`` holds the (X, Z)
+        correction of side mask ``s``, or -1 in both columns when that side
+        has no single-error explanation.
         """
+        return self._dense
+
+    @functools.cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
         if max(self.n_first, self.n_second) > _DENSE_SYNDROME_BITS:
             raise ValueError(
                 f"dense decode arrays support at most {_DENSE_SYNDROME_BITS} "
@@ -304,8 +309,21 @@ class DecodeTable:
             dense = np.full((1 << width, 2), -1, dtype=np.int64)
             for mask, correction in side.items():
                 dense[mask] = correction
+            dense.flags.writeable = False
             arrays.append(dense)
         return arrays[0], arrays[1]
+
+    def lookup(self, first, second) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Z) corrections and known flags of side masks, ints or arrays alike.
+
+        The batched form of :meth:`decode` over :meth:`correction_arrays`:
+        ``first`` and ``second`` index the two sides, a side with no
+        single-error explanation corrects nothing, and a syndrome is known
+        when both of its sides are.
+        """
+        dense_first, dense_second = self.correction_arrays()
+        a, b = dense_first[first], dense_second[second]
+        return np.maximum(a, 0) ^ np.maximum(b, 0), (a[..., 0] >= 0) & (b[..., 0] >= 0)
 
 
 def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:
@@ -351,101 +369,73 @@ def decode_table(
     )
 
 
+def _check_cnot(control: int, target: int, k: int | None = None) -> None:
+    """Refuse a CNOT from a qubit to itself, or off the k data qubits when k is given."""
+    if control == target:
+        raise ValueError("control and target must differ")
+    if k is not None and not (0 <= control < k and 0 <= target < k):
+        raise ValueError(f"data indices must lie in 0..{k - 1}")
+
+
 def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityReport:
     """Can the code absorb the error pairs an in-cycle CNOT propagates?
 
     A bit-flip before the control becomes X on control and target together; a
     phase error before the target becomes Z on both.  Both propagated pairs
-    must have syndromes distinct from every single-error syndrome, from each
-    other, and from the no-error outcome.
+    join the single-error records as harmful entries, so on top of
+    correctability their syndromes must be distinct from every single-error
+    syndrome, from each other, and from the no-error outcome.
     """
     require_valid(code)
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not (0 <= control < code.k and 0 <= target < code.k):
-        raise ValueError(f"data indices must lie in 0..{code.k - 1}")
+    _check_cnot(control, target, code.k)
     records = single_error_records(code)
-    classes = _syndrome_classes(records)
-    base = _correctability(code, classes)
-    if not base.ok:
-        return base
-
-    # data qubit j's X, Y, Z records sit at 3j, 3j + 1, 3j + 2
-    pairs = [
-        (
-            (records[3 * control].sx ^ records[3 * target].sx, 0),
-            f"X_d{control + 1} X_d{target + 1}",
-        ),
-        (
-            (0, records[3 * control + 2].sz ^ records[3 * target + 2].sz),
-            f"Z_d{control + 1} Z_d{target + 1}",
-        ),
-    ]
-    n1, n2 = _syndrome_widths(code)
-    collisions = []
-    for idx, (synd, label) in enumerate(pairs):
-        clash = [m.label for m in classes.get(synd, [])]
-        if synd == (0, 0):
-            clash.append("no error")
-        if idx == 0 and synd == pairs[1][0]:
-            clash.append(pairs[1][1])
-        if clash:
-            tup = _mask_to_tuple(synd[0], n1) + _mask_to_tuple(synd[1], n2)
-            collisions.append(CollisionGroup(tup, tuple([label] + clash)))
-    return CorrectabilityReport(ok=not collisions, collisions=tuple(collisions))
+    by_fault = {(r.qubit, r.kind): r for r in records}
+    pairs = []
+    for kind in ("X", "Z"):
+        c, t = by_fault[control, kind], by_fault[target, kind]
+        pairs.append(
+            ErrorRecord(
+                control, kind, f"{c.label} {t.label}",
+                c.sx ^ t.sx, c.sz ^ t.sz, c.rx ^ t.rx, c.rz ^ t.rz, True,
+            )
+        )
+    return _correctability(code, _syndrome_classes(pairs + records))
 
 
 # --- batched verdicts for the code search ------------------------------------
 #
 # The masks below judge N split codes at once from stacked matrices mb
 # (N, k, n_b), mp (N, k, n_p) and mc (N, n_b, n_p).  A fault's syndrome is the
-# key ``sx | sz << n_b``, read off the same check-matrix columns as
-# :func:`single_error_records`; keys carry one spare bit for a sort tag.
+# key ``sx | sz << n_b``, packed from its column of the stacked check rows of
+# :func:`cpc.stabilizers.split_check_rows`, the rows :func:`check_matrix` and
+# so :func:`single_error_records` read; keys carry one spare bit for a sort tag.
 
 _KEY_BITS = 63
-
-
-def _packed(bits: np.ndarray, shift: int = 0) -> np.ndarray:
-    """(..., m) 0/1 uint8 -> (...) uint64 masks, entry i at bit ``shift + i``."""
-    weights = np.left_shift(
-        np.uint64(1), np.arange(shift, shift + bits.shape[-1], dtype=np.uint64)
-    )
-    return bits @ weights
 
 
 def _single_fault_keys(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
     """Syndrome keys and harmful flags of every single fault of N split codes.
 
     Returns (N, 3n) uint64 keys and bools: the X faults of qubits 0..n-1,
-    then their Z faults, then their Y faults.  A data fault reads its rows of
-    mb/mp; bit check b fires itself on X and row b of mc on Z; phase check p
-    fires column p of the cross propagation mc + mb^T mp on X and itself on
-    Z.  A check is harmful when it touches data.
+    then their Z faults, then their Y faults.  An X fault's key is its column
+    of the bit-check rows, a Z fault's its column of the phase-check rows
+    shifted past the n_b bit checks.  A data fault is harmful, and a check
+    fault when the check's own row has data support, that is when some data
+    fault's key holds the check's bit.
     """
-    n_codes, k, n_b = mb.shape
-    n_p = mp.shape[2]
+    n_b, n_p = mb.shape[2], mp.shape[2]
     if n_b + n_p > _KEY_BITS:
         raise ValueError(
             f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}"
         )
-    # uint8 products wrap mod 256, which keeps their parity
-    cross = mc ^ ((mb.transpose(0, 2, 1) @ mp) & 1)
-    own = np.left_shift(np.uint64(1), np.arange(n_b + n_p, dtype=np.uint64))
-    x = np.concatenate(
-        [
-            _packed(mb),
-            np.broadcast_to(own[:n_b], (n_codes, n_b)),
-            _packed(cross.transpose(0, 2, 1)),
-        ],
-        axis=1,
-    )
-    z = np.concatenate(
-        [_packed(mp, n_b), _packed(mc, n_b), np.broadcast_to(own[n_b:], (n_codes, n_p))],
-        axis=1,
-    )
-    harmful = np.concatenate(
-        [np.ones((n_codes, k), dtype=bool), mb.any(axis=1), mp.any(axis=1)], axis=1
-    )
+    bit_rows, phase_rows = split_check_rows(mb, mp, mc)
+    checks = np.arange(n_b + n_p, dtype=np.uint64)
+    weights = np.left_shift(np.uint64(1), checks)
+    x, z = weights[:n_b] @ bit_rows, weights[n_b:] @ phase_rows
+    k = mb.shape[1]
+    by_data = np.bitwise_or.reduce(x[:, :k] | z[:, :k], axis=1)
+    own = (by_data[:, None] >> checks & np.uint64(1)).astype(bool)
+    harmful = np.hstack([np.ones((len(own), k), dtype=bool), own])
     return np.concatenate([x, z, x ^ z], axis=1), np.tile(harmful, 3)
 
 
@@ -473,11 +463,7 @@ def cnot_compatible_mask(mb, mp, mc, control: int, target: int) -> np.ndarray:
     Both propagated pair keys must be nonzero, distinct from each other and
     from every single-fault key of their code, on top of correctability.
     """
-    k = mb.shape[1]
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not (0 <= control < k and 0 <= target < k):
-        raise ValueError(f"data indices must lie in 0..{k - 1}")
+    _check_cnot(control, target, mb.shape[1])
     keys, harmful = _single_fault_keys(mb, mp, mc)
     n = keys.shape[1] // 3
     pairs = np.stack(
@@ -502,8 +488,7 @@ def cnot_compatible_predicate(control: int, target: int) -> Callable[..., np.nda
     Equal indices are rejected here; out-of-range ones when the data count
     is known, on the first block of codes.
     """
-    if control == target:
-        raise ValueError("control and target must differ")
+    _check_cnot(control, target)
     return functools.partial(cnot_compatible_mask, control=control, target=target)
 
 
@@ -512,32 +497,26 @@ def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:
 
     One new bit check watches only the control, one new phase check watches
     only the target, and the pair is tied by cross checks to each other and
-    to the existing check-checking qubits (a bit check and a phase check that
-    touch no data), so that errors on the new qubits stay distinguishable.
+    to the existing check-checking qubits (the first bit check and phase
+    check whose faults are harmless, i.e. that touch no data), so that errors
+    on the new qubits stay distinguishable.
     """
     require_valid(code)
-    if control == target:
-        raise ValueError("control and target must differ")
-    harmless_bits = [b for b, col in enumerate(code.mb.data.T) if not col.any()]
-    harmless_phases = [p for p, col in enumerate(code.mp.data.T) if not col.any()]
-    if not harmless_bits or not harmless_phases:
+    _check_cnot(control, target)
+    k, n_b, n_p = code.k, code.n_b, code.n_p
+    harmless = sorted({r.qubit for r in single_error_records(code) if not r.harmful})
+    bits = [q - k for q in harmless if q < k + n_b]
+    phases = [q - k - n_b for q in harmless if q >= k + n_b]
+    if not bits or not phases:
         raise InvalidCodeError(
             "augmentation needs a bit check and a phase check that touch no data"
         )
-    b_star, p_star = harmless_bits[0], harmless_phases[0]
-
-    k, n_b, n_p = code.k, code.n_b, code.n_p
-    mb = [[code.mb[j, i] for i in range(n_b)] + [1 if j == control else 0] for j in range(k)]
-    mp = [[code.mp[j, i] for i in range(n_p)] + [1 if j == target else 0] for j in range(k)]
-    mc = []
-    for b in range(n_b):
-        mc.append([code.mc[b, i] for i in range(n_p)] + [1 if b == b_star else 0])
-    mc.append([1 if i == p_star else 0 for i in range(n_p)] + [1])
-    return CpcCode(
-        mb=Gf2Matrix.from_rows(mb, cols=n_b + 1),
-        mp=Gf2Matrix.from_rows(mp, cols=n_p + 1),
-        mc=Gf2Matrix.from_rows(mc, cols=n_p + 1),
-    )
+    mb = np.column_stack([code.mb.data, np.arange(k) == control])
+    mp = np.column_stack([code.mp.data, np.arange(k) == target])
+    mc = np.zeros((n_b + 1, n_p + 1), dtype=np.uint8)
+    mc[:n_b, :n_p] = code.mc.data
+    mc[bits[0], n_p] = mc[n_b, phases[0]] = mc[n_b, n_p] = 1
+    return CpcCode(mb=Gf2Matrix(mb), mp=Gf2Matrix(mp), mc=Gf2Matrix(mc))
 
 
 # --- maximum-likelihood decoding of classical codes -------------------------

@@ -16,8 +16,9 @@ The Pauli-frame backend is array code, one trial at a time.  A trial's errors
 are sampled as (cycle, fault) pairs, and each error cycle's syndrome and
 residual are the XOR of per-fault columns built from the single-error
 records.  A cycle's correction depends only on its own syndrome, never on the
-frame, so the corrections of all error cycles are looked up at once in dense
-syndrome-indexed arrays, and the frame at each sample time is a prefix XOR
+frame, so the corrections of all error cycles are looked up at once by
+:meth:`cpc.decoding.DecodeTable.lookup`, which the statevector oracle calls
+per cycle, and the frame at each sample time is a prefix XOR
 (``np.bitwise_xor.accumulate``) of the per-cycle net residuals.  A trial
 visits at most 4^k distinct frames, so the Haar-state overlaps behind
 ``Frand`` are computed once per distinct frame of the trial.  This is the
@@ -34,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .circuits import Circuit
+from .circuits import Circuit, decode_circuit, encode_circuit
 from .decoding import decode_table, single_error_records
+from .fixtures import code_631
 from .model import CpcCode, GeneralCpcCode, require_valid
 
 __all__ = [
@@ -223,15 +225,16 @@ class SimResult:
         return self.means[metric], self.errors[metric]
 
     def to_csv(self) -> str:
-        """The curves as CSV text: time, then mean and error of each metric."""
+        """The curves as CSV text: time, then mean and error of each metric
+        simulated, in F0, Fplus, Frand order.
+        """
+        metrics = [m for m in ("F0", "Fplus", "Frand") if m in self.means]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["time_s", "F0", "F0_err", "Fplus", "Fplus_err", "Frand", "Frand_err"]
-        )
+        writer.writerow(["time_s"] + [c for m in metrics for c in (m, f"{m}_err")])
         for i, t in enumerate(self.times):
             row = [f"{t:.6g}"]
-            for metric in ("F0", "Fplus", "Frand"):
+            for metric in metrics:
                 mean, err = self.column(metric)
                 row += [f"{mean[i]:.8g}", f"{err[i]:.8g}"]
             writer.writerow(row)
@@ -300,16 +303,6 @@ def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
     return cycles[starts], np.bitwise_xor.reduceat(rows[order], starts, axis=0)
 
 
-def _lookup_corrections(first, second, sx, sz) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Z) corrections and known flags for syndrome side masks.
-
-    ``first``/``second`` come from :meth:`DecodeTable.correction_arrays`; a
-    side with no single-error explanation corrects nothing.
-    """
-    a, b = first[sx], second[sz]
-    return np.maximum(a, 0) ^ np.maximum(b, 0), (a[..., 0] >= 0) & (b[..., 0] >= 0)
-
-
 def _frame_overlaps(
     frame_x: int, frame_z: int, states: np.ndarray
 ) -> np.ndarray:
@@ -373,12 +366,9 @@ def simulate(
     k = code.k
     if n > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
-    first, second = decode_table(code, require_correcting=False).correction_arrays()
+    table = decode_table(code, require_correcting=False)
+    table.correction_arrays()  # refuses syndromes too wide to look up, before any trial
     effects = _fault_effects(code).reshape(2 * n, 4)
-    # The X and Z error masks each fault applies, for the statevector oracle.
-    error_masks = np.zeros((2, n, 2), dtype=np.int64)
-    error_masks[0, :, 0] = error_masks[1, :, 1] = 1 << np.arange(n)
-    error_masks = error_masks.reshape(2 * n, 2)
     r = cfg.cycle_rate
     n_cycles = max(1, int(round(cfg.t_max * r)))
     p_x = 1.0 - math.exp(-model.eps_bit / r)
@@ -404,9 +394,7 @@ def simulate(
         # A cycle's correction depends only on its own syndrome, so every
         # error cycle's net frame change is known before any frame is built.
         cycles, effect = _xor_by_cycle(event_cycles, effects[faults])
-        correction, known = _lookup_corrections(
-            first, second, effect[:, 0], effect[:, 1]
-        )
+        correction, known = table.lookup(effect[:, 0], effect[:, 1])
         # Cycles from the last sample time on are never applied or counted.
         seen = np.searchsorted(cycles, sample_cycles[-1])
         uncorrectable += int(np.count_nonzero(~known[:seen]))
@@ -415,9 +403,11 @@ def simulate(
                 cycles, effect[:, 2:] ^ correction, sample_cycles, haar, cfg.metrics
             )
         else:
-            _, masks = _xor_by_cycle(event_cycles, error_masks[faults])
+            # fault part * n + q puts X (part 0) or Z (part 1) on qubit q
+            masks = np.eye(2, dtype=np.int64)[faults // n] << (faults % n)[:, None]
+            _, masks = _xor_by_cycle(event_cycles, masks)
             values = _run_statevector_trial(
-                code, first, second, list(zip(cycles.tolist(), masks.tolist())),
+                code, table, list(zip(cycles.tolist(), masks.tolist())),
                 sample_cycles, haar, cfg.metrics, rng_events,
             )
         for m in cfg.metrics:
@@ -443,20 +433,17 @@ def simulate(
 
 
 def _run_statevector_trial(
-    code, first, second, ordered_events, sample_cycles, haar, metrics, rng
+    code, table, ordered_events, sample_cycles, haar, metrics, rng
 ):
-    from .circuits import decode_circuit, encode_circuit
-
     n = code.qubit_count
     k = code.k
     enc = encode_circuit(code)
     dec = decode_circuit(code)
-    if isinstance(code, CpcCode):
-        check_plan = [(code.bit_index(i), "Z") for i in range(code.n_b)] + [
-            (code.phase_index(i), "X") for i in range(code.n_p)
-        ]
-    else:
-        check_plan = [(code.check_index(i), "Z") for i in range(code.n_c)]
+    # Check i is qubit k + i; the second syndrome side is read in the X basis.
+    check_plan = [
+        (k + i, "Z" if i < table.n_first else "X")
+        for i in range(table.n_first + table.n_second)
+    ]
 
     def prepare(data_state: np.ndarray) -> np.ndarray:
         state = np.zeros(1 << n, dtype=np.complex128)
@@ -489,13 +476,7 @@ def _run_statevector_trial(
                         state = apply_pauli_masks(
                             state, (1 << q) if flip_x else 0, 0 if flip_x else (1 << q)
                         )
-                if isinstance(code, CpcCode):
-                    sx = sum(b << i for i, b in enumerate(outcomes[: code.n_b]))
-                    sz = sum(b << i for i, b in enumerate(outcomes[code.n_b :]))
-                else:
-                    sx = sum(b << i for i, b in enumerate(outcomes))
-                    sz = 0
-                (cx, cz), _ = _lookup_corrections(first, second, sx, sz)
+                (cx, cz), _ = table.lookup(*table.split_sides(outcomes))
                 state = apply_pauli_masks(state, int(cx), int(cz))
             if probe == "overlap":
                 out[s_idx] = float(np.abs(np.vdot(reference, state)) ** 2)
@@ -591,11 +572,7 @@ def coherent_fidelity_631(
     """
     if not 0.0 <= epsilon < math.pi / 4:
         raise ValueError("epsilon must lie in [0, pi/4)")
-    from .fixtures import code_631
-
     code = code_631()
-    from .circuits import decode_circuit, encode_circuit
-
     k, n = code.k, code.qubit_count
     if data_state is None:
         data_state = zero_state(k)
@@ -610,14 +587,14 @@ def coherent_fidelity_631(
         state = apply_1q(state, q, err)
     state = apply_circuit(state, decode_circuit(code))
 
-    corrections = decode_table(code, require_correcting=False).first
+    table = decode_table(code, require_correcting=False)
     fidelity = 0.0
     probs: dict[str, float] = {}
     dim_k = 1 << k
     for synd in range(1 << code.n_b):
         branch = state[synd * dim_k : (synd + 1) * dim_k]
         p = float(np.sum(np.abs(branch) ** 2))
-        x_mask, _ = corrections.get(synd, (0, 0))
+        (x_mask, _), _ = table.lookup(synd, 0)
         corrected = branch[np.arange(dim_k) ^ x_mask]
         amp = np.vdot(data_state, corrected)
         fidelity += float(np.abs(amp) ** 2)

@@ -4,12 +4,15 @@ Each trial draws its own RNG stream keyed by (seed, trial index), so the
 result set depends only on (seed, budget, dimensions, predicate).  Trial
 ``t`` gets the matrices :func:`random_code` draws from
 ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))``, bit for bit, but a
-block of trials is drawn by one vectorized numpy computation: SeedSequence
-mixing, Philox4x64-10 rounds and numpy's bounded-integer bit extraction, all
-over arrays of trials.  Blocks are stacked uint8 arrays mb (N, k, n_b),
+block of trials is drawn by one vectorized numpy computation: the trials'
+spawn words mixed into the seed's pool (``SeedSequence(seed).pool``),
+Philox4x64-10 rounds and numpy's bounded-integer bit extraction, all over
+arrays of trials.  Blocks are stacked uint8 arrays mb (N, k, n_b),
 mp (N, k, n_p) and mc (N, n_b, n_p), and a predicate judges a whole block at
-once: ``predicate(mb, mp, mc)`` returns an (N,) bool array.  Codes are built
-only for the hits.
+once: ``predicate(mb, mp, mc)`` returns an (N,) bool array.  The predicates
+of :mod:`cpc.decoding` read each code's single-fault syndromes off its
+stacked check rows (:func:`cpc.stabilizers.split_check_rows`).  Codes are
+built only for the hits.
 """
 
 from __future__ import annotations
@@ -88,9 +91,8 @@ class SearchResult:
 
 
 # numpy's SeedSequence: a pool of four 32-bit words, hashed with multipliers
-# that advance on every use.  The helpers below take Python ints for the seed
-# words and uint64 arrays of 32-bit values for the trials' words; products fit
-# in 64 bits and are masked back to 32.
+# that advance on every use.  The helpers below take uint64 arrays of 32-bit
+# values; products fit in 64 bits and are masked back to 32.
 _POOL = 4
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -106,16 +108,19 @@ _U32 = np.uint64(32)
 _LO = np.uint64(_M32)
 
 
-def _hash_consts(init: int, mult: int):
-    """SeedSequence's (before, after) hash multipliers, one pair per hash."""
-    while True:
-        after = init * mult & _M32
-        yield init, after
-        init = after
+def _hash_consts(init: int, mult: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's (before, after) multipliers of hashes first..first + 3.
+
+    Every hash advances the multiplier by ``mult``, so hash h uses
+    ``init * mult**h`` before and ``init * mult**(h + 1)`` after, mod 2**32;
+    returned as uint64 columns.
+    """
+    powers = [init * pow(mult, first + i, 1 << 32) & _M32 for i in range(_POOL + 1)]
+    return tuple(np.array(p, dtype=np.uint64)[:, None] for p in (powers[:-1], powers[1:]))
 
 
 def _hashmix(value, consts):
-    """SeedSequence's hash of 32-bit ``value`` (an int or a uint64 array)."""
+    """SeedSequence's hash of 32-bit ``value``."""
     before, after = consts
     value = (value ^ before) * after & _M32
     return value ^ value >> 16
@@ -126,38 +131,25 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _entropy_words(entropy) -> list[int]:
-    """SeedSequence's 32-bit words of an int (low word first) or a sequence of ints."""
+def _word_count(entropy) -> int:
+    """Number of 32-bit words SeedSequence makes of an int or a sequence of ints."""
     if isinstance(entropy, (int, np.integer)):
-        n = operator.index(entropy)
-        return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
-    return [w for e in entropy for w in _entropy_words(e)]
+        return max(1, -(-operator.index(entropy).bit_length() // 32))
+    return sum(_word_count(e) for e in entropy)
 
 
-def _seed_pool(seed):
-    """The SeedSequence pool after ``seed``'s words, and the hash multipliers to come.
+def _seed_pool(seed) -> tuple[np.ndarray, int]:
+    """The SeedSequence pool after ``seed``'s words, and the number of hashes it took.
 
     A trial's entropy is the seed's 32-bit words, zero-padded to the pool size
     because a spawn key follows, then the trial's spawn words; this prefix is
-    shared by every trial.
+    shared by every trial.  A seed alone mixes to the same pool, since
+    SeedSequence hashes a zero for every missing pool word, and its mixing
+    takes one hash per pool word, one per ordered pair of pool words, and
+    one per pool word for every word past the pool size.
     """
-    words = _entropy_words(seed)
-    words += [0] * (_POOL - len(words))
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, next(consts)) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    for w in words[_POOL:]:
-        pool = [_mix(p, _hashmix(w, next(consts))) for p in pool]
-    return pool, consts
-
-
-def _next_consts(consts) -> tuple[np.ndarray, np.ndarray]:
-    """The next pool-size hash multipliers as (before, after) uint64 columns."""
-    pairs = [next(consts) for _ in range(_POOL)]
-    return tuple(np.array(c, dtype=np.uint64)[:, None] for c in zip(*pairs))
+    hashes = _POOL * _POOL + _POOL * max(0, _word_count(seed) - _POOL)
+    return np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None], hashes
 
 
 def _philox_keys(seed, trials: range) -> np.ndarray:
@@ -166,14 +158,14 @@ def _philox_keys(seed, trials: range) -> np.ndarray:
     A trial below 2**32 is one spawn word, a larger one two (low word first);
     the second word is mixed in under a mask.
     """
-    pool, consts = _seed_pool(seed)
-    lo_consts, hi_consts = _next_consts(consts), _next_consts(consts)
+    pool, used = _seed_pool(seed)
     t = np.uint64(trials.start) + np.arange(len(trials), dtype=np.uint64)
     lo, hi = t & _LO, t >> _U32
-    pool = _mix(np.array(pool, dtype=np.uint64)[:, None], _hashmix(lo, lo_consts))
+    pool = _mix(pool, _hashmix(lo, _hash_consts(_INIT_A, _MULT_A, used)))
+    hi_consts = _hash_consts(_INIT_A, _MULT_A, used + _POOL)
     pool = np.where(hi != 0, _mix(pool, _hashmix(hi, hi_consts)), pool)
     # generate_state(2, uint64): four hashed pool words, little-endian pairs.
-    state = _hashmix(pool, _next_consts(_hash_consts(_INIT_B, _MULT_B)))
+    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 0))
     return state[0::2] | state[1::2] << _U32
 
 

@@ -20,6 +20,7 @@ from .gf2 import Gf2Matrix, multiply, pack_rows, row_space_equal, rref
 from .model import CpcCode, GeneralCpcCode, require_valid
 
 __all__ = [
+    "split_check_rows",
     "check_matrix",
     "stabilizers",
     "symplectic_matrix",
@@ -32,6 +33,27 @@ __all__ = [
 ]
 
 
+def split_check_rows(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-check and phase-check rows of split codes stacked on leading axes.
+
+    From uint8 mb (..., k, n_b), mp (..., k, n_p) and mc (..., n_b, n_p),
+    returns the Z supports of the bit checks (..., n_b, n) and the X supports
+    of the phase checks (..., n_p, n).  Bit check i is Z on itself, on the
+    data in column i of mb, and on the phase checks in row i of the cross
+    propagation mc + mb^T mp.  Phase check i is X on itself, on column i of
+    mp and on column i of mc.
+    """
+    *lead, n_b, n_p = mc.shape
+    mb_t, mp_t, mc_t = (np.swapaxes(m, -1, -2) for m in (mb, mp, mc))
+    # uint8 products wrap mod 256, which keeps their parity
+    cross = mc ^ ((mb_t @ mp) & 1)
+    stack = np.zeros((*lead, 1, 1), dtype=np.uint8)  # adding it copies a block per code
+    return (
+        np.concatenate([mb_t, stack + np.eye(n_b, dtype=np.uint8), cross], axis=-1),
+        np.concatenate([mp_t, mc_t, stack + np.eye(n_p, dtype=np.uint8)], axis=-1),
+    )
+
+
 def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray]:
     """X and Z supports of the measured stabilizer generators.
 
@@ -39,9 +61,8 @@ def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray
     is the generator read out by syndrome bit i: the n_b bit checks then the
     n_p phase checks of a split code, or the n_c checks of a generalized one.
 
-    Split code: bit check i is Z on itself, on the data in column i of mb, and
-    on the phase checks in row i of the cross propagation mc + mb^T mp.  Phase
-    check i is X on itself, on column i of mp and on column i of mc.
+    Split code: the rows of :func:`split_check_rows`, bit checks in ``hz``
+    and phase checks in ``hx``.
 
     Generalized code: check i is Z on itself and on its CNOT data neighbours,
     X on its conjugate-CZ data neighbours, and X on every check j with
@@ -53,21 +74,13 @@ def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray
     its qubit has a 1 in row i.
     """
     require_valid(code)
-    k, n = code.k, code.qubit_count
-    # uint8 products wrap mod 256, which keeps their parity
     if isinstance(code, CpcCode):
-        mb, mp, mc = code.mb.data, code.mp.data, code.mc.data
-        n_b, n_p = code.n_b, code.n_p
-        hx = np.zeros((n_b + n_p, n), dtype=np.uint8)
+        hx = np.zeros((code.n_b + code.n_p, code.qubit_count), dtype=np.uint8)
         hz = np.zeros_like(hx)
-        hz[:n_b, :k] = mb.T
-        hz[:n_b, k : k + n_b] = np.eye(n_b, dtype=np.uint8)
-        hz[:n_b, k + n_b :] = mc ^ ((mb.T @ mp) & 1)
-        hx[n_b:, :k] = mp.T
-        hx[n_b:, k : k + n_b] = mc.T
-        hx[n_b:, k + n_b :] = np.eye(n_p, dtype=np.uint8)
+        hz[: code.n_b], hx[code.n_b :] = split_check_rows(code.mb.data, code.mp.data, code.mc.data)
         return hx, hz
     mbs, mps, mcs = code.mbs.data, code.mps.data, code.mcs.data
+    # uint8 products wrap mod 256, which keeps their parity
     net = ((mps.T @ mbs) & 1) ^ (mcs | mcs.T)
     hx = np.hstack([mps.T, net.T])
     hz = np.hstack([mbs.T, np.eye(code.n_c, dtype=np.uint8)])

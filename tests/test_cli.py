@@ -358,6 +358,20 @@ def test_search_rejects_bad_cnot_indices(tmp_path, capsys, require, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("require, data", [("cnot:0,9", "3"), ("cnot:3,0", "3"), ("cnot:0,1", "0")])
+def test_search_rejects_out_of_range_cnot_before_any_trial(tmp_path, capsys, require, data):
+    out_dir = tmp_path / "hits"
+    code, out, err = _run(
+        capsys,
+        "search",
+        "--data", data, "--bit", "4", "--phase", "4",
+        "--budget", "0", "--require", require, "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == "" and not out_dir.exists()
+    assert err == f"error: data indices must lie in 0..{int(data) - 1}\n"
+
+
 def test_search_rejects_negative_cap(tmp_path, capsys):
     out_dir = tmp_path / "hits"
     code, out, err = _run(

@@ -30,6 +30,7 @@ from cpc.decoding import (
 from cpc.gf2 import Gf2Matrix
 from cpc.model import CpcCode, generalize
 from cpc.propagation import effective_codes, general_to_classical
+from cpc.stabilizers import check_matrix, split_check_rows
 
 
 def _syndrome_of(code, table, qubit, kind):
@@ -179,6 +180,16 @@ def test_correction_arrays_match_decode_on_every_syndrome():
             assert known == (entry.category != "uncorrectable"), (code, syndrome)
             cx, cz = np.maximum(first[a], 0) ^ np.maximum(second[b], 0)
             assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
+            (lx, lz), lknown = table.lookup(a, b)
+            assert (lx, lz, lknown) == (cx, cz, known), (code, syndrome)
+        # the same lookup over arrays of side masks, every pair at once
+        grid_a, grid_b = np.divmod(np.arange(first.shape[0] * second.shape[0]), second.shape[0])
+        corrections, known = table.lookup(grid_a, grid_b)
+        assert corrections.shape == (grid_a.size, 2) and known.shape == grid_a.shape
+        for a, b, (cx, cz), ok in zip(grid_a.tolist(), grid_b.tolist(), corrections, known):
+            entry = table.decode(table.syndrome(a, b))
+            assert ok == (entry.category != "uncorrectable"), (code, a, b)
+            assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
 
 
 def test_correction_arrays_refuse_wide_syndromes():
@@ -225,6 +236,25 @@ _BATCH_ORACLE_CASES = [
 ]
 
 
+def test_stacked_split_check_rows_match_check_matrix():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(405)))
+    for (k, n_b, n_p), mirrored, _, _ in _BATCH_ORACLE_CASES:
+        # two leading axes, so any stacking is exercised
+        mb = rng.integers(0, 2, size=(3, 20, k, n_b), dtype=np.uint8)
+        mp = mb if mirrored else rng.integers(0, 2, size=(3, 20, k, n_p), dtype=np.uint8)
+        mc = rng.integers(0, 2, size=(3, 20, n_b, n_p), dtype=np.uint8)
+        bit_rows, phase_rows = split_check_rows(mb, mp, mc)
+        n = k + n_b + n_p
+        assert bit_rows.shape == (3, 20, n_b, n) and phase_rows.shape == (3, 20, n_p, n)
+        assert bit_rows.dtype == phase_rows.dtype == np.uint8
+        for i, j in itertools.product(range(3), range(20)):
+            code = CpcCode(mb=Gf2Matrix(mb[i, j]), mp=Gf2Matrix(mp[i, j]), mc=Gf2Matrix(mc[i, j]))
+            hx, hz = check_matrix(code)
+            assert np.array_equal(hz[:n_b], bit_rows[i, j]), ((k, n_b, n_p), i, j)
+            assert np.array_equal(hx[n_b:], phase_rows[i, j]), ((k, n_b, n_p), i, j)
+            assert not hx[:n_b].any() and not hz[n_b:].any()
+
+
 def test_batched_verdicts_match_scalar():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(404)))
     checked = 0
@@ -255,6 +285,16 @@ def test_batched_verdicts_match_scalar():
     assert checked >= 10_000
     # both verdicts occur for every predicate, so the agreement is not vacuous
     assert all(0 < n < checked for n in hits.values()), hits
+
+
+def test_cnot_certificate_names_the_pairs_and_their_clashes():
+    report = cnot_compatible(fx.code_1133(), 0, 1)
+    assert not report.ok
+    got = {(g.syndrome, frozenset(g.labels)) for g in report.collisions}
+    assert got == {
+        ((0, 1, 1, 0, 0, 0, 0, 0), frozenset({"X_d1 X_d2", "X_d3"})),
+        ((0, 0, 0, 0, 0, 1, 1, 0), frozenset({"Z_d1 Z_d2", "Z_d3"})),
+    }
 
 
 def test_batched_predicates_check_their_arguments():

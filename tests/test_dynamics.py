@@ -159,6 +159,40 @@ def test_pauli_frame_qubit_limit():
         simulate(code, ErrorModel(0.1, 0.1), cfg)
 
 
+def test_dense_decode_cap_refused_before_any_trial(monkeypatch):
+    from cpc.gf2 import Gf2Matrix
+    from cpc.model import CpcCode
+
+    # 21 bit checks: one syndrome side is past the dense lookup's 20 bits
+    code = CpcCode(
+        mb=Gf2Matrix.from_rows([[1] * 21], cols=21),
+        mp=Gf2Matrix.zeros(1, 0),
+        mc=Gf2Matrix.zeros(21, 0),
+    )
+
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(dynamics, "_trial_rng", no_trial)
+    cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=("F0",))
+    with pytest.raises(ValueError, match="at most 20 checks"):
+        simulate(code, ErrorModel(0.0, 0.0), cfg)
+
+
+@pytest.mark.parametrize("metrics", [("F0",), ("Fplus",), ("Frand", "F0"), ("Fplus", "Frand")])
+def test_csv_holds_the_requested_metrics(metrics):
+    base = dict(cycle_rate=10.0, t_max=100.0, trials=8, haar_states=2, rng_seed=4, samples=6)
+    model = ErrorModel(0.05, 0.02)
+    full = simulate(fx.code_1133(), model, SimConfig(**base)).to_csv().splitlines()
+    part = simulate(fx.code_1133(), model, SimConfig(**base, metrics=metrics)).to_csv().splitlines()
+    header = full[0].split(",")
+    keep = [0] + [
+        i for i, name in enumerate(header) if name.removesuffix("_err") in metrics
+    ]
+    assert part == [",".join(line.split(",")[i] for i in keep) for line in full]
+    assert len(part[0].split(",")) == 1 + 2 * len(metrics)
+
+
 def test_uncorrectable_cycles_logged_for_flawed_code():
     # the flawed code keeps running; ambiguous syndromes are only counted
     cfg = SimConfig(cycle_rate=10.0, t_max=50.0, trials=20, haar_states=2, rng_seed=3, samples=5)
