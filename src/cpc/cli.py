@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import re
 import sys
 from pathlib import Path
@@ -345,7 +346,6 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         constraint="mirror_bp" if args.mirror_bp else None,
         cap=args.cap,
-        threads=args.threads,
     )
     out_dir = Path(args.out) if args.out else Path("found-codes")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,6 +382,7 @@ def _cmd_emit_circuit(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpc",
@@ -466,10 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mirror-bp", action="store_true")
     p.add_argument("--require", help="extra predicate, e.g. cnot:0,1")
     p.add_argument("--cap", type=int, default=100)
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; the search runs serially",
-    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("logical-h", parents=[common], help="encoder realising a logical H")

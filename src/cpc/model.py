@@ -12,7 +12,7 @@ checks, then phase checks; general codes order data first, then checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .gf2 import Gf2Matrix
 
@@ -304,6 +304,23 @@ def _expect_section(lines, name: str) -> None:
         raise CpcFormatError(f"expected section header {name!r}, got {line!r}", lineno)
 
 
+# Per header: the code class, its count lines as (keyword, size) pairs, and
+# the B, P and C shapes in those sizes.  Each size is also the code property
+# that serialize writes back, and the class's fields are B, P, C in order.
+_LAYOUTS = {
+    "CPC split": (
+        CpcCode,
+        (("data", "k"), ("bit", "n_b"), ("phase", "n_p")),
+        (("k", "n_b"), ("k", "n_p"), ("n_b", "n_p")),
+    ),
+    "CPC general": (
+        GeneralCpcCode,
+        (("data", "k"), ("checks", "n_c")),
+        (("k", "n_c"), ("k", "n_c"), ("n_c", "n_c")),
+    ),
+}
+
+
 def parse(text: str) -> CpcCode | GeneralCpcCode:
     """Parse the ``.cpc`` text format."""
     lines = _meaningful_lines(text)
@@ -311,74 +328,37 @@ def parse(text: str) -> CpcCode | GeneralCpcCode:
         lineno, header = next(lines)
     except StopIteration:
         raise CpcFormatError("empty input") from None
-    if header == "CPC split":
-        kind = "split"
-    elif header == "CPC general":
-        kind = "general"
-    else:
-        raise CpcFormatError(
-            f"expected 'CPC split' or 'CPC general', got {header!r}", lineno
-        )
-
-    lineno, line = next(lines, (None, None))
-    if line is None:
-        raise CpcFormatError("missing 'data <k>' line")
-    k = _parse_count(line, lineno, "data")
-
-    if kind == "split":
+    if header not in _LAYOUTS:
+        expected = " or ".join(repr(h) for h in _LAYOUTS)
+        raise CpcFormatError(f"expected {expected}, got {header!r}", lineno)
+    cls, counts, shapes = _LAYOUTS[header]
+    sizes = {}
+    for keyword, size in counts:
         lineno, line = next(lines, (None, None))
         if line is None:
-            raise CpcFormatError("missing 'bit <n_b>' line")
-        n_b = _parse_count(line, lineno, "bit")
-        lineno, line = next(lines, (None, None))
-        if line is None:
-            raise CpcFormatError("missing 'phase <n_p>' line")
-        n_p = _parse_count(line, lineno, "phase")
-        _expect_section(lines, "B")
-        mb = _parse_matrix(lines, k, n_b, "B")
-        _expect_section(lines, "P")
-        mp = _parse_matrix(lines, k, n_p, "P")
-        _expect_section(lines, "C")
-        mc = _parse_matrix(lines, n_b, n_p, "C")
-        code: CpcCode | GeneralCpcCode = CpcCode(mb=mb, mp=mp, mc=mc)
-    else:
-        lineno, line = next(lines, (None, None))
-        if line is None:
-            raise CpcFormatError("missing 'checks <n_c>' line")
-        n_c = _parse_count(line, lineno, "checks")
-        _expect_section(lines, "B")
-        mbs = _parse_matrix(lines, k, n_c, "B")
-        _expect_section(lines, "P")
-        mps = _parse_matrix(lines, k, n_c, "P")
-        _expect_section(lines, "C")
-        mcs = _parse_matrix(lines, n_c, n_c, "C")
-        code = GeneralCpcCode(mbs=mbs, mps=mps, mcs=mcs)
+            raise CpcFormatError(f"missing '{keyword} <{size}>' line")
+        sizes[size] = _parse_count(line, lineno, keyword)
+    matrices = []
+    for section, (rows, cols) in zip("BPC", shapes):
+        _expect_section(lines, section)
+        matrices.append(_parse_matrix(lines, sizes[rows], sizes[cols], section))
     extra = next(lines, None)
     if extra is not None:
         raise CpcFormatError(f"unexpected content after the C section: {extra[1]!r}", extra[0])
-    return code
+    return cls(*matrices)
 
 
 def serialize(code: CpcCode | GeneralCpcCode) -> str:
     """Serialize to the ``.cpc`` format; matrices are stored exactly as given."""
-    out: list[str] = []
-    if isinstance(code, CpcCode):
-        out.append("CPC split")
-        out.append(f"data {code.k}")
-        out.append(f"bit {code.n_b}")
-        out.append(f"phase {code.n_p}")
-        for name, mat in (("B", code.mb), ("P", code.mp), ("C", code.mc)):
-            out.append(name)
-            if mat.cols:
-                out.extend(mat.to_lines())
-    elif isinstance(code, GeneralCpcCode):
-        out.append("CPC general")
-        out.append(f"data {code.k}")
-        out.append(f"checks {code.n_c}")
-        for name, mat in (("B", code.mbs), ("P", code.mps), ("C", code.mcs)):
-            out.append(name)
-            if mat.cols:
-                out.extend(mat.to_lines())
+    for header, (cls, counts, _) in _LAYOUTS.items():
+        if isinstance(code, cls):
+            break
     else:
         raise TypeError(f"not a code object: {type(code).__name__}")
+    out = [header] + [f"{keyword} {getattr(code, size)}" for keyword, size in counts]
+    for section, field in zip("BPC", fields(code)):
+        mat = getattr(code, field.name)
+        out.append(section)
+        if mat.cols:
+            out.extend(mat.to_lines())
     return "\n".join(out) + "\n"

@@ -130,38 +130,15 @@ class CssToCpcResult:
     permutation: tuple[int, ...]
 
 
-def _independent_pivot_sets(matrix: Gf2Matrix):
-    """Yield column sets that index an invertible submatrix, in lex order."""
-    rank = rref(matrix).rank
-    cols = matrix.cols
-    for combo in itertools.combinations(range(cols), rank):
-        sub = Gf2Matrix(matrix.data[:, list(combo)])
-        if rref(sub).rank == rank:
-            yield combo
-
-
-def _rank_on_columns(matrix: Gf2Matrix, columns: list[int]) -> int:
-    if not columns:
-        return 0
-    return rref(Gf2Matrix(matrix.data[:, columns])).rank
-
-
-def _reduce_with_pivots(matrix: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
-    """Row-reduce so the pivot columns become an identity; drop zero rows."""
-    order = list(pivots) + [c for c in range(matrix.cols) if c not in pivots]
-    reduced = rref(matrix, column_order=order).reduced
-    keep = reduced.data.any(axis=1)
-    return Gf2Matrix(reduced.data[keep])
-
-
 def css_to_cpc(g_z: Gf2Matrix, g_x: Gf2Matrix) -> CssToCpcResult:
     """Rewrite a CSS stabilizer presentation as a split CPC code.
 
-    Row-reduces both blocks, picks the lexicographically first pair of
-    disjoint pivot-column sets (Z pivots become bit checks, X pivots phase
-    checks, everything else data), and reads the code matrices off the
-    reduced blocks.  The stabilizer group is preserved exactly; the result
-    records the column permutation used.
+    The Z pivots of ``rref(g_z)``, its lexicographically first independent
+    columns, become the bit checks; the pivots of ``g_x`` reduced over the
+    remaining columns in order become the phase checks, and every other
+    column is data.  mb, mp and mc are read off the two reduced blocks.  The
+    stabilizer group is preserved exactly; the result records the column
+    permutation used.
     """
     if g_z.cols != g_x.cols:
         raise CssConversionError(
@@ -172,64 +149,31 @@ def css_to_cpc(g_z: Gf2Matrix, g_x: Gf2Matrix) -> CssToCpcResult:
     if not commute.is_zero():
         raise CssConversionError("Z and X generators do not commute")
 
-    rank_x = rref(g_x).rank
-    chosen = None
-    for z_pivots in _independent_pivot_sets(g_z):
-        rest = [c for c in range(n) if c not in z_pivots]
-        if _rank_on_columns(g_x, rest) == rank_x:
-            # lex-first X pivot set avoiding the Z pivots
-            x_pivots: list[int] = []
-            current: list[int] = []
-            for c in rest:
-                if _rank_on_columns(g_x, current + [c]) > len(x_pivots):
-                    x_pivots.append(c)
-                    current.append(c)
-            chosen = (z_pivots, tuple(x_pivots))
-            break
-    if chosen is None:
-        raise CssConversionError(
-            "no disjoint pivot assignment exists for the Z and X blocks"
-        )
-    z_pivots, x_pivots = chosen
-
-    rz = _reduce_with_pivots(g_z, z_pivots)
-    rx = _reduce_with_pivots(g_x, x_pivots)
-    data_cols = [c for c in range(n) if c not in z_pivots and c not in x_pivots]
-    bit_cols = list(z_pivots)
-    phase_cols = list(x_pivots)
-
-    mb = Gf2Matrix(rz.data[:, data_cols].T) if rz.rows else Gf2Matrix.zeros(len(data_cols), 0)
-    mp = Gf2Matrix(rx.data[:, data_cols].T) if rx.rows else Gf2Matrix.zeros(len(data_cols), 0)
-    mc = (
-        Gf2Matrix(rx.data[:, bit_cols].T)
-        if rx.rows
-        else Gf2Matrix.zeros(len(bit_cols), 0)
+    # An X-group element supported only on Z pivots would anticommute with the
+    # reduced Z row of each pivot it touches, so g_x keeps its full rank off
+    # the Z pivots and the two pivot sets are always disjoint.
+    z = rref(g_z)
+    rest = [c for c in range(n) if c not in z.pivots]
+    x = rref(g_x, column_order=rest)
+    data_cols = [c for c in rest if c not in x.pivots]
+    bit_cols, phase_cols = list(z.pivots), list(x.pivots)
+    rz = z.reduced.data[: z.rank]
+    rx = x.reduced.data[: x.rank]
+    code = CpcCode(
+        mb=Gf2Matrix(rz[:, data_cols].T),
+        mp=Gf2Matrix(rx[:, data_cols].T),
+        mc=Gf2Matrix(rx[:, bit_cols].T),
     )
-    if mc.rows != len(bit_cols) or mc.cols != len(phase_cols):
-        mc = Gf2Matrix.zeros(len(bit_cols), len(phase_cols))
-
-    code = CpcCode(mb=mb, mp=mp, mc=mc)
     permutation = tuple(data_cols + bit_cols + phase_cols)
 
-    # The conversion must reproduce the input group under the permutation.
+    # The conversion must reproduce the input group under the permutation;
+    # CSS blocks span independently, so each block is checked on its own.
     new_gz, new_gx = symplectic_matrix(code)
-    inverse = [0] * n
-    for new_q, orig in enumerate(permutation):
-        inverse[orig] = new_q
-    original_order = [inverse[c] for c in range(n)]
-    got = np.vstack(
-        [
-            np.hstack([new_gz.data[:, original_order], np.zeros_like(new_gz.data)]),
-            np.hstack([np.zeros_like(new_gx.data), new_gx.data[:, original_order]]),
-        ]
-    )
-    want = np.vstack(
-        [
-            np.hstack([g_z.data, np.zeros_like(g_z.data)]),
-            np.hstack([np.zeros_like(g_x.data), g_x.data]),
-        ]
-    )
-    if not row_space_equal(Gf2Matrix(got), Gf2Matrix(want)):
+    original_order = np.argsort(permutation)
+    if not (
+        row_space_equal(Gf2Matrix(new_gz.data[:, original_order]), g_z)
+        and row_space_equal(Gf2Matrix(new_gx.data[:, original_order]), g_x)
+    ):
         raise CssConversionError("converted code does not span the input group")
     return CssToCpcResult(code=code, permutation=permutation)
 

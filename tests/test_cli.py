@@ -253,8 +253,9 @@ def test_search_command_writes_codes(tmp_path, capsys):
         capsys,
         "search",
         "--data", "3", "--bit", "4", "--phase", "4",
-        "--budget", "3000", "--seed", "2", "--out", str(out_dir), "--threads", "4",
+        "--budget", "3000", "--seed", "2", "--out", str(out_dir),
     )
+    assert code == 0
     assert written[0].read_text(encoding="utf-8") == first
 
 
@@ -417,11 +418,21 @@ def test_search_rejects_malformed_require(tmp_path, capsys, require):
         ["verify", "{fixture}", "--out", "result.txt"],
         ["distance", "{fixture}", "--out", "result.txt"],
         ["fit", "{fixture}", "--out", "result.txt"],
+        ["search", "--data", "3", "--bit", "4", "--phase", "4", "--budget", "1", "--threads", "2"],
     ],
 )
 def test_seed_and_threads_only_where_read(capsys, fixture_dir, argv):
-    # --seed belongs to simulate and search, --threads to search only, and
-    # --out to the commands that write their output to it
+    # --seed belongs to simulate and search, no command takes --threads (the
+    # search runs serially), and --out belongs to the commands that write to it
     argv = [a.format(fixture=fixture_dir / "6-3-1.cpc") for a in argv]
     code, _, err = _run(capsys, *argv)
     assert code == 2 and "unrecognized arguments" in err
+
+
+def test_malformed_code_file_exits_two_with_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.cpc"
+    path.write_text("CPC split\ndata 1\nbit two\n", encoding="utf-8")
+    code, out, err = _run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: bad count in 'bit two'\n"

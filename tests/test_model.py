@@ -175,3 +175,44 @@ def test_parse_rejects_trailing_content():
     with pytest.raises(CpcFormatError) as err:
         parse(text)
     assert "after the C section" in str(err.value)
+
+
+_SPLIT_HEAD = "CPC split\ndata 1\nbit 2\nphase 1\n"
+_GENERAL_HEAD = "CPC general\ndata 1\nchecks 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("", "empty input", None),
+        ("CPC nonsense\n", "expected 'CPC split' or 'CPC general', got 'CPC nonsense'", 1),
+        ("CPC split\ndata x\n", "bad count in 'data x'", 2),
+        ("CPC split\ndata 1\nbit 1.5\n", "bad count in 'bit 1.5'", 3),
+        ("CPC general\ndata 1\nchecks -2\n", "negative count in 'checks -2'", 3),
+        ("CPC split\ndata -1\n", "negative count in 'data -1'", 2),
+        ("CPC split\nbit 1\n", "expected 'data <count>', got 'bit 1'", 2),
+        ("CPC split\ndata 1\nphase 1\n", "expected 'bit <count>', got 'phase 1'", 3),
+        ("CPC general\ndata 1\nbit 1\n", "expected 'checks <count>', got 'bit 1'", 3),
+        ("CPC split\ndata 1 2\n", "expected 'data <count>', got 'data 1 2'", 2),
+        ("CPC split\n", "missing 'data <k>' line", None),
+        ("CPC split\ndata 1\n", "missing 'bit <n_b>' line", None),
+        ("CPC split\ndata 1\nbit 2\n", "missing 'phase <n_p>' line", None),
+        ("CPC general\ndata 1\n", "missing 'checks <n_c>' line", None),
+        (_SPLIT_HEAD, "expected section header 'B', file ended", None),
+        (_SPLIT_HEAD + "P\n", "expected section header 'B', got 'P'", 5),
+        (_SPLIT_HEAD + "B\n10\nC\n", "expected section header 'P', got 'C'", 7),
+        (_SPLIT_HEAD + "B\n10\nP\n1\n", "expected section header 'C', file ended", None),
+        (_GENERAL_HEAD + "B\n", "section B: expected 1 rows, file ended early", None),
+        (_GENERAL_HEAD + "B\n10\nP\n01\nC\n00\n", "section C: expected 2 rows, file ended early", None),
+        (_SPLIT_HEAD + "B\n101\n", "section B: expected 2 columns, got 3", 6),
+        (_SPLIT_HEAD + "B\n10\nP\n\n# c\n11\n", "section P: expected 1 columns, got 2", 10),
+        (_GENERAL_HEAD + "B\n1x\n", "section B: non-binary character 'x' at column 2", 5),
+        (_SPLIT_HEAD + "B\n10\nP\n1\nC\n1\n0\nB\n", "unexpected content after the C section: 'B'", 12),
+        (_GENERAL_HEAD + "B\n10\nP\n01\nC\n01\n00\n00\n", "unexpected content after the C section: '00'", 11),
+    ],
+)
+def test_parse_errors_name_the_line(text, message, line):
+    with pytest.raises(CpcFormatError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")

@@ -7,7 +7,7 @@ from conftest import seeded_random_codes, seeded_random_general_codes
 from cpc import fixtures as fx
 from cpc.circuits import PauliString, conjugate_pauli, decode_circuit, encode_circuit
 from cpc.decoding import single_error_records
-from cpc.gf2 import Gf2Matrix, multiply, row_space_equal
+from cpc.gf2 import Gf2Matrix, multiply, row_space_equal, rref
 from cpc.model import CpcCode, GeneralCpcCode, generalize
 from cpc.stabilizers import (
     CssConversionError,
@@ -262,6 +262,45 @@ def test_css_to_cpc_rejects_non_commuting():
     g_x = Gf2Matrix([[1, 0]])
     with pytest.raises(CssConversionError):
         css_to_cpc(g_z, g_x)
+
+
+def test_css_to_cpc_rejects_column_count_mismatch():
+    with pytest.raises(CssConversionError, match=r"^column-count mismatch: 3 vs 2$"):
+        css_to_cpc(Gf2Matrix.zeros(1, 3), Gf2Matrix.zeros(1, 2))
+
+
+def _null_space(h: Gf2Matrix) -> np.ndarray:
+    """Basis of {v : h v = 0}, one row per free column of rref(h)."""
+    red = rref(h)
+    free = [c for c in range(h.cols) if c not in red.pivots]
+    basis = np.zeros((len(free), h.cols), dtype=np.uint8)
+    for row, f in enumerate(free):
+        basis[row, f] = 1
+        basis[row, list(red.pivots)] = red.reduced.data[: red.rank, f]
+    return basis
+
+
+def test_css_to_cpc_converts_every_commuting_pair():
+    # Z rows at random, X rows random combinations of their null space (so
+    # dependent and zero rows occur), each pair in both orientations
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
+    for _ in range(150):
+        n = int(rng.integers(1, 11))
+        g_z = Gf2Matrix(rng.integers(0, 2, size=(int(rng.integers(0, n + 2)), n), dtype=np.uint8))
+        basis = _null_space(g_z)
+        mix = rng.integers(0, 2, size=(int(rng.integers(0, n + 2)), len(basis)), dtype=np.uint8)
+        g_x = Gf2Matrix((mix.astype(np.int64) @ basis) % 2)
+        for z, x in ((g_z, g_x), (g_x, g_z)):
+            result = css_to_cpc(z, x)
+            code = result.code
+            assert result.permutation[code.k : code.k + code.n_b] == rref(z).pivots
+            assert sorted(result.permutation) == list(range(n))
+            new_gz, new_gx = symplectic_matrix(code)
+            inverse = np.argsort(np.array(result.permutation))
+            permuted = _stack_css(
+                Gf2Matrix(new_gz.data[:, inverse]), Gf2Matrix(new_gx.data[:, inverse])
+            )
+            assert row_space_equal(permuted, _stack_css(z, x))
 
 
 def test_cpc_to_css_1133_matches_table():
