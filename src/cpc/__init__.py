@@ -41,7 +41,6 @@ from .stabilizers import (
     CssConversionError,
     CssToCpcResult,
     check_matrix,
-    code_distance,
     css_to_cpc,
     logical_operators,
     stabilizers,
@@ -54,6 +53,7 @@ from .decoding import (
     IsingProblem,
     augment_for_cnot,
     cnot_compatible,
+    code_distance,
     decode_table,
     error_table,
     is_single_error_correcting,

@@ -76,6 +76,8 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if self.qubit_count < 0:
+            raise ValueError(f"qubit count must be non-negative, got {self.qubit_count}")
         for g in self.gates:
             if any(q < 0 or q >= self.qubit_count for q in g.qubits):
                 raise ValueError(f"gate {g} outside 0..{self.qubit_count - 1}")
@@ -325,12 +327,16 @@ def circuit_to_text(circuit: Circuit) -> str:
 def circuit_from_text(text: str) -> Circuit:
     qubit_count = None
     gates: list[Gate] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "qubits":
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ValueError(
+                    f"line {number}: expected 'qubits <non-negative int>', got {line!r}"
+                )
             qubit_count = int(parts[1])
             continue
         kind, qubits = parts[0], tuple(int(t) for t in parts[1:])

@@ -20,6 +20,7 @@ from . import __version__
 from .circuits import circuit_to_text, decode_circuit, encode_circuit
 from .decoding import (
     DecodingObstruction,
+    code_distance,
     decode_table,
     is_single_error_correcting,
     ising_problem,
@@ -45,7 +46,6 @@ from .search import (
 )
 from .stabilizers import (
     CssConversionError,
-    code_distance,
     css_to_cpc,
     logical_operators,
     stabilizer_to_text,

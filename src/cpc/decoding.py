@@ -1,4 +1,4 @@
-"""Syndrome tables, decode tables, correctability verdicts, and ML decoding.
+"""Syndrome tables, decode tables, correctability verdicts, code distance, ML decoding.
 
 A syndrome is the tuple of parity-check measurement flips after one cycle:
 for split codes the n_b bit-check outcomes followed by the n_p phase-check
@@ -13,6 +13,7 @@ pattern is the XOR of single-qubit contributions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,6 +39,7 @@ __all__ = [
     "CollisionGroup",
     "CorrectabilityReport",
     "is_single_error_correcting",
+    "code_distance",
     "DecodeTable",
     "DecodingObstruction",
     "decode_table",
@@ -64,6 +66,13 @@ _KINDS = ("X", "Y", "Z")
 
 def _mask_to_tuple(mask: int, width: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(width))
+
+
+def _check_bits(values, name: str) -> None:
+    """Refuse a syndrome or measurement list with an entry other than 0 or 1."""
+    for i, b in enumerate(values):
+        if b not in (0, 1):
+            raise ValueError(f"{name}[{i}] is {b!r}, expected 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -217,6 +226,37 @@ def is_single_error_correcting(
     return _correctability(code, _syndrome_classes(single_error_records(code)))
 
 
+def code_distance(code: CpcCode | GeneralCpcCode, w_max: int = 4) -> int | None:
+    """Minimum weight of a Pauli that commutes with all stabilizers but is not one.
+
+    A Pauli's syndrome and data residual are the XOR of those of its
+    single-qubit factors in :func:`single_error_records`.  It commutes with
+    every generator exactly when its syndrome is zero, and then the decoded
+    checks are back in their reference states, so it is a stabilizer exactly
+    when its data residual is zero too.  Exhaustive over weights 1..w_max;
+    returns None when no such Pauli exists in that range (distance greater
+    than w_max).
+    """
+    if w_max < 1:
+        raise ValueError(f"w_max must be at least 1, got {w_max}")
+    n1, n2 = _syndrome_widths(code)
+    syndrome_bits = (1 << (n1 + n2)) - 1
+    # One key per fault: the syndrome in the low bits, the data residual above.
+    keys = [
+        r.sx | r.sz << n1 | (r.rx | r.rz << code.k) << (n1 + n2)
+        for r in single_error_records(code)
+    ]
+    qubits = [keys[3 * q : 3 * q + 3] for q in range(code.qubit_count)]
+    for weight in range(1, w_max + 1):
+        for support in itertools.combinations(qubits, weight):
+            xors = [0]
+            for faults in support:
+                xors = [a ^ b for a in xors for b in faults]
+            if any(key and not key & syndrome_bits for key in xors):
+                return weight
+    return None
+
+
 class DecodingObstruction(ValueError):
     """Raised when a decode table is requested for an ambiguous code."""
 
@@ -265,6 +305,7 @@ class DecodeTable:
             raise ValueError(
                 f"syndrome length {len(syndrome)}, expected {self.n_first + self.n_second}"
             )
+        _check_bits(syndrome, "syndrome")
         first = sum(b << i for i, b in enumerate(syndrome[: self.n_first]))
         second = sum(b << i for i, b in enumerate(syndrome[self.n_first:]))
         return first, second
@@ -578,6 +619,7 @@ def ising_problem(
         raise ValueError(
             f"expected {len(cc.checks)} measurements, got {len(measurements)}"
         )
+    _check_bits(measurements, "measurements")
     fields = tuple(math.log(p / (1.0 - p)) for p in bit_priors)
     terms = []
     for (check_id, members), p, m in zip(cc.checks, check_priors, measurements):
@@ -625,6 +667,10 @@ class MlDecodeResult:
 
 def infer_check_errors(cc: ClassicalCode, syndrome, bit_errors) -> frozenset[int]:
     """Checks whose measured parity disagrees with the inferred bit errors."""
+    syndrome = list(syndrome)
+    if len(syndrome) != len(cc.checks):
+        raise ValueError(f"expected {len(cc.checks)} syndrome bits")
+    _check_bits(syndrome, "syndrome")
     flipped = set(bit_errors)
     errored = set()
     for (check_id, members), m in zip(cc.checks, syndrome):
@@ -652,6 +698,7 @@ def ml_decode_exhaustive(
     syndrome = list(syndrome)
     if len(syndrome) != len(cc.checks):
         raise ValueError(f"expected {len(cc.checks)} syndrome bits")
+    _check_bits(syndrome, "syndrome")
     n = cc.bit_count
     if n > 24:
         raise ValueError(f"instance too large for exhaustive search: {n} bits")

@@ -21,7 +21,7 @@ from .circuits import (
     encode_circuit,
     hadamard,
 )
-from .decoding import single_error_records
+from .decoding import _check_cnot, single_error_records
 from .model import CpcCode, require_valid
 
 __all__ = [
@@ -149,9 +149,5 @@ def cnot_rewrite(circuit: Circuit, control: int, target: int) -> Circuit:
 def logical_cnot_circuit(code: CpcCode, control: int, target: int) -> Circuit:
     """Encoder rewritten to realise a logical CNOT between two data qubits."""
     require_valid(code)
-    if control == target:
-        raise ValueError("control and target must differ")
-    for idx in (control, target):
-        if not 0 <= idx < code.k:
-            raise ValueError(f"data index {idx} outside 0..{code.k - 1}")
+    _check_cnot(control, target, code.k)
     return cnot_rewrite(encode_circuit(code), control, target)

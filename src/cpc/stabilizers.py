@@ -1,16 +1,15 @@
-"""Check matrix, stabilizer generators, CSS conversion, logicals, distance.
+"""Check matrix, stabilizer generators, CSS conversion and logicals.
 
 Each bit check contributes one Z-type generator and each phase check one
 X-type generator; the Z-type generators pick up extra support on phase checks
 through the cross-propagation correction, which is exactly what makes the set
-mutually commuting.  :func:`check_matrix` holds these supports, and every
-other presentation here (generators, the CSS pair, the distance search) reads
-its rows.
+mutually commuting.  :func:`check_matrix` holds these supports; the generators
+and the CSS pair here, and the single-error map and code distance of
+:mod:`cpc.decoding`, read its rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "CssConversionError",
     "CssToCpcResult",
     "logical_operators",
-    "code_distance",
     "stabilizer_to_text",
 ]
 
@@ -191,56 +189,6 @@ def logical_operators(code: CpcCode) -> tuple[list[PauliString], list[PauliStrin
     logical_x = [conjugate_pauli(enc, PauliString.single(n, j, "X")) for j in range(code.k)]
     logical_z = [conjugate_pauli(enc, PauliString.single(n, j, "Z")) for j in range(code.k)]
     return logical_x, logical_z
-
-
-def _mask_basis_reduce(basis: list[int], vec: int) -> int:
-    """Reduce ``vec`` against a list of leading-bit-sorted basis masks."""
-    for b in basis:
-        if vec & (1 << (b.bit_length() - 1)):
-            vec ^= b
-    return vec
-
-
-def _build_mask_basis(vectors: list[int]) -> list[int]:
-    basis: list[int] = []
-    for v in vectors:
-        v = _mask_basis_reduce(basis, v)
-        if v:
-            basis.append(v)
-            basis.sort(key=int.bit_length, reverse=True)
-    return basis
-
-
-def code_distance(code: CpcCode | GeneralCpcCode, w_max: int = 4) -> int | None:
-    """Minimum weight of a Pauli that commutes with all stabilizers but is not one.
-
-    Exhaustive over all Pauli strings of weight 1..w_max; returns None when
-    none exists in that range (distance greater than w_max).
-    """
-    if w_max < 1:
-        raise ValueError(f"w_max must be at least 1, got {w_max}")
-    hx, hz = check_matrix(code)
-    n = code.qubit_count
-    # Symplectic masks (x | z<<n) for commutation tests and group membership.
-    gen_masks = list(zip(pack_rows(hx), pack_rows(hz)))
-    basis = _build_mask_basis([x | (z << n) for x, z in gen_masks])
-    letters = (("X", 1, 0), ("Z", 0, 1), ("Y", 1, 1))
-    for weight in range(1, w_max + 1):
-        for qubits in itertools.combinations(range(n), weight):
-            for assignment in itertools.product(letters, repeat=weight):
-                x = z = 0
-                for q, (_, has_x, has_z) in zip(qubits, assignment):
-                    x |= has_x << q
-                    z |= has_z << q
-                commutes = all(
-                    ((x & gz).bit_count() + (z & gx).bit_count()) % 2 == 0
-                    for gx, gz in gen_masks
-                )
-                if not commutes:
-                    continue
-                if _mask_basis_reduce(basis, x | (z << n)) != 0:
-                    return weight
-    return None
 
 
 def stabilizer_to_text(p: PauliString, namer) -> str:

@@ -26,6 +26,7 @@ from cpc.circuits import (
 from cpc.decoding import (
     augment_for_cnot,
     cnot_compatible,
+    code_distance,
     error_table,
     infer_check_errors,
     is_single_error_correcting,
@@ -40,7 +41,6 @@ from cpc.model import validate
 from cpc.propagation import effective_codes
 from cpc.search import search, single_error_correcting_predicate
 from cpc.stabilizers import (
-    code_distance,
     css_to_cpc,
     stabilizer_to_text,
     stabilizers,

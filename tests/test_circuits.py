@@ -180,6 +180,27 @@ def test_circuit_text_round_trip():
     assert circuit_from_text(text) == circ
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qubits\n", 1),
+        ("qubits -3\n", 1),
+        ("qubits 2 7\n", 1),
+        ("# header\nqubits x\nH 0\n", 2),
+        ("H 0\n\nqubits 1.5\n", 3),
+    ],
+    ids=["no count", "negative", "extra token", "not a number", "fraction"],
+)
+def test_circuit_text_rejects_malformed_qubits_line(text, line):
+    with pytest.raises(ValueError, match=rf"line {line}: expected 'qubits <non-negative int>'"):
+        circuit_from_text(text)
+
+
+def test_circuit_rejects_negative_qubit_count():
+    with pytest.raises(ValueError, match="qubit count must be non-negative, got -3"):
+        Circuit(-3)
+
+
 def test_commutator_of_bp_gates_matches_cross_propagation():
     # every B-block/P-block CNOT pair sharing a data qubit commutes into the
     # CNOT(phase -> bit) whose parity, together with the direct cross checks,

@@ -298,6 +298,16 @@ def test_logical_cnot_command(capsys, fixture_dir):
     assert out.splitlines()[1] == "CNOT 0 1"
 
 
+def test_logical_cnot_rejects_index_off_the_data(capsys, fixture_dir):
+    code, out, err = _run(
+        capsys,
+        "logical-cnot", str(fixture_dir / "11-3-3.cpc"),
+        "--control", "0", "--target", "5",
+    )
+    assert code == 2 and out == ""
+    assert "data indices must lie in 0..2" in err
+
+
 def test_logical_h_on_general_code_is_input_error(capsys, fixture_dir):
     code, _, err = _run(
         capsys, "logical-h", str(fixture_dir / "10-3-3.cpc"), "--qubit", "0"

@@ -407,6 +407,45 @@ def test_ising_matches_ml_on_general_classical_code():
         assert sol.bit_errors == ml.bit_errors
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda cc: decode_table(fx.code_1133()).decode((2, 0, 0, 0, 0, 0, 0, 0)),
+            r"syndrome\[0\] is 2, expected 0 or 1",
+        ),
+        (
+            lambda cc: decode_table(fx.code_1033_general()).split_sides((0,) * 6 + (-1,)),
+            r"syndrome\[6\] is -1, expected 0 or 1",
+        ),
+        (
+            lambda cc: ising_problem(cc, [0.1] * cc.bit_count, [0.1] * 4, [0, 3, 0, 0]),
+            r"measurements\[1\] is 3, expected 0 or 1",
+        ),
+        (
+            lambda cc: ml_decode_exhaustive(cc, [2, 0, 0, 0], [0.1] * cc.bit_count, [0.1] * 4),
+            r"syndrome\[0\] is 2, expected 0 or 1",
+        ),
+        (
+            lambda cc: infer_check_errors(cc, [0, 0, 0, 2], frozenset()),
+            r"syndrome\[3\] is 2, expected 0 or 1",
+        ),
+        (
+            lambda cc: infer_check_errors(cc, [1], frozenset()),
+            "expected 4 syndrome bits",
+        ),
+    ],
+    ids=[
+        "decode", "split_sides", "ising_problem", "ml_decode_exhaustive",
+        "infer_check_errors", "infer_check_errors_length",
+    ],
+)
+def test_malformed_syndromes_are_rejected(call, message):
+    cc, _ = effective_codes(fx.code_1133())
+    with pytest.raises(ValueError, match=message):
+        call(cc)
+
+
 def test_ml_decode_too_large():
     from cpc.model import ClassicalCode
 

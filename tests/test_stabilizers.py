@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import seeded_random_codes, seeded_random_general_codes
 from cpc import fixtures as fx
 from cpc.circuits import PauliString, conjugate_pauli, decode_circuit, encode_circuit
-from cpc.decoding import single_error_records
+from cpc.decoding import code_distance, correcting_mask, single_error_records
 from cpc.gf2 import Gf2Matrix, multiply, row_space_equal, rref
-from cpc.model import CpcCode, GeneralCpcCode, generalize
+from cpc.model import CpcCode, GeneralCpcCode, generalize, parse
+from cpc.search import random_code, search
 from cpc.stabilizers import (
     CssConversionError,
     check_matrix,
-    code_distance,
     css_to_cpc,
     logical_operators,
     stabilizer_to_text,
@@ -350,6 +352,63 @@ def test_code_distances():
     assert code_distance(fx.code_631()) == 1
     assert code_distance(fx.code_1243()) == 3
     assert code_distance(fx.code_1033_general()) == 3
+
+
+def _reference_distance(code, w_max: int) -> int | None:
+    """Least weight of a Pauli that commutes with every generator and
+    anticommutes with some logical operator, by enumeration."""
+    n = code.qubit_count
+    generators = stabilizers(code)
+    logical_x, logical_z = logical_operators(code)
+    logicals = logical_x + logical_z
+    bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    for weight in range(1, w_max + 1):
+        for qubits in itertools.combinations(range(n), weight):
+            for letters in itertools.product("XYZ", repeat=weight):
+                p = PauliString(
+                    n,
+                    sum(bits[c][0] << q for q, c in zip(qubits, letters)),
+                    sum(bits[c][1] << q for q, c in zip(qubits, letters)),
+                )
+                if all(p.commutes_with(g) for g in generators) and not all(
+                    p.commutes_with(op) for op in logicals
+                ):
+                    return weight
+    return None
+
+
+def test_fixture_distances_are_pinned(fixture_dir):
+    expected = {
+        "10-3-3": 3, "11-3-1": 2, "11-3-3": 3, "11-3-3-cnot": 3,
+        "12-4-3": 3, "12-4-3-cnot": 3, "13-3-3": 3, "6-3-1": 1,
+    }
+    for name, distance in expected.items():
+        code = parse((fixture_dir / f"{name}.cpc").read_text(encoding="utf-8"))
+        assert code_distance(code) == distance, name
+        assert _reference_distance(code, 3) == distance, name
+
+
+def test_code_distance_matches_reference_enumeration():
+    # The seeded random codes sit at distance 1 or 2; search hits and their
+    # generalized forms add distance 3, and codes without data add "none".
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(77)))
+    codes = seeded_random_codes(200) + seeded_random_general_codes(200)
+    found = [c for _, c in search((3, 5, 5), correcting_mask, budget=3000, seed=1, cap=8).found]
+    codes += found + [generalize(c) for c in found]
+    codes += [random_code(0, n_b, n_p, rng) for n_b, n_p in ((1, 1), (2, 3), (3, 0), (0, 2))]
+    codes += [
+        GeneralCpcCode(
+            mbs=Gf2Matrix.zeros(0, n_c),
+            mps=Gf2Matrix.zeros(0, n_c),
+            mcs=Gf2Matrix(np.triu(rng.integers(0, 2, size=(n_c, n_c), dtype=np.uint8), k=1)),
+        )
+        for n_c in (1, 3, 4)
+    ]
+    for code in codes:
+        reference = _reference_distance(code, 4)
+        for w_max in range(1, 5):
+            expected = reference if reference is not None and reference <= w_max else None
+            assert code_distance(code, w_max=w_max) == expected, (code, w_max)
 
 
 def test_code_distance_beyond_search_limit():
