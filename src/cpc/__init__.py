@@ -16,7 +16,6 @@ from .model import (
     generalize,
     parse,
     serialize,
-    validate,
 )
 from .circuits import (
     Circuit,

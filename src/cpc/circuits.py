@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CpcCode, GeneralCpcCode, require_valid
+from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
     "Gate",
@@ -280,7 +280,6 @@ def encode_circuit(code: CpcCode | GeneralCpcCode) -> Circuit:
     Within a block, gates are ordered by check index and then data index.
     Blocks commute internally, so only the block order affects semantics.
     """
-    require_valid(code)
     gates: list[Gate] = []
     if isinstance(code, CpcCode):
         for i in range(code.n_b):

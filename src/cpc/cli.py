@@ -35,7 +35,6 @@ from .model import (
     GeneralCpcCode,
     InvalidCodeError,
     parse,
-    require_valid,
     serialize,
 )
 from .propagation import effective_codes, general_to_classical
@@ -57,9 +56,7 @@ __all__ = ["main"]
 
 
 def _load_code(path: str) -> CpcCode | GeneralCpcCode:
-    code = parse(Path(path).read_text(encoding="utf-8"))
-    require_valid(code)
-    return code
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -70,7 +67,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
-    rows: dict[str, list[str]] = {"GZ": [], "GX": []}
+    rows: dict[str, list[list[int]]] = {"GZ": [], "GX": []}
     section = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -85,14 +82,14 @@ def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
             raise CpcFormatError(f"unexpected content before a GZ/GX section: {line!r}", lineno)
         if any(ch not in "01" for ch in line):
             raise CpcFormatError(f"non-binary row {line!r}", lineno)
-        rows[section].append(line)
+        rows[section].append([int(ch) for ch in line])
     widths = {len(r) for section_rows in rows.values() for r in section_rows}
     if len(widths) > 1:
         raise CpcFormatError(f"inconsistent row widths: {sorted(widths)}")
     cols = widths.pop() if widths else 0
     return (
-        Gf2Matrix.from_lines(rows["GZ"], cols=cols),
-        Gf2Matrix.from_lines(rows["GX"], cols=cols),
+        Gf2Matrix.from_rows(rows["GZ"], cols=cols),
+        Gf2Matrix.from_rows(rows["GX"], cols=cols),
     )
 
 
@@ -268,9 +265,7 @@ def _cmd_ising(args) -> int:
         raise ValueError(f"--syndrome must be a string of 0/1 bits, got {args.syndrome!r}")
     syndrome = [int(ch) for ch in args.syndrome]
     if len(syndrome) != len(cc.checks):
-        raise InvalidCodeError(
-            f"syndrome must have {len(cc.checks)} bits, got {len(syndrome)}"
-        )
+        raise ValueError(f"syndrome must have {len(cc.checks)} bits, got {len(syndrome)}")
     problem = ising_problem(
         cc,
         [args.p_bit] * cc.bit_count,

@@ -22,13 +22,7 @@ import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, decode_circuit
 from .gf2 import Gf2Matrix, pack_rows
-from .model import (
-    ClassicalCode,
-    CpcCode,
-    GeneralCpcCode,
-    InvalidCodeError,
-    require_valid,
-)
+from .model import ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError
 from .stabilizers import check_matrix, split_check_rows
 
 __all__ = [
@@ -153,7 +147,6 @@ def error_table(code: CpcCode | GeneralCpcCode) -> dict[PauliString, Syndrome]:
     through the decode circuit; bit checks are read in the computational
     basis (X flips) and phase checks in the conjugate basis (Z flips).
     """
-    require_valid(code)
     n, k = code.qubit_count, code.k
     n_first, n_second = _syndrome_widths(code)
     decoder = decode_circuit(code)
@@ -360,9 +353,15 @@ class DecodeTable:
         The batched form of :meth:`decode` over :meth:`correction_arrays`:
         ``first`` and ``second`` index the two sides, a side with no
         single-error explanation corrects nothing, and a syndrome is known
-        when both of its sides are.
+        when both of its sides are.  A mask outside ``0..2**width-1`` of its
+        side raises ``ValueError``.
         """
         dense_first, dense_second = self.correction_arrays()
+        for masks, width in ((first, self.n_first), (second, self.n_second)):
+            masks = np.asarray(masks)
+            if np.count_nonzero(masks >> width):  # a negative mask shifts to -1
+                bad = masks[(masks >> width) != 0].flat[0]
+                raise ValueError(f"side mask {bad} outside 0..{(1 << width) - 1}")
         a, b = dense_first[first], dense_second[second]
         return np.maximum(a, 0) ^ np.maximum(b, 0), (a[..., 0] >= 0) & (b[..., 0] >= 0)
 
@@ -427,7 +426,6 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityR
     correctability their syndromes must be distinct from every single-error
     syndrome, from each other, and from the no-error outcome.
     """
-    require_valid(code)
     _check_cnot(control, target, code.k)
     records = single_error_records(code)
     by_fault = {(r.qubit, r.kind): r for r in records}
@@ -542,7 +540,6 @@ def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:
     check whose faults are harmless, i.e. that touch no data), so that errors
     on the new qubits stay distinguishable.
     """
-    require_valid(code)
     _check_cnot(control, target)
     k, n_b, n_p = code.k, code.n_b, code.n_p
     harmless = sorted({r.qubit for r in single_error_records(code) if not r.harmful})

@@ -38,7 +38,7 @@ from scipy.optimize import curve_fit
 from .circuits import Circuit, decode_circuit, encode_circuit
 from .decoding import decode_table, single_error_records
 from .fixtures import code_631
-from .model import CpcCode, GeneralCpcCode, require_valid
+from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
     "ErrorModel",
@@ -357,7 +357,6 @@ def simulate(
     Syndromes with no single-error explanation are left uncorrected on the
     unknown side and counted in ``uncorrectable_cycles``.
     """
-    require_valid(code)
     if backend not in ("pauli_frame", "statevector"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "statevector" and code.qubit_count > 14:

@@ -103,15 +103,6 @@ class Gf2Matrix:
         """One '0'/'1' string per row, no separators."""
         return ["".join(str(int(b)) for b in row) for row in self._data]
 
-    @classmethod
-    def from_lines(cls, lines, cols: int | None = None) -> Gf2Matrix:
-        rows = []
-        for line in lines:
-            if any(ch not in "01" for ch in line):
-                raise ValueError(f"non-binary character in row {line!r}")
-            rows.append([int(ch) for ch in line])
-        return cls.from_rows(rows, cols=cols)
-
 
 def pack_rows(bits: np.ndarray) -> list[int]:
     """Each row of a 2-d 0/1 array as an integer bitmask (bit j = column j)."""

@@ -22,7 +22,7 @@ from .circuits import (
     hadamard,
 )
 from .decoding import _check_cnot, single_error_records
-from .model import CpcCode, require_valid
+from .model import CpcCode
 
 __all__ = [
     "PauliFrame",
@@ -55,7 +55,6 @@ def logical_pauli_frame(code: CpcCode, paulis: str) -> PauliFrame:
     syndrome the same Paulis would produce as errors, so applying the gates
     and flipping those check readings leaves an error-free cycle all-clear.
     """
-    require_valid(code)
     paulis = paulis.upper()
     if len(paulis) != code.k:
         raise ValueError(f"expected {code.k} Pauli letters, got {len(paulis)}")
@@ -121,7 +120,6 @@ def logical_hadamard_circuit(code: CpcCode, data_qubit: int) -> Circuit:
     CNOTs targeting it become plain controlled-Z, and the Hadamard itself
     runs first.
     """
-    require_valid(code)
     if not 0 <= data_qubit < code.k:
         raise ValueError(f"data index {data_qubit} outside 0..{code.k - 1}")
     return hadamard_rewrite(encode_circuit(code), data_qubit)
@@ -148,6 +146,5 @@ def cnot_rewrite(circuit: Circuit, control: int, target: int) -> Circuit:
 
 def logical_cnot_circuit(code: CpcCode, control: int, target: int) -> Circuit:
     """Encoder rewritten to realise a logical CNOT between two data qubits."""
-    require_valid(code)
     _check_cnot(control, target, code.k)
     return cnot_rewrite(encode_circuit(code), control, target)

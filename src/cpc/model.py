@@ -1,4 +1,4 @@
-"""Code definitions, validation, and the ``.cpc`` text format.
+"""Code definitions and the ``.cpc`` text format.
 
 A split CPC code keeps two species of parity check qubit: bit checks (CNOT
 targets, measured in the computational basis) and phase checks (CNOT
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .gf2 import Gf2Matrix
 
 __all__ = [
@@ -22,8 +24,6 @@ __all__ = [
     "ClassicalCode",
     "CpcFormatError",
     "InvalidCodeError",
-    "validate",
-    "require_valid",
     "parse",
     "serialize",
     "from_classical",
@@ -42,7 +42,18 @@ class CpcFormatError(ValueError):
 
 
 class InvalidCodeError(ValueError):
-    """Raised when an operation is handed a code that fails validation."""
+    """Raised for a code that breaks the definition, or is the wrong kind for a task.
+
+    ``CpcCode`` and ``GeneralCpcCode`` raise it on construction when their
+    matrix shapes disagree or a generalized C is not strictly upper
+    triangular, listing every violation joined by '; ', so every code object
+    that exists is well formed.
+    """
+
+
+def _refuse(violations: list[str]) -> None:
+    if violations:
+        raise InvalidCodeError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,17 @@ class CpcCode:
     mb: Gf2Matrix
     mp: Gf2Matrix
     mc: Gf2Matrix
+
+    def __post_init__(self):
+        mb, mp, mc = self.mb, self.mp, self.mc
+        violations = []
+        if mp.rows != mb.rows:
+            violations.append(f"mp has {mp.rows} rows but mb has {mb.rows} (both must equal k)")
+        if mc.rows != mb.cols:
+            violations.append(f"mc has {mc.rows} rows but mb has {mb.cols} columns")
+        if mc.cols != mp.cols:
+            violations.append(f"mc has {mc.cols} columns but mp has {mp.cols} columns")
+        _refuse(violations)
 
     @property
     def k(self) -> int:
@@ -102,6 +124,24 @@ class GeneralCpcCode:
     mps: Gf2Matrix
     mcs: Gf2Matrix
 
+    def __post_init__(self):
+        mbs, mps, mcs = self.mbs, self.mps, self.mcs
+        violations = []
+        if mps.rows != mbs.rows:
+            violations.append(f"mps has {mps.rows} rows but mbs has {mbs.rows}")
+        if mps.cols != mbs.cols:
+            violations.append(f"mps has {mps.cols} columns but mbs has {mbs.cols}")
+        if mcs.rows != mcs.cols:
+            violations.append(f"mcs is {mcs.rows}x{mcs.cols}, not square")
+        elif mcs.rows != mbs.cols:
+            violations.append(f"mcs is {mcs.rows}x{mcs.cols} but there are {mbs.cols} checks")
+        else:
+            violations += [
+                f"mcs not strictly upper triangular: entry ({i},{j}) is 1"
+                for i, j in np.argwhere(np.tril(mcs.data))
+            ]
+        _refuse(violations)
+
     @property
     def k(self) -> int:
         return self.mbs.rows
@@ -145,69 +185,12 @@ class ClassicalCode:
                     )
 
 
-def validate(code: CpcCode | GeneralCpcCode) -> list[str]:
-    """Return every invariant violation; an empty list means the code is well formed."""
-    violations: list[str] = []
-    if isinstance(code, CpcCode):
-        if code.mp.rows != code.mb.rows:
-            violations.append(
-                f"mp has {code.mp.rows} rows but mb has {code.mb.rows} (both must equal k)"
-            )
-        if code.mc.rows != code.mb.cols:
-            violations.append(
-                f"mc has {code.mc.rows} rows but mb has {code.mb.cols} columns"
-            )
-        if code.mc.cols != code.mp.cols:
-            violations.append(
-                f"mc has {code.mc.cols} columns but mp has {code.mp.cols} columns"
-            )
-    elif isinstance(code, GeneralCpcCode):
-        if code.mps.rows != code.mbs.rows:
-            violations.append(
-                f"mps has {code.mps.rows} rows but mbs has {code.mbs.rows}"
-            )
-        if code.mps.cols != code.mbs.cols:
-            violations.append(
-                f"mps has {code.mps.cols} columns but mbs has {code.mbs.cols}"
-            )
-        if code.mcs.rows != code.mcs.cols:
-            violations.append(f"mcs is {code.mcs.rows}x{code.mcs.cols}, not square")
-        elif code.mcs.rows != code.mbs.cols:
-            violations.append(
-                f"mcs is {code.mcs.rows}x{code.mcs.cols} but there are {code.mbs.cols} checks"
-            )
-        else:
-            for i in range(code.mcs.rows):
-                for j in range(i + 1):
-                    if code.mcs[i, j]:
-                        violations.append(
-                            f"mcs not strictly upper triangular: entry ({i},{j}) is 1"
-                        )
-    else:
-        violations.append(f"not a code object: {type(code).__name__}")
-    return violations
-
-
-def require_valid(code: CpcCode | GeneralCpcCode) -> None:
-    violations = validate(code)
-    if violations:
-        raise InvalidCodeError("; ".join(violations))
-
-
 def from_classical(h_bit: Gf2Matrix, h_phase: Gf2Matrix, mc: Gf2Matrix) -> CpcCode:
     """Assemble a split code from two classical parity-check matrices plus cross checks.
 
     ``h_bit`` and ``h_phase`` are bits-x-checks matrices for the bit-flip and
     phase codes respectively; both must have one row per data qubit.
     """
-    if h_bit.rows != h_phase.rows:
-        raise ValueError(
-            f"row-count mismatch: h_bit has {h_bit.rows} rows, h_phase has {h_phase.rows}"
-        )
-    if mc.rows != h_bit.cols or mc.cols != h_phase.cols:
-        raise ValueError(
-            f"cross-check matrix must be {h_bit.cols}x{h_phase.cols}, got {mc.rows}x{mc.cols}"
-        )
     return CpcCode(mb=h_bit, mp=h_phase, mc=mc)
 
 
@@ -220,7 +203,6 @@ def generalize(code: CpcCode) -> GeneralCpcCode:
     computational basis), and cross checks land in the upper-triangular
     bit-by-phase block.
     """
-    require_valid(code)
     k, n_b, n_p = code.k, code.n_b, code.n_p
     n_c = n_b + n_p
     mbs = Gf2Matrix.zeros(k, n_c).data.copy()

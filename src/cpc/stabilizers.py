@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, encode_circuit
 from .gf2 import Gf2Matrix, multiply, pack_rows, row_space_equal, rref
-from .model import CpcCode, GeneralCpcCode, require_valid
+from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
     "split_check_rows",
@@ -71,7 +71,6 @@ def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray
     bit i, exactly when the column of ``hz`` (X part) or ``hx`` (Z part) at
     its qubit has a 1 in row i.
     """
-    require_valid(code)
     if isinstance(code, CpcCode):
         hx = np.zeros((code.n_b + code.n_p, code.qubit_count), dtype=np.uint8)
         hz = np.zeros_like(hx)
@@ -183,7 +182,6 @@ def logical_operators(code: CpcCode) -> tuple[list[PauliString], list[PauliStrin
     operators that commute with every stabilizer and act as X/Z on the
     corresponding encoded qubit.
     """
-    require_valid(code)
     enc = encode_circuit(code)
     n = code.qubit_count
     logical_x = [conjugate_pauli(enc, PauliString.single(n, j, "X")) for j in range(code.k)]

@@ -439,6 +439,18 @@ def test_seed_and_threads_only_where_read(capsys, fixture_dir, argv):
     assert code == 2 and "unrecognized arguments" in err
 
 
+def test_verify_refuses_c_not_strictly_upper_triangular(tmp_path, capsys):
+    path = tmp_path / "low-c.cpc"
+    path.write_text("CPC general\ndata 1\nchecks 2\nB\n10\nP\n01\nC\n01\n11\n", encoding="utf-8")
+    code, out, err = _run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: mcs not strictly upper triangular: entry (1,0) is 1; "
+        "mcs not strictly upper triangular: entry (1,1) is 1\n"
+    )
+
+
 def test_malformed_code_file_exits_two_with_its_line(tmp_path, capsys):
     path = tmp_path / "bad.cpc"
     path.write_text("CPC split\ndata 1\nbit two\n", encoding="utf-8")

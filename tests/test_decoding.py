@@ -192,6 +192,37 @@ def test_correction_arrays_match_decode_on_every_syndrome():
             assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (-1, 0, "side mask -1 outside 0..15"),
+        (16, 0, "side mask 16 outside 0..15"),
+        (0, -3, "side mask -3 outside 0..15"),
+        (np.array([1, -5, 2]), np.zeros(3, dtype=np.int64), "side mask -5 outside 0..15"),
+        (np.zeros(2, dtype=np.int64), np.array([15, 16]), "side mask 16 outside 0..15"),
+    ],
+)
+def test_lookup_refuses_masks_outside_the_side(first, second, message):
+    table = decode_table(fx.code_1133())
+    with pytest.raises(ValueError) as err:
+        table.lookup(first, second)
+    assert str(err.value) == message
+
+
+def test_lookup_edges_of_the_mask_range():
+    table = decode_table(fx.code_1033_general())
+    assert table.n_second == 0
+    top = (1 << table.n_first) - 1
+    (cx, cz), known = table.lookup(top, 0)
+    assert (cx, cz, known) == (*table.first.get(top, (0, 0)), top in table.first)
+    with pytest.raises(ValueError, match=r"side mask 1 outside 0\.\.0"):
+        table.lookup(0, 1)
+    # a trial with no error cycles looks up empty arrays
+    empty = np.zeros(0, dtype=np.int64)
+    corrections, known = table.lookup(empty, empty)
+    assert corrections.shape == (0, 2) and known.shape == (0,)
+
+
 def test_correction_arrays_refuse_wide_syndromes():
     table = decode_table(fx.code_1133())
     wide = dataclasses.replace(table, n_first=21)

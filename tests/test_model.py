@@ -11,11 +11,11 @@ from cpc.model import (
     CpcCode,
     CpcFormatError,
     GeneralCpcCode,
+    InvalidCodeError,
     from_classical,
     generalize,
     parse,
     serialize,
-    validate,
 )
 
 
@@ -36,23 +36,68 @@ def test_fixture_files_match_definitions(fixture_dir):
 
 
 def test_validate_good_fixture():
-    assert validate(fx.code_1133()) == []
-    assert validate(fx.code_1033_general()) == []
+    code, g = fx.code_1133(), fx.code_1033_general()
+    assert CpcCode(code.mb, code.mp, code.mc) == code
+    assert GeneralCpcCode(g.mbs, g.mps, g.mcs) == g
 
 
 def test_validate_dimension_violation():
-    code = CpcCode(
-        mb=Gf2Matrix.zeros(2, 4), mp=Gf2Matrix.zeros(3, 4), mc=Gf2Matrix.zeros(4, 4)
-    )
-    assert any("rows" in v for v in validate(code))
+    with pytest.raises(InvalidCodeError, match="rows"):
+        CpcCode(mb=Gf2Matrix.zeros(2, 4), mp=Gf2Matrix.zeros(3, 4), mc=Gf2Matrix.zeros(4, 4))
 
 
 def test_validate_triangularity():
     g = fx.code_1033_general()
     bad = np.array(g.mcs.data, copy=True)
     bad[2, 2] = 1
-    code = GeneralCpcCode(mbs=g.mbs, mps=g.mps, mcs=Gf2Matrix(bad))
-    assert any("triangular" in v for v in validate(code))
+    with pytest.raises(InvalidCodeError, match="triangular"):
+        GeneralCpcCode(mbs=g.mbs, mps=g.mps, mcs=Gf2Matrix(bad))
+
+
+_Z = Gf2Matrix.zeros
+# C of two checks with a diagonal entry (1,1) and a below-diagonal entry (1,0)
+_LOW_C = Gf2Matrix([[0, 1], [1, 1]])
+_LOW_C_MESSAGE = (
+    "mcs not strictly upper triangular: entry (1,0) is 1; "
+    "mcs not strictly upper triangular: entry (1,1) is 1"
+)
+
+
+@pytest.mark.parametrize(
+    "cls, matrices, message",
+    [
+        (CpcCode, (_Z(2, 3), _Z(1, 4), _Z(3, 4)), "mp has 1 rows but mb has 2 (both must equal k)"),
+        (CpcCode, (_Z(2, 3), _Z(2, 4), _Z(2, 4)), "mc has 2 rows but mb has 3 columns"),
+        (CpcCode, (_Z(2, 3), _Z(2, 4), _Z(3, 1)), "mc has 1 columns but mp has 4 columns"),
+        (
+            CpcCode,
+            (_Z(2, 3), _Z(1, 4), _Z(0, 0)),
+            "mp has 1 rows but mb has 2 (both must equal k); "
+            "mc has 0 rows but mb has 3 columns; mc has 0 columns but mp has 4 columns",
+        ),
+        (GeneralCpcCode, (_Z(1, 2), _Z(3, 2), _Z(2, 2)), "mps has 3 rows but mbs has 1"),
+        (GeneralCpcCode, (_Z(1, 2), _Z(1, 3), _Z(2, 2)), "mps has 3 columns but mbs has 2"),
+        (GeneralCpcCode, (_Z(1, 2), _Z(1, 2), _Z(2, 3)), "mcs is 2x3, not square"),
+        (GeneralCpcCode, (_Z(1, 2), _Z(1, 2), _Z(3, 3)), "mcs is 3x3 but there are 2 checks"),
+        (GeneralCpcCode, (_Z(1, 2), _Z(1, 2), _LOW_C), _LOW_C_MESSAGE),
+        (
+            GeneralCpcCode,
+            (_Z(1, 2), _Z(2, 3), _LOW_C),
+            "mps has 2 rows but mbs has 1; mps has 3 columns but mbs has 2; " + _LOW_C_MESSAGE,
+        ),
+    ],
+)
+def test_code_constructors_list_every_violation(cls, matrices, message):
+    with pytest.raises(InvalidCodeError) as err:
+        cls(*matrices)
+    assert str(err.value) == message
+
+
+def test_parse_refuses_c_not_strictly_upper_triangular():
+    text = "CPC general\ndata 1\nchecks 2\nB\n10\nP\n01\nC\n01\n11\n"
+    with pytest.raises(InvalidCodeError) as err:
+        parse(text)
+    assert str(err.value) == _LOW_C_MESSAGE
 
 
 def test_parse_serialized_1133(fixture_dir):
@@ -65,7 +110,6 @@ def test_parse_empty_code():
     text = "CPC split\ndata 0\nbit 0\nphase 0\nB\nP\nC\n"
     code = parse(text)
     assert code.qubit_count == 0
-    assert validate(code) == []
 
 
 def test_parse_reports_bad_character():
@@ -104,11 +148,11 @@ def test_from_classical_hamming_1243():
 def test_from_classical_zero_cross_is_constructible():
     m = fx.three_bit_parity_check()
     code = from_classical(m, m, Gf2Matrix.zeros(3, 3))
-    assert validate(code) == []
+    assert code.mc.is_zero()
 
 
 def test_from_classical_rejects_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCodeError):
         from_classical(Gf2Matrix.zeros(3, 2), Gf2Matrix.zeros(2, 2), Gf2Matrix.zeros(2, 2))
 
 
@@ -123,7 +167,6 @@ def test_generalize_1133_block_layout():
     assert g.mcs.data[:4, 4:].tolist() == code.mc.data.tolist()
     assert not g.mcs.data[4:, :].any()
     assert not g.mcs.data[:, :4].any()
-    assert validate(g) == []
 
 
 def test_generalize_preserves_qubit_count():
@@ -159,8 +202,8 @@ def test_round_trip_identity(code):
 @given(random_codes())
 @settings(max_examples=30, deadline=None)
 def test_generalize_valid_whenever_input_valid(code):
-    assert validate(code) == []
-    assert validate(generalize(code)) == []
+    g = generalize(code)
+    assert (g.k, g.n_c) == (code.k, code.n_b + code.n_p)
 
 
 def test_round_trip_general(fixture_dir):
