@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
@@ -280,34 +282,25 @@ def encode_circuit(code: CpcCode | GeneralCpcCode) -> Circuit:
     Within a block, gates are ordered by check index and then data index.
     Blocks commute internally, so only the block order affects semantics.
     """
-    gates: list[Gate] = []
     if isinstance(code, CpcCode):
-        for i in range(code.n_b):
-            for j in range(code.k):
-                if code.mb[j, i]:
-                    gates.append(cnot(j, code.bit_index(i)))
-        for i in range(code.n_p):
-            for j in range(code.k):
-                if code.mp[j, i]:
-                    gates.append(cnot(code.phase_index(i), j))
-        for i in range(code.n_p):
-            for b in range(code.n_b):
-                if code.mc[b, i]:
-                    gates.append(cnot(code.phase_index(i), code.bit_index(b)))
+        bit, phase = code.bit_index, code.phase_index
+        blocks = (
+            (code.mb.data.T, lambda i, j: cnot(j, bit(i))),
+            (code.mp.data.T, lambda i, j: cnot(phase(i), j)),
+            (code.mc.data.T, lambda i, b: cnot(phase(i), bit(b))),
+        )
     else:
-        for i in range(code.n_c):
-            for j in range(code.k):
-                if code.mbs[j, i]:
-                    gates.append(cnot(j, code.check_index(i)))
-        for i in range(code.n_c):
-            for j in range(code.k):
-                if code.mps[j, i]:
-                    gates.append(cczx(j, code.check_index(i)))
-        for a in range(code.n_c):
-            for b in range(code.n_c):
-                if code.mcs[a, b]:
-                    gates.append(cczx(code.check_index(a), code.check_index(b)))
-    return Circuit(code.qubit_count, tuple(gates))
+        check = code.check_index
+        blocks = (
+            (code.mbs.data.T, lambda i, j: cnot(j, check(i))),
+            (code.mps.data.T, lambda i, j: cczx(j, check(i))),
+            (code.mcs.data, lambda a, b: cczx(check(a), check(b))),
+        )
+    # np.argwhere lists entries in row-major order: by check, then by data.
+    gates = tuple(
+        gate(i, j) for edges, gate in blocks for i, j in np.argwhere(edges).tolist()
+    )
+    return Circuit(code.qubit_count, gates)
 
 
 def decode_circuit(code: CpcCode | GeneralCpcCode) -> Circuit:

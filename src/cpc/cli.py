@@ -178,7 +178,7 @@ def _cmd_decode_table(args) -> int:
     rows = ["syndrome\tclass\tcorrection"]
     for syndrome in sorted(table.syndrome(*sides) for sides in table.sides):
         entry = table.decode(syndrome)
-        corr = entry.correction.label(lambda q: f"d{q + 1}")
+        corr = entry.correction.label(code.qubit_label)
         rows.append(f"{_syndrome_str(syndrome)}\t{entry.category}\t{corr}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
@@ -216,51 +216,36 @@ def _format_classical(cc, title: str, bit_namer) -> list[str]:
     return lines
 
 
-def _cmd_effective(args) -> int:
-    code = _load_code(args.code)
-    lines: list[str] = []
+def _classical_views(code: CpcCode | GeneralCpcCode) -> dict:
+    """The code's classical codes keyed by ``--side``, each with its title and bit namer."""
+    k, label = code.k, code.qubit_label
     if isinstance(code, CpcCode):
         bit_code, phase_code = effective_codes(code)
-        k = code.k
+        # past the data, bit-code bits are the phase checks and phase-code bits the bit checks
+        return {
+            "bit": (bit_code, "bit-flip code:", lambda b: label(b if b < k else b + code.n_b)),
+            "phase": (phase_code, "phase code:", label),
+        }
+    # each data qubit's bit state, then each data qubit's phase state, then each check's
+    namer = lambda b: f"{label(b)}.bit" if b < k else f"{label(b - k)}.phase"
+    return {"general": (general_to_classical(code), "combined code:", namer)}
 
-        def bit_namer(b):
-            return f"d{b + 1}" if b < k else f"p{b - k + 1}"
 
-        def phase_namer(b):
-            return f"d{b + 1}" if b < k else f"b{b - k + 1}"
-
-        lines += _format_classical(bit_code, "bit-flip code:", bit_namer)
-        lines += _format_classical(phase_code, "phase code:", phase_namer)
-    else:
-        cc = general_to_classical(code)
-        k = code.k
-
-        def namer(b):
-            if b < k:
-                return f"d{b + 1}.bit"
-            if b < 2 * k:
-                return f"d{b - k + 1}.phase"
-            return f"c{b - 2 * k + 1}.phase"
-
-        lines += _format_classical(cc, "combined code:", namer)
+def _cmd_effective(args) -> int:
+    views = _classical_views(_load_code(args.code)).values()
+    lines = [line for view in views for line in _format_classical(*view)]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_ising(args) -> int:
     code = _load_code(args.code)
-    if isinstance(code, CpcCode):
-        bit_code, phase_code = effective_codes(code)
-        if args.side == "bit":
-            cc = bit_code
-        elif args.side == "phase":
-            cc = phase_code
-        else:
+    views = _classical_views(code)
+    if args.side not in views:
+        if isinstance(code, CpcCode):
             raise InvalidCodeError("side 'general' needs a generalized code")
-    else:
-        if args.side != "general":
-            raise InvalidCodeError("generalized codes only support --side general")
-        cc = general_to_classical(code)
+        raise InvalidCodeError("generalized codes only support --side general")
+    cc = views[args.side][0]
     if not re.fullmatch(r"[01]*", args.syndrome):
         raise ValueError(f"--syndrome must be a string of 0/1 bits, got {args.syndrome!r}")
     syndrome = [int(ch) for ch in args.syndrome]

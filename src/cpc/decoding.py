@@ -367,12 +367,11 @@ class DecodeTable:
 
 
 def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:
-    """Pick the correction for a syndrome class, preferring the harmless reading."""
+    """A syndrome class's harmless reading, else its first record's (qubit order, X Y Z)."""
     residuals = {(m.rx, m.rz) for m in members}
     if (0, 0) in residuals:
         return (0, 0)
-    first = min(members, key=lambda m: (m.qubit, _KINDS.index(m.kind)))
-    return (first.rx, first.rz)
+    return (members[0].rx, members[0].rz)
 
 
 def decode_table(
@@ -540,7 +539,7 @@ def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:
     check whose faults are harmless, i.e. that touch no data), so that errors
     on the new qubits stay distinguishable.
     """
-    _check_cnot(control, target)
+    _check_cnot(control, target, code.k)
     k, n_b, n_p = code.k, code.n_b, code.n_p
     harmless = sorted({r.qubit for r in single_error_records(code) if not r.harmful})
     bits = [q - k for q in harmless if q < k + n_b]

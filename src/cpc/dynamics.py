@@ -7,7 +7,9 @@ every error is a Pauli, a cycle maps the product state (data) x (reference
 checks) to another such product state with deterministic check outcomes, so
 the default backend tracks the accumulated data-register Pauli frame and is
 exactly equivalent to the full statevector evolution (the ``statevector``
-backend, kept as the cross-checking oracle and for coherent errors).
+backend, kept as the cross-checking oracle).  Coherent errors are not a
+``simulate`` model: :func:`coherent_fidelity_631` treats a coherent rotation
+exactly, on the same small statevector engine.
 
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
@@ -121,11 +123,15 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
 
 
 def apply_pauli_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
-    """Apply prod X^x Z^z (phase-exact up to the operator's own convention)."""
-    idx = np.arange(state.size)
+    """Apply prod X^x Z^z (Z first, then X) to a state or a stack of states.
+
+    The basis index runs along the last axis, so a ``(m, 2**n)`` array is m
+    states, each mapped as a single one would be.
+    """
+    idx = np.arange(state.shape[-1])
     signs = 1.0 - 2.0 * _parity(idx & z_mask)
     out = np.empty_like(state)
-    out[idx ^ x_mask] = signs * state
+    out[..., idx ^ x_mask] = signs * state
     return out
 
 
@@ -303,18 +309,9 @@ def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
     return cycles[starts], np.bitwise_xor.reduceat(rows[order], starts, axis=0)
 
 
-def _frame_overlaps(
-    frame_x: int, frame_z: int, states: np.ndarray
-) -> np.ndarray:
-    """|<psi| X^fx Z^fz |psi>|^2 for each row of ``states`` (dim 2^k each).
-
-    The sign convention here differs from apply_pauli_masks by a global
-    factor (-1)^{popcount(fx & fz)}, which the modulus squared removes.
-    """
-    dim = states.shape[1]
-    idx = np.arange(dim)
-    signs = 1.0 - 2.0 * _parity(idx & frame_z)
-    permuted = states[:, idx ^ frame_x] * signs[np.newaxis, :]
+def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
+    """|<psi| X^fx Z^fz |psi>|^2 for each row of ``states`` (dim 2^k each)."""
+    permuted = apply_pauli_masks(states, frame_x, frame_z)
     amps = np.einsum("ij,ij->i", states.conj(), permuted)
     return np.abs(amps) ** 2
 
@@ -513,10 +510,15 @@ def fit_half_life(times, values) -> HalfLifeFit:
     """Least-squares fit of F(t) = F_inf + (1 - F_inf) * 2^(-t / lambda_half).
 
     ``F_inf`` is constrained to [0, 1].  A constant series cannot pin the
-    half-life down and is returned flagged as degenerate.
+    half-life down and is returned flagged as degenerate.  ``times`` and
+    ``values`` must be finite and of one shape.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise ValueError(f"times and values differ in shape: {times.shape} vs {values.shape}")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("times and values must be finite")
     if times.size < 4:
         raise ValueError("need at least 4 time points")
     if float(np.ptp(values)) < 1e-12:
@@ -594,7 +596,7 @@ def coherent_fidelity_631(
         branch = state[synd * dim_k : (synd + 1) * dim_k]
         p = float(np.sum(np.abs(branch) ** 2))
         (x_mask, _), _ = table.lookup(synd, 0)
-        corrected = branch[np.arange(dim_k) ^ x_mask]
+        corrected = apply_pauli_masks(branch, x_mask, 0)
         amp = np.vdot(data_state, corrected)
         fidelity += float(np.abs(amp) ** 2)
         key = "".join(str((synd >> i) & 1) for i in range(code.n_b))

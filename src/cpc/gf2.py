@@ -26,12 +26,16 @@ class Gf2Matrix:
     __slots__ = ("_data",)
 
     def __init__(self, data) -> None:
-        arr = np.asarray(data, dtype=np.uint8)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of bits, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
+        if arr.dtype == np.uint8:
+            bad = arr.size and arr.max() > 1
+        else:  # exact 0/1 only: no rounding of fractions, no wrapping of negatives
+            bad = arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all()
+        if bad:
             raise ValueError("entries must be 0 or 1")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "_data", arr)
 
@@ -49,7 +53,7 @@ class Gf2Matrix:
         rows = [list(r) for r in rows]
         if not rows:
             return cls.zeros(0, 0 if cols is None else cols)
-        return cls(np.array(rows, dtype=np.uint8))
+        return cls(rows)
 
     @property
     def data(self) -> np.ndarray:

@@ -273,8 +273,9 @@ def _parse_matrix(lines, rows: int, cols: int, section: str) -> Gf2Matrix:
                     f"section {section}: non-binary character {ch!r} at column {col}",
                     lineno,
                 )
-        collected.append([int(ch) for ch in line])
-    return Gf2Matrix.from_rows(collected, cols=cols)
+        collected.append(line)
+    bits = np.frombuffer("".join(collected).encode("ascii"), dtype=np.uint8) - ord("0")
+    return Gf2Matrix(bits.reshape(rows, cols))
 
 
 def _expect_section(lines, name: str) -> None:

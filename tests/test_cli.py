@@ -118,6 +118,23 @@ def test_css_to_cpc_steane(capsys, fixture_dir):
     assert "data 1" in out and "# column permutation:" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("CSS\n1010\nGZ\n1111\n", "line 2: unexpected content before a GZ/GX section: '1010'"),
+        ("GZ\n10a\n", "line 2: non-binary row '10a'"),
+        ("GZ\n10\n101\n", "inconsistent row widths: [2, 3]"),
+    ],
+)
+def test_css_to_cpc_rejects_malformed_css(tmp_path, capsys, text, message):
+    css_path = tmp_path / "bad.css"
+    css_path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "css-to-cpc", str(css_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_ising_output(capsys, fixture_dir):
     code, out, _ = _run(
         capsys, "ising", str(fixture_dir / "6-3-1.cpc"), "--syndrome", "011", "--p-bit", "0.1"
@@ -177,6 +194,16 @@ def test_fit_rejects_csv_without_needed_column(tmp_path, capsys, header, metric,
     assert code == 2
     assert out == ""
     assert err == f"error: {csv_path} has no {missing} column\n"
+
+
+def test_fit_rejects_non_finite_csv(tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    rows = ["time_s,Frand", "0,1", "1,0.8", "2,nan", "3,0.5", "4,0.4"]
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "fit", str(csv_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: times and values must be finite\n"
 
 
 # simulate CSV of the command below, captured before the Pauli-frame kernel

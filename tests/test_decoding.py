@@ -368,6 +368,12 @@ def test_augment_requires_check_checking_qubits():
         augment_for_cnot(fx.code_631(), 0, 1)
 
 
+@pytest.mark.parametrize("control, target", [(0, 7), (-1, 1)])
+def test_augment_for_cnot_refuses_indices_off_the_data(control, target):
+    with pytest.raises(ValueError, match=r"^data indices must lie in 0\.\.2$"):
+        augment_for_cnot(fx.code_1133(), control, target)
+
+
 def test_ising_field_coefficient_value():
     cc, _ = effective_codes(fx.code_631())
     problem = ising_problem(cc, [0.1] * 3, [0.1] * 3, [0, 0, 0])

@@ -230,6 +230,34 @@ def test_fit_needs_four_points():
         fit_half_life([0.0, 1.0, 2.0], [1.0, 0.9, 0.8])
 
 
+def test_fit_refuses_mismatched_lengths():
+    with pytest.raises(ValueError, match=r"^times and values differ in shape: \(5,\) vs \(4,\)$"):
+        fit_half_life([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.9, 0.8, 0.7])
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.9, math.nan, 0.7]),
+        ([0.0, 1.0, 2.0, math.inf], [1.0, 0.9, 0.8, 0.7]),
+        ([0.0, math.nan, 2.0, 3.0], [1.0, 0.9, 0.8, 0.7]),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, -math.inf]),
+    ],
+)
+def test_fit_refuses_non_finite_input(times, values):
+    with pytest.raises(ValueError, match="^times and values must be finite$"):
+        fit_half_life(times, values)
+
+
+def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
+    rng = np.random.Generator(np.random.Philox(8))
+    states = np.array([haar_state(16, rng) for _ in range(5)])
+    for x_mask, z_mask in ((0, 0), (0b1010, 0), (0, 0b0110), (0b1011, 0b1101)):
+        stacked = dynamics.apply_pauli_masks(states, x_mask, z_mask)
+        rows = [dynamics.apply_pauli_masks(s, x_mask, z_mask) for s in states]
+        assert np.array_equal(stacked, np.array(rows))
+
+
 def test_haar_states_unit_norm_and_purity():
     rng = np.random.Generator(np.random.Philox(21))
     dim = 8

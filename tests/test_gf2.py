@@ -26,6 +26,37 @@ def test_rejects_non_binary_entries():
         Gf2Matrix([[0, 2]])
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[0.5, 1.7]],
+        [[-1]],
+        [[1.0, float("nan")]],
+        [[256, 1]],
+        np.array([[0, 2]], dtype=np.uint8),
+        np.array([[1, -1]], dtype=np.int8),
+    ],
+    ids=["fractions", "negative", "nan", "wraps to 0", "uint8 two", "int8 negative"],
+)
+def test_rejects_entries_other_than_exactly_0_or_1(data):
+    with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+        Gf2Matrix(data)
+
+
+def test_from_rows_rejects_non_binary_entries():
+    with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+        Gf2Matrix.from_rows([[1, -1]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[[1.0, 0.0]], [[True, False]], np.array([[1, 0]], dtype=np.int64)],
+    ids=["float", "bool", "int64"],
+)
+def test_accepts_exact_bits_of_any_dtype(data):
+    assert Gf2Matrix(data) == Gf2Matrix(np.array([[1, 0]], dtype=np.uint8))
+
+
 def test_empty_matrices_allowed():
     m = Gf2Matrix.zeros(0, 3)
     assert m.rows == 0 and m.cols == 3
