@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CpcCode, GeneralCpcCode
+from .model import CpcCode, GeneralCpcCode, _meaningful_lines
 
 __all__ = [
     "Gate",
@@ -110,10 +110,6 @@ class PauliString:
         if not (0 <= self.x_bits < limit and 0 <= self.z_bits < limit):
             raise ValueError("mask exceeds qubit count")
         object.__setattr__(self, "phase", self.phase % 4)
-
-    @classmethod
-    def identity(cls, n: int) -> PauliString:
-        return cls(n)
 
     @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> PauliString:
@@ -319,10 +315,7 @@ def circuit_to_text(circuit: Circuit) -> str:
 def circuit_from_text(text: str) -> Circuit:
     qubit_count = None
     gates: list[Gate] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in _meaningful_lines(text):
         parts = line.split()
         if parts[0] == "qubits":
             if len(parts) != 2 or not parts[1].isdecimal():
@@ -331,8 +324,10 @@ def circuit_from_text(text: str) -> Circuit:
                 )
             qubit_count = int(parts[1])
             continue
-        kind, qubits = parts[0], tuple(int(t) for t in parts[1:])
-        gates.append(Gate(kind, qubits))
+        try:
+            gates.append(Gate(parts[0], tuple(int(t) for t in parts[1:])))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     if qubit_count is None:
         qubit_count = 1 + max((q for g in gates for q in g.qubits), default=-1)
     return Circuit(qubit_count, tuple(gates))

@@ -34,6 +34,7 @@ from .model import (
     CpcFormatError,
     GeneralCpcCode,
     InvalidCodeError,
+    _meaningful_lines,
     parse,
     serialize,
 )
@@ -69,10 +70,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
     rows: dict[str, list[list[int]]] = {"GZ": [], "GX": []}
     section = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _meaningful_lines(Path(path).read_text(encoding="utf-8")):
         if line == "CSS":
             continue
         if line in rows:

@@ -69,6 +69,15 @@ def _check_bits(values, name: str) -> None:
             raise ValueError(f"{name}[{i}] is {b!r}, expected 0 or 1")
 
 
+def _check_entries(values, count: int, name: str, noun: str) -> list[int]:
+    """``values`` as a list of ``count`` bits, else ValueError."""
+    values = list(values)
+    if len(values) != count:
+        raise ValueError(f"expected {count} {noun}, got {len(values)}")
+    _check_bits(values, name)
+    return values
+
+
 @dataclass(frozen=True)
 class ErrorRecord:
     """One single-qubit error: where it lands and what it leaves behind.
@@ -311,7 +320,7 @@ class DecodeTable:
         """Correction for a measured syndrome; the scalar form of :meth:`lookup`."""
         a, b = self.split_sides(syndrome)
         if a == 0 and b == 0:
-            return TableEntry(PauliString.identity(self.k), "no_error")
+            return TableEntry(PauliString(self.k), "no_error")
         ax, az = self.first.get(a, (0, 0))
         bx, bz = self.second.get(b, (0, 0))
         rx, rz = ax ^ bx, az ^ bz
@@ -610,12 +619,7 @@ def ising_problem(
     """
     bit_priors = _check_priors(bit_priors, cc.bit_count, "bit_priors")
     check_priors = _check_priors(check_priors, len(cc.checks), "check_priors")
-    measurements = list(measurements)
-    if len(measurements) != len(cc.checks):
-        raise ValueError(
-            f"expected {len(cc.checks)} measurements, got {len(measurements)}"
-        )
-    _check_bits(measurements, "measurements")
+    measurements = _check_entries(measurements, len(cc.checks), "measurements", "measurements")
     fields = tuple(math.log(p / (1.0 - p)) for p in bit_priors)
     terms = []
     for (check_id, members), p, m in zip(cc.checks, check_priors, measurements):
@@ -662,12 +666,15 @@ class MlDecodeResult:
 
 
 def infer_check_errors(cc: ClassicalCode, syndrome, bit_errors) -> frozenset[int]:
-    """Checks whose measured parity disagrees with the inferred bit errors."""
-    syndrome = list(syndrome)
-    if len(syndrome) != len(cc.checks):
-        raise ValueError(f"expected {len(cc.checks)} syndrome bits")
-    _check_bits(syndrome, "syndrome")
+    """Checks whose measured parity disagrees with the inferred bit errors.
+
+    ``bit_errors`` must index bits of the code.
+    """
+    syndrome = _check_entries(syndrome, len(cc.checks), "syndrome", "syndrome bits")
     flipped = set(bit_errors)
+    outside = [b for b in flipped if not 0 <= b < cc.bit_count]
+    if outside:
+        raise ValueError(f"bit error {min(outside)} outside 0..{cc.bit_count - 1}")
     errored = set()
     for (check_id, members), m in zip(cc.checks, syndrome):
         parity = len(members & flipped) % 2
@@ -691,10 +698,7 @@ def ml_decode_exhaustive(
     """
     bit_priors = _check_priors(bit_priors, cc.bit_count, "bit_priors")
     check_priors = _check_priors(check_priors, len(cc.checks), "check_priors")
-    syndrome = list(syndrome)
-    if len(syndrome) != len(cc.checks):
-        raise ValueError(f"expected {len(cc.checks)} syndrome bits")
-    _check_bits(syndrome, "syndrome")
+    syndrome = _check_entries(syndrome, len(cc.checks), "syndrome", "syndrome bits")
     n = cc.bit_count
     if n > 24:
         raise ValueError(f"instance too large for exhaustive search: {n} bits")

@@ -14,10 +14,12 @@ exactly, on the same small statevector engine.
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
 
-The Pauli-frame backend is array code, one trial at a time.  A trial's errors
-are sampled as (cycle, fault) pairs, and each error cycle's syndrome and
-residual are the XOR of per-fault columns built from the single-error
-records.  A cycle's correction depends only on its own syndrome, never on the
+Both backends sample one fault table (``_fault_table``): a row per X and per Z
+fault of the single-error records, with its per-cycle probability, its
+(syndrome, residual) effect and its Pauli.  A trial's errors are (cycle,
+fault) pairs drawn from it.  The Pauli-frame backend is array code, one trial
+at a time: each error cycle's syndrome and residual are the XOR of its faults'
+effects.  A cycle's correction depends only on its own syndrome, never on the
 frame, so the corrections of all error cycles are looked up at once by
 :meth:`cpc.decoding.DecodeTable.lookup`, which the statevector oracle calls
 per cycle, and the frame at each sample time is a prefix XOR
@@ -211,6 +213,8 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if not self.metrics:
+            raise ValueError("metrics must name at least one of F0, Fplus, Frand")
         for m in self.metrics:
             if m not in ("F0", "Fplus", "Frand"):
                 raise ValueError(f"unknown metric {m!r}")
@@ -258,47 +262,55 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _sample_error_events(
-    rng: np.random.Generator, n_qubits: int, n_cycles: int, p_x: float, p_z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle and fault index of every sampled single-qubit error.
+def _fault_table(code, model: ErrorModel, rate: float):
+    """The per-cycle faults of the stochastic model, one row per fault.
 
-    Fault ``part * n_qubits + q`` is an X (part 0) or Z (part 1) error on
-    qubit q.  Each qubit suffers an X (Z) error in each cycle independently
-    with probability p_x (p_z); sampling the binomial count and then a
-    uniform subset of cycles per qubit reproduces that law exactly.  The
-    subset is the set of distinct values of repeated uniform draws, each
-    round drawing as many values as are still missing; the draws are the
-    seeded contract, so their order and sizes must not change.
+    One row per X and per Z record of :func:`single_error_records`, in record
+    order (qubit, then X before Z); a fault's index is its row.  Returns the
+    fault's per-cycle probability ``1 - exp(-eps / rate)``, its (sx, sz, rx,
+    rz) effect, and the (x, z) Pauli masks it puts on the register mid-window.
+    """
+    eps = {"X": model.eps_bit, "Z": model.eps_phase}
+    rows = [rec for rec in single_error_records(code) if rec.kind != "Y"]
+    probs = np.array([1.0 - math.exp(-eps[rec.kind] / rate) for rec in rows])
+    effects = np.array([(rec.sx, rec.sz, rec.rx, rec.rz) for rec in rows], dtype=np.int64)
+    paulis = np.array(
+        [(1 << rec.qubit, 0) if rec.kind == "X" else (0, 1 << rec.qubit) for rec in rows],
+        dtype=np.int64,
+    )
+    return probs, effects, paulis
+
+
+def _sample_error_events(
+    rng: np.random.Generator, probs: np.ndarray, n_cycles: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle and fault index of every sampled error.
+
+    Fault f fires in each cycle independently with probability ``probs[f]``;
+    sampling the binomial count and then a uniform subset of cycles per fault
+    reproduces that law exactly.  The subset is the set of distinct values of
+    repeated uniform draws, each round drawing as many values as are still
+    missing; the draws are the seeded contract, so their order and sizes must
+    not change.
     """
     chosen: list[np.ndarray] = []
     faults: list[int] = []
-    for q in range(n_qubits):
-        for part, prob in enumerate((p_x, p_z)):
-            if prob <= 0.0:
-                continue
-            count = int(rng.binomial(n_cycles, prob))
-            if not count:
-                continue
-            cycles = _sorted_distinct(rng.integers(0, n_cycles, size=count))
-            while cycles.size < count:
-                more = rng.integers(0, n_cycles, size=count - cycles.size)
-                cycles = _sorted_distinct(np.concatenate((cycles, more)))
-            chosen.append(cycles)
-            faults.append(part * n_qubits + q)
+    for fault, prob in enumerate(probs.tolist()):
+        if prob <= 0.0:
+            continue
+        count = int(rng.binomial(n_cycles, prob))
+        if not count:
+            continue
+        cycles = _sorted_distinct(rng.integers(0, n_cycles, size=count))
+        while cycles.size < count:
+            more = rng.integers(0, n_cycles, size=count - cycles.size)
+            cycles = _sorted_distinct(np.concatenate((cycles, more)))
+        chosen.append(cycles)
+        faults.append(fault)
     if not chosen:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     sizes = [c.size for c in chosen]
     return np.concatenate(chosen), np.repeat(np.array(faults, dtype=np.int64), sizes)
-
-
-def _fault_effects(code) -> np.ndarray:
-    """(2, n, 4) array of (sx, sz, rx, rz) for an X (row 0) or Z (row 1) fault per qubit."""
-    effects = np.zeros((2, code.qubit_count, 4), dtype=np.int64)
-    for rec in single_error_records(code):
-        if rec.kind != "Y":
-            effects["XZ".index(rec.kind), rec.qubit] = (rec.sx, rec.sz, rec.rx, rec.rz)
-    return effects
 
 
 def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,17 +370,14 @@ def simulate(
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "statevector" and code.qubit_count > 14:
         raise ValueError("statevector backend is limited to 14 qubits")
-    n = code.qubit_count
     k = code.k
-    if n > 62:
+    if code.qubit_count > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
     table = decode_table(code, require_correcting=False)
     table.correction_arrays()  # refuses syndromes too wide to look up, before any trial
-    effects = _fault_effects(code).reshape(2 * n, 4)
     r = cfg.cycle_rate
+    probs, effects, paulis = _fault_table(code, model, r)
     n_cycles = max(1, int(round(cfg.t_max * r)))
-    p_x = 1.0 - math.exp(-model.eps_bit / r)
-    p_z = 1.0 - math.exp(-model.eps_phase / r)
     times = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     sample_cycles = np.minimum(
         np.floor(times * r + 1e-9).astype(int), n_cycles
@@ -386,26 +395,25 @@ def simulate(
             if "Frand" in cfg.metrics
             else None
         )
-        event_cycles, faults = _sample_error_events(rng_events, n, n_cycles, p_x, p_z)
-        # A cycle's correction depends only on its own syndrome, so every
-        # error cycle's net frame change is known before any frame is built.
-        cycles, effect = _xor_by_cycle(event_cycles, effects[faults])
-        correction, known = table.lookup(effect[:, 0], effect[:, 1])
-        # Cycles from the last sample time on are never applied or counted.
-        seen = np.searchsorted(cycles, sample_cycles[-1])
-        uncorrectable += int(np.count_nonzero(~known[:seen]))
+        event_cycles, faults = _sample_error_events(rng_events, probs, n_cycles)
         if backend == "pauli_frame":
+            # A cycle's correction depends only on its own syndrome, so every
+            # error cycle's net frame change is known before any frame is built.
+            cycles, effect = _xor_by_cycle(event_cycles, effects[faults])
+            correction, known = table.lookup(effect[:, 0], effect[:, 1])
+            # Cycles from the last sample time on are never applied or counted.
+            seen = np.searchsorted(cycles, sample_cycles[-1])
+            uncorrectable += int(np.count_nonzero(~known[:seen]))
             values = _frame_values(
                 cycles, effect[:, 2:] ^ correction, sample_cycles, haar, cfg.metrics
             )
         else:
-            # fault part * n + q puts X (part 0) or Z (part 1) on qubit q
-            masks = np.eye(2, dtype=np.int64)[faults // n] << (faults % n)[:, None]
-            _, masks = _xor_by_cycle(event_cycles, masks)
-            values = _run_statevector_trial(
+            cycles, masks = _xor_by_cycle(event_cycles, paulis[faults])
+            values, unknown = _run_statevector_trial(
                 code, table, list(zip(cycles.tolist(), masks.tolist())),
                 sample_cycles, haar, cfg.metrics, rng_events,
             )
+            uncorrectable += unknown
         for m in cfg.metrics:
             sums[m] += values[m]
             sumsq[m] += values[m] ** 2
@@ -430,7 +438,11 @@ def simulate(
 
 def _run_statevector_trial(
     code, table, ordered_events, sample_cycles, haar, metrics, rng
-):
+) -> tuple[dict[str, np.ndarray], int]:
+    """Metric values at the sample times by full statevector evolution, and the
+    number of cycles whose measured syndrome has no single-error explanation
+    (counted on the first run; every run sees the same syndromes).
+    """
     n = code.qubit_count
     k = code.k
     enc = encode_circuit(code)
@@ -440,6 +452,7 @@ def _run_statevector_trial(
         (k + i, "Z" if i < table.n_first else "X")
         for i in range(table.n_first + table.n_second)
     ]
+    unknown_counts: list[int] = []  # per run, the cycles with an unexplained syndrome
 
     def prepare(data_state: np.ndarray) -> np.ndarray:
         state = np.zeros(1 << n, dtype=np.complex128)
@@ -455,7 +468,7 @@ def _run_statevector_trial(
         reference = state.copy()
         idx = np.arange(state.size)
         out = np.zeros(len(sample_cycles))
-        ev_idx = 0
+        unknown = ev_idx = 0
         for s_idx, limit in enumerate(sample_cycles):
             while ev_idx < len(ordered_events) and ordered_events[ev_idx][0] < limit:
                 _, (x_mask, z_mask) = ordered_events[ev_idx]
@@ -472,13 +485,15 @@ def _run_statevector_trial(
                         state = apply_pauli_masks(
                             state, (1 << q) if flip_x else 0, 0 if flip_x else (1 << q)
                         )
-                (cx, cz), _ = table.lookup(*table.split_sides(outcomes))
+                (cx, cz), known = table.lookup(*table.split_sides(outcomes))
+                unknown += not known
                 state = apply_pauli_masks(state, int(cx), int(cz))
             if probe == "overlap":
                 out[s_idx] = float(np.abs(np.vdot(reference, state)) ** 2)
             else:
                 view = state if probe == "zero0" else apply_1q(state, 0, _H_MATRIX)
                 out[s_idx] = float(np.sum(np.abs(view[idx[(idx & 1) == 0]]) ** 2))
+        unknown_counts.append(unknown)
         return out
 
     values = {}
@@ -492,7 +507,7 @@ def _run_statevector_trial(
         for h in haar:
             acc += run(h, "overlap")
         values["Frand"] = acc / haar.shape[0]
-    return values
+    return values, unknown_counts[0]
 
 
 # --- half-life fitting --------------------------------------------------------
@@ -569,7 +584,8 @@ def coherent_fidelity_631(
     (no fired checks or a single fired check or all three: do nothing; two
     fired checks: flip the data qubit they share) and the resulting fidelity
     contributions are summed.  The data register defaults to |000>, for which
-    interference terms between distinct error patterns vanish.
+    interference terms between distinct error patterns vanish.  A given
+    ``data_state`` must be a unit vector of shape ``(8,)``.
     """
     if not 0.0 <= epsilon < math.pi / 4:
         raise ValueError("epsilon must lie in [0, pi/4)")
@@ -578,6 +594,11 @@ def coherent_fidelity_631(
     if data_state is None:
         data_state = zero_state(k)
     data_state = np.asarray(data_state, dtype=np.complex128)
+    if data_state.shape != (1 << k,):
+        raise ValueError(f"data_state must have shape ({1 << k},), got {data_state.shape}")
+    norm = float(np.linalg.norm(data_state))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"data_state must have unit norm, got norm {norm:.6g}")
     state = np.zeros(1 << n, dtype=np.complex128)
     state[np.arange(1 << k)] = data_state
 

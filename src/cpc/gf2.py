@@ -83,19 +83,8 @@ class Gf2Matrix:
     def __repr__(self) -> str:
         return f"Gf2Matrix({self._data.tolist()!r})"
 
-    def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
-        return multiply(self, other)
-
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix(self._data.T)
-
-    def add(self, other: Gf2Matrix) -> Gf2Matrix:
-        """Entry-wise sum mod 2."""
-        if self._data.shape != other._data.shape:
-            raise ValueError(
-                f"shape mismatch: {self._data.shape} vs {other._data.shape}"
-            )
-        return Gf2Matrix(self._data ^ other._data)
 
     def count_ones(self) -> int:
         return int(self._data.sum())
@@ -127,7 +116,7 @@ class RrefResult:
     """Outcome of Gauss-Jordan elimination.
 
     ``transform`` is the invertible row-operation matrix with
-    ``transform @ matrix == reduced``; ``rank == len(pivots)``.
+    ``multiply(transform, matrix) == reduced``; ``rank == len(pivots)``.
     """
 
     reduced: Gf2Matrix

@@ -196,6 +196,20 @@ def test_circuit_text_rejects_malformed_qubits_line(text, line):
         circuit_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits 2\nCNOT 0\n", r"^line 2: CNOT takes 2 qubit\(s\), got \(0,\)$"),
+        ("# header\n\nCNOT a 1\n", r"^line 3: invalid literal for int\(\) with base 10: 'a'$"),
+        ("H 0\nFOO 0 1\n", r"^line 2: unknown gate kind 'FOO'$"),
+    ],
+    ids=["too few qubits", "not a number", "unknown kind"],
+)
+def test_circuit_text_names_the_line_of_a_malformed_gate(text, message):
+    with pytest.raises(ValueError, match=message):
+        circuit_from_text(text)
+
+
 def test_circuit_rejects_negative_qubit_count():
     with pytest.raises(ValueError, match="qubit count must be non-negative, got -3"):
         Circuit(-3)

@@ -489,3 +489,36 @@ def test_ml_decode_too_large():
     cc = ClassicalCode(bit_count=25, checks=((0, frozenset({0})),))
     with pytest.raises(ValueError):
         ml_decode_exhaustive(cc, [0], [0.1] * 25, [0.1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda cc: ising_problem(cc, [0.1] * cc.bit_count, [0.1] * 4, [0, 1]),
+            r"^expected 4 measurements, got 2$",
+        ),
+        (
+            lambda cc: ml_decode_exhaustive(cc, [0] * 5, [0.1] * cc.bit_count, [0.1] * 4),
+            r"^expected 4 syndrome bits, got 5$",
+        ),
+        (
+            lambda cc: infer_check_errors(cc, [1], frozenset()),
+            r"^expected 4 syndrome bits, got 1$",
+        ),
+    ],
+    ids=["ising_problem", "ml_decode_exhaustive", "infer_check_errors"],
+)
+def test_wrong_length_syndromes_name_both_lengths(call, message):
+    cc, _ = effective_codes(fx.code_1133())
+    with pytest.raises(ValueError, match=message):
+        call(cc)
+
+
+@pytest.mark.parametrize("bad", [99, -1, 7])
+def test_infer_check_errors_refuses_bits_outside_the_code(bad):
+    cc, _ = effective_codes(fx.code_1133())
+    assert cc.bit_count == 7
+    with pytest.raises(ValueError, match=rf"bit error {bad} outside 0\.\.6"):
+        infer_check_errors(cc, [0, 0, 0, 0], {0, bad})
+    assert infer_check_errors(cc, [0, 0, 0, 0], {6}) == infer_check_errors(cc, [0, 0, 0, 0], [6])

@@ -131,6 +131,27 @@ def test_backends_agree_on_general_code():
     vector = simulate(code, model, cfg, backend="statevector")
     for metric in ("F0", "Fplus", "Frand"):
         assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
+    assert frame.uncorrectable_cycles == vector.uncorrectable_cycles
+
+
+@pytest.mark.parametrize("metrics", [("F0", "Fplus", "Frand"), ("Frand",), ("Fplus",)])
+def test_backends_count_the_same_uncorrectable_cycles_on_a_flawed_code(metrics):
+    # each backend counts its own unexplained syndromes: the statevector
+    # oracle reads them off its measured check outcomes
+    code = fx.code_1131_flawed()
+    model = ErrorModel(eps_bit=1.0, eps_phase=1.0)
+    cfg = SimConfig(10.0, 3.0, 4, haar_states=2, rng_seed=5, samples=3, metrics=metrics)
+    frame = simulate(code, model, cfg, backend="pauli_frame")
+    vector = simulate(code, model, cfg, backend="statevector")
+    assert frame.uncorrectable_cycles > 0
+    assert vector.uncorrectable_cycles == frame.uncorrectable_cycles
+    for metric in metrics:
+        assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
+
+
+def test_sim_config_refuses_empty_metrics():
+    with pytest.raises(ValueError, match="at least one of F0, Fplus, Frand"):
+        SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=())
 
 
 def test_statevector_qubit_limit():
@@ -301,6 +322,28 @@ def test_coherent_fidelity_series_values():
     assert sum(res.syndrome_probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "data_state, message",
+    [
+        (np.ones(8), "unit norm, got norm 2.82843"),
+        (2.0, r"shape \(8,\), got \(\)"),
+        (np.ones(4) / 2, r"shape \(8,\), got \(4,\)"),
+    ],
+    ids=["unnormalized", "scalar", "too short"],
+)
+def test_coherent_fidelity_refuses_bad_data_state(data_state, message):
+    with pytest.raises(ValueError, match=message):
+        coherent_fidelity_631(0.1, data_state)
+
+
+def test_coherent_fidelity_of_a_haar_state():
+    state = haar_state(8, np.random.default_rng(3))
+    res = coherent_fidelity_631(0.1, state)
+    assert 0.0 < res.fidelity < 1.0
+    assert sum(res.syndrome_probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert coherent_fidelity_631(0.1, np.eye(8)[0]) == coherent_fidelity_631(0.1)
+
+
 def test_coherent_fidelity_quartic_scaling():
     # the loss (1-F) shrinks ~16x when epsilon halves
     f1 = 1.0 - coherent_fidelity_631(0.02).fidelity
@@ -464,17 +507,16 @@ def _scalar_simulate(code, model, cfg, log):
 
 def _batched_events(code, model, cfg, trial):
     """The array sampler's events of one trial, in the scalar sampler's form."""
-    n, r = code.qubit_count, cfg.cycle_rate
+    r = cfg.cycle_rate
+    probs, _, paulis = dynamics._fault_table(code, model, r)
     cycles, faults = dynamics._sample_error_events(
-        dynamics._trial_rng(cfg.rng_seed, trial, 0),
-        n,
-        max(1, int(round(cfg.t_max * r))),
-        1.0 - math.exp(-model.eps_bit / r),
-        1.0 - math.exp(-model.eps_phase / r),
+        dynamics._trial_rng(cfg.rng_seed, trial, 0), probs, max(1, int(round(cfg.t_max * r)))
     )
     events: dict[int, list[int]] = {}
     for c, f in zip(cycles.tolist(), faults.tolist()):
-        events.setdefault(c, [0, 0])[f // n] ^= 1 << (f % n)
+        mask = events.setdefault(c, [0, 0])
+        mask[0] ^= int(paulis[f, 0])
+        mask[1] ^= int(paulis[f, 1])
     return events
 
 
