@@ -325,9 +325,12 @@ def circuit_from_text(text: str) -> Circuit:
             qubit_count = int(parts[1])
             continue
         try:
-            gates.append(Gate(parts[0], tuple(int(t) for t in parts[1:])))
+            gate = Gate(parts[0], tuple(int(t) for t in parts[1:]))
+            if qubit_count is not None:
+                Circuit(qubit_count, (gate,))  # the range check, while the line is known
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
+        gates.append(gate)
     if qubit_count is None:
         qubit_count = 1 + max((q for g in gates for q in g.qubits), default=-1)
     return Circuit(qubit_count, tuple(gates))

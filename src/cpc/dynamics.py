@@ -18,15 +18,16 @@ Both backends sample one fault table (``_fault_table``): a row per X and per Z
 fault of the single-error records, with its per-cycle probability, its
 (syndrome, residual) effect and its Pauli.  A trial's errors are (cycle,
 fault) pairs drawn from it.  The Pauli-frame backend is array code, one trial
-at a time: each error cycle's syndrome and residual are the XOR of its faults'
-effects.  A cycle's correction depends only on its own syndrome, never on the
-frame, so the corrections of all error cycles are looked up at once by
-:meth:`cpc.decoding.DecodeTable.lookup`, which the statevector oracle calls
-per cycle, and the frame at each sample time is a prefix XOR
-(``np.bitwise_xor.accumulate``) of the per-cycle net residuals.  A trial
-visits at most 4^k distinct frames, so the Haar-state overlaps behind
-``Frand`` are computed once per distinct frame of the trial.  This is the
-batched Pauli-frame pattern of Stim (Gidney, arXiv:2103.02202), in numpy.
+at a time.  A cycle's correction depends only on its own syndrome, never on
+the frame, so each fault's net frame change (residual ^ correction) is looked
+up once per call by :meth:`cpc.decoding.DecodeTable.lookup`, which the
+statevector oracle calls per cycle; a cycle with one fault takes its fault's
+change, and only cycles where faults coincide look up the XOR of their
+effects again.  The frame at each sample time is a prefix XOR
+(``np.bitwise_xor.accumulate``) of the per-cycle net changes, and the
+Haar-state overlaps behind ``Frand`` are computed for all distinct frames of
+a trial (at most 4^k) in one batched pass.  This is the batched Pauli-frame
+pattern of Stim (Gidney, arXiv:2103.02202), in numpy.
 """
 
 from __future__ import annotations
@@ -163,8 +164,16 @@ def measure_qubit(
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random pure state: normalized i.i.d. complex Gaussians."""
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return vec / np.linalg.norm(vec)
+    return _haar_block(dim, 1, rng)[0]
+
+
+def _haar_block(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar states from one draw, bit-identical to drawing each state's
+    real then imaginary Gaussians in turn: ``normal`` fills in order, and each
+    row keeps its own ``np.linalg.norm`` (a batched norm sums in another order)."""
+    parts = rng.normal(size=(count, 2, dim))
+    vecs = parts[:, 0] + 1j * parts[:, 1]
+    return vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
 
 
 # --- stochastic cycle simulation ---------------------------------------------
@@ -301,7 +310,9 @@ def _sample_error_events(
         count = int(rng.binomial(n_cycles, prob))
         if not count:
             continue
-        cycles = _sorted_distinct(rng.integers(0, n_cycles, size=count))
+        cycles = np.sort(rng.integers(0, n_cycles, size=count))
+        if (cycles[1:] == cycles[:-1]).any():
+            cycles = _sorted_distinct(cycles)
         while cycles.size < count:
             more = rng.integers(0, n_cycles, size=count - cycles.size)
             cycles = _sorted_distinct(np.concatenate((cycles, more)))
@@ -315,10 +326,10 @@ def _sample_error_events(
 
 def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct cycles in increasing order, with the XOR of ``rows`` over each."""
-    order = np.argsort(cycles, kind="stable")
+    order = np.argsort(cycles)  # XOR commutes: the sort need not be stable
     cycles = cycles[order]
     starts = np.flatnonzero(np.diff(cycles, prepend=-1))
-    return cycles[starts], np.bitwise_xor.reduceat(rows[order], starts, axis=0)
+    return cycles[starts], np.bitwise_xor.reduceat(np.take(rows, order, axis=0), starts, axis=0)
 
 
 def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
@@ -332,7 +343,7 @@ def _frame_values(cycles, net, sample_cycles, haar, metrics) -> dict[str, np.nda
     """Metric values at the sample times from each error cycle's net frame change.
 
     The frame at a sample is the prefix XOR of the net changes of the error
-    cycles before it.  Frand is evaluated once per distinct frame.
+    cycles before it.  Frand is evaluated for all distinct frames in one pass.
     """
     frames = np.zeros((cycles.size + 1, 2), dtype=np.int64)
     np.bitwise_xor.accumulate(net, axis=0, out=frames[1:])
@@ -343,11 +354,14 @@ def _frame_values(cycles, net, sample_cycles, haar, metrics) -> dict[str, np.nda
     if "Fplus" in metrics:
         values["Fplus"] = np.where(at[:, 1] & 1, 0.0, 1.0)
     if "Frand" in metrics:
-        distinct, which = np.unique(at, axis=0, return_inverse=True)
-        fidelity = np.array(
-            [float(np.mean(_frame_overlaps(int(fx), int(fz), haar))) for fx, fz in distinct]
-        )
-        values["Frand"] = fidelity[which]
+        # _frame_overlaps of every distinct frame at once; a frame is two k-bit masks.
+        idx = np.arange(haar.shape[1])
+        keys, which = np.unique(at[:, 0] * idx.size + at[:, 1], return_inverse=True)
+        fx, fz = np.divmod(keys, idx.size)
+        signed = (1.0 - 2.0 * _parity(idx & fz[:, None]))[:, None, :] * haar
+        permuted = np.take_along_axis(signed, (idx ^ fx[:, None])[:, None, :], axis=-1)
+        amps = np.einsum("ij,dij->di", haar.conj(), permuted)
+        values["Frand"] = (np.abs(amps) ** 2).mean(axis=1)[which]
     return values
 
 
@@ -377,6 +391,9 @@ def simulate(
     table.correction_arrays()  # refuses syndromes too wide to look up, before any trial
     r = cfg.cycle_rate
     probs, effects, paulis = _fault_table(code, model, r)
+    # Each fault's own net frame change (residual ^ correction) and known flag.
+    correction, fault_known = table.lookup(effects[:, 0], effects[:, 1])
+    fault_net = effects[:, 2:] ^ correction
     n_cycles = max(1, int(round(cfg.t_max * r)))
     times = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     sample_cycles = np.minimum(
@@ -390,23 +407,26 @@ def simulate(
     for trial in range(cfg.trials):
         rng_events = _trial_rng(cfg.rng_seed, trial, 0)
         rng_haar = _trial_rng(cfg.rng_seed, trial, 1)
-        haar = (
-            np.array([haar_state(1 << k, rng_haar) for _ in range(cfg.haar_states)])
-            if "Frand" in cfg.metrics
-            else None
-        )
+        haar = _haar_block(1 << k, cfg.haar_states, rng_haar) if "Frand" in cfg.metrics else None
         event_cycles, faults = _sample_error_events(rng_events, probs, n_cycles)
         if backend == "pauli_frame":
-            # A cycle's correction depends only on its own syndrome, so every
-            # error cycle's net frame change is known before any frame is built.
-            cycles, effect = _xor_by_cycle(event_cycles, effects[faults])
-            correction, known = table.lookup(effect[:, 0], effect[:, 1])
+            # A cycle with one fault takes its fault's net change; only cycles
+            # where faults coincide have their XORed effect looked up again.
+            order = np.argsort(event_cycles)  # XOR commutes: the sort need not be stable
+            ordered, faults = event_cycles[order], faults[order]
+            starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+            cycles, counts = ordered[starts], np.diff(starts, append=ordered.size)
+            net, known = np.take(fault_net, faults[starts], axis=0), fault_known[faults[starts]]
+            multi = counts > 1
+            if multi.any():
+                coincide = np.repeat(multi, counts)
+                _, effect = _xor_by_cycle(ordered[coincide], effects[faults[coincide]])
+                correction, known[multi] = table.lookup(effect[:, 0], effect[:, 1])
+                net[multi] = effect[:, 2:] ^ correction
             # Cycles from the last sample time on are never applied or counted.
             seen = np.searchsorted(cycles, sample_cycles[-1])
             uncorrectable += int(np.count_nonzero(~known[:seen]))
-            values = _frame_values(
-                cycles, effect[:, 2:] ^ correction, sample_cycles, haar, cfg.metrics
-            )
+            values = _frame_values(cycles, net, sample_cycles, haar, cfg.metrics)
         else:
             cycles, masks = _xor_by_cycle(event_cycles, paulis[faults])
             values, unknown = _run_statevector_trial(

@@ -202,12 +202,18 @@ def test_circuit_text_rejects_malformed_qubits_line(text, line):
         ("qubits 2\nCNOT 0\n", r"^line 2: CNOT takes 2 qubit\(s\), got \(0,\)$"),
         ("# header\n\nCNOT a 1\n", r"^line 3: invalid literal for int\(\) with base 10: 'a'$"),
         ("H 0\nFOO 0 1\n", r"^line 2: unknown gate kind 'FOO'$"),
+        ("qubits 2\nCNOT 0 5\n", r"^line 2: gate Gate\(kind='CNOT', qubits=\(0, 5\)\) outside 0\.\.1$"),
+        ("qubits 2\n\nH -1\n", r"^line 3: gate Gate\(kind='H', qubits=\(-1,\)\) outside 0\.\.1$"),
     ],
-    ids=["too few qubits", "not a number", "unknown kind"],
+    ids=["too few qubits", "not a number", "unknown kind", "above the count", "negative"],
 )
 def test_circuit_text_names_the_line_of_a_malformed_gate(text, message):
     with pytest.raises(ValueError, match=message):
         circuit_from_text(text)
+
+
+def test_circuit_text_without_a_header_infers_the_count():
+    assert circuit_from_text("CNOT 0 5\nH 2\n") == Circuit(6, (cnot(0, 5), hadamard(2)))
 
 
 def test_circuit_rejects_negative_qubit_count():

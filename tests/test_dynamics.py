@@ -295,6 +295,21 @@ def test_haar_states_unit_norm_and_purity():
     assert abs(mean - 6.0 / 9.0) < 3 * sem + 1e-3
 
 
+def test_haar_block_is_bitwise_the_repeated_haar_state():
+    # simulate draws a trial's Haar states as one block; it must equal count
+    # successive haar_state calls and the two-draw formula (real, then
+    # imaginary Gaussians, then np.linalg.norm) the pinned curves assume.
+    for dim in (2, 8, 16):
+        for count in (1, 3, 10):
+            for seed in (0, 7, 101):
+                block = dynamics._haar_block(dim, count, dynamics._trial_rng(seed, 0, 1))
+                rng = dynamics._trial_rng(seed, 0, 1)
+                assert np.array_equal(block, np.array([haar_state(dim, rng) for _ in range(count)]))
+                rng = dynamics._trial_rng(seed, 0, 1)
+                vecs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(count)]
+                assert np.array_equal(block, np.array([v / np.linalg.norm(v) for v in vecs]))
+
+
 def test_statevector_norm_preserved():
     from cpc.circuits import encode_circuit
     from cpc.dynamics import apply_circuit, zero_state
@@ -520,6 +535,35 @@ def _batched_events(code, model, cfg, trial):
     return events
 
 
+def _coincident_cycles(code, trial_events):
+    """For each cycle where two or more faults coincide: whether its looked-up
+    net frame change differs from the XOR of its faults' own net changes, and
+    whether its syndrome is known.
+    """
+    table = decode_table(code, require_correcting=False)
+    records = {(r.qubit, r.kind): r for r in single_error_records(code)}
+
+    def net_change(x_mask, z_mask):
+        sx, sz, rx, rz = _scalar_cycle_effect(records, x_mask, z_mask)
+        (cx, cz), known = table.lookup(sx, sz)
+        return (rx ^ int(cx), rz ^ int(cz)), bool(known)
+
+    out = []
+    for events in trial_events:
+        for x_mask, z_mask in events.values():
+            faults = [(1 << q, 0) for q in range(code.qubit_count) if x_mask >> q & 1]
+            faults += [(0, 1 << q) for q in range(code.qubit_count) if z_mask >> q & 1]
+            if len(faults) < 2:
+                continue
+            xor_x = xor_z = 0
+            for fault in faults:
+                (fx, fz), _ = net_change(*fault)
+                xor_x, xor_z = xor_x ^ fx, xor_z ^ fz
+            change, known = net_change(x_mask, z_mask)
+            out.append((change != (xor_x, xor_z), known))
+    return out
+
+
 def _oracle_configs():
     """Fixed corner cases plus seeded random configs on four fixtures."""
     codes = {
@@ -563,6 +607,7 @@ def _oracle_configs():
 def test_batched_kernel_matches_scalar_reference():
     log = {"rounds": [], "events": []}
     total_uncorrectable = 0
+    coincident = []
     for code, model, cfg in _oracle_configs():
         start = len(log["events"])
         means, errors, uncorrectable = _scalar_simulate(code, model, cfg, log)
@@ -574,9 +619,13 @@ def test_batched_kernel_matches_scalar_reference():
             assert np.array_equal(res.means[m], means[m]), (cfg, m)
             assert np.array_equal(res.errors[m], errors[m]), (cfg, m)
         total_uncorrectable += uncorrectable
+        coincident += _coincident_cycles(code, log["events"][start:])
     # the configs exercised what they were chosen for
     all_events = [e for events in log["events"] for e in events.values()]
     assert max(log["rounds"]) > 1
     assert sum(1 for x, z in all_events if bin(x).count("1") + bin(z).count("1") > 2) > 100
     assert total_uncorrectable > 100
     assert any(not events for events in log["events"])
+    # coincident faults the kernel must look up again, not XOR their own changes
+    assert any(differs for differs, _ in coincident)
+    assert any(differs and not known for differs, known in coincident)
