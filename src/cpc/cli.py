@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import circuit_to_text, decode_circuit, encode_circuit
+from .circuits import PauliString, circuit_to_text, decode_circuit, encode_circuit
 from .decoding import (
     DecodingObstruction,
     code_distance,
     decode_table,
     is_single_error_correcting,
     ising_problem,
-    single_error_records,
 )
 from .dynamics import ErrorModel, SimConfig, fit_half_life, simulate
 from .gf2 import Gf2Matrix
@@ -35,6 +34,7 @@ from .model import (
     GeneralCpcCode,
     InvalidCodeError,
     _meaningful_lines,
+    _require_split,
     parse,
     serialize,
 )
@@ -82,9 +82,11 @@ def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
             raise CpcFormatError(f"non-binary row {line!r}", lineno)
         rows[section].append([int(ch) for ch in line])
     widths = {len(r) for section_rows in rows.values() for r in section_rows}
+    if not widths:
+        raise CpcFormatError("no GZ or GX rows")
     if len(widths) > 1:
         raise CpcFormatError(f"inconsistent row widths: {sorted(widths)}")
-    cols = widths.pop() if widths else 0
+    cols = widths.pop()
     return (
         Gf2Matrix.from_rows(rows["GZ"], cols=cols),
         Gf2Matrix.from_rows(rows["GX"], cols=cols),
@@ -98,12 +100,6 @@ def _serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
 
 def _syndrome_str(syndrome) -> str:
     return "".join(str(b) for b in syndrome)
-
-
-def _require_split(code, command: str) -> CpcCode:
-    if not isinstance(code, CpcCode):
-        raise InvalidCodeError(f"{command} requires a split code")
-    return code
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -157,11 +153,11 @@ def _cmd_distance(args) -> int:
 def _cmd_error_table(args) -> int:
     code = _load_code(args.code)
     table = decode_table(code, require_correcting=False)
+    _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
     rows = ["error\tsyndrome\tclass"]
-    for rec in single_error_records(code):
+    for rec, category in zip(table.records, categories.tolist()):
         syndrome = rec.syndrome(table.n_first, table.n_second)
-        entry = table.decode(syndrome)
-        rows.append(f"{rec.label}\t{_syndrome_str(syndrome)}\t{entry.category}")
+        rows.append(f"{rec.label}\t{_syndrome_str(syndrome)}\t{category}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -173,11 +169,13 @@ def _cmd_decode_table(args) -> int:
     except DecodingObstruction as exc:
         print(f"decode table unavailable: {exc}", file=sys.stderr)
         return 1
+    sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
+    syndromes, first, second = zip(*sorted((table.syndrome(*s), *s) for s in sides))
+    corrections, categories = table.classify(first, second)
     rows = ["syndrome\tclass\tcorrection"]
-    for syndrome in sorted(table.syndrome(*sides) for sides in table.sides):
-        entry = table.decode(syndrome)
-        corr = entry.correction.label(code.qubit_label)
-        rows.append(f"{_syndrome_str(syndrome)}\t{entry.category}\t{corr}")
+    for syndrome, (cx, cz), category in zip(syndromes, corrections.tolist(), categories.tolist()):
+        corr = PauliString(code.k, cx, cz).label(code.qubit_label)
+        rows.append(f"{_syndrome_str(syndrome)}\t{category}\t{corr}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -289,6 +287,9 @@ def _cmd_fit(args) -> int:
             raise ValueError(f"{args.csv} has no {' or '.join(missing)} column")
         times, values = [], []
         for row in reader:
+            absent = [c for c in ("time_s", args.metric) if row[c] is None]
+            if absent:
+                raise ValueError(f"{args.csv} line {reader.line_num} has no {absent[0]} value")
             times.append(float(row["time_s"]))
             values.append(float(row[args.metric]))
     fit = fit_half_life(np.array(times), np.array(values))

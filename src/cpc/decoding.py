@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, decode_circuit
 from .gf2 import Gf2Matrix, pack_rows
-from .model import ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError
+from .model import ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError, _require_split
 from .stabilizers import check_matrix, split_check_rows
 
 __all__ = [
@@ -274,33 +274,38 @@ class TableEntry:
     category: str  # no_error | harmless | corrected | uncorrectable
 
 
-# 2**20 rows of two int64 masks: 16 MB per side at most.
-_DENSE_SYNDROME_BITS = 20
+def _frozen(values) -> np.ndarray:
+    """Read-only int64 array of ``values``, or of Python ints when some pass 63 bits."""
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        array = np.array(values, dtype=object)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class DecodeTable:
-    """Inversion of the single-error syndrome map.
+    """Inversion of the single-error syndrome map, built with its ``records``.
 
     A syndrome splits into two side masks: its bit-check and phase-check
     halves for split codes, or the whole syndrome and an empty second side
-    for generalized codes.  ``first`` and ``second`` map each side mask that
-    has a single-error explanation to its (X, Z) correction; both map 0 to
-    (0, 0), and a generalized code's ``second`` holds only that.  The
-    correction for side masks (a, b) is ``first[a] ^ second[b]``, an unknown
-    side contributing nothing, and the syndrome is uncorrectable when either
-    side is unknown.  For split codes the halves are decoded independently
+    for generalized codes.  ``first`` and ``second`` each pair the side masks
+    that have a single-error explanation, increasing from 0, with their (X, Z)
+    corrections, 0 correcting nothing; only :meth:`lookup` reads them.  The
+    correction for side masks (a, b) is the XOR of the two, an unknown side
+    contributing nothing, and the syndrome is uncorrectable when either side
+    is unknown.  For split codes the halves are decoded independently
     against the X-type and Z-type errors, so mixed X/Z multi-qubit events
-    (including Y errors) decompose cleanly.  ``sides`` holds the side masks
-    of the zero syndrome and of every single-error syndrome.
+    (including Y errors) decompose cleanly.
     """
 
     k: int
     n_first: int
     n_second: int
-    first: dict[int, tuple[int, int]] = field(repr=False)
-    second: dict[int, tuple[int, int]] = field(repr=False)
-    sides: frozenset[tuple[int, int]] = field(repr=False)
+    records: tuple[ErrorRecord, ...] = field(repr=False)
+    first: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    second: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     def split_sides(self, syndrome: Syndrome) -> tuple[int, int]:
         if len(syndrome) != self.n_first + self.n_second:
@@ -316,63 +321,47 @@ class DecodeTable:
         """The syndrome with these side masks; the inverse of :meth:`split_sides`."""
         return _mask_to_tuple(first, self.n_first) + _mask_to_tuple(second, self.n_second)
 
-    def decode(self, syndrome: Syndrome) -> TableEntry:
-        """Correction for a measured syndrome; the scalar form of :meth:`lookup`."""
-        a, b = self.split_sides(syndrome)
-        if a == 0 and b == 0:
-            return TableEntry(PauliString(self.k), "no_error")
-        ax, az = self.first.get(a, (0, 0))
-        bx, bz = self.second.get(b, (0, 0))
-        rx, rz = ax ^ bx, az ^ bz
-        correction = PauliString(self.k, rx, rz)
-        if a not in self.first or b not in self.second:
-            return TableEntry(correction, "uncorrectable")
-        category = "harmless" if (rx == 0 and rz == 0) else "corrected"
-        return TableEntry(correction, category)
-
-    def correction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense syndrome-indexed form of ``first`` and ``second``, for batched lookups.
-
-        Returns read-only int64 arrays of shape (2**n_first, 2) and
-        (2**n_second, 2), built on the first call.  Row ``s`` holds the (X, Z)
-        correction of side mask ``s``, or -1 in both columns when that side
-        has no single-error explanation.
-        """
-        return self._dense
-
-    @functools.cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        if max(self.n_first, self.n_second) > _DENSE_SYNDROME_BITS:
-            raise ValueError(
-                f"dense decode arrays support at most {_DENSE_SYNDROME_BITS} "
-                f"checks per syndrome side, got {max(self.n_first, self.n_second)}"
-            )
-        arrays = []
-        for width, side in ((self.n_first, self.first), (self.n_second, self.second)):
-            dense = np.full((1 << width, 2), -1, dtype=np.int64)
-            for mask, correction in side.items():
-                dense[mask] = correction
-            dense.flags.writeable = False
-            arrays.append(dense)
-        return arrays[0], arrays[1]
-
     def lookup(self, first, second) -> tuple[np.ndarray, np.ndarray]:
         """(X, Z) corrections and known flags of side masks, ints or arrays alike.
 
-        The batched form of :meth:`decode` over :meth:`correction_arrays`:
-        ``first`` and ``second`` index the two sides, a side with no
-        single-error explanation corrects nothing, and a syndrome is known
-        when both of its sides are.  A mask outside ``0..2**width-1`` of its
-        side raises ``ValueError``.
+        ``first`` and ``second`` are found among their side's masks, a side
+        with no single-error explanation corrects nothing, and a syndrome is
+        known when both of its sides are.  A mask outside ``0..2**width-1``
+        of its side raises ``ValueError``.
         """
-        dense_first, dense_second = self.correction_arrays()
-        for masks, width in ((first, self.n_first), (second, self.n_second)):
+        corrections, known = 0, True
+        for masks, width, (side_masks, side_corrections) in (
+            (first, self.n_first, self.first), (second, self.n_second, self.second)
+        ):
             masks = np.asarray(masks)
             if np.count_nonzero(masks >> width):  # a negative mask shifts to -1
                 bad = masks[(masks >> width) != 0].flat[0]
                 raise ValueError(f"side mask {bad} outside 0..{(1 << width) - 1}")
-        a, b = dense_first[first], dense_second[second]
-        return np.maximum(a, 0) ^ np.maximum(b, 0), (a[..., 0] >= 0) & (b[..., 0] >= 0)
+            at = np.minimum(np.searchsorted(side_masks, masks), side_masks.size - 1)
+            hit = side_masks[at] == masks
+            corrections = corrections ^ np.where(hit[..., None], side_corrections[at], 0)
+            known = known & hit
+        return corrections, known
+
+    def classify(self, first, second) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup`'s corrections, and categories in place of known flags.
+
+        ``no_error`` for the zero syndrome, ``uncorrectable`` for an unknown
+        one, else ``harmless`` or ``corrected`` as the correction is empty or not.
+        """
+        corrections, known = self.lookup(first, second)
+        silent = (np.asarray(first) == 0) & (np.asarray(second) == 0)
+        categories = np.select(
+            [silent, ~known, (corrections != 0).any(axis=-1)],
+            ["no_error", "uncorrectable", "corrected"],
+            "harmless",
+        )
+        return corrections, categories
+
+    def decode(self, syndrome: Syndrome) -> TableEntry:
+        """Correction for a measured syndrome; the scalar form of :meth:`classify`."""
+        (cx, cz), category = self.classify(*self.split_sides(syndrome))
+        return TableEntry(PauliString(self.k, int(cx), int(cz)), str(category))
 
 
 def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:
@@ -393,28 +382,25 @@ def decode_table(
     Otherwise colliding syndromes resolve to the harmless explanation when
     one exists, matching maximum likelihood under independent rare errors.
     """
-    classes = _syndrome_classes(single_error_records(code))
+    records = tuple(single_error_records(code))
+    classes = _syndrome_classes(records)
     if require_correcting:
         report = _correctability(code, classes)
         if not report.ok:
             raise DecodingObstruction(report)
     n1, n2 = _syndrome_widths(code)
-    first: dict[int, tuple[int, int]] = {0: (0, 0)}
-    second: dict[int, tuple[int, int]] = {0: (0, 0)}
+    # Filled in sorted order, each side's masks increase from 0.
+    first, second = {0: (0, 0)}, {0: (0, 0)}
     for (sx, sz), members in sorted(classes.items()):
-        if sx == 0 and sz == 0:
-            continue
         rx, rz = _resolve_group(members)
-        if sz == 0:
+        if sx and not sz:
             first[sx] = (rx, rz)
-        elif sx == 0:
+        elif sz and not sx:
             # A split code's phase side corrects Z only: a Y fault there
             # leaves its X part to the bit side.
             second[sz] = (0, rz)
-    return DecodeTable(
-        k=code.k, n_first=n1, n_second=n2, first=first, second=second,
-        sides=frozenset(classes) | {(0, 0)},
-    )
+    first, second = ((_frozen(list(s)), _frozen(list(s.values()))) for s in (first, second))
+    return DecodeTable(code.k, n1, n2, records, first, second)
 
 
 def _check_cnot(control: int, target: int, k: int | None = None) -> None:
@@ -548,7 +534,7 @@ def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:
     check whose faults are harmless, i.e. that touch no data), so that errors
     on the new qubits stay distinguishable.
     """
-    _check_cnot(control, target, code.k)
+    _check_cnot(control, target, _require_split(code, "augment_for_cnot").k)
     k, n_b, n_p = code.k, code.n_b, code.n_p
     harmless = sorted({r.qubit for r in single_error_records(code) if not r.harmful})
     bits = [q - k for q in harmless if q < k + n_b]

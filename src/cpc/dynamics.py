@@ -15,7 +15,7 @@ Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
 
 Both backends sample one fault table (``_fault_table``): a row per X and per Z
-fault of the single-error records, with its per-cycle probability, its
+fault of the decode table's ``records``, with its per-cycle probability, its
 (syndrome, residual) effect and its Pauli.  A trial's errors are (cycle,
 fault) pairs drawn from it.  The Pauli-frame backend is array code, one trial
 at a time.  A cycle's correction depends only on its own syndrome, never on
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .circuits import Circuit, decode_circuit, encode_circuit
-from .decoding import decode_table, single_error_records
+from .decoding import decode_table
 from .fixtures import code_631
 from .model import CpcCode, GeneralCpcCode
 
@@ -271,16 +271,16 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _fault_table(code, model: ErrorModel, rate: float):
+def _fault_table(records, model: ErrorModel, rate: float):
     """The per-cycle faults of the stochastic model, one row per fault.
 
-    One row per X and per Z record of :func:`single_error_records`, in record
+    One row per X and per Z record of a decode table's ``records``, in record
     order (qubit, then X before Z); a fault's index is its row.  Returns the
     fault's per-cycle probability ``1 - exp(-eps / rate)``, its (sx, sz, rx,
     rz) effect, and the (x, z) Pauli masks it puts on the register mid-window.
     """
     eps = {"X": model.eps_bit, "Z": model.eps_phase}
-    rows = [rec for rec in single_error_records(code) if rec.kind != "Y"]
+    rows = [rec for rec in records if rec.kind != "Y"]
     probs = np.array([1.0 - math.exp(-eps[rec.kind] / rate) for rec in rows])
     effects = np.array([(rec.sx, rec.sz, rec.rx, rec.rz) for rec in rows], dtype=np.int64)
     paulis = np.array(
@@ -388,9 +388,8 @@ def simulate(
     if code.qubit_count > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
     table = decode_table(code, require_correcting=False)
-    table.correction_arrays()  # refuses syndromes too wide to look up, before any trial
     r = cfg.cycle_rate
-    probs, effects, paulis = _fault_table(code, model, r)
+    probs, effects, paulis = _fault_table(table.records, model, r)
     # Each fault's own net frame change (residual ^ correction) and known flag.
     correction, fault_known = table.lookup(effects[:, 0], effects[:, 1])
     fault_net = effects[:, 2:] ^ correction

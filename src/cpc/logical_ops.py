@@ -22,7 +22,7 @@ from .circuits import (
     hadamard,
 )
 from .decoding import _check_cnot, single_error_records
-from .model import CpcCode
+from .model import CpcCode, _require_split
 
 __all__ = [
     "PauliFrame",
@@ -55,6 +55,7 @@ def logical_pauli_frame(code: CpcCode, paulis: str) -> PauliFrame:
     syndrome the same Paulis would produce as errors, so applying the gates
     and flipping those check readings leaves an error-free cycle all-clear.
     """
+    _require_split(code, "logical_pauli_frame")
     paulis = paulis.upper()
     if len(paulis) != code.k:
         raise ValueError(f"expected {code.k} Pauli letters, got {len(paulis)}")

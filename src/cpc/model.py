@@ -214,6 +214,13 @@ def generalize(code: CpcCode) -> GeneralCpcCode:
     return GeneralCpcCode(mbs=Gf2Matrix(mbs), mps=Gf2Matrix(mps), mcs=Gf2Matrix(mcs))
 
 
+def _require_split(code: CpcCode | GeneralCpcCode, what: str) -> CpcCode:
+    """``code``, refused with :class:`InvalidCodeError` unless it is a split code."""
+    if not isinstance(code, CpcCode):
+        raise InvalidCodeError(f"{what} requires a split code")
+    return code
+
+
 # --- .cpc text format ------------------------------------------------------
 #
 #   CPC split            |  CPC general

@@ -124,6 +124,8 @@ def test_css_to_cpc_steane(capsys, fixture_dir):
         ("CSS\n1010\nGZ\n1111\n", "line 2: unexpected content before a GZ/GX section: '1010'"),
         ("GZ\n10a\n", "line 2: non-binary row '10a'"),
         ("GZ\n10\n101\n", "inconsistent row widths: [2, 3]"),
+        ("", "no GZ or GX rows"),
+        ("# only a comment\nCSS\nGZ\n\nGX\n", "no GZ or GX rows"),
     ],
 )
 def test_css_to_cpc_rejects_malformed_css(tmp_path, capsys, text, message):
@@ -194,6 +196,22 @@ def test_fit_rejects_csv_without_needed_column(tmp_path, capsys, header, metric,
     assert code == 2
     assert out == ""
     assert err == f"error: {csv_path} has no {missing} column\n"
+
+
+@pytest.mark.parametrize(
+    "rows, line, missing",
+    [
+        (["time_s,Frand", "0,1", "1", "2,0.5"], 3, "Frand"),
+        (["Frand,time_s", "1,0", "0.8,1", "0.5"], 4, "time_s"),
+    ],
+)
+def test_fit_rejects_csv_with_a_short_row(tmp_path, capsys, rows, line, missing):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "fit", str(csv_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {csv_path} line {line} has no {missing} value\n"
 
 
 def test_fit_rejects_non_finite_csv(tmp_path, capsys):

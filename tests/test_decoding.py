@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import collections
 import itertools
 import math
 
@@ -28,7 +28,7 @@ from cpc.decoding import (
     solve_ising,
 )
 from cpc.gf2 import Gf2Matrix
-from cpc.model import CpcCode, generalize
+from cpc.model import CpcCode, GeneralCpcCode, InvalidCodeError, generalize
 from cpc.propagation import effective_codes, general_to_classical
 from cpc.stabilizers import check_matrix, split_check_rows
 
@@ -160,36 +160,53 @@ def test_decode_y_on_parity_qubit_composes_sides():
     assert entry.correction.x_bits == rec.rx and entry.correction.z_bits == rec.rz
 
 
-def test_correction_arrays_match_decode_on_every_syndrome():
+def _side_dict(side):
+    """A side's (masks, corrections) arrays as a mask -> (X, Z) dict."""
+    masks, corrections = side
+    assert masks.dtype == corrections.dtype == np.int64
+    assert not masks.flags.writeable and not corrections.flags.writeable
+    assert masks[0] == 0 and (np.diff(masks) > 0).all()
+    assert corrections.shape == (masks.size, 2) and not corrections[0].any()
+    return {int(m): (int(x), int(z)) for m, (x, z) in zip(masks, corrections)}
+
+
+def test_side_arrays_match_decode_on_every_syndrome():
     codes = [fx.code_1133(), fx.code_1033_general(), fx.code_631(), fx.code_1131_flawed()]
     codes += seeded_random_codes(10, seed=91) + seeded_random_general_codes(10, seed=92)
     for code in codes:
         table = decode_table(code, require_correcting=False)
-        assert table.sides == {(0, 0)} | {(r.sx, r.sz) for r in single_error_records(code)}
-        first, second = table.correction_arrays()
-        assert first.shape == (1 << table.n_first, 2)
-        assert second.shape == (1 << table.n_second, 2)
-        for a, b in itertools.product(range(first.shape[0]), range(second.shape[0])):
+        assert table.records == tuple(single_error_records(code))
+        first, second = _side_dict(table.first), _side_dict(table.second)
+        width_a, width_b = 1 << table.n_first, 1 << table.n_second
+        for a, b in itertools.product(range(width_a), range(width_b)):
             syndrome = tuple((a >> i) & 1 for i in range(table.n_first)) + tuple(
                 (b >> i) & 1 for i in range(table.n_second)
             )
             assert table.syndrome(a, b) == syndrome
             assert table.split_sides(syndrome) == (a, b)
             entry = table.decode(syndrome)
-            known = first[a, 0] >= 0 and second[b, 0] >= 0
+            known = a in first and b in second
             assert known == (entry.category != "uncorrectable"), (code, syndrome)
-            cx, cz = np.maximum(first[a], 0) ^ np.maximum(second[b], 0)
+            (ax, az), (bx, bz) = first.get(a, (0, 0)), second.get(b, (0, 0))
+            cx, cz = ax ^ bx, az ^ bz
             assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
             (lx, lz), lknown = table.lookup(a, b)
             assert (lx, lz, lknown) == (cx, cz, known), (code, syndrome)
+            (lx, lz), category = table.classify(a, b)
+            assert (lx, lz, category) == (cx, cz, entry.category), (code, syndrome)
         # the same lookup over arrays of side masks, every pair at once
-        grid_a, grid_b = np.divmod(np.arange(first.shape[0] * second.shape[0]), second.shape[0])
+        grid_a, grid_b = np.divmod(np.arange(width_a * width_b), width_b)
         corrections, known = table.lookup(grid_a, grid_b)
         assert corrections.shape == (grid_a.size, 2) and known.shape == grid_a.shape
-        for a, b, (cx, cz), ok in zip(grid_a.tolist(), grid_b.tolist(), corrections, known):
+        classified, categories = table.classify(grid_a, grid_b)
+        assert (classified == corrections).all() and categories.shape == grid_a.shape
+        for a, b, (cx, cz), ok, category in zip(
+            grid_a.tolist(), grid_b.tolist(), corrections, known, categories
+        ):
             entry = table.decode(table.syndrome(a, b))
             assert ok == (entry.category != "uncorrectable"), (code, a, b)
             assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
+            assert category == entry.category, (code, a, b)
 
 
 @pytest.mark.parametrize(
@@ -214,20 +231,36 @@ def test_lookup_edges_of_the_mask_range():
     assert table.n_second == 0
     top = (1 << table.n_first) - 1
     (cx, cz), known = table.lookup(top, 0)
-    assert (cx, cz, known) == (*table.first.get(top, (0, 0)), top in table.first)
+    first = _side_dict(table.first)
+    assert (cx, cz, known) == (*first.get(top, (0, 0)), top in first)
+    assert _side_dict(table.second) == {0: (0, 0)}
     with pytest.raises(ValueError, match=r"side mask 1 outside 0\.\.0"):
         table.lookup(0, 1)
     # a trial with no error cycles looks up empty arrays
     empty = np.zeros(0, dtype=np.int64)
     corrections, known = table.lookup(empty, empty)
     assert corrections.shape == (0, 2) and known.shape == (0,)
+    corrections, categories = table.classify(empty, empty)
+    assert corrections.shape == (0, 2) and categories.shape == (0,)
 
 
-def test_correction_arrays_refuse_wide_syndromes():
-    table = decode_table(fx.code_1133())
-    wide = dataclasses.replace(table, n_first=21)
-    with pytest.raises(ValueError, match="at most 20 checks"):
-        wide.correction_arrays()
+def test_decode_table_keeps_masks_past_63_bits():
+    # 66 data qubits: the last data qubits' corrections do not fit in int64
+    rng = np.random.default_rng(3)
+    k, n_c = 66, 9
+    code = GeneralCpcCode(
+        mbs=Gf2Matrix(rng.integers(0, 2, (k, n_c), dtype=np.uint8)),
+        mps=Gf2Matrix(rng.integers(0, 2, (k, n_c), dtype=np.uint8)),
+        mcs=Gf2Matrix(np.triu(rng.integers(0, 2, (n_c, n_c), dtype=np.uint8), 1)),
+    )
+    table = decode_table(code, require_correcting=False)
+    assert table.first[1].dtype == object and not table.first[1].flags.writeable
+    counts = collections.Counter((r.sx, r.sz) for r in table.records)
+    unique = [r for r in table.records if counts[r.sx, r.sz] == 1 and (r.sx or r.sz)]
+    assert any((r.rx | r.rz) >> 63 for r in unique)
+    for rec in unique:
+        entry = table.decode(rec.syndrome(table.n_first, table.n_second))
+        assert (entry.correction.x_bits, entry.correction.z_bits) == (rec.rx, rec.rz), rec.label
 
 
 def test_decode_table_obstruction_certificate():
@@ -366,6 +399,11 @@ def test_augment_grows_dimensions_and_reports_honestly():
 def test_augment_requires_check_checking_qubits():
     with pytest.raises(ValueError):
         augment_for_cnot(fx.code_631(), 0, 1)
+
+
+def test_augment_for_cnot_refuses_a_generalized_code():
+    with pytest.raises(InvalidCodeError, match="^augment_for_cnot requires a split code$"):
+        augment_for_cnot(fx.code_1033_general(), 0, 1)
 
 
 @pytest.mark.parametrize("control, target", [(0, 7), (-1, 1)])

@@ -180,24 +180,27 @@ def test_pauli_frame_qubit_limit():
         simulate(code, ErrorModel(0.1, 0.1), cfg)
 
 
-def test_dense_decode_cap_refused_before_any_trial(monkeypatch):
+def test_split_code_with_21_bit_checks_decodes_and_simulates():
     from cpc.gf2 import Gf2Matrix
     from cpc.model import CpcCode
 
-    # 21 bit checks: one syndrome side is past the dense lookup's 20 bits
+    # [[11,3,3]] plus 17 bit checks that touch nothing: 21 bit checks in all
+    base = fx.code_1133()
     code = CpcCode(
-        mb=Gf2Matrix.from_rows([[1] * 21], cols=21),
-        mp=Gf2Matrix.zeros(1, 0),
-        mc=Gf2Matrix.zeros(21, 0),
+        mb=Gf2Matrix(np.hstack([base.mb.data, np.zeros((base.k, 17), dtype=np.uint8)])),
+        mp=base.mp,
+        mc=Gf2Matrix(np.vstack([base.mc.data, np.zeros((17, base.n_p), dtype=np.uint8)])),
     )
-
-    def no_trial(*args):
-        raise AssertionError("a trial started")
-
-    monkeypatch.setattr(dynamics, "_trial_rng", no_trial)
-    cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=("F0",))
-    with pytest.raises(ValueError, match="at most 20 checks"):
-        simulate(code, ErrorModel(0.0, 0.0), cfg)
+    assert code.n_b == 21
+    table = decode_table(code)
+    for rec in table.records:
+        entry = table.decode(rec.syndrome(code.n_b, code.n_p))
+        assert (entry.correction.x_bits, entry.correction.z_bits) == (rec.rx, rec.rz), rec.label
+    cfg = SimConfig(cycle_rate=10.0, t_max=20.0, trials=4, haar_states=2, samples=4)
+    res = simulate(code, ErrorModel(0.05, 0.05), cfg)
+    assert res.trials == 4 and res.uncorrectable_cycles > 0
+    for metric in cfg.metrics:
+        assert res.means[metric].shape == (5,) and np.isfinite(res.means[metric]).all()
 
 
 @pytest.mark.parametrize("metrics", [("F0",), ("Fplus",), ("Frand", "F0"), ("Fplus", "Frand")])
@@ -523,7 +526,7 @@ def _scalar_simulate(code, model, cfg, log):
 def _batched_events(code, model, cfg, trial):
     """The array sampler's events of one trial, in the scalar sampler's form."""
     r = cfg.cycle_rate
-    probs, _, paulis = dynamics._fault_table(code, model, r)
+    probs, _, paulis = dynamics._fault_table(single_error_records(code), model, r)
     cycles, faults = dynamics._sample_error_events(
         dynamics._trial_rng(cfg.rng_seed, trial, 0), probs, max(1, int(round(cfg.t_max * r)))
     )

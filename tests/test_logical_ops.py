@@ -19,6 +19,7 @@ from cpc.logical_ops import (
     logical_hadamard_circuit,
     logical_pauli_frame,
 )
+from cpc.model import InvalidCodeError
 
 
 def test_pauli_frame_x_on_first_qubit():
@@ -57,6 +58,11 @@ def test_pauli_frame_matches_error_syndromes_exhaustively():
                 assert frame.phase_check_toggles == tuple(
                     i for i in range(code.n_p) if (rec.sz >> i) & 1
                 )
+
+
+def test_pauli_frame_refuses_a_generalized_code():
+    with pytest.raises(InvalidCodeError, match="^logical_pauli_frame requires a split code$"):
+        logical_pauli_frame(fx.code_1033_general(), "XII")
 
 
 def test_pauli_frame_validates_input():
