@@ -290,8 +290,14 @@ def _cmd_fit(args) -> int:
             absent = [c for c in ("time_s", args.metric) if row[c] is None]
             if absent:
                 raise ValueError(f"{args.csv} line {reader.line_num} has no {absent[0]} value")
-            times.append(float(row["time_s"]))
-            values.append(float(row[args.metric]))
+            for column, series in (("time_s", times), (args.metric, values)):
+                try:
+                    series.append(float(row[column]))
+                except ValueError:
+                    raise ValueError(
+                        f"{args.csv} line {reader.line_num}: "
+                        f"{column} value {row[column]!r} is not a number"
+                    ) from None
     fit = fit_half_life(np.array(times), np.array(values))
     if fit.degenerate:
         print("degenerate series: no decay to fit")

@@ -58,8 +58,11 @@ Syndrome = tuple[int, ...]
 _KINDS = ("X", "Y", "Z")
 
 
-def _mask_to_tuple(mask: int, width: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(width))
+def _syndrome(first: int, second: int, n_first: int, n_second: int) -> Syndrome:
+    """The syndrome tuple of two side masks, each side least significant bit first."""
+    return tuple((first >> i) & 1 for i in range(n_first)) + tuple(
+        (second >> i) & 1 for i in range(n_second)
+    )
 
 
 def _check_bits(values, name: str) -> None:
@@ -97,7 +100,7 @@ class ErrorRecord:
     harmful: bool
 
     def syndrome(self, n_first: int, n_second: int) -> Syndrome:
-        return _mask_to_tuple(self.sx, n_first) + _mask_to_tuple(self.sz, n_second)
+        return _syndrome(self.sx, self.sz, n_first, n_second)
 
 
 def _syndrome_widths(code: CpcCode | GeneralCpcCode) -> tuple[int, int]:
@@ -166,7 +169,7 @@ def error_table(code: CpcCode | GeneralCpcCode) -> dict[PauliString, Syndrome]:
             prop = conjugate_pauli(decoder, err)
             first = (prop.x_bits >> k) & ((1 << n_first) - 1)
             second = (prop.z_bits >> (k + n_first)) & ((1 << n_second) - 1)
-            table[err] = _mask_to_tuple(first, n_first) + _mask_to_tuple(second, n_second)
+            table[err] = _syndrome(first, second, n_first, n_second)
     return table
 
 
@@ -319,7 +322,7 @@ class DecodeTable:
 
     def syndrome(self, first: int, second: int) -> Syndrome:
         """The syndrome with these side masks; the inverse of :meth:`split_sides`."""
-        return _mask_to_tuple(first, self.n_first) + _mask_to_tuple(second, self.n_second)
+        return _syndrome(first, second, self.n_first, self.n_second)
 
     def lookup(self, first, second) -> tuple[np.ndarray, np.ndarray]:
         """(X, Z) corrections and known flags of side masks, ints or arrays alike.

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .circuits import Circuit, decode_circuit, encode_circuit
 from .decoding import decode_table
@@ -545,16 +544,28 @@ def fit_half_life(times, values) -> HalfLifeFit:
 
     ``F_inf`` is constrained to [0, 1].  A constant series cannot pin the
     half-life down and is returned flagged as degenerate.  ``times`` and
-    ``values`` must be finite and of one shape.
+    ``values`` must be finite 1-D arrays of one shape with at least 4 points;
+    times must be non-negative with at least two distinct, and values are
+    fidelities, in [0, 1] up to 1e-9.  Anything else raises ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError(f"times and values differ in shape: {times.shape} vs {values.shape}")
+    if times.ndim != 1:
+        raise ValueError(f"times and values must be 1-D, got shape {times.shape}")
     if not (np.isfinite(times).all() and np.isfinite(values).all()):
         raise ValueError("times and values must be finite")
     if times.size < 4:
         raise ValueError("need at least 4 time points")
+    if times.min() < 0.0:
+        raise ValueError(f"times must be non-negative, got {times.min():g}")
+    if float(np.ptp(times)) == 0.0:
+        raise ValueError("need at least 2 distinct times")
+    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+        raise ValueError(
+            f"values must lie in [0, 1], got {values.min():g}..{values.max():g}"
+        )
     if float(np.ptp(values)) < 1e-12:
         return HalfLifeFit(
             lambda_half=math.inf,
@@ -570,6 +581,10 @@ def fit_half_life(times, values) -> HalfLifeFit:
     half_level = (1.0 + f0) / 2.0
     below = np.nonzero(values < half_level)[0]
     lam0 = float(times[below[0]]) if below.size and times[below[0]] > 0 else float(times[-1])
+    # imported here, not at module level: scipy.optimize takes most of the
+    # start-up time of `import cpc`, and only a fit needs it
+    from scipy.optimize import curve_fit
+
     popt, _ = curve_fit(
         model,
         times,

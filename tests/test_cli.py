@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import csv
+import json
+import os
+import subprocess
+import sys
 
 import pytest
+from conftest import REPO_ROOT
 
 from cpc.cli import main
 
@@ -212,6 +217,70 @@ def test_fit_rejects_csv_with_a_short_row(tmp_path, capsys, rows, line, missing)
     assert code == 2
     assert out == ""
     assert err == f"error: {csv_path} line {line} has no {missing} value\n"
+
+
+@pytest.mark.parametrize(
+    "rows, line, column, field",
+    [
+        (["time_s,Frand", "0,", "1,0.5", "2,0.4", "3,0.3"], 2, "Frand", ""),
+        (["time_s,Frand", "0,1", "1,0.5", "abc,0.4", "3,0.3"], 4, "time_s", "abc"),
+    ],
+    ids=["empty field", "not a number"],
+)
+def test_fit_names_the_line_and_column_of_a_bad_field(tmp_path, capsys, rows, line, column, field):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "fit", str(csv_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {csv_path} line {line}: {column} value {field!r} is not a number\n"
+
+
+# Only a half-life fit needs scipy, and importing scipy.optimize is most of a
+# cold start; run in a fresh interpreter, since this one may have loaded it.
+_COLD_START = """
+import json, math, sys
+import numpy as np
+import cpc
+from cpc import cli
+fixtures = sys.argv[1]
+codes = []
+for argv in (
+    ["verify", fixtures + "/11-3-3.cpc"],
+    ["distance", fixtures + "/10-3-3.cpc"],
+    ["decode-table", fixtures + "/11-3-3.cpc"],
+    ["search", "--data", "3", "--bit", "4", "--phase", "4", "--budget", "50", "--seed", "0"],
+    ["simulate", fixtures + "/6-3-1.cpc", "--eps-bit", "0.5", "--rate", "10",
+     "--t-max", "3", "--trials", "2", "--haar-states", "2", "--samples", "4"],
+):
+    codes.append(cli.main(argv))
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+times = np.linspace(0.0, 200.0, 40)
+fit = cpc.fit_half_life(times, 0.25 + 0.75 * np.exp(-math.log(2.0) * times / 50.0))
+print(json.dumps({
+    "codes": codes,
+    "before": before,
+    "lambda_half": fit.lambda_half,
+    "after": "scipy.optimize" in sys.modules,
+}))
+"""
+
+
+def test_only_a_fit_imports_scipy(tmp_path, fixture_dir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(fixture_dir)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0, 0]
+    assert report["before"] == []
+    assert report["lambda_half"] == pytest.approx(50.0, rel=1e-6)
+    assert report["after"]
 
 
 def test_fit_rejects_non_finite_csv(tmp_path, capsys):

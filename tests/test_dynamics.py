@@ -273,6 +273,29 @@ def test_fit_refuses_non_finite_input(times, values):
         fit_half_life(times, values)
 
 
+@pytest.mark.parametrize(
+    "times, values, message",
+    [
+        (np.zeros((2, 2)), np.ones((2, 2)), r"times and values must be 1-D, got shape \(2, 2\)"),
+        ([-1.0, 0.0, 1.0, 2.0], [1.0, 0.9, 0.8, 0.7], "times must be non-negative, got -1"),
+        ([0.0, 0.0, 0.0, 0.0], [1.0, 0.9, 0.8, 0.7], "need at least 2 distinct times"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.8, 0.6, 5.0], r"values must lie in \[0, 1\], got 0.6..5"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.8, 0.6, -1e-8], r"values must lie in \[0, 1\]"),
+    ],
+    ids=["2-D", "negative time", "one distinct time", "value above 1", "value below 0"],
+)
+def test_fit_refuses_out_of_domain_input(times, values, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fit_half_life(times, values)
+
+
+def test_fit_admits_values_within_rounding_of_the_unit_interval():
+    times = np.linspace(0.0, 200.0, 40)
+    values = 0.25 + 0.75 * np.exp(-math.log(2.0) * times / 50.0)
+    values[0] = 1.0 + 1e-12
+    assert fit_half_life(times, values).lambda_half == pytest.approx(50.0, rel=1e-4)
+
+
 def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
     rng = np.random.Generator(np.random.Philox(8))
     states = np.array([haar_state(16, rng) for _ in range(5)])
