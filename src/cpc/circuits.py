@@ -5,6 +5,13 @@ conjugate-basis controlled-Z (``CCZX``, i.e. CZ conjugated by Hadamards on
 both qubits), and Hadamard.  A circuit is an ordered gate list applied left
 to right; ``a + b`` runs ``a`` first and then ``b``.
 
+As in the ZX calculus, the three two-qubit kinds are one gate: a controlled-Z
+whose two ends are each read in the Z or the X basis.  One table gives each
+kind's end bases (CNOT: Z then X, CZ: Z and Z, CCZX: X and X), and both gate
+rules follow from it.  Conjugation fixes each end's basis Pauli and gives its
+other Pauli the far end's basis Pauli; a Hadamard on a qubit swaps the basis
+of that qubit's end, which names the rewritten gate.
+
 Pauli operators are represented as X/Z bitmask pairs with a global phase
 that is a power of i; the operator is ``i**phase * prod_q X_q^x Z_q^z`` with
 X written before Z on each qubit (so Y carries phase exponent 1).
@@ -12,6 +19,7 @@ X written before Z on each qubit (so Y carries phase exponent 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +44,11 @@ __all__ = [
     "circuit_from_text",
 ]
 
-_TWO_QUBIT_KINDS = ("CNOT", "CZ", "CCZX")
-_GATE_KINDS = _TWO_QUBIT_KINDS + ("H",)
+# End bases of each two-qubit kind, in qubit order; (X, Z) is a CNOT written
+# target first.
+_END_BASES = {"CNOT": ("Z", "X"), "CZ": ("Z", "Z"), "CCZX": ("X", "X")}
+_KIND_OF_BASES = {bases: kind for kind, bases in _END_BASES.items()}
+_OTHER_BASIS = {"X": "Z", "Z": "X"}
 
 
 @dataclass(frozen=True)
@@ -46,7 +57,7 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _GATE_KINDS:
+        if self.kind != "H" and self.kind not in _END_BASES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         expected = 1 if self.kind == "H" else 2
         if len(self.qubits) != expected:
@@ -162,37 +173,40 @@ class _Opaque:
 OPAQUE = _Opaque()
 
 
+def _pauli_masks(basis: str, q: int) -> tuple[int, int]:
+    """(x_mask, z_mask) of the single-qubit Pauli ``basis`` on qubit q."""
+    return (1 << q, 0) if basis == "X" else (0, 1 << q)
+
+
 # Conjugation images U g U^dagger of single-qubit X/Z generators for each
 # gate, as (x_mask, z_mask) pairs over the gate's own qubits.  All images
-# carry phase 0; phases only appear when products are reordered.
+# carry phase 0; phases only appear when products are reordered.  Cached per
+# gate, so callers must not modify the returned dict.
+@functools.lru_cache(maxsize=None)
 def _gate_images(gate: Gate) -> dict[tuple[str, int], tuple[int, int]]:
     if gate.kind == "H":
         (q,) = gate.qubits
-        bit = 1 << q
-        return {("X", q): (0, bit), ("Z", q): (bit, 0)}
-    a, b = gate.qubits
-    abit, bbit = 1 << a, 1 << b
-    if gate.kind == "CNOT":
-        return {
-            ("X", a): (abit | bbit, 0),
-            ("Z", a): (0, abit),
-            ("X", b): (bbit, 0),
-            ("Z", b): (0, abit | bbit),
-        }
-    if gate.kind == "CZ":
-        return {
-            ("X", a): (abit, bbit),
-            ("Z", a): (0, abit),
-            ("X", b): (bbit, abit),
-            ("Z", b): (0, bbit),
-        }
-    # CCZX: Z on either qubit picks up X on the other; X components are fixed.
-    return {
-        ("X", a): (abit, 0),
-        ("Z", a): (bbit, abit),
-        ("X", b): (bbit, 0),
-        ("Z", b): (abit, bbit),
-    }
+        return {("X", q): _pauli_masks("Z", q), ("Z", q): _pauli_masks("X", q)}
+    ends = tuple(zip(gate.qubits, _END_BASES[gate.kind]))
+    images = {}
+    for (q, basis), (far, far_basis) in (ends, ends[::-1]):
+        other = _OTHER_BASIS[basis]
+        (ox, oz), (fx, fz) = _pauli_masks(other, q), _pauli_masks(far_basis, far)
+        images[(basis, q)] = _pauli_masks(basis, q)
+        images[(other, q)] = (ox | fx, oz | fz)
+    return images
+
+
+def _conjugate_gate_by_h(gate: Gate, q: int) -> Gate:
+    """H(q) g H(q) as one gate: the Hadamard swaps the basis of q's end."""
+    if gate.kind == "H" or q not in gate.qubits:
+        return gate
+    qubits, bases = gate.qubits, list(_END_BASES[gate.kind])
+    end = qubits.index(q)
+    bases[end] = _OTHER_BASIS[bases[end]]
+    if bases == ["X", "Z"]:
+        qubits, bases = qubits[::-1], bases[::-1]
+    return Gate(_KIND_OF_BASES[tuple(bases)], qubits)
 
 
 def _conjugate_gate(gate: Gate, p: PauliString) -> PauliString:
@@ -318,6 +332,8 @@ def circuit_from_text(text: str) -> Circuit:
     for number, line in _meaningful_lines(text):
         parts = line.split()
         if parts[0] == "qubits":
+            if qubit_count is not None:
+                raise ValueError(f"line {number}: a second 'qubits' line")
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(
                     f"line {number}: expected 'qubits <non-negative int>', got {line!r}"

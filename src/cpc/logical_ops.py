@@ -14,10 +14,9 @@ from .circuits import (
     Circuit,
     Gate,
     OPAQUE,
+    _conjugate_gate_by_h,
     cnot,
     cnot_commutator,
-    cz,
-    cczx,
     encode_circuit,
     hadamard,
 )
@@ -78,27 +77,6 @@ def logical_pauli_frame(code: CpcCode, paulis: str) -> PauliFrame:
         bit_check_toggles=tuple(i for i in range(code.n_b) if (sx >> i) & 1),
         phase_check_toggles=tuple(i for i in range(code.n_p) if (sz >> i) & 1),
     )
-
-
-def _conjugate_gate_by_h(gate: Gate, q: int) -> Gate:
-    """Image of a gate under conjugation by a Hadamard on qubit q."""
-    if q not in gate.qubits:
-        return gate
-    if gate.kind == "H":
-        return gate
-    a, b = gate.qubits
-    if gate.kind == "CNOT":
-        control, target = a, b
-        if q == control:
-            return cczx(control, target)
-        return cz(control, target)
-    if gate.kind == "CZ":
-        # CZ is symmetric; H on q turns it into a CNOT targeting q.
-        other = b if q == a else a
-        return cnot(other, q)
-    # CCZX is symmetric; H on q turns it into a CNOT controlled by q.
-    other = b if q == a else a
-    return cnot(q, other)
 
 
 def hadamard_rewrite(circuit: Circuit, q: int) -> Circuit:

@@ -6,6 +6,7 @@ import pytest
 from conftest import seeded_random_codes
 from cpc import fixtures as fx
 from cpc.circuits import (
+    _conjugate_gate_by_h,
     Circuit,
     Gate,
     OPAQUE,
@@ -125,6 +126,22 @@ def test_conjugation_matches_statevector_oracle():
             assert np.allclose(got_mat, want), (q, kind)
 
 
+@pytest.mark.parametrize("make", [cnot, cz, cczx], ids=["CNOT", "CZ", "CCZX"])
+@pytest.mark.parametrize("end", [0, 1])
+def test_hadamard_rewrite_of_each_gate_end(make, end):
+    gate = make(2, 0)
+    q = gate.qubits[end]
+    rewritten = _conjugate_gate_by_h(gate, q)
+    assert rewritten.kind != gate.kind and set(rewritten.qubits) == {0, 2}
+    h = hadamard(q)
+    assert circuits_equal(Circuit(3, (rewritten,)), Circuit(3, (h, gate, h)))
+
+
+@pytest.mark.parametrize("gate", [hadamard(1), hadamard(0), cnot(0, 2), cz(2, 0), cczx(0, 2)])
+def test_hadamard_rewrite_passes_h_and_gates_off_its_qubit(gate):
+    assert _conjugate_gate_by_h(gate, 1) == gate
+
+
 def test_cnot_commutator_cases():
     shared = cnot_commutator(cnot(0, 1), cnot(2, 0))
     assert shared.gates == (cnot(2, 1),)
@@ -209,6 +226,16 @@ def test_circuit_text_rejects_malformed_qubits_line(text, line):
 )
 def test_circuit_text_names_the_line_of_a_malformed_gate(text, message):
     with pytest.raises(ValueError, match=message):
+        circuit_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("qubits 3\nqubits 3\nH 0\n", 2), ("qubits 5\nCNOT 0 4\nqubits 2\n", 3)],
+    ids=["repeated", "after gates"],
+)
+def test_circuit_text_refuses_a_second_qubits_line(text, line):
+    with pytest.raises(ValueError, match=rf"^line {line}: a second 'qubits' line"):
         circuit_from_text(text)
 
 

@@ -458,6 +458,17 @@ def test_ml_decode_check_only_explanation():
     assert result.check_errors == frozenset({0})
 
 
+def test_ml_decode_reports_check_ids_not_positions():
+    from cpc.model import ClassicalCode
+
+    cc = ClassicalCode(2, ((5, frozenset({0, 1})), (2, frozenset({1}))))
+    for syndrome in itertools.product((0, 1), repeat=2):
+        ml = ml_decode_exhaustive(cc, syndrome, [0.01] * 2, [0.3] * 2)
+        assert ml.check_errors == infer_check_errors(cc, syndrome, ml.bit_errors)
+    lone = ClassicalCode(2, ((5, frozenset({0, 1})),))
+    assert ml_decode_exhaustive(lone, [1], [0.01] * 2, [0.3]).check_errors == {5}
+
+
 def test_ising_matches_ml_on_both_1133_effective_codes():
     bit_code, phase_code = effective_codes(fx.code_1133())
     for cc in (bit_code, phase_code):
