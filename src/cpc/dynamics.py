@@ -41,7 +41,7 @@ import numpy as np
 
 from .circuits import Circuit, decode_circuit, encode_circuit
 from .decoding import decode_table
-from .fixtures import code_631
+from .gf2 import Gf2Matrix
 from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
@@ -610,8 +610,9 @@ class CoherentFidelity:
 def coherent_fidelity_631(
     epsilon: float, data_state: np.ndarray | None = None
 ) -> CoherentFidelity:
-    """Exact 6-qubit treatment of the three-data-qubit bit-flip code under a
-    coherent rotation error cos(e)*I + i*sin(e)*X on every qubit.
+    """Exact 6-qubit treatment of the three-data-qubit bit-flip code
+    (``fixtures/6-3-1.cpc``) under a coherent rotation error
+    cos(e)*I + i*sin(e)*X on every qubit.
 
     One full encode/error/decode round is computed on the statevector; each
     of the eight check outcomes is then corrected by the code's decode table
@@ -623,7 +624,8 @@ def coherent_fidelity_631(
     """
     if not 0.0 <= epsilon < math.pi / 4:
         raise ValueError("epsilon must lie in [0, pi/4)")
-    code = code_631()
+    bits = Gf2Matrix([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    code = CpcCode(mb=bits, mp=Gf2Matrix.zeros(3, 0), mc=Gf2Matrix.zeros(3, 0))
     k, n = code.k, code.qubit_count
     if data_state is None:
         data_state = zero_state(k)

@@ -1,21 +1,35 @@
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpc.gf2 import Gf2Matrix
-from cpc.model import CpcCode, GeneralCpcCode
+from cpc.model import CpcCode, GeneralCpcCode, parse
 from cpc.search import random_code
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
 
 
+# The [7,4,3] Hamming parity-check matrix, both CSS blocks of the Steane code
+# (fixtures/steane.css).
+HAMMING_743 = Gf2Matrix(
+    [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+)
+
+
 @pytest.fixture
 def fixture_dir() -> Path:
     return FIXTURE_DIR
+
+
+@functools.cache
+def fixture_code(name: str) -> CpcCode | GeneralCpcCode:
+    """The code in fixtures/<name>.cpc, parsed once (codes are immutable)."""
+    return parse((FIXTURE_DIR / f"{name}.cpc").read_text(encoding="utf-8"))
 
 
 def seeded_random_codes(count: int, seed: int = 2024, k_max: int = 4, n_max: int = 5):

@@ -11,8 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import seeded_random_codes
-from cpc import fixtures as fx
+from conftest import HAMMING_743, fixture_code, seeded_random_codes
 from cpc.circuits import (
     Circuit,
     PauliString,
@@ -66,7 +65,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_stabilizer_table():
     start = time.perf_counter()
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     got = {stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)}
     elapsed = time.perf_counter() - start
     ok = got == EXPECTED_STABILIZERS_1133 and elapsed < 1.0
@@ -75,7 +74,7 @@ def test_criterion_1_stabilizer_table():
 
 def test_criterion_2_error_table():
     start = time.perf_counter()
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     table = error_table(code)
     n = code.qubit_count
 
@@ -103,10 +102,10 @@ def test_criterion_3_correctability_verdicts():
     timings = []
     verdicts = []
     for code, want in (
-        (fx.code_1133(), True),
-        (fx.code_1243(), True),
-        (fx.code_1131_flawed(), False),
-        (fx.code_1033_general(), True),
+        (fixture_code("11-3-3"), True),
+        (fixture_code("12-4-3"), True),
+        (fixture_code("11-3-1"), False),
+        (fixture_code("10-3-3"), True),
     ):
         start = time.perf_counter()
         report = is_single_error_correcting(code)
@@ -121,7 +120,7 @@ def test_criterion_3_correctability_verdicts():
 
 
 def _criterion_codes():
-    codes = [fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1333_augmented()]
+    codes = [fixture_code(name) for name in ("11-3-3", "12-4-3", "6-3-1", "13-3-3")]
     return codes + seeded_random_codes(100, seed=8128, k_max=4, n_max=5)
 
 
@@ -163,7 +162,7 @@ def test_criterion_5_symplectic_commutation():
 
 def test_criterion_6_css_round_trip():
     start = time.perf_counter()
-    g_z, g_x = fx.steane_css_pair()
+    g_z = g_x = HAMMING_743
     result = css_to_cpc(g_z, g_x)
     code = result.code  # a valid code: the code types refuse malformed matrices
     new_gz, new_gx = symplectic_matrix(code)
@@ -216,7 +215,7 @@ def test_criterion_8_monte_carlo_protection():
             samples=30,
             metrics=("Frand",),
         )
-        res = simulate(fx.code_1133(), model, cfg)
+        res = simulate(fixture_code("11-3-3"), model, cfg)
         mean, _ = res.column("Frand")
         fit = fit_half_life(res.times, mean)
         half_lives.append(fit.lambda_half)
@@ -239,7 +238,7 @@ def test_criterion_8_monte_carlo_protection():
         samples=20,
         metrics=("Fplus",),
     )
-    res631 = simulate(fx.code_631(), ErrorModel(eps_bit=0.007, eps_phase=0.0), cfg631)
+    res631 = simulate(fixture_code("6-3-1"), ErrorModel(eps_bit=0.007, eps_phase=0.0), cfg631)
     fplus, fplus_err = res631.column("Fplus")
     fplus_ok = bool(np.all(np.abs(fplus - 1.0) <= 3 * fplus_err + 1e-12))
 
@@ -262,7 +261,7 @@ def test_criterion_8_monte_carlo_protection():
 def test_criterion_9_encoded_gates():
     start = time.perf_counter()
     failures = 0
-    codes = [fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1333_augmented()]
+    codes = [fixture_code(name) for name in ("11-3-3", "12-4-3", "6-3-1", "13-3-3")]
     codes += seeded_random_codes(50, seed=5050, k_max=4, n_max=5)
     for code in codes:
         enc = encode_circuit(code)
@@ -276,11 +275,11 @@ def test_criterion_9_encoded_gates():
         ):
             failures += 1
     search_found = (
-        cnot_compatible(fx.code_1133_cnot_ready(), 0, 1).ok
-        and cnot_compatible(fx.code_1243_cnot_ready(), 0, 1).ok
+        cnot_compatible(fixture_code("11-3-3-cnot"), 0, 1).ok
+        and cnot_compatible(fixture_code("12-4-3-cnot"), 0, 1).ok
     )
-    aug = augment_for_cnot(fx.code_1133(), 0, 1)
-    augment_ok = aug == fx.code_1333_augmented() and cnot_compatible(aug, 0, 1).ok
+    aug = augment_for_cnot(fixture_code("11-3-3"), 0, 1)
+    augment_ok = aug == fixture_code("13-3-3") and cnot_compatible(aug, 0, 1).ok
     elapsed = time.perf_counter() - start
     ok = failures == 0 and search_found and augment_ok and elapsed < 30.0
     _report(
@@ -295,7 +294,7 @@ def test_criterion_10_decoder_oracle_equivalence():
     start = time.perf_counter()
     mismatches = 0
     total = 0
-    for cc in effective_codes(fx.code_1133()):
+    for cc in effective_codes(fixture_code("11-3-3")):
         n_checks = len(cc.checks)
         bit_priors = [0.05] * cc.bit_count
         check_priors = [0.05] * n_checks

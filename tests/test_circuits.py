@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import seeded_random_codes
-from cpc import fixtures as fx
+from conftest import fixture_code, seeded_random_codes
 from cpc.circuits import (
     _conjugate_gate_by_h,
     Circuit,
@@ -37,7 +36,7 @@ def test_gate_validation():
 
 
 def test_encode_gate_counts_match_matrix_weights():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     expected = code.mb.count_ones() + code.mp.count_ones() + code.mc.count_ones()
     assert len(enc) == expected == 22
@@ -52,7 +51,7 @@ def test_encode_empty_code():
 
 
 def test_general_encode_gate_kinds():
-    g = generalize(fx.code_1133())
+    g = generalize(fixture_code("11-3-3"))
     enc = encode_circuit(g)
     kinds = [gt.kind for gt in enc.gates]
     assert kinds.count("CNOT") == g.mbs.count_ones() == 6
@@ -163,7 +162,7 @@ def test_cnot_commutator_is_operational_commutator():
 
 
 def test_decode_encode_is_identity_on_fixtures():
-    for code in (fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1033_general()):
+    for code in map(fixture_code, ("11-3-3", "12-4-3", "6-3-1", "10-3-3")):
         enc, dec = encode_circuit(code), decode_circuit(code)
         assert circuits_equal(enc + dec, Circuit(code.qubit_count))
 
@@ -175,7 +174,7 @@ def test_decode_encode_identity_on_random_codes():
 
 
 def test_within_block_gate_swap_is_equivalent():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     gates = list(enc.gates)
     # first two gates belong to the B block: swapping them changes nothing
@@ -184,7 +183,7 @@ def test_within_block_gate_swap_is_equivalent():
 
 
 def test_extra_gate_breaks_equality():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     padded = enc + Circuit(enc.qubit_count, (cnot(0, 4),))
     assert not circuits_equal(enc, padded)

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import seeded_random_codes, seeded_random_general_codes
-from cpc import fixtures as fx
+from conftest import fixture_code, seeded_random_codes, seeded_random_general_codes
 from cpc.circuits import PauliString
 from cpc.decoding import (
     DecodingObstruction,
@@ -47,7 +46,7 @@ def _fired(code, syndrome):
 
 
 def test_error_table_1133_single_data_rows():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     table = error_table(code)
     want = {
         (0, "X"): {"b1", "b3"},
@@ -62,13 +61,13 @@ def test_error_table_1133_single_data_rows():
 
 
 def test_error_table_y_combines_sides():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     table = error_table(code)
     assert _fired(code, _syndrome_of(code, table, 0, "Y")) == {"b1", "b3", "p1", "p3"}
 
 
 def test_error_table_identity_empty():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     records = single_error_records(code)
     # the all-zero syndrome never appears among harmful single errors
     assert all(r.sx or r.sz for r in records if r.harmful)
@@ -76,8 +75,8 @@ def test_error_table_identity_empty():
 
 def test_error_table_matches_matrix_records():
     # circuit propagation and the matrix-derived model must agree everywhere
-    codes = [fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1333_augmented(),
-             fx.code_1033_general(), generalize(fx.code_1133())]
+    codes = [fixture_code(name) for name in ("11-3-3", "12-4-3", "6-3-1", "13-3-3", "10-3-3")]
+    codes.append(generalize(fixture_code("11-3-3")))
     codes += seeded_random_codes(60, seed=31)
     codes += seeded_random_general_codes(40)
     for code in codes:
@@ -92,7 +91,7 @@ def test_error_table_matches_matrix_records():
 def test_residuals_match_circuit_propagation():
     from cpc.circuits import conjugate_pauli, decode_circuit
 
-    codes = [fx.code_1133(), fx.code_1033_general()] + seeded_random_codes(30, seed=77)
+    codes = [fixture_code("11-3-3"), fixture_code("10-3-3")] + seeded_random_codes(30, seed=77)
     codes += seeded_random_general_codes(30)
     for code in codes:
         dec = decode_circuit(code)
@@ -105,10 +104,10 @@ def test_residuals_match_circuit_propagation():
 
 
 def test_correctability_verdicts():
-    assert is_single_error_correcting(fx.code_1133()).ok
-    assert is_single_error_correcting(fx.code_1243()).ok
-    assert is_single_error_correcting(fx.code_1033_general()).ok
-    report = is_single_error_correcting(fx.code_1131_flawed())
+    assert is_single_error_correcting(fixture_code("11-3-3")).ok
+    assert is_single_error_correcting(fixture_code("12-4-3")).ok
+    assert is_single_error_correcting(fixture_code("10-3-3")).ok
+    report = is_single_error_correcting(fixture_code("11-3-1"))
     assert not report.ok
     # the certificate names the degenerate phase check: every collision
     # fires only the last phase check p4
@@ -119,7 +118,7 @@ def test_correctability_verdicts():
 
 
 def test_decode_table_known_corrections():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     table = decode_table(code)
     # single data error
     entry = table.decode((1, 0, 1, 0, 0, 0, 0, 0))
@@ -139,7 +138,7 @@ def test_decode_table_known_corrections():
 
 
 def test_decode_corrects_every_harmful_single_error():
-    codes = [fx.code_1133(), fx.code_1243(), fx.code_1333_augmented(), fx.code_1033_general()]
+    codes = [fixture_code(name) for name in ("11-3-3", "12-4-3", "13-3-3", "10-3-3")]
     for code in codes:
         table = decode_table(code)
         n1 = code.n_b if hasattr(code, "n_b") else code.n_c
@@ -152,7 +151,7 @@ def test_decode_corrects_every_harmful_single_error():
 
 
 def test_decode_y_on_parity_qubit_composes_sides():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     table = decode_table(code)
     recs = {(r.qubit, r.kind): r for r in single_error_records(code)}
     rec = recs[(code.phase_index(0), "Y")]  # Y on p1
@@ -171,7 +170,7 @@ def _side_dict(side):
 
 
 def test_side_arrays_match_decode_on_every_syndrome():
-    codes = [fx.code_1133(), fx.code_1033_general(), fx.code_631(), fx.code_1131_flawed()]
+    codes = [fixture_code(name) for name in ("11-3-3", "10-3-3", "6-3-1", "11-3-1")]
     codes += seeded_random_codes(10, seed=91) + seeded_random_general_codes(10, seed=92)
     for code in codes:
         table = decode_table(code, require_correcting=False)
@@ -220,14 +219,14 @@ def test_side_arrays_match_decode_on_every_syndrome():
     ],
 )
 def test_lookup_refuses_masks_outside_the_side(first, second, message):
-    table = decode_table(fx.code_1133())
+    table = decode_table(fixture_code("11-3-3"))
     with pytest.raises(ValueError) as err:
         table.lookup(first, second)
     assert str(err.value) == message
 
 
 def test_lookup_edges_of_the_mask_range():
-    table = decode_table(fx.code_1033_general())
+    table = decode_table(fixture_code("10-3-3"))
     assert table.n_second == 0
     top = (1 << table.n_first) - 1
     (cx, cz), known = table.lookup(top, 0)
@@ -265,24 +264,24 @@ def test_decode_table_keeps_masks_past_63_bits():
 
 def test_decode_table_obstruction_certificate():
     with pytest.raises(DecodingObstruction) as err:
-        decode_table(fx.code_1131_flawed())
+        decode_table(fixture_code("11-3-1"))
     assert "Z_b1" in str(err.value)
     # non-strict mode still yields a usable (best-effort) table
-    table = decode_table(fx.code_1131_flawed(), require_correcting=False)
+    table = decode_table(fixture_code("11-3-1"), require_correcting=False)
     assert table.decode((0,) * 8).category == "no_error"
 
 
 def test_cnot_compatible_fixtures():
-    assert not cnot_compatible(fx.code_1133(), 0, 1).ok
-    assert cnot_compatible(fx.code_1133_cnot_ready(), 0, 1).ok
-    assert cnot_compatible(fx.code_1243_cnot_ready(), 0, 1).ok
+    assert not cnot_compatible(fixture_code("11-3-3"), 0, 1).ok
+    assert cnot_compatible(fixture_code("11-3-3-cnot"), 0, 1).ok
+    assert cnot_compatible(fixture_code("12-4-3-cnot"), 0, 1).ok
     # a non-correcting code fails by precondition
-    report = cnot_compatible(fx.code_1131_flawed(), 0, 1)
+    report = cnot_compatible(fixture_code("11-3-1"), 0, 1)
     assert not report.ok
     with pytest.raises(ValueError):
-        cnot_compatible(fx.code_1133(), 1, 1)
+        cnot_compatible(fixture_code("11-3-3"), 1, 1)
     with pytest.raises(ValueError):
-        cnot_compatible(fx.code_1133(), 0, 7)
+        cnot_compatible(fixture_code("11-3-3"), 0, 7)
 
 
 # (k, n_b, n_p), mirrored mp = mb, code count, CNOT (control, target) pairs
@@ -352,7 +351,7 @@ def test_batched_verdicts_match_scalar():
 
 
 def test_cnot_certificate_names_the_pairs_and_their_clashes():
-    report = cnot_compatible(fx.code_1133(), 0, 1)
+    report = cnot_compatible(fixture_code("11-3-3"), 0, 1)
     assert not report.ok
     got = {(g.syndrome, frozenset(g.labels)) for g in report.collisions}
     assert got == {
@@ -379,8 +378,8 @@ def test_batched_predicates_check_their_arguments():
 
 
 def test_augment_for_cnot_reproduces_1333():
-    aug = augment_for_cnot(fx.code_1133(), 0, 1)
-    assert aug == fx.code_1333_augmented()
+    aug = augment_for_cnot(fixture_code("11-3-3"), 0, 1)
+    assert aug == fixture_code("13-3-3")
     assert (aug.k, aug.n_b, aug.n_p) == (3, 5, 5)
     assert cnot_compatible(aug, 0, 1).ok
     assert is_single_error_correcting(aug).ok
@@ -389,7 +388,7 @@ def test_augment_for_cnot_reproduces_1333():
 def test_augment_grows_dimensions_and_reports_honestly():
     # the recipe is not universal: on the Hamming-based code the new phase
     # check aliases an existing one, and the checker must say so
-    aug = augment_for_cnot(fx.code_1243(), 0, 1)
+    aug = augment_for_cnot(fixture_code("12-4-3"), 0, 1)
     assert (aug.n_b, aug.n_p) == (5, 5)
     report = is_single_error_correcting(aug)
     assert not report.ok
@@ -398,29 +397,29 @@ def test_augment_grows_dimensions_and_reports_honestly():
 
 def test_augment_requires_check_checking_qubits():
     with pytest.raises(ValueError):
-        augment_for_cnot(fx.code_631(), 0, 1)
+        augment_for_cnot(fixture_code("6-3-1"), 0, 1)
 
 
 def test_augment_for_cnot_refuses_a_generalized_code():
     with pytest.raises(InvalidCodeError, match="^augment_for_cnot requires a split code$"):
-        augment_for_cnot(fx.code_1033_general(), 0, 1)
+        augment_for_cnot(fixture_code("10-3-3"), 0, 1)
 
 
 @pytest.mark.parametrize("control, target", [(0, 7), (-1, 1)])
 def test_augment_for_cnot_refuses_indices_off_the_data(control, target):
     with pytest.raises(ValueError, match=r"^data indices must lie in 0\.\.2$"):
-        augment_for_cnot(fx.code_1133(), control, target)
+        augment_for_cnot(fixture_code("11-3-3"), control, target)
 
 
 def test_ising_field_coefficient_value():
-    cc, _ = effective_codes(fx.code_631())
+    cc, _ = effective_codes(fixture_code("6-3-1"))
     problem = ising_problem(cc, [0.1] * 3, [0.1] * 3, [0, 0, 0])
     assert problem.fields[0] == pytest.approx(math.log(1 / 9), abs=1e-9)
     assert problem.fields[0] == pytest.approx(-2.1972, abs=5e-4)
 
 
 def test_ising_all_even_ground_state_is_error_free():
-    cc, _ = effective_codes(fx.code_631())
+    cc, _ = effective_codes(fixture_code("6-3-1"))
     problem = ising_problem(cc, [0.1] * 3, [0.1] * 3, [0, 0, 0])
     sol = solve_ising(problem)
     assert sol.bit_errors == frozenset()
@@ -429,14 +428,14 @@ def test_ising_all_even_ground_state_is_error_free():
 
 def test_ising_flips_shared_bit():
     # syndrome 011 on the three-bit code: both firing checks cover bit C
-    cc, _ = effective_codes(fx.code_631())
+    cc, _ = effective_codes(fixture_code("6-3-1"))
     problem = ising_problem(cc, [0.1] * 3, [0.1] * 3, [0, 1, 1])
     sol = solve_ising(problem)
     assert sol.bit_errors == frozenset({2})
 
 
 def test_ising_rejects_bad_priors():
-    cc, _ = effective_codes(fx.code_631())
+    cc, _ = effective_codes(fixture_code("6-3-1"))
     with pytest.raises(ValueError):
         ising_problem(cc, [0.6] * 3, [0.1] * 3, [0, 0, 0])
     with pytest.raises(ValueError):
@@ -444,7 +443,7 @@ def test_ising_rejects_bad_priors():
 
 
 def test_ml_decode_zero_syndrome():
-    cc, _ = effective_codes(fx.code_1133())
+    cc, _ = effective_codes(fixture_code("11-3-3"))
     result = ml_decode_exhaustive(cc, [0] * 4, [0.05] * cc.bit_count, [0.05] * 4)
     assert result.bit_errors == frozenset() and result.check_errors == frozenset()
 
@@ -452,7 +451,7 @@ def test_ml_decode_zero_syndrome():
 def test_ml_decode_check_only_explanation():
     # a single fired check with no consistent cheap bit explanation: the
     # check itself is the most likely culprit
-    cc, _ = effective_codes(fx.code_1133())
+    cc, _ = effective_codes(fixture_code("11-3-3"))
     result = ml_decode_exhaustive(cc, [1, 0, 0, 0], [0.05] * cc.bit_count, [0.05] * 4)
     assert result.bit_errors == frozenset()
     assert result.check_errors == frozenset({0})
@@ -470,7 +469,7 @@ def test_ml_decode_reports_check_ids_not_positions():
 
 
 def test_ising_matches_ml_on_both_1133_effective_codes():
-    bit_code, phase_code = effective_codes(fx.code_1133())
+    bit_code, phase_code = effective_codes(fixture_code("11-3-3"))
     for cc in (bit_code, phase_code):
         n_checks = len(cc.checks)
         for bits in itertools.product((0, 1), repeat=n_checks):
@@ -482,7 +481,7 @@ def test_ising_matches_ml_on_both_1133_effective_codes():
 
 
 def test_ising_matches_ml_on_general_classical_code():
-    cc = general_to_classical(fx.code_1033_general())
+    cc = general_to_classical(fixture_code("10-3-3"))
     n_checks = len(cc.checks)
     rng = np.random.Generator(np.random.Philox(3))
     for _ in range(40):
@@ -497,11 +496,11 @@ def test_ising_matches_ml_on_general_classical_code():
     "call, message",
     [
         (
-            lambda cc: decode_table(fx.code_1133()).decode((2, 0, 0, 0, 0, 0, 0, 0)),
+            lambda cc: decode_table(fixture_code("11-3-3")).decode((2, 0, 0, 0, 0, 0, 0, 0)),
             r"syndrome\[0\] is 2, expected 0 or 1",
         ),
         (
-            lambda cc: decode_table(fx.code_1033_general()).split_sides((0,) * 6 + (-1,)),
+            lambda cc: decode_table(fixture_code("10-3-3")).split_sides((0,) * 6 + (-1,)),
             r"syndrome\[6\] is -1, expected 0 or 1",
         ),
         (
@@ -527,7 +526,7 @@ def test_ising_matches_ml_on_general_classical_code():
     ],
 )
 def test_malformed_syndromes_are_rejected(call, message):
-    cc, _ = effective_codes(fx.code_1133())
+    cc, _ = effective_codes(fixture_code("11-3-3"))
     with pytest.raises(ValueError, match=message):
         call(cc)
 
@@ -559,14 +558,14 @@ def test_ml_decode_too_large():
     ids=["ising_problem", "ml_decode_exhaustive", "infer_check_errors"],
 )
 def test_wrong_length_syndromes_name_both_lengths(call, message):
-    cc, _ = effective_codes(fx.code_1133())
+    cc, _ = effective_codes(fixture_code("11-3-3"))
     with pytest.raises(ValueError, match=message):
         call(cc)
 
 
 @pytest.mark.parametrize("bad", [99, -1, 7])
 def test_infer_check_errors_refuses_bits_outside_the_code(bad):
-    cc, _ = effective_codes(fx.code_1133())
+    cc, _ = effective_codes(fixture_code("11-3-3"))
     assert cc.bit_count == 7
     with pytest.raises(ValueError, match=rf"bit error {bad} outside 0\.\.6"):
         infer_check_errors(cc, [0, 0, 0, 0], {0, bad})

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fixture_code
 from cpc import dynamics
-from cpc import fixtures as fx
 from cpc.decoding import decode_table, single_error_records
 from cpc.dynamics import (
     ErrorModel,
@@ -54,7 +54,7 @@ def test_sim_config_validation():
 
 def test_zero_rates_give_unit_fidelity():
     cfg = SimConfig(cycle_rate=10.0, t_max=5.0, trials=5, haar_states=4, rng_seed=1, samples=5)
-    res = simulate(fx.code_1133(), ErrorModel(0.0, 0.0), cfg)
+    res = simulate(fixture_code("11-3-3"), ErrorModel(0.0, 0.0), cfg)
     for metric in ("F0", "Fplus"):
         mean, err = res.column(metric)
         assert np.all(mean == 1.0)
@@ -66,7 +66,7 @@ def test_zero_rates_give_unit_fidelity():
 
 def test_fidelities_stay_in_unit_interval():
     cfg = SimConfig(cycle_rate=5.0, t_max=10.0, trials=20, haar_states=5, rng_seed=5, samples=8)
-    res = simulate(fx.code_1133(), ErrorModel(0.5, 0.2), cfg)
+    res = simulate(fixture_code("11-3-3"), ErrorModel(0.5, 0.2), cfg)
     for metric in ("F0", "Fplus", "Frand"):
         mean, _ = res.column(metric)
         assert np.all(mean >= 0.0) and np.all(mean <= 1.0)
@@ -74,7 +74,7 @@ def test_fidelities_stay_in_unit_interval():
 
 def test_631_fplus_immune_to_bit_flips():
     cfg = SimConfig(cycle_rate=100.0, t_max=400.0, trials=150, haar_states=4, rng_seed=9, samples=8)
-    res = simulate(fx.code_631(), ErrorModel(0.007, 0.0), cfg)
+    res = simulate(fixture_code("6-3-1"), ErrorModel(0.007, 0.0), cfg)
     fplus, err = res.column("Fplus")
     assert np.all(fplus == 1.0)
     assert np.all(err == 0.0)
@@ -82,8 +82,8 @@ def test_631_fplus_immune_to_bit_flips():
 
 def test_reproducibility_same_seed():
     cfg = SimConfig(cycle_rate=20.0, t_max=20.0, trials=30, haar_states=4, rng_seed=17, samples=6)
-    a = simulate(fx.code_1133(), ErrorModel(0.1, 0.05), cfg)
-    b = simulate(fx.code_1133(), ErrorModel(0.1, 0.05), cfg)
+    a = simulate(fixture_code("11-3-3"), ErrorModel(0.1, 0.05), cfg)
+    b = simulate(fixture_code("11-3-3"), ErrorModel(0.1, 0.05), cfg)
     for metric in ("F0", "Fplus", "Frand"):
         assert np.array_equal(a.means[metric], b.means[metric])
         assert np.array_equal(a.errors[metric], b.errors[metric])
@@ -93,15 +93,15 @@ def test_reproducibility_same_seed():
 def test_different_seed_changes_results():
     cfg1 = SimConfig(cycle_rate=20.0, t_max=50.0, trials=30, haar_states=4, rng_seed=17, samples=6)
     cfg2 = SimConfig(cycle_rate=20.0, t_max=50.0, trials=30, haar_states=4, rng_seed=18, samples=6)
-    a = simulate(fx.code_1133(), ErrorModel(0.3, 0.1), cfg1)
-    b = simulate(fx.code_1133(), ErrorModel(0.3, 0.1), cfg2)
+    a = simulate(fixture_code("11-3-3"), ErrorModel(0.3, 0.1), cfg1)
+    b = simulate(fixture_code("11-3-3"), ErrorModel(0.3, 0.1), cfg2)
     assert not np.array_equal(a.means["Frand"], b.means["Frand"])
 
 
 def test_backends_agree():
     # the Pauli-frame fast path and the full statevector evolution are the
     # same physics; error-heavy settings exercise multi-error cycles
-    code = fx.code_631()
+    code = fixture_code("6-3-1")
     model = ErrorModel(eps_bit=2.0, eps_phase=0.8)
     cfg = SimConfig(cycle_rate=10.0, t_max=3.0, trials=10, haar_states=3, rng_seed=7, samples=6)
     frame = simulate(code, model, cfg, backend="pauli_frame")
@@ -113,7 +113,7 @@ def test_backends_agree():
 
 def test_backends_agree_with_phase_checks():
     # the split fixture exercises conjugate-basis measurement and reset
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     model = ErrorModel(eps_bit=1.5, eps_phase=1.0)
     cfg = SimConfig(cycle_rate=10.0, t_max=2.0, trials=6, haar_states=2, rng_seed=41, samples=4)
     frame = simulate(code, model, cfg, backend="pauli_frame")
@@ -124,7 +124,7 @@ def test_backends_agree_with_phase_checks():
 
 
 def test_backends_agree_on_general_code():
-    code = fx.code_1033_general()
+    code = fixture_code("10-3-3")
     model = ErrorModel(eps_bit=1.0, eps_phase=0.5)
     cfg = SimConfig(cycle_rate=10.0, t_max=2.0, trials=6, haar_states=2, rng_seed=23, samples=4)
     frame = simulate(code, model, cfg, backend="pauli_frame")
@@ -138,7 +138,7 @@ def test_backends_agree_on_general_code():
 def test_backends_count_the_same_uncorrectable_cycles_on_a_flawed_code(metrics):
     # each backend counts its own unexplained syndromes: the statevector
     # oracle reads them off its measured check outcomes
-    code = fx.code_1131_flawed()
+    code = fixture_code("11-3-1")
     model = ErrorModel(eps_bit=1.0, eps_phase=1.0)
     cfg = SimConfig(10.0, 3.0, 4, haar_states=2, rng_seed=5, samples=3, metrics=metrics)
     frame = simulate(code, model, cfg, backend="pauli_frame")
@@ -156,7 +156,7 @@ def test_sim_config_refuses_empty_metrics():
 
 def test_statevector_qubit_limit():
     cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1)
-    big = fx.code_1333_augmented()  # 13 qubits: fine
+    big = fixture_code("13-3-3")  # 13 qubits: fine
     simulate(big, ErrorModel(0.0, 0.0), cfg, backend="statevector")
     from cpc.decoding import augment_for_cnot
 
@@ -185,7 +185,7 @@ def test_split_code_with_21_bit_checks_decodes_and_simulates():
     from cpc.model import CpcCode
 
     # [[11,3,3]] plus 17 bit checks that touch nothing: 21 bit checks in all
-    base = fx.code_1133()
+    base = fixture_code("11-3-3")
     code = CpcCode(
         mb=Gf2Matrix(np.hstack([base.mb.data, np.zeros((base.k, 17), dtype=np.uint8)])),
         mp=base.mp,
@@ -207,8 +207,9 @@ def test_split_code_with_21_bit_checks_decodes_and_simulates():
 def test_csv_holds_the_requested_metrics(metrics):
     base = dict(cycle_rate=10.0, t_max=100.0, trials=8, haar_states=2, rng_seed=4, samples=6)
     model = ErrorModel(0.05, 0.02)
-    full = simulate(fx.code_1133(), model, SimConfig(**base)).to_csv().splitlines()
-    part = simulate(fx.code_1133(), model, SimConfig(**base, metrics=metrics)).to_csv().splitlines()
+    code = fixture_code("11-3-3")
+    full = simulate(code, model, SimConfig(**base)).to_csv().splitlines()
+    part = simulate(code, model, SimConfig(**base, metrics=metrics)).to_csv().splitlines()
     header = full[0].split(",")
     keep = [0] + [
         i for i, name in enumerate(header) if name.removesuffix("_err") in metrics
@@ -220,7 +221,7 @@ def test_csv_holds_the_requested_metrics(metrics):
 def test_uncorrectable_cycles_logged_for_flawed_code():
     # the flawed code keeps running; ambiguous syndromes are only counted
     cfg = SimConfig(cycle_rate=10.0, t_max=50.0, trials=20, haar_states=2, rng_seed=3, samples=5)
-    res = simulate(fx.code_1131_flawed(), ErrorModel(0.5, 0.5), cfg)
+    res = simulate(fixture_code("11-3-1"), ErrorModel(0.5, 0.5), cfg)
     assert res.uncorrectable_cycles > 0
 
 
@@ -340,7 +341,7 @@ def test_statevector_norm_preserved():
     from cpc.circuits import encode_circuit
     from cpc.dynamics import apply_circuit, zero_state
 
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     state = zero_state(code.qubit_count)
     state = apply_circuit(state, encode_circuit(code))
     assert abs(np.linalg.norm(state) - 1.0) < 1e-10
@@ -404,14 +405,14 @@ def _curve_sha256(res) -> str:
     "code, model, cfg, uncorrectable, digest",
     [
         (
-            fx.code_1133(),
+            fixture_code("11-3-3"),
             ErrorModel(0.5, 0.3),
             SimConfig(cycle_rate=10.0, t_max=20.0, trials=12, haar_states=3, rng_seed=101, samples=10),
             81,
             "ecc27ee3fcf27ee302e7a335e3d14edb43431a4bf25288cc9665e59c975545f3",
         ),
         (
-            fx.code_1033_general(),
+            fixture_code("10-3-3"),
             ErrorModel(0.4, 0.2),
             SimConfig(cycle_rate=10.0, t_max=20.0, trials=12, haar_states=3, rng_seed=202, samples=10),
             173,
@@ -593,10 +594,10 @@ def _coincident_cycles(code, trial_events):
 def _oracle_configs():
     """Fixed corner cases plus seeded random configs on four fixtures."""
     codes = {
-        "11-3-3": fx.code_1133(),
-        "10-3-3": fx.code_1033_general(),
-        "6-3-1": fx.code_631(),
-        "11-3-1": fx.code_1131_flawed(),
+        "11-3-3": fixture_code("11-3-3"),
+        "10-3-3": fixture_code("10-3-3"),
+        "6-3-1": fixture_code("6-3-1"),
+        "11-3-1": fixture_code("11-3-1"),
     }
     cases = [
         # no errors at all, a single trial

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpc.fixtures import code_1133, hamming_74_parity_check
+from conftest import HAMMING_743, fixture_code
 from cpc.gf2 import Gf2Matrix, multiply, row_space_equal, rref
 
 
@@ -66,7 +66,7 @@ def test_empty_matrices_allowed():
 def test_multiply_known_product():
     # (mb)^T @ mp for the [[11,3,3]] code, checked by hand against the
     # overlap of check columns.
-    code = code_1133()
+    code = fixture_code("11-3-3")
     product = multiply(code.mb.transpose(), code.mp)
     assert product.data.tolist() == [
         [0, 1, 1, 0],
@@ -77,7 +77,7 @@ def test_multiply_known_product():
 
 
 def test_multiply_identity_and_zero():
-    code = code_1133()
+    code = fixture_code("11-3-3")
     eye = Gf2Matrix.identity(3)
     assert multiply(eye, code.mb) == code.mb
     zero = Gf2Matrix.zeros(2, 3)
@@ -99,7 +99,7 @@ def test_rref_identity_and_zero():
 
 def test_rref_hamming_rank():
     # independent oracle: enumerate all row combinations of the 3x7 matrix
-    h = hamming_74_parity_check()
+    h = HAMMING_743
     combos = set()
     for bits in range(8):
         acc = np.zeros(7, dtype=np.uint8)
@@ -134,7 +134,7 @@ def test_multiply_associative(a_rows, inner1, inner2, b_cols, seed):
 
 
 def test_row_space_equal_row_operations():
-    m = hamming_74_parity_check()
+    m = HAMMING_743
     permuted = Gf2Matrix(m.data[[2, 0, 1]])
     assert row_space_equal(m, permuted)
     summed = m.data.copy()

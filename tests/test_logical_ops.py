@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import seeded_random_codes
-from cpc import fixtures as fx
+from conftest import fixture_code, seeded_random_codes
 from cpc.circuits import (
     Circuit,
     circuits_equal,
@@ -23,20 +22,20 @@ from cpc.model import InvalidCodeError
 
 
 def test_pauli_frame_x_on_first_qubit():
-    frame = logical_pauli_frame(fx.code_1133(), "XII")
+    frame = logical_pauli_frame(fixture_code("11-3-3"), "XII")
     assert frame.gates == ((0, "X"),)
     assert frame.bit_check_toggles == (0, 2)  # b1, b3
     assert frame.phase_check_toggles == ()
 
 
 def test_pauli_frame_identity():
-    frame = logical_pauli_frame(fx.code_1133(), "III")
+    frame = logical_pauli_frame(fixture_code("11-3-3"), "III")
     assert frame.gates == ()
     assert frame.bit_check_toggles == () and frame.phase_check_toggles == ()
 
 
 def test_pauli_frame_y_combines():
-    frame = logical_pauli_frame(fx.code_1133(), "YII")
+    frame = logical_pauli_frame(fixture_code("11-3-3"), "YII")
     assert frame.bit_check_toggles == (0, 2)
     assert frame.phase_check_toggles == (0, 2)  # p1, p3
 
@@ -44,7 +43,7 @@ def test_pauli_frame_y_combines():
 def test_pauli_frame_matches_error_syndromes_exhaustively():
     # every single-qubit frame: toggles equal the error-table syndrome, so an
     # error-free cycle reads all-clear after reinterpretation
-    for code in (fx.code_1133(), fx.code_1243()):
+    for code in (fixture_code("11-3-3"), fixture_code("12-4-3")):
         records = {(r.qubit, r.kind): r for r in single_error_records(code)}
         for j in range(code.k):
             for kind in "XYZ":
@@ -62,18 +61,18 @@ def test_pauli_frame_matches_error_syndromes_exhaustively():
 
 def test_pauli_frame_refuses_a_generalized_code():
     with pytest.raises(InvalidCodeError, match="^logical_pauli_frame requires a split code$"):
-        logical_pauli_frame(fx.code_1033_general(), "XII")
+        logical_pauli_frame(fixture_code("10-3-3"), "XII")
 
 
 def test_pauli_frame_validates_input():
     with pytest.raises(ValueError):
-        logical_pauli_frame(fx.code_1133(), "XX")
+        logical_pauli_frame(fixture_code("11-3-3"), "XX")
     with pytest.raises(ValueError):
-        logical_pauli_frame(fx.code_1133(), "ABC")
+        logical_pauli_frame(fixture_code("11-3-3"), "ABC")
 
 
 def test_logical_hadamard_gate_substitution():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     circuit = logical_hadamard_circuit(code, 0)
     kinds = {}
     for g in circuit.gates:
@@ -86,7 +85,7 @@ def test_logical_hadamard_gate_substitution():
 
 
 def test_logical_hadamard_equivalence():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     for d in range(code.k):
         rewritten = logical_hadamard_circuit(code, d)
@@ -95,7 +94,7 @@ def test_logical_hadamard_equivalence():
 
 
 def test_logical_hadamard_twice_is_plain_encoder():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     once = logical_hadamard_circuit(code, 1)
     twice = hadamard_rewrite(once, 1)
@@ -117,7 +116,7 @@ def test_logical_hadamard_untouched_qubit():
 
 
 def test_logical_cnot_equivalence():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     for c, t in ((0, 1), (1, 0), (2, 0)):
         rewritten = logical_cnot_circuit(code, c, t)
@@ -126,7 +125,7 @@ def test_logical_cnot_equivalence():
 
 
 def test_logical_cnot_twice_is_plain_encoder():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     once = logical_cnot_circuit(code, 0, 1)
     twice = cnot_rewrite(once, 0, 1)
@@ -135,9 +134,9 @@ def test_logical_cnot_twice_is_plain_encoder():
 
 def test_logical_cnot_rejects_bad_indices():
     with pytest.raises(ValueError):
-        logical_cnot_circuit(fx.code_1133(), 0, 0)
+        logical_cnot_circuit(fixture_code("11-3-3"), 0, 0)
     with pytest.raises(ValueError):
-        logical_cnot_circuit(fx.code_1133(), 0, 9)
+        logical_cnot_circuit(fixture_code("11-3-3"), 0, 9)
 
 
 def test_rewrites_on_random_codes():
@@ -153,6 +152,6 @@ def test_rewrites_on_random_codes():
 
 
 def test_rewrites_preserve_qubit_count():
-    code = fx.code_1243()
+    code = fixture_code("12-4-3")
     assert logical_hadamard_circuit(code, 2).qubit_count == code.qubit_count
     assert logical_cnot_circuit(code, 0, 3).qubit_count == code.qubit_count

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpc import fixtures as fx
+from conftest import fixture_code
 from cpc.gf2 import Gf2Matrix
 from cpc.model import (
     CpcCode,
@@ -19,24 +19,8 @@ from cpc.model import (
 )
 
 
-def test_fixture_files_match_definitions(fixture_dir):
-    pairs = {
-        "6-3-1.cpc": fx.code_631(),
-        "11-3-1.cpc": fx.code_1131_flawed(),
-        "11-3-3.cpc": fx.code_1133(),
-        "12-4-3.cpc": fx.code_1243(),
-        "10-3-3.cpc": fx.code_1033_general(),
-        "13-3-3.cpc": fx.code_1333_augmented(),
-        "11-3-3-cnot.cpc": fx.code_1133_cnot_ready(),
-        "12-4-3-cnot.cpc": fx.code_1243_cnot_ready(),
-    }
-    for name, code in pairs.items():
-        text = (fixture_dir / name).read_text(encoding="utf-8")
-        assert parse(text) == code, name
-
-
 def test_validate_good_fixture():
-    code, g = fx.code_1133(), fx.code_1033_general()
+    code, g = fixture_code("11-3-3"), fixture_code("10-3-3")
     assert CpcCode(code.mb, code.mp, code.mc) == code
     assert GeneralCpcCode(g.mbs, g.mps, g.mcs) == g
 
@@ -47,7 +31,7 @@ def test_validate_dimension_violation():
 
 
 def test_validate_triangularity():
-    g = fx.code_1033_general()
+    g = fixture_code("10-3-3")
     bad = np.array(g.mcs.data, copy=True)
     bad[2, 2] = 1
     with pytest.raises(InvalidCodeError, match="triangular"):
@@ -131,23 +115,26 @@ def test_parse_bad_header():
         parse("CPC nonsense\n")
 
 
+# The three-bit parity check and the [7,4] Hamming data checks, from which
+# fixtures/11-3-3.cpc and fixtures/12-4-3.cpc are built.
+_THREE_BIT = Gf2Matrix([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+_HAMMING_74_DATA = Gf2Matrix([[1, 0, 1], [1, 1, 0], [1, 1, 1], [0, 1, 1]])
+
+
 def test_from_classical_builds_1133():
-    m = fx.three_bit_parity_check()
-    pad = Gf2Matrix(np.hstack([m.data, np.zeros((3, 1), dtype=np.uint8)]))
-    code = from_classical(pad, pad, fx.code_1133().mc)
-    assert code == fx.code_1133()
+    pad = Gf2Matrix(np.hstack([_THREE_BIT.data, np.zeros((3, 1), dtype=np.uint8)]))
+    code = from_classical(pad, pad, fixture_code("11-3-3").mc)
+    assert code == fixture_code("11-3-3")
 
 
 def test_from_classical_hamming_1243():
-    h = fx.hamming_74_data_checks()
-    pad = Gf2Matrix(np.hstack([h.data, np.zeros((4, 1), dtype=np.uint8)]))
-    code = from_classical(pad, pad, fx.code_1243().mc)
-    assert code == fx.code_1243()
+    pad = Gf2Matrix(np.hstack([_HAMMING_74_DATA.data, np.zeros((4, 1), dtype=np.uint8)]))
+    code = from_classical(pad, pad, fixture_code("12-4-3").mc)
+    assert code == fixture_code("12-4-3")
 
 
 def test_from_classical_zero_cross_is_constructible():
-    m = fx.three_bit_parity_check()
-    code = from_classical(m, m, Gf2Matrix.zeros(3, 3))
+    code = from_classical(_THREE_BIT, _THREE_BIT, Gf2Matrix.zeros(3, 3))
     assert code.mc.is_zero()
 
 
@@ -157,7 +144,7 @@ def test_from_classical_rejects_mismatch():
 
 
 def test_generalize_1133_block_layout():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     g = generalize(code)
     assert g.k == 3 and g.n_c == 8
     assert g.mbs.data[:, :4].tolist() == code.mb.data.tolist()
@@ -170,7 +157,7 @@ def test_generalize_1133_block_layout():
 
 
 def test_generalize_preserves_qubit_count():
-    for code in (fx.code_1133(), fx.code_1243(), fx.code_631()):
+    for code in (fixture_code("11-3-3"), fixture_code("12-4-3"), fixture_code("6-3-1")):
         assert generalize(code).qubit_count == code.qubit_count
 
 
@@ -207,7 +194,7 @@ def test_generalize_valid_whenever_input_valid(code):
 
 
 def test_round_trip_general(fixture_dir):
-    g = fx.code_1033_general()
+    g = fixture_code("10-3-3")
     assert parse(serialize(g)) == g
     on_disk = parse((fixture_dir / "10-3-3.cpc").read_text(encoding="utf-8"))
     assert on_disk == g

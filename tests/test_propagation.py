@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-from conftest import seeded_random_codes
-from cpc import fixtures as fx
+from conftest import fixture_code, seeded_random_codes
 from cpc.decoding import single_error_records
 from cpc.gf2 import Gf2Matrix
 from cpc.model import CpcCode, generalize
@@ -16,7 +15,7 @@ from cpc.propagation import (
 def test_cross_propagation_1133():
     # mod-2 of mc plus data-mediated paths, and consistent with the
     # Z-type stabilizer support on phase checks (e.g. check b1 -> p2, p4)
-    cross = cross_propagation(fx.code_1133())
+    cross = cross_propagation(fixture_code("11-3-3"))
     assert cross.data.tolist() == [
         [0, 1, 0, 1],
         [0, 0, 1, 1],
@@ -26,7 +25,7 @@ def test_cross_propagation_1133():
 
 
 def test_cross_propagation_zero_without_phase_side():
-    code = fx.code_631()
+    code = fixture_code("6-3-1")
     assert cross_propagation(code) == Gf2Matrix.zeros(3, 0)
 
 
@@ -50,7 +49,7 @@ def _syndrome_signatures(cc):
 
 
 def test_effective_codes_1133_unique_signatures():
-    bit_code, phase_code = effective_codes(fx.code_1133())
+    bit_code, phase_code = effective_codes(fixture_code("11-3-3"))
     for cc in (bit_code, phase_code):
         sigs = _syndrome_signatures(cc)
         assert len(set(sigs.values())) == len(sigs)
@@ -60,7 +59,7 @@ def test_effective_codes_1133_unique_signatures():
 
 
 def test_effective_codes_1131_phase_degenerate():
-    bit_code, phase_code = effective_codes(fx.code_1131_flawed())
+    bit_code, phase_code = effective_codes(fixture_code("11-3-1"))
     bit_sigs = _syndrome_signatures(bit_code)
     assert len(set(bit_sigs.values())) == len(bit_sigs)
     phase_sigs = _syndrome_signatures(phase_code)
@@ -106,7 +105,7 @@ def test_effective_codes_match_circuit_syndromes():
 
 
 def test_general_propagation_matches_split_cross():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     g = generalize(code)
     arrows, loops = general_propagation(g)
     assert loops == (0,) * 8
@@ -130,9 +129,9 @@ def test_general_propagation_matches_on_random_codes():
 def test_general_propagation_1033_reproduces_1133_pattern():
     # merging the two check-checking qubits leaves the propagation intact:
     # checks c1..c6 correspond to b1..b3, p1..p3 and c7 plays b4/p4
-    arrows, loops = general_propagation(fx.code_1033_general())
+    arrows, loops = general_propagation(fixture_code("10-3-3"))
     assert loops == (0,) * 7
-    cross = cross_propagation(fx.code_1133())
+    cross = cross_propagation(fixture_code("11-3-3"))
     for b in range(3):
         for p in range(3):
             assert arrows[3 + p, b] == cross[b, p]
@@ -161,7 +160,7 @@ def test_self_loop_detection():
 
 
 def test_general_to_classical_1033():
-    cc = general_to_classical(fx.code_1033_general())
+    cc = general_to_classical(fixture_code("10-3-3"))
     assert cc.bit_count == 2 * 3 + 7
     assert len(cc.checks) == 7
     # only the merged check-checking qubit is harmless
@@ -172,7 +171,7 @@ def test_general_to_classical_1033():
 
 
 def test_general_to_classical_union_of_split_codes():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     g = generalize(code)
     cc = general_to_classical(g)
     bit_code, phase_code = effective_codes(code)

@@ -5,8 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import seeded_random_codes, seeded_random_general_codes
-from cpc import fixtures as fx
+from conftest import (
+    HAMMING_743,
+    fixture_code,
+    seeded_random_codes,
+    seeded_random_general_codes,
+)
 from cpc.circuits import PauliString, conjugate_pauli, decode_circuit, encode_circuit
 from cpc.decoding import code_distance, correcting_mask, single_error_records
 from cpc.gf2 import Gf2Matrix, multiply, row_space_equal, rref
@@ -60,13 +64,13 @@ def _circuit_stabilizers_general(code: GeneralCpcCode) -> list[PauliString]:
 
 
 def test_stabilizers_1133_table():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     got = {stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)}
     assert got == EXPECTED_1133
 
 
 def test_stabilizers_pure_bit_flip_code():
-    code = fx.code_631()
+    code = fixture_code("6-3-1")
     gens = stabilizers(code)
     assert len(gens) == 3
     texts = {stabilizer_to_text(g, code.qubit_label) for g in gens}
@@ -74,7 +78,7 @@ def test_stabilizers_pure_bit_flip_code():
 
 
 def test_stabilizers_mutually_commute():
-    for code in (fx.code_1133(), fx.code_1243(), fx.code_1333_augmented()):
+    for code in (fixture_code("11-3-3"), fixture_code("12-4-3"), fixture_code("13-3-3")):
         gens = stabilizers(code)
         for a in gens:
             for b in gens:
@@ -82,7 +86,7 @@ def test_stabilizers_mutually_commute():
 
 
 def test_formula_equals_circuit_on_fixtures():
-    for code in (fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1333_augmented()):
+    for code in map(fixture_code, ("11-3-3", "12-4-3", "6-3-1", "13-3-3")):
         assert stabilizers(code) == _circuit_stabilizers(code)
 
 
@@ -92,7 +96,7 @@ def test_formula_equals_circuit_on_random_codes():
 
 
 def test_general_formula_equals_circuit():
-    fixtures = [fx.code_1033_general(), generalize(fx.code_1133())]
+    fixtures = [fixture_code("10-3-3"), generalize(fixture_code("11-3-3"))]
     for gcode in fixtures:
         assert stabilizers(gcode) == _circuit_stabilizers_general(gcode)
     for code in seeded_random_codes(40, seed=1234):
@@ -126,11 +130,8 @@ def test_check_matrix_and_harmful_match_circuit():
     # check_matrix rows are the circuit-conjugated generators, and a record is
     # harmful exactly when its qubit is a data qubit or some X/Y/Z fault on it
     # leaves a nonzero data residual through the decode circuit.
-    codes = [
-        fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1131_flawed(),
-        fx.code_1333_augmented(), fx.code_1133_cnot_ready(), fx.code_1243_cnot_ready(),
-        fx.code_1033_general(), generalize(fx.code_1133()),
-    ]
+    names = ("11-3-3", "12-4-3", "6-3-1", "11-3-1", "13-3-3", "11-3-3-cnot", "12-4-3-cnot", "10-3-3")
+    codes = [fixture_code(name) for name in names] + [generalize(fixture_code("11-3-3"))]
     codes += seeded_random_codes(30, seed=4242)
     codes += seeded_random_general_codes(30, seed=4343)
     for code in codes:
@@ -156,7 +157,7 @@ def test_check_matrix_and_harmful_match_circuit():
 def test_general_split_relabelling_recovers_split_stabilizers():
     # Hadamard on the phase checks swaps X and Z there; the generalized
     # formula then reproduces the split-code generators.
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     g = generalize(code)
     split_gens = stabilizers(code)
     general_gens = stabilizers(g)
@@ -175,7 +176,7 @@ def test_general_split_relabelling_recovers_split_stabilizers():
 
 
 def test_general_1033_commutes():
-    gens = stabilizers(fx.code_1033_general())
+    gens = stabilizers(fixture_code("10-3-3"))
     assert len(gens) == 7
     for a in gens:
         for b in gens:
@@ -191,7 +192,7 @@ def test_general_single_check_minimal():
 
 
 def test_symplectic_structure_1133():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     g_z, g_x = symplectic_matrix(code)
     k, n_b = code.k, code.n_b
     # own-check identity blocks
@@ -207,7 +208,7 @@ def test_symplectic_structure_1133():
 
 
 def test_symplectic_commutation_fixtures_and_random():
-    codes = [fx.code_1133(), fx.code_1243(), fx.code_631(), fx.code_1333_augmented()]
+    codes = [fixture_code(name) for name in ("11-3-3", "12-4-3", "6-3-1", "13-3-3")]
     codes += seeded_random_codes(100, seed=99)
     for code in codes:
         g_z, g_x = symplectic_matrix(code)
@@ -228,7 +229,7 @@ def _stack_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> Gf2Matrix:
 
 
 def test_css_to_cpc_steane():
-    g_z, g_x = fx.steane_css_pair()
+    g_z = g_x = HAMMING_743
     result = css_to_cpc(g_z, g_x)
     code = result.code
     assert (code.k, code.n_b, code.n_p) == (1, 3, 3)
@@ -242,7 +243,7 @@ def test_css_to_cpc_steane():
 
 
 def test_css_round_trip_preserves_group():
-    for code in (fx.code_1133(), fx.code_1243()):
+    for code in (fixture_code("11-3-3"), fixture_code("12-4-3")):
         g_z, g_x = symplectic_matrix(code)
         result = css_to_cpc(g_z, g_x)
         new_gz, new_gx = symplectic_matrix(result.code)
@@ -306,7 +307,7 @@ def test_css_to_cpc_converts_every_commuting_pair():
 
 
 def test_cpc_to_css_1133_matches_table():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     g_z, g_x = symplectic_matrix(code)
     assert g_z.rows == 4 and g_x.rows == 4
     gens = stabilizers(code)
@@ -322,7 +323,7 @@ def test_cpc_to_css_empty():
 
 
 def test_logical_operators_1133():
-    code = fx.code_1133()
+    code = fixture_code("11-3-3")
     logical_x, logical_z = logical_operators(code)
     labels = [g.label(code.qubit_label) for g in logical_x]
     assert labels == ["X_d1 X_b1 X_b3", "X_d2 X_b1 X_b2", "X_d3 X_b2 X_b3"]
@@ -337,7 +338,7 @@ def test_logical_operators_1133():
 
 
 def test_logical_operators_commute_with_stabilizers():
-    for code in (fx.code_1133(), fx.code_1243()):
+    for code in (fixture_code("11-3-3"), fixture_code("12-4-3")):
         gens = stabilizers(code)
         logical_x, logical_z = logical_operators(code)
         for op in logical_x + logical_z:
@@ -348,10 +349,10 @@ def test_logical_operators_commute_with_stabilizers():
 
 
 def test_code_distances():
-    assert code_distance(fx.code_1133()) == 3
-    assert code_distance(fx.code_631()) == 1
-    assert code_distance(fx.code_1243()) == 3
-    assert code_distance(fx.code_1033_general()) == 3
+    assert code_distance(fixture_code("11-3-3")) == 3
+    assert code_distance(fixture_code("6-3-1")) == 1
+    assert code_distance(fixture_code("12-4-3")) == 3
+    assert code_distance(fixture_code("10-3-3")) == 3
 
 
 def _reference_distance(code, w_max: int) -> int | None:
@@ -412,10 +413,10 @@ def test_code_distance_matches_reference_enumeration():
 
 
 def test_code_distance_beyond_search_limit():
-    assert code_distance(fx.code_1133(), w_max=2) is None
+    assert code_distance(fixture_code("11-3-3"), w_max=2) is None
 
 
 @pytest.mark.parametrize("w_max", [0, -1])
 def test_code_distance_rejects_empty_search_range(w_max):
     with pytest.raises(ValueError, match="w_max must be at least 1"):
-        code_distance(fx.code_1133(), w_max=w_max)
+        code_distance(fixture_code("11-3-3"), w_max=w_max)
