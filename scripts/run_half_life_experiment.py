@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from cpc.dynamics import ErrorModel, SimConfig, fit_half_life, simulate
 from cpc.model import parse
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("code")
     ap.add_argument("--eps-bit", type=float, default=0.007)
@@ -35,15 +36,22 @@ def main() -> int:
                     help="simulated seconds per unit of cycle rate")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=Path("half-life-results"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        return _sweep(args)
+    except (OSError, ValueError) as exc:  # as `cpc`: bad input exits 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _sweep(args) -> int:
     code = parse(Path(args.code).read_text(encoding="utf-8"))
     model = ErrorModel(eps_bit=args.eps_bit, eps_phase=args.eps_phase)
-    args.out.mkdir(parents=True, exist_ok=True)
-
-    half_lives = []
-    for rate in args.rates:
-        cfg = SimConfig(
+    if len(set(args.rates)) != len(args.rates):
+        raise ValueError("--rates must be distinct")
+    # every configuration is checked before any simulation runs
+    configs = [
+        SimConfig(
             cycle_rate=rate,
             t_max=args.t_max_per_rate * rate,
             trials=args.trials,
@@ -51,19 +59,31 @@ def main() -> int:
             rng_seed=args.seed,
             samples=args.samples,
         )
+        for rate in args.rates
+    ]
+    args.out.mkdir(parents=True, exist_ok=True)
+
+    half_lives = []
+    for rate, cfg in zip(args.rates, configs):
         result = simulate(code, model, cfg)
         csv_path = args.out / f"rate-{rate:g}.csv"
         csv_path.write_text(result.to_csv(), encoding="utf-8", newline="")
         mean, _ = result.column("Frand")
         fit = fit_half_life(result.times, mean)
         half_lives.append(fit.lambda_half)
+        if fit.degenerate:
+            print(f"rate {rate:6g} /s: degenerate series: no decay to fit, wrote {csv_path}")
+            continue
         print(
             f"rate {rate:6g} /s: lambda_half = {fit.lambda_half:9.0f} s, "
             f"F_inf = {fit.f_inf:.3f}, wrote {csv_path}"
         )
 
-    unprotected = math.log(2.0) / model.eps_bit
+    unprotected = math.log(2.0) / model.eps_bit if model.eps_bit else math.inf
     print(f"unprotected bit half-life: {unprotected:.1f} s")
+    if math.inf in half_lives:
+        print("no linear fit: a degenerate series has no half-life")
+        return 1
     if len(args.rates) >= 2:
         slope, intercept = np.polyfit(args.rates, half_lives, 1)
         pred = slope * np.array(args.rates) + intercept

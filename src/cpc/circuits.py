@@ -332,12 +332,14 @@ def circuit_from_text(text: str) -> Circuit:
     for number, line in _meaningful_lines(text):
         parts = line.split()
         if parts[0] == "qubits":
-            if qubit_count is not None:
-                raise ValueError(f"line {number}: a second 'qubits' line")
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(
                     f"line {number}: expected 'qubits <non-negative int>', got {line!r}"
                 )
+            if qubit_count is not None:
+                raise ValueError(f"line {number}: a second 'qubits' line")
+            if gates:
+                raise ValueError(f"line {number}: 'qubits' must come before the gates")
             qubit_count = int(parts[1])
             continue
         try:

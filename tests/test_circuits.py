@@ -238,6 +238,14 @@ def test_circuit_text_refuses_a_second_qubits_line(text, line):
         circuit_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["H 0\nqubits 2\n", "CNOT 0 4\nqubits 2\n"], ids=["in range", "out of range"]
+)
+def test_circuit_text_refuses_a_qubits_line_after_gates(text):
+    with pytest.raises(ValueError, match=r"^line 2: 'qubits' must come before the gates$"):
+        circuit_from_text(text)
+
+
 def test_circuit_text_without_a_header_infers_the_count():
     assert circuit_from_text("CNOT 0 5\nH 2\n") == Circuit(6, (cnot(0, 5), hadamard(2)))
 

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO_ROOT
 
 from cpc.cli import main
@@ -20,21 +22,24 @@ _SETTINGS = {
 _T_MAX_PER_RATE = 20.0
 
 
-def test_half_life_experiment_matches_simulate(tmp_path, fixture_dir):
-    code_path = str(fixture_dir / "11-3-3.cpc")
-    out_dir = tmp_path / "results"
-    settings = [arg for pair in _SETTINGS.items() for arg in pair]
+def _half_life_experiment(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [
-            sys.executable, str(REPO_ROOT / "scripts" / "run_half_life_experiment.py"),
-            code_path, "--rates", *_RATES, "--t-max-per-rate", str(_T_MAX_PER_RATE),
-            *settings, "--out", str(out_dir),
-        ],
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_half_life_experiment.py"), *argv],
         capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_half_life_experiment_matches_simulate(tmp_path, fixture_dir):
+    code_path = str(fixture_dir / "11-3-3.cpc")
+    out_dir = tmp_path / "results"
+    settings = [arg for pair in _SETTINGS.items() for arg in pair]
+    proc = _half_life_experiment(
+        code_path, "--rates", *_RATES, "--t-max-per-rate", str(_T_MAX_PER_RATE),
+        *settings, "--out", str(out_dir),
     )
     assert proc.returncode == 0, proc.stderr
     assert "linear fit: lambda = " in proc.stdout
@@ -47,3 +52,47 @@ def test_half_life_experiment_matches_simulate(tmp_path, fixture_dir):
         ]
         assert main(argv) == 0
         assert (out_dir / f"rate-{rate}.csv").read_bytes() == expected.read_bytes()
+
+
+def _small_sweep(fixture_dir, out_dir, **overrides):
+    settings = {**_SETTINGS, **overrides}
+    return _half_life_experiment(
+        str(fixture_dir / "11-3-3.cpc"), "--rates", *_RATES,
+        "--t-max-per-rate", str(_T_MAX_PER_RATE),
+        *[arg for pair in settings.items() for arg in pair], "--out", str(out_dir),
+    )
+
+
+@pytest.mark.parametrize(
+    "code, argv, message",
+    [
+        ("11-3-3.cpc", ["--rates", "0"], "cycle_rate must be positive"),
+        ("11-3-3.cpc", ["--rates", "20", "10", "20"], "--rates must be distinct"),
+        ("11-3-3.cpc", ["--trials", "0"], "trials must be at least 1"),
+        ("missing.cpc", [], "No such file or directory"),
+    ],
+    ids=["zero rate", "repeated rate", "no trials", "missing code"],
+)
+def test_half_life_experiment_refuses_bad_input_before_any_work(
+    tmp_path, fixture_dir, code, argv, message
+):
+    out_dir = tmp_path / "results"
+    proc = _half_life_experiment(str(fixture_dir / code), *argv, "--out", str(out_dir))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stdout == "" and not out_dir.exists()
+
+
+def test_half_life_experiment_without_bit_errors(tmp_path, fixture_dir):
+    proc = _small_sweep(fixture_dir, tmp_path, **{"--eps-bit": "0", "--eps-phase": "0.05"})
+    assert proc.returncode == 0, proc.stderr
+    assert "unprotected bit half-life: inf s\n" in proc.stdout
+    assert "linear fit: lambda = " in proc.stdout
+
+
+def test_half_life_experiment_reports_a_degenerate_fit(tmp_path, fixture_dir):
+    # too few errors for any decay: the fit has no half-life to report
+    proc = _small_sweep(fixture_dir, tmp_path, **{"--eps-bit": "1e-9", "--eps-phase": "0"})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.count("degenerate series: no decay to fit") == len(_RATES)
+    assert "nan" not in proc.stdout and "linear fit: lambda" not in proc.stdout
