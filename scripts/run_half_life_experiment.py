@@ -23,7 +23,7 @@ from cpc.dynamics import ErrorModel, SimConfig, fit_half_life, simulate
 from cpc.model import parse
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("code")
     ap.add_argument("--eps-bit", type=float, default=0.007)
@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="simulated seconds per unit of cycle rate")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=Path("half-life-results"))
-    args = ap.parse_args(argv)
+    args = ap.parse_args()
     try:
         return _sweep(args)
     except (OSError, ValueError) as exc:  # as `cpc`: bad input exits 2
@@ -64,6 +64,7 @@ def _sweep(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     half_lives = []
+    degenerate = False
     for rate, cfg in zip(args.rates, configs):
         result = simulate(code, model, cfg)
         csv_path = args.out / f"rate-{rate:g}.csv"
@@ -72,6 +73,7 @@ def _sweep(args) -> int:
         fit = fit_half_life(result.times, mean)
         half_lives.append(fit.lambda_half)
         if fit.degenerate:
+            degenerate = True
             print(f"rate {rate:6g} /s: degenerate series: no decay to fit, wrote {csv_path}")
             continue
         print(
@@ -81,7 +83,7 @@ def _sweep(args) -> int:
 
     unprotected = math.log(2.0) / model.eps_bit if model.eps_bit else math.inf
     print(f"unprotected bit half-life: {unprotected:.1f} s")
-    if math.inf in half_lives:
+    if degenerate:
         print("no linear fit: a degenerate series has no half-life")
         return 1
     if len(args.rates) >= 2:

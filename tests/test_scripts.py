@@ -33,14 +33,20 @@ def _half_life_experiment(*argv):
     )
 
 
+def _small_sweep(fixture_dir, out_dir, **overrides):
+    settings = {**_SETTINGS, **overrides}
+    return _half_life_experiment(
+        str(fixture_dir / "11-3-3.cpc"), "--rates", *_RATES,
+        "--t-max-per-rate", str(_T_MAX_PER_RATE),
+        *[arg for pair in settings.items() for arg in pair], "--out", str(out_dir),
+    )
+
+
 def test_half_life_experiment_matches_simulate(tmp_path, fixture_dir):
     code_path = str(fixture_dir / "11-3-3.cpc")
     out_dir = tmp_path / "results"
     settings = [arg for pair in _SETTINGS.items() for arg in pair]
-    proc = _half_life_experiment(
-        code_path, "--rates", *_RATES, "--t-max-per-rate", str(_T_MAX_PER_RATE),
-        *settings, "--out", str(out_dir),
-    )
+    proc = _small_sweep(fixture_dir, out_dir)
     assert proc.returncode == 0, proc.stderr
     assert "linear fit: lambda = " in proc.stdout
     assert sorted(p.name for p in out_dir.iterdir()) == [f"rate-{r}.csv" for r in _RATES]
@@ -52,15 +58,6 @@ def test_half_life_experiment_matches_simulate(tmp_path, fixture_dir):
         ]
         assert main(argv) == 0
         assert (out_dir / f"rate-{rate}.csv").read_bytes() == expected.read_bytes()
-
-
-def _small_sweep(fixture_dir, out_dir, **overrides):
-    settings = {**_SETTINGS, **overrides}
-    return _half_life_experiment(
-        str(fixture_dir / "11-3-3.cpc"), "--rates", *_RATES,
-        "--t-max-per-rate", str(_T_MAX_PER_RATE),
-        *[arg for pair in settings.items() for arg in pair], "--out", str(out_dir),
-    )
 
 
 @pytest.mark.parametrize(
