@@ -7,7 +7,11 @@ every error is a Pauli, a cycle maps the product state (data) x (reference
 checks) to another such product state with deterministic check outcomes, so
 the default backend tracks the accumulated data-register Pauli frame and is
 exactly equivalent to the full statevector evolution (the ``statevector``
-backend, kept as the cross-checking oracle).  Coherent errors are not a
+backend, kept as the cross-checking oracle).  The oracle evolves all of a
+trial's probe states (|0..0>, |+..+> and the Haar states) as one stack and
+reads each check as the +-1 expectation of its measured Pauli, which every
+probe must agree on; nothing is sampled.  The engine's gates act on the last
+axis, so one call maps a single state or a stack.  Coherent errors are not a
 ``simulate`` model: :func:`coherent_fidelity_631` treats a coherent rotation
 exactly, on the same small statevector engine.
 
@@ -21,7 +25,7 @@ fault) pairs drawn from it.  The Pauli-frame backend is array code, one trial
 at a time.  A cycle's correction depends only on its own syndrome, never on
 the frame, so each fault's net frame change (residual ^ correction) is looked
 up once per call by :meth:`cpc.decoding.DecodeTable.lookup`, which the
-statevector oracle calls per cycle; a cycle with one fault takes its fault's
+statevector oracle calls once per cycle; a cycle with one fault takes its fault's
 change, and only cycles where faults coincide look up the XOR of their
 effects again.  The frame at each sample time is a prefix XOR
 (``np.bitwise_xor.accumulate``) of the per-cycle net changes, and the
@@ -57,7 +61,6 @@ __all__ = [
     "apply_gate",
     "apply_circuit",
     "apply_pauli_masks",
-    "measure_qubit",
 ]
 
 
@@ -80,34 +83,28 @@ def _parity(values: np.ndarray) -> np.ndarray:
 
 
 def apply_1q(state: np.ndarray, q: int, matrix: np.ndarray) -> np.ndarray:
-    idx = np.arange(state.size)
-    low = idx[(idx >> q) & 1 == 0]
-    high = low | (1 << q)
-    a, b = state[low], state[high]
-    out = state.copy()
-    out[low] = matrix[0, 0] * a + matrix[0, 1] * b
-    out[high] = matrix[1, 0] * a + matrix[1, 1] * b
-    return out
+    # index i = (high, bit q, low): the last axis as blocks of 2 * 2**q amplitudes
+    pairs = state.reshape(state.shape[:-1] + (-1, 2, 1 << q))
+    a, b = pairs[..., 0, :], pairs[..., 1, :]
+    out = np.empty_like(pairs)
+    out[..., 0, :] = matrix[0, 0] * a + matrix[0, 1] * b
+    out[..., 1, :] = matrix[1, 0] * a + matrix[1, 1] * b
+    return out.reshape(state.shape)
 
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 
 def apply_gate(state: np.ndarray, gate) -> np.ndarray:
-    idx = np.arange(state.size)
+    """Apply one gate to a state or, along the last axis, a stack of states."""
+    idx = np.arange(state.shape[-1])
     if gate.kind == "H":
         return apply_1q(state, gate.qubits[0], _H_MATRIX)
     a, b = gate.qubits
     if gate.kind == "CNOT":
-        sel = (idx >> a) & 1 == 1
-        out = state.copy()
-        out[idx[sel]] = state[(idx ^ (1 << b))[sel]]
-        return out
+        return state[..., idx ^ (((idx >> a) & 1) << b)]
     if gate.kind == "CZ":
-        out = state.copy()
-        both = (((idx >> a) & 1) & ((idx >> b) & 1)) == 1
-        out[both] = -out[both]
-        return out
+        return state * (1 - 2 * ((idx >> a) & (idx >> b) & 1))
     if gate.kind == "CCZX":
         for q in (a, b):
             state = apply_1q(state, q, _H_MATRIX)
@@ -137,28 +134,9 @@ def apply_pauli_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray
     return out
 
 
-def measure_qubit(
-    state: np.ndarray, q: int, basis: str, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Projective measurement with Born-rule sampling; returns (outcome, state)."""
-    if basis == "X":
-        state = apply_1q(state, q, _H_MATRIX)
-    idx = np.arange(state.size)
-    mask_one = (idx >> q) & 1 == 1
-    p_one = float(np.sum(np.abs(state[mask_one]) ** 2))
-    if p_one < 1e-12:
-        outcome = 0
-    elif p_one > 1.0 - 1e-12:
-        outcome = 1
-    else:
-        outcome = int(rng.random() < p_one)
-    keep = mask_one if outcome else ~mask_one
-    out = np.zeros_like(state)
-    out[idx[keep]] = state[idx[keep]]
-    out /= np.linalg.norm(out)
-    if basis == "X":
-        out = apply_1q(out, q, _H_MATRIX)
-    return outcome, out
+def _pauli_amplitudes(states: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
+    """<psi| X^x Z^z |psi> for each row of a stack of states."""
+    return np.einsum("ij,ij->i", states.conj(), apply_pauli_masks(states, x_mask, z_mask))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -264,9 +242,8 @@ def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    # np.unique hashes before sorting, several times slower on these sizes.
-    values = np.sort(values)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array; np.unique would sort it again."""
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
@@ -299,7 +276,8 @@ def _sample_error_events(
     reproduces that law exactly.  The subset is the set of distinct values of
     repeated uniform draws, each round drawing as many values as are still
     missing; the draws are the seeded contract, so their order and sizes must
-    not change.
+    not change.  Each round's new values are inserted into the sorted subset,
+    so a round costs one pass over it, and none when nothing new was drawn.
     """
     chosen: list[np.ndarray] = []
     faults: list[int] = []
@@ -311,10 +289,13 @@ def _sample_error_events(
             continue
         cycles = np.sort(rng.integers(0, n_cycles, size=count))
         if (cycles[1:] == cycles[:-1]).any():
-            cycles = _sorted_distinct(cycles)
+            cycles = _distinct(cycles)
         while cycles.size < count:
-            more = rng.integers(0, n_cycles, size=count - cycles.size)
-            cycles = _sorted_distinct(np.concatenate((cycles, more)))
+            more = _distinct(np.sort(rng.integers(0, n_cycles, size=count - cycles.size)))
+            at = np.searchsorted(cycles, more)
+            fresh = np.take(cycles, at, mode="clip") != more
+            if fresh.any():  # insert the draws not yet chosen in place: no re-sort
+                cycles = np.insert(cycles, at[fresh], more[fresh])
         chosen.append(cycles)
         faults.append(fault)
     if not chosen:
@@ -333,9 +314,7 @@ def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
 
 def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
     """|<psi| X^fx Z^fz |psi>|^2 for each row of ``states`` (dim 2^k each)."""
-    permuted = apply_pauli_masks(states, frame_x, frame_z)
-    amps = np.einsum("ij,ij->i", states.conj(), permuted)
-    return np.abs(amps) ** 2
+    return np.abs(_pauli_amplitudes(states, frame_x, frame_z)) ** 2
 
 
 def _frame_values(cycles, net, sample_cycles, haar, metrics) -> dict[str, np.ndarray]:
@@ -364,6 +343,10 @@ def _frame_values(cycles, net, sample_cycles, haar, metrics) -> dict[str, np.nda
     return values
 
 
+# Amplitudes in the statevector backend's stack of probe states: 64 MiB of complex128.
+_STACK_AMPLITUDES = 1 << 22
+
+
 def simulate(
     code: CpcCode | GeneralCpcCode,
     model: ErrorModel,
@@ -378,11 +361,24 @@ def simulate(
     and ``Frand`` the state fidelity averaged over Haar-random data states.
     Syndromes with no single-error explanation are left uncorrected on the
     unknown side and counted in ``uncorrectable_cycles``.
+
+    The ``statevector`` backend holds 2 + ``haar_states`` (2 without Frand)
+    probe states of 2**n amplitudes in one stack, so it refuses more than 14
+    qubits or a stack over 2**22 amplitudes (64 MiB) with ``ValueError``.  A
+    check that is not in an eigenstate of its measured Pauli after a cycle
+    raises ``RuntimeError``.
     """
     if backend not in ("pauli_frame", "statevector"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "statevector" and code.qubit_count > 14:
-        raise ValueError("statevector backend is limited to 14 qubits")
+    if backend == "statevector":
+        if code.qubit_count > 14:
+            raise ValueError("statevector backend is limited to 14 qubits")
+        probes = 2 + (cfg.haar_states if "Frand" in cfg.metrics else 0)
+        if probes << code.qubit_count > _STACK_AMPLITUDES:
+            raise ValueError(
+                f"statevector backend: {probes} probe states of 2**{code.qubit_count} "
+                f"amplitudes exceed the 2**22-amplitude stack; lower haar_states"
+            )
     k = code.k
     if code.qubit_count > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
@@ -428,8 +424,7 @@ def simulate(
         else:
             cycles, masks = _xor_by_cycle(event_cycles, paulis[faults])
             values, unknown = _run_statevector_trial(
-                code, table, list(zip(cycles.tolist(), masks.tolist())),
-                sample_cycles, haar, cfg.metrics, rng_events,
+                code, table, cycles, masks, sample_cycles, haar, cfg.metrics
             )
             uncorrectable += unknown
         for m in cfg.metrics:
@@ -455,77 +450,61 @@ def simulate(
 
 
 def _run_statevector_trial(
-    code, table, ordered_events, sample_cycles, haar, metrics, rng
+    code, table, cycles, masks, sample_cycles, haar, metrics
 ) -> tuple[dict[str, np.ndarray], int]:
     """Metric values at the sample times by full statevector evolution, and the
-    number of cycles whose measured syndrome has no single-error explanation
-    (counted on the first run; every run sees the same syndromes).
+    number of cycles whose syndrome has no single-error explanation.
+
+    The probes are the rows of one stack: |0..0> for F0, |+..+> for Fplus,
+    then the Haar states.  ``cycles`` are the error cycles in increasing order,
+    ``masks`` their (x, z) Paulis.  A check reads as the expectation of its
+    measured Pauli, which must be the same +-1 on every row.
     """
-    n = code.qubit_count
-    k = code.k
-    enc = encode_circuit(code)
-    dec = decode_circuit(code)
-    # Check i is qubit k + i; the second syndrome side is read in the X basis.
-    check_plan = [
-        (k + i, "Z" if i < table.n_first else "X")
+    n, k = code.qubit_count, code.k
+    enc, dec = encode_circuit(code), decode_circuit(code)
+    # Check i is qubit k + i, measured in Z on the first syndrome side, X on the second.
+    checks = [
+        (0, 1 << (k + i)) if i < table.n_first else (1 << (k + i), 0)
         for i in range(table.n_first + table.n_second)
     ]
-    unknown_counts: list[int] = []  # per run, the cycles with an unexplained syndrome
-
-    def prepare(data_state: np.ndarray) -> np.ndarray:
-        state = np.zeros(1 << n, dtype=np.complex128)
-        state[: 1 << k] = data_state
-        for q, basis in check_plan:
-            if basis == "X":
-                state = apply_1q(state, q, _H_MATRIX)
-        return state
-
-    def run(data_state: np.ndarray, probe: str) -> np.ndarray:
-        """Full cycle evolution; probe is 'overlap', 'zero0' or 'plus0'."""
-        state = prepare(data_state)
-        reference = state.copy()
-        idx = np.arange(state.size)
-        out = np.zeros(len(sample_cycles))
-        unknown = ev_idx = 0
-        for s_idx, limit in enumerate(sample_cycles):
-            while ev_idx < len(ordered_events) and ordered_events[ev_idx][0] < limit:
-                _, (x_mask, z_mask) = ordered_events[ev_idx]
-                ev_idx += 1
-                state = apply_circuit(state, enc)
-                state = apply_pauli_masks(state, x_mask, z_mask)
-                state = apply_circuit(state, dec)
-                outcomes = []
-                for q, basis in check_plan:
-                    o, state = measure_qubit(state, q, basis, rng)
-                    outcomes.append(o)
-                    if o:  # unitary reset back to the reference check state
-                        flip_x = basis == "Z"
-                        state = apply_pauli_masks(
-                            state, (1 << q) if flip_x else 0, 0 if flip_x else (1 << q)
-                        )
-                (cx, cz), known = table.lookup(*table.split_sides(outcomes))
-                unknown += not known
-                state = apply_pauli_masks(state, int(cx), int(cz))
-            if probe == "overlap":
-                out[s_idx] = float(np.abs(np.vdot(reference, state)) ** 2)
-            else:
-                view = state if probe == "zero0" else apply_1q(state, 0, _H_MATRIX)
-                out[s_idx] = float(np.sum(np.abs(view[idx[(idx & 1) == 0]]) ** 2))
-        unknown_counts.append(unknown)
-        return out
-
-    values = {}
-    if "F0" in metrics:
-        values["F0"] = run(zero_state(k), "zero0")
-    if "Fplus" in metrics:
-        plus = np.full(1 << k, 1.0 / math.sqrt(1 << k), dtype=np.complex128)
-        values["Fplus"] = run(plus, "plus0")
-    if "Frand" in metrics:
-        acc = np.zeros(len(sample_cycles))
-        for h in haar:
-            acc += run(h, "overlap")
-        values["Frand"] = acc / haar.shape[0]
-    return values, unknown_counts[0]
+    plus = np.full(1 << k, 1.0 / math.sqrt(1 << k))
+    probes = [zero_state(k), plus, *(() if haar is None else haar)]
+    stack = np.zeros((len(probes), 1 << n), dtype=np.complex128)
+    stack[:, : 1 << k] = probes
+    for q in range(k + table.n_first, n):
+        stack = apply_1q(stack, q, _H_MATRIX)
+    reference = stack[2:]
+    even = np.arange(1 << n) & 1 == 0
+    values = {m: np.zeros(len(sample_cycles)) for m in metrics}
+    unknown = done = 0
+    for s_idx, stop in enumerate(np.searchsorted(cycles, sample_cycles).tolist()):
+        for x_mask, z_mask in masks[done:stop].tolist():
+            stack = apply_pauli_masks(apply_circuit(stack, enc), x_mask, z_mask)
+            stack = apply_circuit(stack, dec)
+            # 1/sqrt(2) rounds up, so every pair of H gates grows the norm by ~2e-16
+            stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+            fired = []
+            for i, (px, pz) in enumerate(checks):
+                value = _pauli_amplitudes(stack, px, pz).real
+                fired.append(int(value[0] < 0))
+                if np.abs(value - (1 - 2 * fired[-1])).max() > 1e-9:
+                    raise RuntimeError(f"check {i} is not in an eigenstate of its measured Pauli")
+                if fired[-1]:  # reset with the anticommuting Pauli
+                    stack = apply_pauli_masks(stack, pz, px)
+            (cx, cz), known = table.lookup(*table.split_sides(fired))
+            unknown += not known
+            stack = apply_pauli_masks(stack, int(cx), int(cz))
+        done = stop
+        # F0 and Fplus: the weight of data qubit 0 reading 0, in Z and in X.
+        if "F0" in metrics:
+            values["F0"][s_idx] = np.sum(np.abs(stack[0, even]) ** 2)
+        if "Fplus" in metrics:
+            values["Fplus"][s_idx] = np.sum(np.abs(apply_1q(stack[1], 0, _H_MATRIX)[even]) ** 2)
+        if "Frand" in metrics:
+            # per-row np.vdot summed in order; a batched reduction rounds the CSV's last digits
+            overlaps = [abs(np.vdot(r, v)) ** 2 for r, v in zip(reference, stack[2:])]
+            values["Frand"][s_idx] = sum(overlaps) / len(overlaps)
+    return values, unknown
 
 
 # --- half-life fitting --------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,40 +99,44 @@ def test_different_seed_changes_results():
     assert not np.array_equal(a.means["Frand"], b.means["Frand"])
 
 
-def test_backends_agree():
+_AGREEMENT_CASES = [
+    # error-heavy settings exercise multi-error cycles
+    ("6-3-1", (2.0, 0.8), SimConfig(10.0, 3.0, 10, haar_states=3, rng_seed=7, samples=6)),
+    # X-basis checks: conjugate-basis readout and reset
+    ("11-3-3", (1.5, 1.0), SimConfig(10.0, 2.0, 6, haar_states=2, rng_seed=41, samples=4)),
+    ("10-3-3", (1.0, 0.5), SimConfig(10.0, 2.0, 6, haar_states=2, rng_seed=23, samples=4)),
+] + [
+    (name, (1.0, 0.5), SimConfig(10.0, 1.5, 3, haar_states=2, rng_seed=11, samples=4))
+    for name in ("11-3-3-cnot", "12-4-3", "12-4-3-cnot", "13-3-3")
+]
+
+
+@pytest.mark.parametrize(
+    "name, eps, cfg", _AGREEMENT_CASES, ids=[case[0] for case in _AGREEMENT_CASES]
+)
+def test_backends_agree(name, eps, cfg):
     # the Pauli-frame fast path and the full statevector evolution are the
-    # same physics; error-heavy settings exercise multi-error cycles
-    code = fixture_code("6-3-1")
-    model = ErrorModel(eps_bit=2.0, eps_phase=0.8)
-    cfg = SimConfig(cycle_rate=10.0, t_max=3.0, trials=10, haar_states=3, rng_seed=7, samples=6)
-    frame = simulate(code, model, cfg, backend="pauli_frame")
-    vector = simulate(code, model, cfg, backend="statevector")
+    # same physics, on every fixture (11-3-1 is checked on its own below)
+    code = fixture_code(name)
+    frame = simulate(code, ErrorModel(*eps), cfg, backend="pauli_frame")
+    vector = simulate(code, ErrorModel(*eps), cfg, backend="statevector")
     for metric in ("F0", "Fplus", "Frand"):
         assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
     assert frame.uncorrectable_cycles == vector.uncorrectable_cycles
 
 
-def test_backends_agree_with_phase_checks():
-    # the split fixture exercises conjugate-basis measurement and reset
-    code = fixture_code("11-3-3")
-    model = ErrorModel(eps_bit=1.5, eps_phase=1.0)
-    cfg = SimConfig(cycle_rate=10.0, t_max=2.0, trials=6, haar_states=2, rng_seed=41, samples=4)
-    frame = simulate(code, model, cfg, backend="pauli_frame")
-    vector = simulate(code, model, cfg, backend="statevector")
-    for metric in ("F0", "Fplus", "Frand"):
-        assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
-    assert frame.uncorrectable_cycles == vector.uncorrectable_cycles
+def test_statevector_backend_refuses_a_check_off_its_eigenstates(monkeypatch):
+    # an H after decoding leaves check 0 in |+> or |->: <Z> = 0 is no readout
+    from cpc.circuits import Circuit, decode_circuit, hadamard
 
+    def broken_decode(code):
+        circuit = decode_circuit(code)
+        return circuit + Circuit(circuit.qubit_count, (hadamard(code.k),))
 
-def test_backends_agree_on_general_code():
-    code = fixture_code("10-3-3")
-    model = ErrorModel(eps_bit=1.0, eps_phase=0.5)
-    cfg = SimConfig(cycle_rate=10.0, t_max=2.0, trials=6, haar_states=2, rng_seed=23, samples=4)
-    frame = simulate(code, model, cfg, backend="pauli_frame")
-    vector = simulate(code, model, cfg, backend="statevector")
-    for metric in ("F0", "Fplus", "Frand"):
-        assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
-    assert frame.uncorrectable_cycles == vector.uncorrectable_cycles
+    monkeypatch.setattr(dynamics, "decode_circuit", broken_decode)
+    cfg = SimConfig(10.0, 2.0, 2, haar_states=1, rng_seed=1, samples=2)
+    with pytest.raises(RuntimeError, match="check 0 is not in an eigenstate"):
+        simulate(fixture_code("6-3-1"), ErrorModel(2.0, 0.0), cfg, backend="statevector")
 
 
 @pytest.mark.parametrize("metrics", [("F0", "Fplus", "Frand"), ("Frand",), ("Fplus",)])
@@ -163,6 +168,28 @@ def test_statevector_qubit_limit():
     bigger = augment_for_cnot(big, 0, 2)  # 15 qubits: over the limit
     with pytest.raises(ValueError):
         simulate(bigger, ErrorModel(0.0, 0.0), cfg, backend="statevector")
+
+
+def test_statevector_stack_memory_bound(monkeypatch, capsys, fixture_dir):
+    # 2 + 600 probes of 2**13 amplitudes is over 2**22: refused before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(dynamics, "decode_table", no_work)
+    code = fixture_code("13-3-3")
+    cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, haar_states=600)
+    with pytest.raises(ValueError, match="lower haar_states"):
+        simulate(code, ErrorModel(0.0, 0.0), cfg, backend="statevector")
+    # 2 + 510 probes is exactly 2**22 amplitudes, and without Frand there are 2
+    for cfg in (replace(cfg, haar_states=510), replace(cfg, metrics=("F0", "Fplus"))):
+        with pytest.raises(AssertionError, match="the simulation started"):
+            simulate(code, ErrorModel(0.0, 0.0), cfg, backend="statevector")
+    from cpc.cli import main
+
+    argv = ["simulate", str(fixture_dir / "13-3-3.cpc"), "--eps-bit", "0.1", "--rate", "1",
+            "--t-max", "1", "--trials", "1", "--haar-states", "600", "--backend", "statevector"]
+    assert main(argv) == 2
+    assert "haar_states" in capsys.readouterr().err
 
 
 def test_pauli_frame_qubit_limit():
@@ -304,6 +331,18 @@ def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
         stacked = dynamics.apply_pauli_masks(states, x_mask, z_mask)
         rows = [dynamics.apply_pauli_masks(s, x_mask, z_mask) for s in states]
         assert np.array_equal(stacked, np.array(rows))
+
+
+def test_apply_circuit_on_a_stack_matches_row_by_row():
+    # the statevector oracle evolves all its probes as one stack
+    from cpc.circuits import Circuit, cczx, cnot, cz, hadamard
+
+    rng = np.random.Generator(np.random.Philox(9))
+    states = np.array([haar_state(16, rng) for _ in range(5)])
+    gates = (hadamard(2), cnot(0, 3), cnot(3, 1), cz(1, 2), cczx(0, 2), hadamard(0), cczx(3, 1))
+    circuit = Circuit(4, gates)
+    rows = [dynamics.apply_circuit(s, circuit) for s in states]
+    assert np.array_equal(dynamics.apply_circuit(states, circuit), np.array(rows))
 
 
 def test_haar_states_unit_norm_and_purity():
@@ -608,6 +647,8 @@ def _oracle_configs():
         ("11-3-3", 30.0, 20.0, SimConfig(10.0, 2.0, 2, haar_states=2, rng_seed=3, samples=5)),
         ("10-3-3", 25.0, 25.0, SimConfig(10.0, 2.0, 2, haar_states=2, rng_seed=4, samples=5)),
         ("6-3-1", 30.0, 0.0, SimConfig(10.0, 3.0, 2, haar_states=2, rng_seed=5, samples=6)),
+        # p = 1.0: every cycle fires, and the last missing cycles take many rounds
+        ("6-3-1", 400.0, 0.0, SimConfig(10.0, 300.0, 1, haar_states=1, rng_seed=7, samples=4)),
         # single trial at the rates of the protection experiment
         ("11-3-3", 0.007, 0.0007, SimConfig(100.0, 600.0, 1, haar_states=3, rng_seed=6, samples=10)),
     ]
