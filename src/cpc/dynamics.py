@@ -97,10 +97,10 @@ _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 def apply_gate(state: np.ndarray, gate) -> np.ndarray:
     """Apply one gate to a state or, along the last axis, a stack of states."""
-    idx = np.arange(state.shape[-1])
     if gate.kind == "H":
         return apply_1q(state, gate.qubits[0], _H_MATRIX)
     a, b = gate.qubits
+    idx = np.arange(state.shape[-1])
     if gate.kind == "CNOT":
         return state[..., idx ^ (((idx >> a) & 1) << b)]
     if gate.kind == "CZ":
