@@ -21,17 +21,21 @@ which at least one error fires; the per-cycle error law is unchanged.
 Both backends sample one fault table (``_fault_table``): a row per X and per Z
 fault of the decode table's ``records``, with its per-cycle probability, its
 (syndrome, residual) effect and its Pauli.  A trial's errors are (cycle,
-fault) pairs drawn from it.  The Pauli-frame backend is array code, one trial
-at a time.  A cycle's correction depends only on its own syndrome, never on
-the frame, so each fault's net frame change (residual ^ correction) is looked
-up once per call by :meth:`cpc.decoding.DecodeTable.lookup`, which the
-statevector oracle calls once per cycle; a cycle with one fault takes its fault's
-change, and only cycles where faults coincide look up the XOR of their
-effects again.  The frame at each sample time is a prefix XOR
-(``np.bitwise_xor.accumulate``) of the per-cycle net changes, and the
-Haar-state overlaps behind ``Frand`` are computed for all distinct frames of
-a trial (at most 4^k) in one batched pass.  This is the batched Pauli-frame
-pattern of Stim (Gidney, arXiv:2103.02202), in numpy.
+fault) pairs drawn from it.  The Pauli-frame backend is array code over a
+block of trials at a time.  A cycle's correction depends only on its own
+syndrome, never on the frame, so each fault's net frame change (residual ^
+correction) is looked up once per call by
+:meth:`cpc.decoding.DecodeTable.lookup`, which the statevector oracle calls
+once per cycle.  A trial's events come grouped by fault, so the frame at a
+sample time is the XOR of the net changes of the faults that fired an odd
+number of times before it: one ``searchsorted`` of the block's events into
+the sample cycles and one ``bincount`` of (trial, fault, sample bin), with no
+sort by cycle.  Only cycles where faults coincide, found by sorting each
+trial's cycles, are looked up again, all of a block's in one call, and put
+their looked-up change in place of their faults' own.  The Haar-state
+overlaps behind ``Frand`` are computed for every run of equal frames in a
+trial, all of a block's in one batched pass.  This is the batched Pauli-frame
+pattern of Stim (Gidney, arXiv:2103.02202), in numpy, across trials.
 """
 
 from __future__ import annotations
@@ -287,8 +291,9 @@ def _sample_error_events(
         count = int(rng.binomial(n_cycles, prob))
         if not count:
             continue
-        cycles = np.sort(rng.integers(0, n_cycles, size=count))
-        if (cycles[1:] == cycles[:-1]).any():
+        cycles = rng.integers(0, n_cycles, size=count)
+        cycles.sort()
+        if np.count_nonzero(cycles[1:] == cycles[:-1]):
             cycles = _distinct(cycles)
         while cycles.size < count:
             more = _distinct(np.sort(rng.integers(0, n_cycles, size=count - cycles.size)))
@@ -317,29 +322,94 @@ def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarra
     return np.abs(_pauli_amplitudes(states, frame_x, frame_z)) ** 2
 
 
-def _frame_values(cycles, net, sample_cycles, haar, metrics) -> dict[str, np.ndarray]:
-    """Metric values at the sample times from each error cycle's net frame change.
+# Trials per block of the Pauli-frame kernel, at most.  A block's largest arrays
+# hold trials x (samples + 2) x max(faults, haar_states * 2**k) cells; a block is
+# cut to _BLOCK_CELLS of them, but keeps at least one trial.
+_TRIAL_BLOCK = 64
+_BLOCK_CELLS = 1 << 20
 
-    The frame at a sample is the prefix XOR of the net changes of the error
-    cycles before it.  Frand is evaluated for all distinct frames in one pass.
+
+def _frame_block(events, effects, fault_net, fault_known, table, sample_cycles):
+    """The Pauli frames of a block of trials at the sample times, as a
+    (trials, samples, 2) array of (x, z) masks, and the number of error cycles
+    before the last sample time whose syndrome has no single-error explanation.
+
+    ``events`` holds each trial's (cycles, faults) from ``_sample_error_events``:
+    grouped by fault, each fault's cycles increasing.  So the frame at sample s
+    is the XOR of ``fault_net[f]`` over the faults f that fired an odd number
+    of times before ``sample_cycles[s]``, found by one ``searchsorted`` and one
+    ``bincount``, with no sort by cycle.  A cycle where faults coincide is
+    looked up again: its net change replaces the XOR of its faults' own.
     """
-    frames = np.zeros((cycles.size + 1, 2), dtype=np.int64)
-    np.bitwise_xor.accumulate(net, axis=0, out=frames[1:])
-    at = frames[np.searchsorted(cycles, sample_cycles)]
+    n_trials, n_faults, n_bins = len(events), fault_net.shape[0], sample_cycles.size + 1
+    moves = fault_net.any(axis=1)
+    # toggles[t, b]: XOR of the net changes that enter trial t's frame at sample b
+    # (b = n_bins - 1: after the last sample, never applied or counted)
+    toggles = np.zeros((n_trials, n_bins, 2), dtype=np.int64)
+    unknown = 0
+    matters = moves | ~fault_known  # a fault whose lone events change a frame or a count
+    if matters.any():
+        trial = np.repeat(np.arange(n_trials), [c.size for c, _ in events])
+        cycles = np.concatenate([c for c, _ in events])
+        faults = np.concatenate([f for _, f in events])
+        keep = matters[faults]
+        trial, faults = trial[keep], faults[keep]
+        bins = np.searchsorted(sample_cycles, cycles[keep], side="right")
+        unknown += int(np.count_nonzero(~fault_known[faults] & (bins < n_bins - 1)))
+        counts = np.bincount(
+            (trial * n_faults + faults) * n_bins + bins, minlength=n_trials * n_faults * n_bins
+        ).reshape(n_trials, n_faults, n_bins)
+        for f in np.flatnonzero(moves):
+            toggles ^= (counts[:, f, :, None] & 1) * fault_net[f]
+    # Cycles where faults coincide, found by sorting each trial's cycles alone;
+    # each gets the XOR of its faults' effects and of their own net changes.
+    rows = np.concatenate([effects, fault_net], axis=1)
+    coincide = []
+    for t, (cycles, faults) in enumerate(events):
+        ordered = np.sort(cycles)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            hit = np.isin(cycles, repeats)
+            # such a cycle counts once, by its own lookup, not by its faults' flags
+            applied = cycles[hit] < sample_cycles[-1]
+            unknown -= int(np.count_nonzero(~fault_known[faults[hit]] & applied))
+            at, xor = _xor_by_cycle(cycles[hit], rows[faults[hit]])
+            coincide.append((np.full(at.size, t), at, xor))
+    if coincide:
+        trial, cycles, xor = (np.concatenate(parts) for parts in zip(*coincide))
+        correction, known = table.lookup(xor[:, 0], xor[:, 1])
+        bins = np.searchsorted(sample_cycles, cycles, side="right")
+        np.bitwise_xor.at(toggles, (trial, bins), xor[:, 2:4] ^ correction ^ xor[:, 4:])
+        unknown += int(np.count_nonzero(~known & (bins < n_bins - 1)))
+    return np.bitwise_xor.accumulate(toggles, axis=1)[:, :-1], unknown
+
+
+def _frame_values(frames, haar, metrics) -> dict[str, np.ndarray]:
+    """Metric values, (trials, samples) each, of a block's frames.
+
+    ``frames`` is (trials, samples, 2), ``haar`` the trials' Haar states
+    stacked as (trials, haar_states, 2**k).  Frand is evaluated once per run
+    of equal frames within a trial, for all runs of the block in one pass.
+    """
     values = {}
     if "F0" in metrics:
-        values["F0"] = np.where(at[:, 0] & 1, 0.0, 1.0)
+        values["F0"] = np.where(frames[..., 0] & 1, 0.0, 1.0)
     if "Fplus" in metrics:
-        values["Fplus"] = np.where(at[:, 1] & 1, 0.0, 1.0)
+        values["Fplus"] = np.where(frames[..., 1] & 1, 0.0, 1.0)
     if "Frand" in metrics:
-        # _frame_overlaps of every distinct frame at once; a frame is two k-bit masks.
-        idx = np.arange(haar.shape[1])
-        keys, which = np.unique(at[:, 0] * idx.size + at[:, 1], return_inverse=True)
-        fx, fz = np.divmod(keys, idx.size)
-        signed = (1.0 - 2.0 * _parity(idx & fz[:, None]))[:, None, :] * haar
+        # _frame_overlaps of the frame that starts each run; a frame is two k-bit masks
+        n_trials, n_samples = frames.shape[:2]
+        starts = np.ones((n_trials, n_samples), dtype=bool)
+        starts[:, 1:] = (frames[:, 1:] != frames[:, :-1]).any(axis=2)
+        first = np.flatnonzero(starts)
+        states = haar[first // n_samples]
+        fx, fz = frames.reshape(-1, 2)[first].T
+        idx = np.arange(haar.shape[-1])
+        signed = (1.0 - 2.0 * _parity(idx & fz[:, None]))[:, None, :] * states
         permuted = np.take_along_axis(signed, (idx ^ fx[:, None])[:, None, :], axis=-1)
-        amps = np.einsum("ij,dij->di", haar.conj(), permuted)
-        values["Frand"] = (np.abs(amps) ** 2).mean(axis=1)[which]
+        amps = np.einsum("pij,pij->pi", states.conj(), permuted)
+        run_values = (np.abs(amps) ** 2).mean(axis=1)
+        values["Frand"] = run_values[np.cumsum(starts).reshape(n_trials, n_samples) - 1]
     return values
 
 
@@ -398,38 +468,41 @@ def simulate(
     sumsq = {m: np.zeros(times.size) for m in cfg.metrics}
     uncorrectable = 0
 
-    for trial in range(cfg.trials):
-        rng_events = _trial_rng(cfg.rng_seed, trial, 0)
-        rng_haar = _trial_rng(cfg.rng_seed, trial, 1)
-        haar = _haar_block(1 << k, cfg.haar_states, rng_haar) if "Frand" in cfg.metrics else None
-        event_cycles, faults = _sample_error_events(rng_events, probs, n_cycles)
-        if backend == "pauli_frame":
-            # A cycle with one fault takes its fault's net change; only cycles
-            # where faults coincide have their XORed effect looked up again.
-            order = np.argsort(event_cycles)  # XOR commutes: the sort need not be stable
-            ordered, faults = event_cycles[order], faults[order]
-            starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-            cycles, counts = ordered[starts], np.diff(starts, append=ordered.size)
-            net, known = np.take(fault_net, faults[starts], axis=0), fault_known[faults[starts]]
-            multi = counts > 1
-            if multi.any():
-                coincide = np.repeat(multi, counts)
-                _, effect = _xor_by_cycle(ordered[coincide], effects[faults[coincide]])
-                correction, known[multi] = table.lookup(effect[:, 0], effect[:, 1])
-                net[multi] = effect[:, 2:] ^ correction
-            # Cycles from the last sample time on are never applied or counted.
-            seen = np.searchsorted(cycles, sample_cycles[-1])
-            uncorrectable += int(np.count_nonzero(~known[:seen]))
-            values = _frame_values(cycles, net, sample_cycles, haar, cfg.metrics)
-        else:
+    def draws(trials):
+        """Each trial's Haar states (None without Frand) and error events."""
+        for trial in trials:
+            rng_events = _trial_rng(cfg.rng_seed, trial, 0)
+            rng_haar = _trial_rng(cfg.rng_seed, trial, 1)
+            haar = _haar_block(1 << k, cfg.haar_states, rng_haar) if "Frand" in cfg.metrics else None
+            yield haar, _sample_error_events(rng_events, probs, n_cycles)
+
+    def add(values):
+        for m in cfg.metrics:
+            sums[m] += values[m]
+            sumsq[m] += values[m] ** 2
+
+    if backend == "pauli_frame":
+        cells = (sample_cycles.size + 1) * max(
+            probs.size, cfg.haar_states << k if "Frand" in cfg.metrics else 0
+        )
+        block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // cells))
+        for first in range(0, cfg.trials, block):
+            haar, events = zip(*draws(range(first, min(first + block, cfg.trials))))
+            frames, unknown = _frame_block(
+                events, effects, fault_net, fault_known, table, sample_cycles
+            )
+            values = _frame_values(frames, None if haar[0] is None else np.stack(haar), cfg.metrics)
+            uncorrectable += unknown
+            for row in range(frames.shape[0]):  # trial by trial, in order
+                add({m: values[m][row] for m in cfg.metrics})
+    else:
+        for haar, (event_cycles, faults) in draws(range(cfg.trials)):
             cycles, masks = _xor_by_cycle(event_cycles, paulis[faults])
             values, unknown = _run_statevector_trial(
                 code, table, cycles, masks, sample_cycles, haar, cfg.metrics
             )
             uncorrectable += unknown
-        for m in cfg.metrics:
-            sums[m] += values[m]
-            sumsq[m] += values[m] ** 2
+            add(values)
 
     means = {m: sums[m] / cfg.trials for m in cfg.metrics}
     errors = {}
@@ -458,15 +531,18 @@ def _run_statevector_trial(
     The probes are the rows of one stack: |0..0> for F0, |+..+> for Fplus,
     then the Haar states.  ``cycles`` are the error cycles in increasing order,
     ``masks`` their (x, z) Paulis.  A check reads as the expectation of its
-    measured Pauli, which must be the same +-1 on every row.
+    measured Pauli, which must be the same +-1 on every row.  Every check is
+    read before any is reset, and the first side's Z checks all come from one
+    pass over ``|stack|**2``.
     """
     n, k = code.qubit_count, code.k
     enc, dec = encode_circuit(code), decode_circuit(code)
     # Check i is qubit k + i, measured in Z on the first syndrome side, X on the second.
-    checks = [
-        (0, 1 << (k + i)) if i < table.n_first else (1 << (k + i), 0)
-        for i in range(table.n_first + table.n_second)
-    ]
+    n_first, n_checks = table.n_first, table.n_first + table.n_second
+    idx = np.arange(1 << n)
+    # +-1 by basis state of each first-side check's Z: <Z> of every row is |stack|**2 @ z_signs
+    z_signs = 1.0 - 2.0 * ((idx[:, None] >> (k + np.arange(n_first))) & 1)
+    first_side = (1 << (k + n_first)) - (1 << k)
     plus = np.full(1 << k, 1.0 / math.sqrt(1 << k))
     probes = [zero_state(k), plus, *(() if haar is None else haar)]
     stack = np.zeros((len(probes), 1 << n), dtype=np.complex128)
@@ -474,7 +550,7 @@ def _run_statevector_trial(
     for q in range(k + table.n_first, n):
         stack = apply_1q(stack, q, _H_MATRIX)
     reference = stack[2:]
-    even = np.arange(1 << n) & 1 == 0
+    even = idx & 1 == 0
     values = {m: np.zeros(len(sample_cycles)) for m in metrics}
     unknown = done = 0
     for s_idx, stop in enumerate(np.searchsorted(cycles, sample_cycles).tolist()):
@@ -483,17 +559,23 @@ def _run_statevector_trial(
             stack = apply_circuit(stack, dec)
             # 1/sqrt(2) rounds up, so every pair of H gates grows the norm by ~2e-16
             stack /= np.linalg.norm(stack, axis=1, keepdims=True)
-            fired = []
-            for i, (px, pz) in enumerate(checks):
-                value = _pauli_amplitudes(stack, px, pz).real
-                fired.append(int(value[0] < 0))
-                if np.abs(value - (1 - 2 * fired[-1])).max() > 1e-9:
+            # Every check reads the same stack: the Pauli that resets one commutes
+            # with every other check's.  The first side's all come from one pass.
+            readout = list(((np.abs(stack) ** 2) @ z_signs).T) + [
+                _pauli_amplitudes(stack, 1 << q, 0).real for q in range(k + n_first, k + n_checks)
+            ]
+            fired = [int(value[0] < 0) for value in readout]
+            for i, value in enumerate(readout):
+                if np.abs(value - (1 - 2 * fired[i])).max() > 1e-9:
                     raise RuntimeError(f"check {i} is not in an eigenstate of its measured Pauli")
-                if fired[-1]:  # reset with the anticommuting Pauli
-                    stack = apply_pauli_masks(stack, pz, px)
             (cx, cz), known = table.lookup(*table.split_sides(fired))
             unknown += not known
-            stack = apply_pauli_masks(stack, int(cx), int(cz))
+            # reset each fired check with the anticommuting Pauli (X on the first
+            # side, Z on the second), then correct; all act on distinct qubits
+            reset = sum(bit << (k + i) for i, bit in enumerate(fired))
+            stack = apply_pauli_masks(
+                stack, int(cx) | reset & first_side, int(cz) | reset & ~first_side
+            )
         done = stop
         # F0 and Fplus: the weight of data qubit 0 reading 0, in Z and in X.
         if "F0" in metrics:

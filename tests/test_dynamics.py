@@ -697,3 +697,70 @@ def test_batched_kernel_matches_scalar_reference():
     # coincident faults the kernel must look up again, not XOR their own changes
     assert any(differs for differs, _ in coincident)
     assert any(differs and not known for differs, known in coincident)
+
+
+@pytest.mark.parametrize(
+    "name, eps",
+    [
+        ("11-3-3", (30.0, 20.0)),
+        ("10-3-3", (25.0, 25.0)),
+        ("11-3-1", (20.0, 10.0)),
+        ("6-3-1", (30.0, 5.0)),
+    ],
+)
+def test_trial_block_size_does_not_change_the_output(monkeypatch, name, eps):
+    # p near 1: most cycles carry coincident faults; 11-3-1 and 6-3-1 have faults
+    # whose own net change is nonzero.  Blocks of 1, 3 and 7 trials, and a cell
+    # budget that cuts every block to one trial, give the same bytes.
+    code = fixture_code(name)
+    cfg = SimConfig(10.0, 2.0, 7, haar_states=2, rng_seed=19, samples=5)
+    results = []
+    default = dynamics._TRIAL_BLOCK
+    for block, cells in [(1, None), (3, None), (default, None), (default, 1)]:
+        monkeypatch.setattr(dynamics, "_TRIAL_BLOCK", block)
+        if cells is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_CELLS", cells)
+        res = simulate(code, ErrorModel(*eps), cfg)
+        results.append((res.uncorrectable_cycles, _curve_sha256(res)))
+    assert results[0][0] > 0
+    assert results == [results[0]] * len(results)
+
+
+def test_backends_count_unknown_lone_faults_the_same(monkeypatch):
+    # A table that explains no phase-side syndrome leaves every lone Z fault
+    # unknown; a cycle where such a fault coincides with others counts once,
+    # by its own lookup, not once per unknown fault.
+    def bit_side_only(code, require_correcting):
+        table = decode_table(code, require_correcting=require_correcting)
+        nothing = (np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
+        return replace(table, second=nothing)
+
+    monkeypatch.setattr(dynamics, "decode_table", bit_side_only)
+    code = fixture_code("11-3-3")
+    model = ErrorModel(eps_bit=3.0, eps_phase=3.0)
+    cfg = SimConfig(10.0, 2.0, 4, haar_states=2, rng_seed=8, samples=4)
+    frame = simulate(code, model, cfg, backend="pauli_frame")
+    vector = simulate(code, model, cfg, backend="statevector")
+    assert frame.uncorrectable_cycles > 0
+    assert vector.uncorrectable_cycles == frame.uncorrectable_cycles
+    for metric in cfg.metrics:
+        assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
+
+
+def test_kernel_matches_scalar_reference_near_2_to_the_62_cycles():
+    # 2**62 cycles: no cycle-valued key may wrap.  p = 1 - exp(-1.2e-16) is the
+    # float spacing just below 1, about 1.1e-16, so each fault still fires some
+    # 500 times per trial; on 11-3-1 a lone phase fault changes the frame.
+    rate = 2.0**31
+    code = fixture_code("11-3-1")
+    cfg = SimConfig(rate, 2.0**31, 2, haar_states=2, rng_seed=62, samples=6)
+    model = ErrorModel(0.0, 1.2e-16 * rate)
+    log = {"rounds": [], "events": []}
+    means, errors, uncorrectable = _scalar_simulate(code, model, cfg, log)
+    assert max(max(events) for events in log["events"]) > 2**61
+    res = simulate(code, model, cfg)
+    assert res.uncorrectable_cycles == uncorrectable
+    assert res.means["Fplus"].min() < 1.0
+    for m in cfg.metrics:
+        assert np.array_equal(res.means[m], means[m]), m
+        assert np.array_equal(res.errors[m], errors[m]), m
