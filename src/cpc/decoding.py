@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, decode_circuit
-from .gf2 import Gf2Matrix, pack_rows
+from .gf2 import Gf2Matrix, _read_only, pack_rows
 from .model import ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError, _require_split
 from .stabilizers import check_matrix, split_check_rows
 
@@ -449,6 +449,15 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityR
 _KEY_BITS = 63
 
 
+@functools.lru_cache(maxsize=32)
+def _check_weights(n_b: int, n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only uint64 check indices 0..n_b + n_p - 1, and the key bits
+    ``1 << check`` of the bit checks and of the phase checks."""
+    checks = np.arange(n_b + n_p, dtype=np.uint64)
+    weights = np.left_shift(np.uint64(1), checks)
+    return tuple(_read_only(w) for w in (checks, weights[:n_b].copy(), weights[n_b:].copy()))
+
+
 def _single_fault_keys(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
     """Syndrome keys and harmful flags of every single fault of N split codes.
 
@@ -465,14 +474,13 @@ def _single_fault_keys(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
             f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}"
         )
     bit_rows, phase_rows = split_check_rows(mb, mp, mc)
-    checks = np.arange(n_b + n_p, dtype=np.uint64)
-    weights = np.left_shift(np.uint64(1), checks)
-    x, z = weights[:n_b] @ bit_rows, weights[n_b:] @ phase_rows
+    checks, bit_weights, phase_weights = _check_weights(n_b, n_p)
+    x, z = bit_weights @ bit_rows, phase_weights @ phase_rows
     k = mb.shape[1]
     by_data = np.bitwise_or.reduce(x[:, :k] | z[:, :k], axis=1)
-    own = (by_data[:, None] >> checks & np.uint64(1)).astype(bool)
-    harmful = np.hstack([np.ones((len(own), k), dtype=bool), own])
-    return np.concatenate([x, z, x ^ z], axis=1), np.tile(harmful, 3)
+    harmful = np.ones((len(x), 3, k + n_b + n_p), dtype=bool)
+    harmful[:, :, k:] = (by_data[:, None] >> checks & np.uint64(1)).astype(bool)[:, None]
+    return np.concatenate([x, z, x ^ z], axis=1), harmful.reshape(len(x), -1)
 
 
 def _correcting_keys(keys: np.ndarray, harmful: np.ndarray) -> np.ndarray:

@@ -18,19 +18,24 @@ exactly, on the same small statevector engine.
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
 
-Both backends sample one fault table (``_fault_table``): a row per X and per Z
-fault of the decode table's ``records``, with its per-cycle probability, its
-(syndrome, residual) effect and its Pauli.  A trial's errors are (cycle,
-fault) pairs drawn from it.  The Pauli-frame backend is array code over a
-block of trials at a time.  A cycle's correction depends only on its own
-syndrome, never on the frame, so each fault's net frame change (residual ^
-correction) is looked up once per call by
-:meth:`cpc.decoding.DecodeTable.lookup`, which the statevector oracle calls
-once per cycle.  A trial's events come grouped by fault, so the frame at a
-sample time is the XOR of the net changes of the faults that fired an odd
-number of times before it: one ``searchsorted`` of the block's events into
-the sample cycles and one ``bincount`` of (trial, fault, sample bin), with no
-sort by cycle.  Only cycles where faults coincide, found by sorting each
+Both backends sample one fault table (``_code_faults``): a row per X and per Z
+fault of the decode table's ``records``, with its (syndrome, residual) effect
+and its Pauli.  The table is built once per code and cached; only the
+per-cycle probabilities depend on the call.  A trial's errors are (cycle,
+fault) pairs drawn from it.  Trial t draws its errors from the Philox stream
+of ``SeedSequence(seed, spawn_key=(t, 0))`` and, only when Frand is asked
+for, its Haar states from ``(t, 1)``; the keys of a block of trials come
+from one vectorized kernel (:func:`cpc.search._philox_keys`), and each stream
+is one generator whose Philox state is reset to the trial's key.  The
+Pauli-frame backend is array code over a block of trials at a time.  A
+cycle's correction depends only on its own syndrome, never on the frame, so
+each fault's net frame change (residual ^ correction) is looked up once per
+code by :meth:`cpc.decoding.DecodeTable.lookup`, which the statevector
+oracle calls once per cycle.  A trial's events come grouped by fault, so the
+frame at a sample time is the XOR of the net changes of the faults that fired
+an odd number of times before it: one ``searchsorted`` of the block's events
+into the sample cycles and one ``bincount`` of (trial, fault, sample bin),
+with no sort by cycle.  Only cycles where faults coincide, found by sorting each
 trial's cycles, are looked up again, all of a block's in one call, and put
 their looked-up change in place of their faults' own.  The Haar-state
 overlaps behind ``Frand`` are computed for every run of equal frames in a
@@ -41,6 +46,7 @@ pattern of Stim (Gidney, arXiv:2103.02202), in numpy, across trials.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -48,9 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, decode_circuit, encode_circuit
-from .decoding import decode_table
-from .gf2 import Gf2Matrix
+from .decoding import DecodeTable, decode_table
+from .gf2 import Gf2Matrix, _read_only
 from .model import CpcCode, GeneralCpcCode
+from .search import _philox_keys
 
 __all__ = [
     "ErrorModel",
@@ -151,10 +158,12 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _haar_block(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar states from one draw, bit-identical to drawing each state's
     real then imaginary Gaussians in turn: ``normal`` fills in order, and each
-    row keeps its own ``np.linalg.norm`` (a batched norm sums in another order)."""
+    row keeps its own norm, computed as ``np.linalg.norm`` computes it (a
+    batched norm sums in another order)."""
     parts = rng.normal(size=(count, 2, dim))
     vecs = parts[:, 0] + 1j * parts[:, 1]
-    return vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    norms = [math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in vecs]
+    return vecs / np.array(norms)[:, None]
 
 
 # --- stochastic cycle simulation ---------------------------------------------
@@ -242,8 +251,24 @@ class SimResult:
 
 
 def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
+    """A new generator on the stream of (trial, stream): the reference that
+    ``simulate``'s reset generators are tested against."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _reset(rng: np.random.Generator, key) -> np.random.Generator:
+    """``rng`` with its Philox at counter 0 under ``key`` and its buffers empty,
+    the state in which ``Philox(seed_sequence)`` starts."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -251,23 +276,44 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _fault_table(records, model: ErrorModel, rate: float):
+@dataclass(frozen=True)
+class _Faults:
     """The per-cycle faults of the stochastic model, one row per fault.
 
-    One row per X and per Z record of a decode table's ``records``, in record
-    order (qubit, then X before Z); a fault's index is its row.  Returns the
-    fault's per-cycle probability ``1 - exp(-eps / rate)``, its (sx, sz, rx,
-    rz) effect, and the (x, z) Pauli masks it puts on the register mid-window.
+    One row per X and per Z record of the code's decode table ``records``, in
+    record order (qubit, then X before Z); a fault's index is its row.  Holds
+    whether the fault is an X fault, its (sx, sz, rx, rz) effect, the (x, z)
+    Pauli masks it puts on the register mid-window, and its own net frame
+    change (residual ^ correction) and known flag, all read-only.
     """
-    eps = {"X": model.eps_bit, "Z": model.eps_phase}
-    rows = [rec for rec in records if rec.kind != "Y"]
-    probs = np.array([1.0 - math.exp(-eps[rec.kind] / rate) for rec in rows])
+
+    table: DecodeTable
+    is_x: np.ndarray
+    effects: np.ndarray
+    paulis: np.ndarray
+    net: np.ndarray
+    known: np.ndarray
+
+    def probs(self, model: ErrorModel, rate: float) -> np.ndarray:
+        """Each fault's per-cycle probability ``1 - exp(-eps / rate)``."""
+        p_x, p_z = (1.0 - math.exp(-eps / rate) for eps in (model.eps_bit, model.eps_phase))
+        return np.where(self.is_x, p_x, p_z)
+
+
+@functools.lru_cache(maxsize=16)
+def _code_faults(code: CpcCode | GeneralCpcCode) -> _Faults:
+    """The code's decode table and fault rows, built once per code."""
+    table = decode_table(code, require_correcting=False)
+    rows = [rec for rec in table.records if rec.kind != "Y"]
+    is_x = np.array([rec.kind == "X" for rec in rows], dtype=bool)
     effects = np.array([(rec.sx, rec.sz, rec.rx, rec.rz) for rec in rows], dtype=np.int64)
     paulis = np.array(
         [(1 << rec.qubit, 0) if rec.kind == "X" else (0, 1 << rec.qubit) for rec in rows],
         dtype=np.int64,
     )
-    return probs, effects, paulis
+    correction, known = table.lookup(effects[:, 0], effects[:, 1])
+    net = effects[:, 2:] ^ correction
+    return _Faults(table, *(_read_only(a) for a in (is_x, effects, paulis, net, known)))
 
 
 def _sample_error_events(
@@ -452,12 +498,9 @@ def simulate(
     k = code.k
     if code.qubit_count > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
-    table = decode_table(code, require_correcting=False)
+    faults = _code_faults(code)
     r = cfg.cycle_rate
-    probs, effects, paulis = _fault_table(table.records, model, r)
-    # Each fault's own net frame change (residual ^ correction) and known flag.
-    correction, fault_known = table.lookup(effects[:, 0], effects[:, 1])
-    fault_net = effects[:, 2:] ^ correction
+    probs = faults.probs(model, r)
     n_cycles = max(1, int(round(cfg.t_max * r)))
     times = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     sample_cycles = np.minimum(
@@ -467,42 +510,51 @@ def simulate(
     sums = {m: np.zeros(times.size) for m in cfg.metrics}
     sumsq = {m: np.zeros(times.size) for m in cfg.metrics}
     uncorrectable = 0
+    frand = "Frand" in cfg.metrics
+    # Trial t's events come from the stream of SeedSequence(seed, spawn_key=(t, 0))
+    # and its Haar states from (t, 1): one generator per stream, reset to each key.
+    seq = np.random.SeedSequence(cfg.rng_seed)
+    event_rng = np.random.Generator(np.random.Philox(seq))
+    haar_rng = np.random.Generator(np.random.Philox(seq)) if frand else None
 
     def draws(trials):
         """Each trial's Haar states (None without Frand) and error events."""
-        for trial in trials:
-            rng_events = _trial_rng(cfg.rng_seed, trial, 0)
-            rng_haar = _trial_rng(cfg.rng_seed, trial, 1)
-            haar = _haar_block(1 << k, cfg.haar_states, rng_haar) if "Frand" in cfg.metrics else None
-            yield haar, _sample_error_events(rng_events, probs, n_cycles)
+        event_keys = _philox_keys(seq, trials, 0).tolist()
+        haar_keys = _philox_keys(seq, trials, 1).tolist() if frand else [None] * len(trials)
+        for event_key, haar_key in zip(event_keys, haar_keys):
+            haar = None
+            if frand:
+                haar = _haar_block(1 << k, cfg.haar_states, _reset(haar_rng, haar_key))
+            yield haar, _sample_error_events(_reset(event_rng, event_key), probs, n_cycles)
 
     def add(values):
         for m in cfg.metrics:
             sums[m] += values[m]
             sumsq[m] += values[m] ** 2
 
+    block = _TRIAL_BLOCK
     if backend == "pauli_frame":
-        cells = (sample_cycles.size + 1) * max(
-            probs.size, cfg.haar_states << k if "Frand" in cfg.metrics else 0
-        )
+        cells = (sample_cycles.size + 1) * max(probs.size, cfg.haar_states << k if frand else 0)
         block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // cells))
-        for first in range(0, cfg.trials, block):
-            haar, events = zip(*draws(range(first, min(first + block, cfg.trials))))
+    for first in range(0, cfg.trials, block):
+        trials = range(first, min(first + block, cfg.trials))
+        if backend == "pauli_frame":
+            haar, events = zip(*draws(trials))
             frames, unknown = _frame_block(
-                events, effects, fault_net, fault_known, table, sample_cycles
+                events, faults.effects, faults.net, faults.known, faults.table, sample_cycles
             )
-            values = _frame_values(frames, None if haar[0] is None else np.stack(haar), cfg.metrics)
+            values = _frame_values(frames, np.stack(haar) if frand else None, cfg.metrics)
             uncorrectable += unknown
             for row in range(frames.shape[0]):  # trial by trial, in order
                 add({m: values[m][row] for m in cfg.metrics})
-    else:
-        for haar, (event_cycles, faults) in draws(range(cfg.trials)):
-            cycles, masks = _xor_by_cycle(event_cycles, paulis[faults])
-            values, unknown = _run_statevector_trial(
-                code, table, cycles, masks, sample_cycles, haar, cfg.metrics
-            )
-            uncorrectable += unknown
-            add(values)
+        else:
+            for haar, (event_cycles, fault_ids) in draws(trials):
+                cycles, masks = _xor_by_cycle(event_cycles, faults.paulis[fault_ids])
+                values, unknown = _run_statevector_trial(
+                    code, faults.table, cycles, masks, sample_cycles, haar, cfg.metrics
+                )
+                uncorrectable += unknown
+                add(values)
 
     means = {m: sums[m] / cfg.trials for m in cfg.metrics}
     errors = {}
@@ -644,17 +696,18 @@ def fit_half_life(times, values) -> HalfLifeFit:
     lam0 = float(times[below[0]]) if below.size and times[below[0]] > 0 else float(times[-1])
     # imported here, not at module level: scipy.optimize takes most of the
     # start-up time of `import cpc`, and only a fit needs it
-    from scipy.optimize import curve_fit
+    from scipy.optimize import least_squares
 
-    popt, _ = curve_fit(
-        model,
-        times,
-        values,
-        p0=[max(lam0, 1e-6), f0],
+    # what curve_fit does for a bounded fit, without its covariance
+    res = least_squares(
+        lambda params: model(times, *params) - values,
+        [max(lam0, 1e-6), f0],
         bounds=([1e-9, 0.0], [np.inf, 1.0]),
-        maxfev=20000,
+        max_nfev=20000,
     )
-    lam, f_inf = float(popt[0]), float(popt[1])
+    if not res.success:
+        raise RuntimeError("Optimal parameters not found: " + res.message)
+    lam, f_inf = float(res.x[0]), float(res.x[1])
     residual = float(np.sqrt(np.mean((model(times, lam, f_inf) - values) ** 2)))
     return HalfLifeFit(lambda_half=lam, f_inf=f_inf, residual_rms=residual)
 

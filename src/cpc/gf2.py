@@ -97,6 +97,12 @@ class Gf2Matrix:
         return ["".join(str(int(b)) for b in row) for row in self._data]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: for arrays that caches hand out."""
+    array.flags.writeable = False
+    return array
+
+
 def pack_rows(bits: np.ndarray) -> list[int]:
     """Each row of a 2-d 0/1 array as an integer bitmask (bit j = column j)."""
     packed = np.packbits(bits, axis=1, bitorder="little")

@@ -5,19 +5,27 @@ result set depends only on (seed, budget, dimensions, predicate).  Trial
 ``t`` gets the matrices :func:`random_code` draws from
 ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))``, bit for bit, but a
 block of trials is drawn by one vectorized numpy computation: the trials'
-spawn words mixed into the seed's pool (``SeedSequence(seed).pool``),
+spawn words mixed into the pool of the call's one ``SeedSequence(seed)``,
 Philox4x64-10 rounds and numpy's bounded-integer bit extraction, all over
-arrays of trials.  Blocks are stacked uint8 arrays mb (N, k, n_b),
-mp (N, k, n_p) and mc (N, n_b, n_p), and a predicate judges a whole block at
-once: ``predicate(mb, mp, mc)`` returns an (N,) bool array.  The predicates
-of :mod:`cpc.decoding` read each code's single-fault syndromes off its
-stacked check rows (:func:`cpc.stabilizers.split_check_rows`).  Codes are
-built only for the hits.
+arrays of trials.  What depends only on the shape of a draw is built once
+and cached read-only: where each matrix's bits sit in a trial's Philox
+output (per dimensions and constraint), SeedSequence's hash constants, and
+the full-shape Philox operands (per block of trials).  The key kernel,
+:func:`_philox_keys`, takes a spawn-key suffix ``(trial[, stream])`` and so
+also keys the per-trial streams of :func:`cpc.dynamics.simulate`.  Blocks
+are stacked uint8 arrays mb (N, k, n_b), mp (N, k, n_p) and mc
+(N, n_b, n_p), and a predicate judges a whole block at once:
+``predicate(mb, mp, mc)`` returns an (N,) bool array.  The predicates of
+:mod:`cpc.decoding` read each code's single-fault syndromes off its stacked
+check rows (:func:`cpc.stabilizers.split_check_rows`).  Codes are built only
+for the hits.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .decoding import cnot_compatible_predicate, single_error_correcting_predicate
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, _read_only
 from .model import CpcCode
 
 __all__ = [
@@ -99,24 +107,29 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-# Philox4x64-10 (Salmon et al., SC'11): multipliers of lanes 0 and 2, key
-# bumps, and uint64 shift/mask constants for the 32-bit-half products.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+# Philox4x64-10 (Salmon et al., SC'11): multipliers of lanes 0 and 2 and
+# their key bumps.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _U32 = np.uint64(32)
 _LO = np.uint64(_M32)
+# Stacked position of Philox lanes 0..3 in :func:`_philox`'s output.
+_LANE_ROW = (0, 3, 1, 2)
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """SeedSequence's (before, after) multipliers of hashes first..first + 3.
 
     Every hash advances the multiplier by ``mult``, so hash h uses
     ``init * mult**h`` before and ``init * mult**(h + 1)`` after, mod 2**32;
-    returned as uint64 columns.
+    returned as read-only uint64 columns.
     """
     powers = [init * pow(mult, first + i, 1 << 32) & _M32 for i in range(_POOL + 1)]
-    return tuple(np.array(p, dtype=np.uint64)[:, None] for p in (powers[:-1], powers[1:]))
+    return tuple(
+        _read_only(np.array(p, dtype=np.uint64)[:, None]) for p in (powers[:-1], powers[1:])
+    )
 
 
 def _hashmix(value, consts):
@@ -138,106 +151,130 @@ def _word_count(entropy) -> int:
     return sum(_word_count(e) for e in entropy)
 
 
-def _seed_pool(seed) -> tuple[np.ndarray, int]:
-    """The SeedSequence pool after ``seed``'s words, and the number of hashes it took.
+def _philox_keys(seq: np.random.SeedSequence, trials: range, stream: int | None = None):
+    """(N, 2) Philox keys of ``SeedSequence(seq.entropy, spawn_key=suffix)``.
 
-    A trial's entropy is the seed's 32-bit words, zero-padded to the pool size
-    because a spawn key follows, then the trial's spawn words; this prefix is
-    shared by every trial.  A seed alone mixes to the same pool, since
-    SeedSequence hashes a zero for every missing pool word, and its mixing
-    takes one hash per pool word, one per ordered pair of pool words, and
-    one per pool word for every word past the pool size.
+    The spawn key is ``(trial,)``, or ``(trial, stream)`` for a stream below
+    2**32.  Its entropy is the seed's 32-bit words, zero-padded to the pool
+    size, then the spawn words; this prefix is shared by every trial, and
+    mixes to ``seq.pool``, since SeedSequence hashes a zero for every missing
+    pool word.  That mixing took one hash per pool word, one per ordered pair
+    of pool words, and one per pool word for every seed word past the pool
+    size; each spawn word then takes one hash per pool word.  A trial below
+    2**32 is one spawn word, a larger one two (low word first).
     """
-    hashes = _POOL * _POOL + _POOL * max(0, _word_count(seed) - _POOL)
-    return np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None], hashes
-
-
-def _philox_keys(seed, trials: range) -> np.ndarray:
-    """(2, N) Philox keys of ``SeedSequence(seed, spawn_key=(trial,))``.
-
-    A trial below 2**32 is one spawn word, a larger one two (low word first);
-    the second word is mixed in under a mask.
-    """
-    pool, used = _seed_pool(seed)
+    if trials.start < 1 << 32 < trials.stop:  # trials of one and of two words
+        cut = (1 << 32) - trials.start
+        parts = (trials[:cut], trials[cut:])
+        return np.concatenate([_philox_keys(seq, part, stream) for part in parts])
+    used = _POOL * _POOL + _POOL * max(0, _word_count(seq.entropy) - _POOL)
     t = np.uint64(trials.start) + np.arange(len(trials), dtype=np.uint64)
-    lo, hi = t & _LO, t >> _U32
-    pool = _mix(pool, _hashmix(lo, _hash_consts(_INIT_A, _MULT_A, used)))
-    hi_consts = _hash_consts(_INIT_A, _MULT_A, used + _POOL)
-    pool = np.where(hi != 0, _mix(pool, _hashmix(hi, hi_consts)), pool)
+    words = [t & _LO] + ([t >> _U32] if trials.start >> 32 else [])
+    words += [] if stream is None else [np.uint64(stream)]
+    pool = seq.pool.astype(np.uint64)[:, None]
+    for i, word in enumerate(words):
+        pool = _mix(pool, _hashmix(word, _hash_consts(_INIT_A, _MULT_A, used + i * _POOL)))
     # generate_state(2, uint64): four hashed pool words, little-endian pairs.
     state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 0))
-    return state[0::2] | state[1::2] << _U32
+    return (state[0::2] | state[1::2] << _U32).T
 
 
-def _mulhi(x, m_lo, m_hi):
+@functools.lru_cache(maxsize=8)
+def _philox_operands(trials: int, blocks: int):
+    """Read-only operands of :func:`_philox` on (trials, 2, blocks) arrays.
+
+    Every operand has the full shape, since numpy's per-call cost dominates
+    at these sizes and broadcasting or a scalar operand adds to it.  Returns
+    the lane multipliers, their low and high 32-bit halves, the 32-bit shift
+    and mask, each round's key offset (its key minus the round-0 key, one
+    (trials, 2, blocks) slab per round), and the state after round 0 up to
+    its key: that round sees only the counters, 1..blocks in lane 0.
+    """
+    shape = (trials, 2, blocks)
+    full = functools.partial(np.full, shape, dtype=np.uint64)
+    m = full(np.array(_PHILOX_M, dtype=np.uint64)[:, None])
+    m_lo, m_hi, shift, low = m & _LO, m >> _U32, full(_U32), full(_LO)
+    bumps = np.array(_PHILOX_W, dtype=np.uint64)[:, None] * np.arange(
+        _PHILOX_ROUNDS, dtype=np.uint64
+    )
+    offsets = np.empty((_PHILOX_ROUNDS,) + shape, dtype=np.uint64)
+    offsets[...] = bumps.T[:, None, :, None]
+    counters = np.zeros(shape, dtype=np.uint64)
+    counters[:, 0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    first_a = np.ascontiguousarray(_mulhi(counters, m_lo, m_hi, shift, low)[:, ::-1])
+    first_lo = counters * m
+    return tuple(
+        _read_only(x) for x in (m, m_lo, m_hi, shift, low, offsets, first_a, first_lo)
+    )
+
+
+def _mulhi(x, m_lo, m_hi, shift, low):
     """High 64 bits of ``x * m`` from products of 32-bit halves (m in halves)."""
-    x_lo, x_hi = x & _LO, x >> _U32
-    t = x_hi * m_lo + (x_lo * m_lo >> _U32)
-    u = x_lo * m_hi + (t & _LO)
-    return x_hi * m_hi + (t >> _U32) + (u >> _U32)
+    x_lo, x_hi = x & low, x >> shift
+    t = x_hi * m_lo + (x_lo * m_lo >> shift)
+    u = x_lo * m_hi + (t & low)
+    return x_hi * m_hi + (t >> shift) + (u >> shift)
 
 
 def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
-    """Philox4x64-10 outputs at counters 1..blocks: row 4 * (counter - 1) + lane.
+    """Philox4x64-10 outputs at counters 1..blocks under each row of (N, 2) ``keys``.
 
-    ``keys`` is (2, N); the result is (4 * blocks, N) uint64, a trial per
-    column.  Lanes 0 and 2 and lanes 1 and 3 are stacked in ``a`` and ``b``;
-    every operand has the full (2, blocks, N) shape, since numpy's per-call
-    cost dominates at these sizes and broadcasting adds to it.
+    Returns (N, 4, blocks) uint64: output (counter c, lane l) of trial n is
+    at ``[n, _LANE_ROW[l], c - 1]``.  Lanes 0 and 2 are stacked in ``a`` and
+    the round's low products in ``lo``; lanes 1 and 3 are ``lo`` reversed,
+    so a round reverses the stacked pair once, on the XOR of the high
+    products with ``lo``.  Round 0 comes from the cached operands, and every
+    round's key from one addition.
     """
-    shape = (2, blocks, keys.shape[1])
-    m = np.broadcast_to(_PHILOX_M, shape).copy()
-    m_lo, m_hi = m & _LO, m >> _U32
-    bump = np.broadcast_to(_PHILOX_W, shape)
-    key = np.broadcast_to(keys[:, None, :], shape).copy()
-    a = np.zeros(shape, dtype=np.uint64)
-    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    b = np.zeros(shape, dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += bump
-        a, b = _mulhi(a, m_lo, m_hi)[::-1] ^ b ^ key, (a * m)[::-1]
-    return np.stack([a[0], b[0], a[1], b[1]], axis=1).reshape(4 * blocks, shape[2])
+    m, m_lo, m_hi, shift, low, offsets, a, lo = _philox_operands(keys.shape[0], blocks)
+    key = keys[None, :, :, None] + offsets
+    a = a ^ key[0]
+    for r in range(1, _PHILOX_ROUNDS):
+        hi = _mulhi(a, m_lo, m_hi, shift, low)
+        a, lo = (hi ^ lo)[:, ::-1] ^ key[r], a * m
+    return np.concatenate((a, lo), axis=1)
 
 
-def _bit_layout(counts: list[int]):
-    """Where each drawn bit sits in a trial's Philox output.
+@functools.lru_cache(maxsize=64)
+def _draw_plan(dims: tuple[int, int, int], constraint: str | None):
+    """Where each matrix's bits sit in a trial's Philox output, and its block count.
 
     ``integers(0, 2, dtype=uint8)`` returns bit 7 of successive bytes of
     32-bit words, low byte first; each call starts on a fresh word, and the
     words are the low then high halves of the 64-bit outputs.  Returns the
-    output index and shift of every bit, calls concatenated, and the number
-    of Philox blocks (four outputs each) they span.
-    """
-    starts = np.cumsum([0] + [-(-c // 4) for c in counts])
-    pos = np.concatenate([4 * s + np.arange(c) for s, c in zip(starts, counts)])
-    word = pos // 4
-    shift = (32 * (word % 2) + 8 * (pos % 4) + 7).astype(np.uint64)
-    return word // 2, shift, -(-int(starts[-1]) // 8)
-
-
-def _draw_block(seed, trials: range, dims, constraint):
-    """Stacked (mb, mp, mc) of the given trials, each from its own Philox stream.
-
-    Bit-identical to :func:`random_code` on
-    ``Generator(Philox(SeedSequence(seed, spawn_key=(trial,))))`` for a seed
-    that SeedSequence accepts (other than None), computed for all trials at
-    once.
+    number of Philox blocks (four outputs each) the calls span, and for each
+    call a read-only index array of its matrix's shape into the bytes of
+    :func:`_philox`'s output of one trial.
     """
     k, n_b, n_p = dims
     shapes = [(k, n_b)] + ([] if constraint == "mirror_bp" else [(k, n_p)]) + [(n_b, n_p)]
     counts = [r * c for r, c in shapes]
-    index, shift, blocks = _bit_layout(counts)
-    stream = _philox(_philox_keys(seed, trials), blocks)
-    bits = (stream[index] >> shift[:, None] & np.uint64(1)).astype(np.uint8)
-    ends = np.cumsum(counts)
-    mats = [
-        np.ascontiguousarray(part.T.reshape(len(trials), *shape))
-        for part, shape in zip(np.split(bits, ends[:-1]), shapes)
-    ]
-    mb, mc = mats[0], mats[-1]
-    mp = mb if constraint == "mirror_bp" else mats[1]
-    return mb, mp, mc
+    starts = np.cumsum([0] + [-(-c // 4) for c in counts])
+    blocks = -(-int(starts[-1]) // 8)
+    columns = []
+    for start, count, shape in zip(starts, counts, shapes):
+        pos = 4 * start + np.arange(count)
+        word = pos // 4
+        output, byte = word // 2, 4 * (word % 2) + pos % 4
+        if sys.byteorder == "big":
+            byte = 7 - byte
+        row = np.take(_LANE_ROW, output % 4) * blocks + output // 4
+        columns.append(_read_only((8 * row + byte).reshape(shape)))
+    return blocks, tuple(columns)
+
+
+def _draw_block(seq: np.random.SeedSequence, trials: range, dims, constraint):
+    """Stacked (mb, mp, mc) of the given trials, each from its own Philox stream.
+
+    Bit-identical to :func:`random_code` on
+    ``Generator(Philox(SeedSequence(seq.entropy, spawn_key=(trial,))))``,
+    computed for all trials at once.
+    """
+    blocks, columns = _draw_plan(tuple(dims), constraint)
+    stream = _philox(_philox_keys(seq, trials), blocks)
+    bits = stream.reshape(len(trials), 4 * blocks).view(np.uint8) >> np.uint8(7)
+    mats = [bits.take(cols, axis=1) for cols in columns]
+    return mats[0], mats[0] if constraint == "mirror_bp" else mats[1], mats[-1]
 
 
 def search(
@@ -269,14 +306,14 @@ def search(
     if cap < 0:
         raise ValueError("cap must be non-negative")
     _check_draw(*dims, constraint)
-    seed = np.random.SeedSequence(seed).entropy  # validated; None draws entropy
+    seq = np.random.SeedSequence(seed)  # validates; None draws entropy
     found: list[tuple[int, CpcCode]] = []
     successes = 0
     draw_s = predicate_s = 0.0
     for start in range(0, budget, _BLOCK):
         trials = range(start, min(start + _BLOCK, budget))
         t0 = time.perf_counter()
-        mb, mp, mc = _draw_block(seed, trials, dims, constraint)
+        mb, mp, mc = _draw_block(seq, trials, dims, constraint)
         t1 = time.perf_counter()
         hits = np.flatnonzero(predicate(mb, mp, mc))
         draw_s += t1 - t0

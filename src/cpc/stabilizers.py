@@ -10,12 +10,13 @@ and the CSS pair here, and the single-error map and code distance of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, encode_circuit
-from .gf2 import Gf2Matrix, multiply, pack_rows, row_space_equal, rref
+from .gf2 import Gf2Matrix, _read_only, multiply, pack_rows, row_space_equal, rref
 from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
@@ -29,6 +30,12 @@ __all__ = [
     "logical_operators",
     "stabilizer_to_text",
 ]
+
+
+@functools.lru_cache(maxsize=16)
+def _identity_block(lead: tuple[int, ...], n: int) -> np.ndarray:
+    """Read-only n x n identities stacked on the ``lead`` axes."""
+    return _read_only(np.broadcast_to(np.eye(n, dtype=np.uint8), (*lead, n, n)).copy())
 
 
 def split_check_rows(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
@@ -45,10 +52,9 @@ def split_check_rows(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
     mb_t, mp_t, mc_t = (np.swapaxes(m, -1, -2) for m in (mb, mp, mc))
     # uint8 products wrap mod 256, which keeps their parity
     cross = mc ^ ((mb_t @ mp) & 1)
-    stack = np.zeros((*lead, 1, 1), dtype=np.uint8)  # adding it copies a block per code
     return (
-        np.concatenate([mb_t, stack + np.eye(n_b, dtype=np.uint8), cross], axis=-1),
-        np.concatenate([mp_t, mc_t, stack + np.eye(n_p, dtype=np.uint8)], axis=-1),
+        np.concatenate([mb_t, _identity_block(tuple(lead), n_b), cross], axis=-1),
+        np.concatenate([mp_t, mc_t, _identity_block(tuple(lead), n_p)], axis=-1),
     )
 
 

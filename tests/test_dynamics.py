@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import replace
@@ -175,7 +176,8 @@ def test_statevector_stack_memory_bound(monkeypatch, capsys, fixture_dir):
     def no_work(*args, **kwargs):
         raise AssertionError("the simulation started")
 
-    monkeypatch.setattr(dynamics, "decode_table", no_work)
+    # the first work of a simulation is its code's (cached) fault table
+    monkeypatch.setattr(dynamics, "_code_faults", no_work)
     code = fixture_code("13-3-3")
     cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, haar_states=600)
     with pytest.raises(ValueError, match="lower haar_states"):
@@ -374,6 +376,57 @@ def test_haar_block_is_bitwise_the_repeated_haar_state():
                 rng = dynamics._trial_rng(seed, 0, 1)
                 vecs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(count)]
                 assert np.array_equal(block, np.array([v / np.linalg.norm(v) for v in vecs]))
+
+
+def test_reset_generator_draws_the_trial_streams():
+    # simulate resets one generator per stream to each trial's key from the
+    # search's key kernel; after any earlier draws (a buffered 32-bit half, a
+    # cached binomial set-up) it must draw what _trial_rng's fresh one draws.
+    from cpc.search import _philox_keys
+
+    probs = np.array([0.0, 0.3, 1e-3, 0.05, 0.9])
+    rng = np.random.Generator(np.random.Philox(99))
+    for seed in (0, 2**40 + 3, 2**150 + 12345):
+        seq = np.random.SeedSequence(seed)
+        for trials in (range(0, 3), range(2**32 - 1, 2**32 + 1)):
+            for stream in (0, 1):
+                for trial, key in zip(trials, _philox_keys(seq, trials, stream).tolist()):
+                    rng.integers(0, 7, size=3, dtype=np.uint32)
+                    rng.binomial(10, 0.4)
+                    fresh = dynamics._trial_rng(seed, trial, stream)
+                    reset = dynamics._reset(rng, key)
+                    state = reset.bit_generator.state
+                    assert str(state) == str(fresh.bit_generator.state)
+                    want = dynamics._sample_error_events(fresh, probs, 50)
+                    got = dynamics._sample_error_events(reset, probs, 50)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    fresh = dynamics._trial_rng(seed, trial, stream)
+                    block = dynamics._haar_block(8, 3, dynamics._reset(rng, key))
+                    assert np.array_equal(block, dynamics._haar_block(8, 3, fresh))
+
+
+def test_interleaved_simulations_keep_their_results():
+    # the per-code fault tables are cached: a call on one code between two on
+    # another must leave both calls' curves as they were
+    model = ErrorModel(eps_bit=2.0, eps_phase=1.0)
+    cfg = SimConfig(10.0, 3.0, 5, haar_states=2, rng_seed=13, samples=4)
+    dynamics._code_faults.cache_clear()
+    results = []
+    for name in ("11-3-3", "10-3-3", "11-3-3", "10-3-3", "11-3-3"):
+        res = simulate(fixture_code(name), model, cfg)
+        results.append((res.to_csv(), res.uncorrectable_cycles))
+    assert results[0] != results[1]
+    assert results == results[:2] * 2 + results[:1]
+
+
+def test_cached_fault_arrays_are_read_only():
+    faults = dynamics._code_faults(fixture_code("10-3-3"))
+    arrays = [faults.is_x, faults.effects, faults.paulis, faults.net, faults.known]
+    arrays += [*faults.table.first, *faults.table.second]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_statevector_norm_preserved():
@@ -589,15 +642,17 @@ def _scalar_simulate(code, model, cfg, log):
 def _batched_events(code, model, cfg, trial):
     """The array sampler's events of one trial, in the scalar sampler's form."""
     r = cfg.cycle_rate
-    probs, _, paulis = dynamics._fault_table(single_error_records(code), model, r)
-    cycles, faults = dynamics._sample_error_events(
-        dynamics._trial_rng(cfg.rng_seed, trial, 0), probs, max(1, int(round(cfg.t_max * r)))
+    faults = dynamics._code_faults(code)
+    cycles, fault_ids = dynamics._sample_error_events(
+        dynamics._trial_rng(cfg.rng_seed, trial, 0),
+        faults.probs(model, r),
+        max(1, int(round(cfg.t_max * r))),
     )
     events: dict[int, list[int]] = {}
-    for c, f in zip(cycles.tolist(), faults.tolist()):
+    for c, f in zip(cycles.tolist(), fault_ids.tolist()):
         mask = events.setdefault(c, [0, 0])
-        mask[0] ^= int(paulis[f, 0])
-        mask[1] ^= int(paulis[f, 1])
+        mask[0] ^= int(faults.paulis[f, 0])
+        mask[1] ^= int(faults.paulis[f, 1])
     return events
 
 
@@ -736,6 +791,9 @@ def test_backends_count_unknown_lone_faults_the_same(monkeypatch):
         return replace(table, second=nothing)
 
     monkeypatch.setattr(dynamics, "decode_table", bit_side_only)
+    # a fresh per-code cache, so the patched table is built and is not kept
+    fresh_cache = functools.lru_cache(dynamics._code_faults.__wrapped__)
+    monkeypatch.setattr(dynamics, "_code_faults", fresh_cache)
     code = fixture_code("11-3-3")
     model = ErrorModel(eps_bit=3.0, eps_phase=3.0)
     cfg = SimConfig(10.0, 2.0, 4, haar_states=2, rng_seed=8, samples=4)

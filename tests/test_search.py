@@ -3,14 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cpc.decoding import cnot_compatible, is_single_error_correcting
+from cpc.decoding import _check_weights, cnot_compatible, is_single_error_correcting
 from cpc.search import (
     _draw_block,
+    _draw_plan,
+    _hash_consts,
+    _philox_keys,
+    _philox_operands,
     cnot_compatible_predicate,
     random_code,
     search,
     single_error_correcting_predicate,
 )
+from cpc.stabilizers import _identity_block
 
 
 def _rng(seed=0):
@@ -172,7 +177,7 @@ def test_vectorized_draw_matches_numpy_streams():
     for seed in _SEEDS:
         for trials in _TRIALS:
             for dims, constraint in cases:
-                got = _draw_block(seed, trials, dims, constraint)
+                got = _draw_block(np.random.SeedSequence(seed), trials, dims, constraint)
                 want = _numpy_streams(seed, trials, dims, constraint)
                 for g, w in zip(got, want):
                     assert g.dtype == np.uint8 and g.flags.c_contiguous
@@ -217,3 +222,69 @@ def test_search_timings_do_not_affect_equality():
     assert a.draw_s > 0 and a.predicate_s > 0
     empty = search(*args[:2], 0, seed=2)
     assert (empty.draw_s, empty.predicate_s) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("stream", [None, 0, 1])
+def test_key_kernel_matches_seed_sequence(stream):
+    # Seeds of 1, 2, 5 and 8 words (the pool holds 4), trials either side of
+    # 2**32, where a trial becomes two spawn words and the stream word moves.
+    for seed in (3, 2**40 + 1, 2**150 + 12345, [5, 2**64 + 9, 2**100]):
+        seq = np.random.SeedSequence(seed)
+        for trials in (range(0, 4), range(2**32 - 2, 2**32 + 2)):
+            want = [
+                np.random.SeedSequence(
+                    seed, spawn_key=(t,) if stream is None else (t, stream)
+                ).generate_state(2, np.uint64)
+                for t in trials
+            ]
+            got = _philox_keys(seq, trials, stream)
+            assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
+            assert np.array_equal(got, want), (seed, trials, stream)
+
+
+def _clear_draw_caches():
+    for cached in (
+        _hash_consts,
+        _philox_operands,
+        _draw_plan,
+        _check_weights,
+        _identity_block,
+    ):
+        cached.cache_clear()
+
+
+def test_interleaved_searches_keep_their_results():
+    # Blocks of 2048 and 952 trials and of 500 mirrored ones, on three shapes:
+    # no shape's cached plan, operands or check weights may leak into
+    # another's.  The parity predicate returns a fifth of all codes drawn.
+    def parity(mb, mp, mc):
+        return (mb.sum(axis=(1, 2)) + mp.sum(axis=(1, 2)) + mc.sum(axis=(1, 2))) % 5 == 0
+
+    calls = [
+        lambda: search((3, 4, 4), parity, 3000, seed=4, cap=3000),
+        lambda: search((2, 3, 3), parity, 500, seed=4, constraint="mirror_bp", cap=500),
+        lambda: search(
+            (3, 5, 5), cnot_compatible_predicate(0, 1), 3000, seed=4, constraint="mirror_bp"
+        ),
+        lambda: search((3, 6, 6), single_error_correcting_predicate(), 3000, seed=4),
+    ]
+    _clear_draw_caches()
+    first = [call() for call in calls]
+    assert [result.successes for result in first[2:]] == [7, 82]
+    again = [call() for call in calls + calls[::-1]]
+    assert again == first + first[::-1]
+
+
+def test_cached_draw_arrays_are_read_only():
+    _draw_block(np.random.SeedSequence(1), range(5), (2, 3, 4), None)
+    arrays = [
+        *_hash_consts(0x43B0D7E5, 0x931E8875, 16),
+        *_philox_operands(5, 2),
+        *_draw_plan((2, 3, 4), None)[1],
+        *_check_weights(3, 4),
+        _identity_block((5,), 3),
+    ]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
