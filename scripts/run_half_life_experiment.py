@@ -70,7 +70,11 @@ def _sweep(args) -> int:
         csv_path = args.out / f"rate-{rate:g}.csv"
         csv_path.write_text(result.to_csv(), encoding="utf-8", newline="")
         mean, _ = result.column("Frand")
-        fit = fit_half_life(result.times, mean)
+        try:
+            fit = fit_half_life(result.times, mean)
+        except RuntimeError as exc:  # no convergence: exit 1, as for a degenerate series
+            print(f"error: rate {rate:g} /s: {exc}", file=sys.stderr)
+            return 1
         half_lives.append(fit.lambda_half)
         if fit.degenerate:
             degenerate = True

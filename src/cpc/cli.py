@@ -298,7 +298,11 @@ def _cmd_fit(args) -> int:
                         f"{args.csv} line {reader.line_num}: "
                         f"{column} value {row[column]!r} is not a number"
                     ) from None
-    fit = fit_half_life(np.array(times), np.array(values))
+    try:
+        fit = fit_half_life(np.array(times), np.array(values))
+    except RuntimeError as exc:  # no convergence: exit 1, as for a degenerate series
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if fit.degenerate:
         print("degenerate series: no decay to fit")
         return 1

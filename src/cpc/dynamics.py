@@ -145,9 +145,16 @@ def apply_pauli_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray
     return out
 
 
-def _pauli_amplitudes(states: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
-    """<psi| X^x Z^z |psi> for each row of a stack of states."""
-    return np.einsum("ij,ij->i", states.conj(), apply_pauli_masks(states, x_mask, z_mask))
+def _x_expectations(states: np.ndarray, q: int) -> np.ndarray:
+    """<psi| X_q |psi> for each row of a stack of states, with no copy of it.
+
+    Over the (high, bit q, low) reshape that ``apply_1q`` uses, X_q swaps the
+    amplitudes a (bit 0) and b (bit 1), so the expectation is 2 Re sum conj(a) b.
+    """
+    pairs = states.reshape(len(states), -1, 2, 1 << q)
+    a, b = pairs[:, :, 0], pairs[:, :, 1]
+    real, imag = (np.einsum("ijk,ijk->i", u, v) for u, v in ((a.real, b.real), (a.imag, b.imag)))
+    return 2.0 * (real + imag)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -365,7 +372,8 @@ def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
 
 def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
     """|<psi| X^fx Z^fz |psi>|^2 for each row of ``states`` (dim 2^k each)."""
-    return np.abs(_pauli_amplitudes(states, frame_x, frame_z)) ** 2
+    signed = apply_pauli_masks(states, frame_x, frame_z)
+    return np.abs(np.einsum("ij,ij->i", states.conj(), signed)) ** 2
 
 
 # Trials per block of the Pauli-frame kernel, at most.  A block's largest arrays
@@ -614,7 +622,7 @@ def _run_statevector_trial(
             # Every check reads the same stack: the Pauli that resets one commutes
             # with every other check's.  The first side's all come from one pass.
             readout = list(((np.abs(stack) ** 2) @ z_signs).T) + [
-                _pauli_amplitudes(stack, 1 << q, 0).real for q in range(k + n_first, k + n_checks)
+                _x_expectations(stack, q) for q in range(k + n_first, k + n_checks)
             ]
             fired = [int(value[0] < 0) for value in readout]
             for i, value in enumerate(readout):
@@ -652,10 +660,18 @@ class HalfLifeFit:
     degenerate: bool = False
 
 
+# The fit stops with RuntimeError after this many model evaluations.
+FIT_MAX_NFEV = 20000
+
+
 def fit_half_life(times, values) -> HalfLifeFit:
     """Least-squares fit of F(t) = F_inf + (1 - F_inf) * 2^(-t / lambda_half).
 
-    ``F_inf`` is constrained to [0, 1].  A constant series cannot pin the
+    ``F_inf`` is constrained to [0, 1] and ``lambda_half`` to at least 1e-9.
+    The fit is scipy 1.17's bounded trust-region-reflective least squares, run
+    step for step by :func:`_trf_fit`, so it does not change with the
+    installed optimizer; one not converged after ``FIT_MAX_NFEV`` model
+    evaluations raises ``RuntimeError``.  A constant series cannot pin the
     half-life down and is returned flagged as degenerate.  ``times`` and
     ``values`` must be finite 1-D arrays of one shape with at least 4 points;
     times must be non-negative with at least two distinct, and values are
@@ -686,30 +702,229 @@ def fit_half_life(times, values) -> HalfLifeFit:
             residual_rms=0.0,
             degenerate=True,
         )
-
-    def model(t, lam, f_inf):
-        return f_inf + (1.0 - f_inf) * np.exp(-math.log(2.0) * t / lam)
-
     f0 = float(np.clip(values.min(), 0.0, 1.0))
     half_level = (1.0 + f0) / 2.0
     below = np.nonzero(values < half_level)[0]
     lam0 = float(times[below[0]]) if below.size and times[below[0]] > 0 else float(times[-1])
-    # imported here, not at module level: scipy.optimize takes most of the
-    # start-up time of `import cpc`, and only a fit needs it
-    from scipy.optimize import least_squares
-
-    # what curve_fit does for a bounded fit, without its covariance
-    res = least_squares(
-        lambda params: model(times, *params) - values,
-        [max(lam0, 1e-6), f0],
-        bounds=([1e-9, 0.0], [np.inf, 1.0]),
-        max_nfev=20000,
+    lam, f_inf, residual = _trf_fit(-math.log(2.0) * times, values, max(lam0, 1e-6), f0)
+    return HalfLifeFit(
+        lambda_half=lam, f_inf=f_inf, residual_rms=float(np.sqrt(np.mean(residual**2)))
     )
-    if not res.success:
-        raise RuntimeError("Optimal parameters not found: " + res.message)
-    lam, f_inf = float(res.x[0]), float(res.x[1])
-    residual = float(np.sqrt(np.mean((model(times, lam, f_inf) - values) ** 2)))
-    return HalfLifeFit(lambda_half=lam, f_inf=f_inf, residual_rms=residual)
+
+
+# --- the fit: scipy's bounded trust-region-reflective loop -------------------
+#
+# scipy.optimize's least squares with method "trf" as of scipy 1.17, with its
+# defaults (2-point Jacobian, x_scale 1, ftol = xtol = gtol = 1e-8), for
+# x = (lambda, F_inf) in [1e-9, inf) x [0, 1]: trf_bounds, approx_derivative,
+# solve_lsq_trust_region and select_step.  Every dot product, norm and power
+# is taken as scipy takes it (numpy's dot may fuse multiply-adds), so every
+# iterate is the same float.
+
+_LOWER, _UPPER = (1e-9, 0.0), (math.inf, 1.0)
+_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.cache
+def _gesdd():
+    # the LAPACK SVD that scipy.linalg.svd calls; only a fit imports scipy
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs(("gesdd", "gesdd_lwork"), (np.empty(2),), ilp64="preferred")
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))  # as np.linalg.norm computes it
+
+
+def _to_bound(x, s) -> tuple[float, list[bool]]:
+    """step_size_to_bound: the stride along s to the first bound, and which
+    components reach it."""
+    steps = [
+        max((lo - a) / b, (hi - a) / b) if b else math.inf
+        for a, b, lo, hi in zip(x.tolist(), s.tolist(), _LOWER, _UPPER)
+    ]
+    return min(steps), [b != 0 and t == min(steps) for b, t in zip(s.tolist(), steps)]
+
+
+def _quadratic(J, g, s, diag, s0=None):
+    """build_quadratic_1d: the model cost at s0 + t s as a t^2 + b t + c."""
+    v = J.dot(s)
+    a, b = 0.5 * (np.dot(v, v) + np.dot(s * diag, s)), np.dot(g, s)
+    if s0 is None:
+        return a, b, 0.0
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    return a, b + np.dot(s0 * diag, s), c + 0.5 * np.dot(s0 * diag, s0)
+
+
+def _minimize_1d(a, b, c, lo, hi) -> tuple[float, float]:
+    t = [lo, hi] + ([-0.5 * b / a] if a != 0 and lo < -0.5 * b / a < hi else [])
+    y = [ti * (a * ti + b) + c for ti in t]
+    return t[y.index(min(y))], min(y)
+
+
+def _tr_solve(m, uf, s, V, Delta, alpha):
+    """solve_lsq_trust_region: the hat step of norm at most Delta, and its
+    Levenberg-Marquardt parameter."""
+    suf = s * uf
+
+    def phi(alpha):  # the step's norm minus Delta, and its derivative
+        denom = s**2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    full_rank = s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if _norm(p) <= Delta:
+            return p, 0.0
+    upper, lower = _norm(suf) / Delta, 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    elif alpha == 0:
+        alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+    for _ in range(10):
+        if alpha < lower or alpha > upper:
+            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        ratio = value / slope
+        lower = max(lower, alpha - ratio)
+        alpha -= (value + Delta) * ratio / Delta
+        if abs(value) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    return p * (Delta / _norm(p)), alpha
+
+
+def _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, theta):
+    """select_step: of the trust-region step, its reflection off the first
+    bound it crosses and the scaled gradient step, the one of least model
+    cost, as (step, hat step, predicted reduction)."""
+    p = d * p_h
+    if all(lo <= a <= hi for a, lo, hi in zip((x + p).tolist(), _LOWER, _UPPER)):
+        a, b, _ = _quadratic(J_h, g_h, p_h, diag_h)
+        return p, p_h, -(a + b)
+    p_stride, hits = _to_bound(x, p)
+    r_h = np.where(hits, -p_h, p_h)
+    p, p_h = p * p_stride, p_h * p_stride
+    # how far along r_h from p_h the trust region ends (intersect_trust_region)
+    a, b, c = np.dot(r_h, r_h), np.dot(p_h, r_h), np.dot(p_h, p_h) - Delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
+    to_tr = max(q / a, c / q)
+    to_bound, _ = _to_bound(x + p, d * r_h)
+    r_stride, r_value = min(to_bound, to_tr), math.inf
+    lo, hi = 0.0, -1.0
+    if r_stride > 0:
+        lo = (1 - theta) * p_stride / r_stride
+        hi = theta * to_bound if r_stride == to_bound else to_tr
+    if lo <= hi:
+        r_stride, r_value = _minimize_1d(*_quadratic(J_h, g_h, r_h, diag_h, s0=p_h), lo, hi)
+        r_h = r_h * r_stride + p_h
+    p, p_h = p * theta, p_h * theta
+    a, b, _ = _quadratic(J_h, g_h, p_h, diag_h)
+    p_value, ag_h = a + b, -g_h
+    to_tr, (to_bound, _) = Delta / _norm(ag_h), _to_bound(x, d * ag_h)
+    hi = theta * to_bound if to_bound < to_tr else to_tr
+    ag_stride, ag_value = _minimize_1d(*_quadratic(J_h, g_h, ag_h, diag_h), 0.0, hi)
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r_h * d, r_h, -r_value
+    return d * ag_h * ag_stride, ag_h * ag_stride, -ag_value
+
+
+def _trf_fit(nlt, values, lam, f):
+    """(lambda, F_inf, residuals) of the fit from (lam, f), where ``nlt`` is
+    -ln(2) * times and lam is at least 1e-6."""
+    m = values.size
+    gesdd, gesdd_lwork = _gesdd()
+    lwork = int(gesdd_lwork(m + 2, 2, compute_uv=1, full_matrices=0)[0].real)
+    J_aug, f_aug = np.zeros((m + 2, 2)), np.zeros(m + 2)
+    J_h = J_aug[:m]
+
+    def model(lam, f):
+        e = np.exp(nlt / lam)
+        return f + (1.0 - f) * e - values, e
+
+    def linearize(lam, f, r, e):
+        # steps eps**0.5 * max(1, x), the F_inf one turned back from 1
+        h, h_f = _EPS**0.5 * max(1.0, lam), _EPS**0.5 * (1.0 if f + _EPS**0.5 <= 1.0 else -1.0)
+        Jt = np.array([
+            (model(lam + h, f)[0] - r) / ((lam + h) - lam),
+            ((f + h_f) + (1.0 - (f + h_f)) * e - values - r) / ((f + h_f) - f),
+        ])
+        g = Jt.dot(r)
+        g_lam, g_f = g.tolist()  # Coleman-Li scaling v and its derivative dv
+        v = [lam - 1e-9 if g_lam > 0 else 1.0, f if g_f > 0 else 1.0 - f if g_f < 0 else 1.0]
+        return Jt, g, v, [float(g_lam > 0), float(g_f > 0) - float(g_f < 0)]
+
+    # scipy first moves x0 1e-10 inside the bounds
+    f = 1e-10 if f <= 1e-10 else 1.0 - 1e-10 if 1.0 - f <= 1e-10 else f
+    x = np.array([lam, f])
+    r, e = model(lam, f)
+    Jt, g, v, dv = linearize(lam, f, r, e)
+    cost = 0.5 * np.dot(r, r)
+    Delta = _norm(x / np.sqrt(v)) or 1.0
+    alpha, nfev, converged = 0.0, 1, False
+    while not converged:
+        g_norm = max(abs(a * b) for a, b in zip(g.tolist(), v))
+        if g_norm < _TOL:
+            break
+        if nfev == FIT_MAX_NFEV:
+            raise RuntimeError(
+                "Optimal parameters not found: "
+                "The maximum number of function evaluations is exceeded."
+            )
+        d, diag_h = np.sqrt(v), g * dv
+        g_h, f_aug[:m], J_h[:] = d * g, r, Jt.T * d
+        J_aug[m, 0], J_aug[m + 1, 1] = np.sqrt(diag_h)
+        U, s, Vt, info = gesdd(J_aug, compute_uv=1, lwork=lwork, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        uf, V, theta = U.T.dot(f_aug), Vt.T, max(0.995, 1 - g_norm)
+        reduction = -1.0
+        while reduction <= 0 and nfev < FIT_MAX_NFEV:
+            p_h, alpha = _tr_solve(m, uf, s, V, Delta, alpha)
+            step, step_h, predicted = _select_step(x, J_h, diag_h, g_h, p_h, d, Delta, theta)
+            # make_strictly_feasible(rstep=0): a point on a bound moves one ulp inside
+            x_new = np.array([
+                math.nextafter(hi, lo) if a >= hi else math.nextafter(lo, hi) if a <= lo else a
+                for a, lo, hi in zip((x + step).tolist(), _LOWER, _UPPER)
+            ])
+            # residuals are finite for every lambda >= 1e-9: no retry for a non-finite one
+            r_new, e_new = model(*x_new.tolist())
+            nfev += 1
+            step_h_norm = _norm(step_h)
+            cost_new = 0.5 * np.dot(r_new, r_new)
+            reduction = cost - cost_new
+            ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
+            # check_termination's ftol and xtol tests, then update_tr_radius
+            converged = (reduction < _TOL * cost and ratio > 0.25) or (
+                _norm(step) < _TOL * (_TOL + _norm(x))
+            )
+            if converged:
+                break
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * Delta:
+                Delta_new = 2.0 * Delta
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if reduction > 0:
+            x, r, cost = x_new, r_new, cost_new
+            if not converged:  # scipy's Jacobian at its last point changes nothing
+                Jt, g, v, dv = linearize(*x.tolist(), r, e_new)
+    lam, f = x.tolist()
+    return lam, f, r
 
 
 # --- coherent error analytics -------------------------------------------------

@@ -236,8 +236,9 @@ def test_fit_names_the_line_and_column_of_a_bad_field(tmp_path, capsys, rows, li
     assert err == f"error: {csv_path} line {line}: {column} value {field!r} is not a number\n"
 
 
-# Only a half-life fit needs scipy, and importing scipy.optimize is most of a
-# cold start; run in a fresh interpreter, since this one may have loaded it.
+# Only a half-life fit needs scipy, for its LAPACK SVD, and importing scipy is
+# most of a cold start; run in a fresh interpreter, since this one may have
+# loaded it.  The fit is its own trust-region loop: scipy.optimize never loads.
 _COLD_START = """
 import json, math, sys
 import numpy as np
@@ -261,7 +262,8 @@ print(json.dumps({
     "codes": codes,
     "before": before,
     "lambda_half": fit.lambda_half,
-    "after": "scipy.optimize" in sys.modules,
+    "linalg": "scipy.linalg" in sys.modules,
+    "optimize": "scipy.optimize" in sys.modules,
 }))
 """
 
@@ -280,7 +282,26 @@ def test_only_a_fit_imports_scipy(tmp_path, fixture_dir):
     assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["before"] == []
     assert report["lambda_half"] == pytest.approx(50.0, rel=1e-6)
-    assert report["after"]
+    assert report["linalg"]
+    assert not report["optimize"]
+
+
+def test_fit_that_does_not_converge_exits_1(tmp_path, capsys, monkeypatch):
+    from cpc import dynamics
+
+    csv_path = tmp_path / "series.csv"
+    rows = ["time_s,Frand", "0,1", "10,0.8", "20,0.62", "30,0.5", "40,0.43"]
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, _ = _run(capsys, "fit", str(csv_path))
+    assert code == 0 and out.startswith("lambda_half: ")
+    monkeypatch.setattr(dynamics, "FIT_MAX_NFEV", 3)
+    code, out, err = _run(capsys, "fit", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: Optimal parameters not found: "
+        "The maximum number of function evaluations is exceeded.\n"
+    )
 
 
 def test_fit_rejects_non_finite_csv(tmp_path, capsys):

@@ -326,6 +326,91 @@ def test_fit_admits_values_within_rounding_of_the_unit_interval():
     assert fit_half_life(times, values).lambda_half == pytest.approx(50.0, rel=1e-4)
 
 
+def _least_squares_fit(times, values) -> tuple[float, float, float]:
+    """The oracle: the fit as ``scipy.optimize.least_squares`` computes it,
+    called with fit_half_life's start point, bounds and evaluation cap."""
+    from scipy.optimize import least_squares
+
+    def model(t, lam, f_inf):
+        return f_inf + (1.0 - f_inf) * np.exp(-math.log(2.0) * t / lam)
+
+    f0 = float(np.clip(values.min(), 0.0, 1.0))
+    below = np.nonzero(values < (1.0 + f0) / 2.0)[0]
+    lam0 = float(times[below[0]]) if below.size and times[below[0]] > 0 else float(times[-1])
+    res = least_squares(
+        lambda params: model(times, *params) - values,
+        [max(lam0, 1e-6), f0],
+        bounds=([1e-9, 0.0], [np.inf, 1.0]),
+        max_nfev=20000,
+    )
+    assert res.success, res.message
+    lam, f_inf = float(res.x[0]), float(res.x[1])
+    return lam, f_inf, float(np.sqrt(np.mean((model(times, lam, f_inf) - values) ** 2)))
+
+
+def _oracle_curves():
+    """Seeded series of 4, 5, 12 and 31 points: exact and noisy exponentials
+    with F_inf at 0, inside (0, 1) and at 1, and series whose fit ends on or
+    starts next to a bound."""
+    rng = np.random.default_rng(20)
+    for i in range(320):
+        kind, m = i % 8, (4, 5, 12, 31)[i // 8 % 4]
+        times = np.sort(rng.uniform(0.0, 400.0, m))
+        times[0] = 0.0 if i % 3 else times[0]
+        decay = 2.0 ** (-times / 10 ** rng.uniform(0.5, 3.0))
+        noise = rng.normal(size=m)
+        if kind == 0:  # exact, F_inf = 0
+            values = decay
+        elif kind == 1:  # exact, F_inf inside (0, 1)
+            f_inf = rng.uniform(0.0, 1.0)
+            values = f_inf + (1 - f_inf) * decay
+        elif kind == 2:  # noisy, F_inf inside (0, 1)
+            f_inf = rng.uniform(0.0, 1.0)
+            values = f_inf + (1 - f_inf) * decay + 0.02 * noise
+        elif kind == 3:  # noisy about F_inf = 0, clipped there
+            values = decay + 0.1 * noise
+        elif kind == 4:  # noisy about F_inf = 1
+            values = 1.0 - 0.03 * np.abs(noise)
+        elif kind == 5:  # overshoots F_inf = 0: the fit ends on that bound
+            a = rng.uniform(0.05, 0.3)
+            values = (1 + a) * decay - a
+        elif kind == 6:  # within 1e-10 of 1: the fit starts next to that bound
+            values = 1.0 - 10 ** rng.uniform(-12.0, -10.0, m)
+        else:  # a step down, then flat up to noise
+            values = np.full(m, rng.uniform(0.1, 0.9)) + 1e-3 * noise
+            values[0] = 1.0
+        yield times, np.clip(values, 0.0, 1.0)
+
+
+def _oracle_simulate_curves():
+    errors = ErrorModel(eps_bit=0.05, eps_phase=0.01)
+    for name in ("11-3-3", "10-3-3"):
+        for seed in range(4):
+            cfg = SimConfig(
+                cycle_rate=10.0, t_max=200.0, trials=8, haar_states=3, rng_seed=seed, samples=12
+            )
+            res = simulate(fixture_code(name), errors, cfg)
+            for metric in ("F0", "Frand"):
+                yield res.times, res.means[metric]
+
+
+def test_fit_is_bitwise_least_squares():
+    fits, differ = [], []
+    for times, values in [*_oracle_curves(), *_oracle_simulate_curves()]:
+        if np.ptp(values) < 1e-12:  # degenerate: no fit is made
+            continue
+        fit = fit_half_life(times, values)
+        got = (fit.lambda_half, fit.f_inf, fit.residual_rms)
+        if got != _least_squares_fit(times, values):
+            differ.append((times, values))
+        fits.append(got)
+    assert len(fits) >= 300
+    assert differ == []
+    f_inf = np.array([fit[1] for fit in fits])
+    # fits that end on the bound F_inf = 0, and that start and stay next to 1
+    assert np.sum(f_inf < 1e-12) >= 10 and np.sum(f_inf > 1 - 1e-9) >= 10
+
+
 def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
     rng = np.random.Generator(np.random.Philox(8))
     states = np.array([haar_state(16, rng) for _ in range(5)])
@@ -333,6 +418,17 @@ def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
         stacked = dynamics.apply_pauli_masks(states, x_mask, z_mask)
         rows = [dynamics.apply_pauli_masks(s, x_mask, z_mask) for s in states]
         assert np.array_equal(stacked, np.array(rows))
+
+
+def test_x_expectations_match_the_pauli_mask_readout():
+    # the reference applies X_q as a permuted copy; the sums run in another order
+    rng = np.random.Generator(np.random.Philox(9))
+    states = np.array([haar_state(1 << 6, rng) for _ in range(4)])
+    for stack in (states, np.asfortranarray(states)):  # gathers can leave either layout
+        for q in range(6):
+            flipped = dynamics.apply_pauli_masks(stack, 1 << q, 0)
+            reference = np.einsum("ij,ij->i", stack.conj(), flipped).real
+            assert np.allclose(dynamics._x_expectations(stack, q), reference, rtol=0, atol=1e-13)
 
 
 def test_apply_circuit_on_a_stack_matches_row_by_row():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import REPO_ROOT
 
+from cpc import dynamics
 from cpc.cli import main
 
 _RATES = ("10", "20")
@@ -93,3 +95,26 @@ def test_half_life_experiment_reports_a_degenerate_fit(tmp_path, fixture_dir):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.count("degenerate series: no decay to fit") == len(_RATES)
     assert "nan" not in proc.stdout and "linear fit: lambda" not in proc.stdout
+
+
+def test_half_life_experiment_reports_a_fit_that_does_not_converge(
+    tmp_path, fixture_dir, monkeypatch, capsys
+):
+    # in this process, so that the evaluation cap can be lowered
+    path = REPO_ROOT / "scripts" / "run_half_life_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_half_life_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    settings = [arg for pair in _SETTINGS.items() for arg in pair]
+    monkeypatch.setattr(dynamics, "FIT_MAX_NFEV", 3)
+    monkeypatch.setattr(sys, "argv", [
+        str(path), str(fixture_dir / "11-3-3.cpc"), "--rates", *_RATES,
+        "--t-max-per-rate", str(_T_MAX_PER_RATE), *settings, "--out", str(tmp_path),
+    ])
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        "error: rate 10 /s: Optimal parameters not found: "
+        "The maximum number of function evaluations is exceeded.\n"
+    )
+    assert out == ""
