@@ -113,7 +113,8 @@ def apply_gate(state: np.ndarray, gate) -> np.ndarray:
     a, b = gate.qubits
     idx = np.arange(state.shape[-1])
     if gate.kind == "CNOT":
-        return state[..., idx ^ (((idx >> a) & 1) << b)]
+        # np.take keeps a stack C-ordered; state[..., perm] returns it Fortran-ordered
+        return np.take(state, idx ^ (((idx >> a) & 1) << b), axis=-1)
     if gate.kind == "CZ":
         return state * (1 - 2 * ((idx >> a) & (idx >> b) & 1))
     if gate.kind == "CCZX":
@@ -166,11 +167,14 @@ def _haar_block(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar states from one draw, bit-identical to drawing each state's
     real then imaginary Gaussians in turn: ``normal`` fills in order, and each
     row keeps its own norm, computed as ``np.linalg.norm`` computes it (a
-    batched norm sums in another order)."""
+    batched norm sums in another order).  That norm is ``re.dot(re) +
+    im.dot(im)`` on the strided views; stacked (1 x dim) @ (dim x 1) matmuls
+    run that same dot on every row, in one call per part."""
     parts = rng.normal(size=(count, 2, dim))
     vecs = parts[:, 0] + 1j * parts[:, 1]
-    norms = [math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in vecs]
-    return vecs / np.array(norms)[:, None]
+    re, im = vecs.real[:, None], vecs.imag[:, None]
+    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
+    return vecs / norms[:, 0]
 
 
 # --- stochastic cycle simulation ---------------------------------------------
@@ -323,6 +327,14 @@ def _code_faults(code: CpcCode | GeneralCpcCode) -> _Faults:
     return _Faults(table, *(_read_only(a) for a in (is_x, effects, paulis, net, known)))
 
 
+class _Size(int):
+    """A draw size that is its own ``np.prod``: ``Generator.integers`` takes it
+    only to test for an empty draw, which on a plain int builds an array."""
+
+    def prod(self, *args, **kwargs):
+        return self
+
+
 def _sample_error_events(
     rng: np.random.Generator, probs: np.ndarray, n_cycles: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +345,11 @@ def _sample_error_events(
     reproduces that law exactly.  The subset is the set of distinct values of
     repeated uniform draws, each round drawing as many values as are still
     missing; the draws are the seeded contract, so their order and sizes must
-    not change.  Each round's new values are inserted into the sorted subset,
-    so a round costs one pass over it, and none when nothing new was drawn.
+    not change.  Each size is passed as a ``_Size``, which only skips numpy's
+    empty-draw test, so the values and the generator state after them are
+    those of a plain int size.  Each round's new values are inserted into the
+    sorted subset, so a round costs one pass over it, and none when nothing
+    new was drawn.
     """
     chosen: list[np.ndarray] = []
     faults: list[int] = []
@@ -344,12 +359,12 @@ def _sample_error_events(
         count = int(rng.binomial(n_cycles, prob))
         if not count:
             continue
-        cycles = rng.integers(0, n_cycles, size=count)
+        cycles = rng.integers(0, n_cycles, size=_Size(count))
         cycles.sort()
         if np.count_nonzero(cycles[1:] == cycles[:-1]):
             cycles = _distinct(cycles)
         while cycles.size < count:
-            more = _distinct(np.sort(rng.integers(0, n_cycles, size=count - cycles.size)))
+            more = _distinct(np.sort(rng.integers(0, n_cycles, size=_Size(count - cycles.size))))
             at = np.searchsorted(cycles, more)
             fresh = np.take(cycles, at, mode="clip") != more
             if fresh.any():  # insert the draws not yet chosen in place: no re-sort
@@ -362,12 +377,14 @@ def _sample_error_events(
     return np.concatenate(chosen), np.repeat(np.array(faults, dtype=np.int64), sizes)
 
 
-def _xor_by_cycle(cycles: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct cycles in increasing order, with the XOR of ``rows`` over each."""
-    order = np.argsort(cycles)  # XOR commutes: the sort need not be stable
-    cycles = cycles[order]
-    starts = np.flatnonzero(np.diff(cycles, prepend=-1))
-    return cycles[starts], np.bitwise_xor.reduceat(np.take(rows, order, axis=0), starts, axis=0)
+def _xor_by_keys(keys: tuple[np.ndarray, ...], rows: np.ndarray):
+    """The distinct key tuples in ``np.lexsort`` order (the last key first), as
+    one array per key, with the XOR of ``rows`` over each."""
+    order = np.lexsort(keys)  # XOR commutes: the order within a key does not matter
+    keys = [key[order] for key in keys]
+    starts = np.flatnonzero(np.any([np.diff(key, prepend=-1) for key in keys], axis=0))
+    xor = np.bitwise_xor.reduceat(np.take(rows, order, axis=0), starts, axis=0)
+    return [key[starts] for key in keys], xor
 
 
 def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
@@ -393,7 +410,9 @@ def _frame_block(events, effects, fault_net, fault_known, table, sample_cycles):
     is the XOR of ``fault_net[f]`` over the faults f that fired an odd number
     of times before ``sample_cycles[s]``, found by one ``searchsorted`` and one
     ``bincount``, with no sort by cycle.  A cycle where faults coincide is
-    looked up again: its net change replaces the XOR of its faults' own.
+    looked up again: its net change replaces the XOR of its faults' own.  The
+    block's coincident events are grouped by (trial, cycle) and XORed in one
+    ``reduceat``; XOR is exact in any order, so the grouping moves no bit.
     """
     n_trials, n_faults, n_bins = len(events), fault_net.shape[0], sample_cycles.size + 1
     moves = fault_net.any(axis=1)
@@ -416,21 +435,23 @@ def _frame_block(events, effects, fault_net, fault_known, table, sample_cycles):
         for f in np.flatnonzero(moves):
             toggles ^= (counts[:, f, :, None] & 1) * fault_net[f]
     # Cycles where faults coincide, found by sorting each trial's cycles alone;
-    # each gets the XOR of its faults' effects and of their own net changes.
-    rows = np.concatenate([effects, fault_net], axis=1)
-    coincide = []
+    # the events on them are those whose cycle searchsorted finds among the repeats.
+    hits = []
     for t, (cycles, faults) in enumerate(events):
         ordered = np.sort(cycles)
         repeats = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeats.size:
-            hit = np.isin(cycles, repeats)
-            # such a cycle counts once, by its own lookup, not by its faults' flags
-            applied = cycles[hit] < sample_cycles[-1]
-            unknown -= int(np.count_nonzero(~fault_known[faults[hit]] & applied))
-            at, xor = _xor_by_cycle(cycles[hit], rows[faults[hit]])
-            coincide.append((np.full(at.size, t), at, xor))
-    if coincide:
-        trial, cycles, xor = (np.concatenate(parts) for parts in zip(*coincide))
+            hit = np.take(repeats, np.searchsorted(repeats, cycles), mode="clip") == cycles
+            hits.append((t, cycles[hit], faults[hit]))
+    if hits:
+        trial, cycles, faults = zip(*hits)
+        trial = np.repeat(trial, [c.size for c in cycles])
+        cycles, faults = np.concatenate(cycles), np.concatenate(faults)
+        # such a cycle counts once, by its own lookup, not by its faults' flags
+        unknown -= int(np.count_nonzero(~fault_known[faults] & (cycles < sample_cycles[-1])))
+        # each (trial, cycle) gets the XOR of its faults' effects and of their own net changes
+        rows = np.concatenate([effects, fault_net], axis=1)[faults]
+        (cycles, trial), xor = _xor_by_keys((cycles, trial), rows)
         correction, known = table.lookup(xor[:, 0], xor[:, 1])
         bins = np.searchsorted(sample_cycles, cycles, side="right")
         np.bitwise_xor.at(toggles, (trial, bins), xor[:, 2:4] ^ correction ^ xor[:, 4:])
@@ -536,9 +557,11 @@ def simulate(
             yield haar, _sample_error_events(_reset(event_rng, event_key), probs, n_cycles)
 
     def add(values):
+        """Add one trial's values, or a block's (trials, samples) rows trial by
+        trial: an axis-0 reduce of [sums; rows] adds row after row, in order."""
         for m in cfg.metrics:
-            sums[m] += values[m]
-            sumsq[m] += values[m] ** 2
+            sums[m] = np.add.reduce(np.vstack((sums[m], values[m])))
+            sumsq[m] = np.add.reduce(np.vstack((sumsq[m], values[m] ** 2)))
 
     block = _TRIAL_BLOCK
     if backend == "pauli_frame":
@@ -553,11 +576,10 @@ def simulate(
             )
             values = _frame_values(frames, np.stack(haar) if frand else None, cfg.metrics)
             uncorrectable += unknown
-            for row in range(frames.shape[0]):  # trial by trial, in order
-                add({m: values[m][row] for m in cfg.metrics})
+            add(values)
         else:
             for haar, (event_cycles, fault_ids) in draws(trials):
-                cycles, masks = _xor_by_cycle(event_cycles, faults.paulis[fault_ids])
+                (cycles,), masks = _xor_by_keys((event_cycles,), faults.paulis[fault_ids])
                 values, unknown = _run_statevector_trial(
                     code, faults.table, cycles, masks, sample_cycles, haar, cfg.metrics
                 )

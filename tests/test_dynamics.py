@@ -443,6 +443,17 @@ def test_apply_circuit_on_a_stack_matches_row_by_row():
     assert np.array_equal(dynamics.apply_circuit(states, circuit), np.array(rows))
 
 
+def test_cnot_keeps_a_stack_c_ordered():
+    # a fancy-index gather along the last axis returns the stack Fortran-ordered,
+    # and every later gate, norm and readout of the oracle would walk strided memory
+    from cpc.circuits import cnot
+
+    rng = np.random.Generator(np.random.Philox(10))
+    states = np.array([haar_state(16, rng) for _ in range(6)])
+    for a, b in ((0, 3), (3, 1), (2, 0)):
+        assert dynamics.apply_gate(states, cnot(a, b)).flags.c_contiguous
+
+
 def test_haar_states_unit_norm_and_purity():
     rng = np.random.Generator(np.random.Philox(21))
     dim = 8
@@ -463,8 +474,8 @@ def test_haar_block_is_bitwise_the_repeated_haar_state():
     # simulate draws a trial's Haar states as one block; it must equal count
     # successive haar_state calls and the two-draw formula (real, then
     # imaginary Gaussians, then np.linalg.norm) the pinned curves assume.
-    for dim in (2, 8, 16):
-        for count in (1, 3, 10):
+    for dim in (2, 4, 8, 16, 32, 64):
+        for count in (1, 3, 10, 20):
             for seed in (0, 7, 101):
                 block = dynamics._haar_block(dim, count, dynamics._trial_rng(seed, 0, 1))
                 rng = dynamics._trial_rng(seed, 0, 1)
@@ -472,6 +483,26 @@ def test_haar_block_is_bitwise_the_repeated_haar_state():
                 rng = dynamics._trial_rng(seed, 0, 1)
                 vecs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(count)]
                 assert np.array_equal(block, np.array([v / np.linalg.norm(v) for v in vecs]))
+
+
+def test_sized_draw_is_the_plain_int_draw():
+    # _sample_error_events sizes its integers draws with _Size, which only skips
+    # numpy's np.prod(size): the values and the generator state after them must
+    # be a plain int size's, with and without a buffered 32-bit half before them.
+    # At 2**31 + 1 Lemire's method rejects about half the words; 2**32 + 1 takes
+    # the 64-bit path.
+    for n in (1, 60_000, 2**31 + 1, 2**32, 2**32 + 1):
+        for buffered in (0, 1):
+            plain, sized = (np.random.Generator(np.random.Philox(n)) for _ in range(2))
+            for size in range(1, 65):
+                if plain.bit_generator.state["has_uint32"] != buffered:
+                    for rng in (plain, sized):
+                        rng.integers(0, 7, size=1, dtype=np.uint32)
+                assert sized.bit_generator.state["has_uint32"] == buffered
+                want = plain.integers(0, n, size=size)
+                got = sized.integers(0, n, size=dynamics._Size(size))
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert str(sized.bit_generator.state) == str(plain.bit_generator.state)
 
 
 def test_reset_generator_draws_the_trial_streams():
