@@ -20,10 +20,13 @@ from . import __version__
 from .circuits import PauliString, circuit_to_text, decode_circuit, encode_circuit
 from .decoding import (
     DecodingObstruction,
+    _correctability,
+    _distance,
+    _syndrome_classes,
     code_distance,
     decode_table,
-    is_single_error_correcting,
     ising_problem,
+    single_error_records,
 )
 from .dynamics import ErrorModel, SimConfig, fit_half_life, simulate
 from .gf2 import Gf2Matrix
@@ -98,8 +101,10 @@ def _serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _syndrome_str(syndrome) -> str:
-    return "".join(str(b) for b in syndrome)
+def _syndrome_text(table, first: int, second: int) -> str:
+    """The bits of the syndrome with these side masks, each side least significant first."""
+    width = table.n_first + table.n_second
+    return format(first | second << table.n_first, f"0{width}b")[::-1] if width else ""
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -114,13 +119,14 @@ def _require_w_max(w_max: int) -> None:
 def _cmd_verify(args) -> int:
     _require_w_max(args.w_max)
     code = _load_code(args.code)
-    report = is_single_error_correcting(code)
+    records = single_error_records(code)
+    report = _correctability(code, _syndrome_classes(records))
     if not report.ok:
         print("single-error correcting: no")
         for group in report.collisions:
             print(f"  {group}")
         return 1
-    distance = code_distance(code, w_max=args.w_max)
+    distance = _distance(code, records, args.w_max)
     dist_text = str(distance) if distance is not None else f"> {args.w_max}"
     print(f"single-error correcting: yes, distance: {dist_text}")
     return 0
@@ -156,8 +162,7 @@ def _cmd_error_table(args) -> int:
     _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
     rows = ["error\tsyndrome\tclass"]
     for rec, category in zip(table.records, categories.tolist()):
-        syndrome = rec.syndrome(table.n_first, table.n_second)
-        rows.append(f"{rec.label}\t{_syndrome_str(syndrome)}\t{category}")
+        rows.append(f"{rec.label}\t{_syndrome_text(table, rec.sx, rec.sz)}\t{category}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -170,12 +175,13 @@ def _cmd_decode_table(args) -> int:
         print(f"decode table unavailable: {exc}", file=sys.stderr)
         return 1
     sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
-    syndromes, first, second = zip(*sorted((table.syndrome(*s), *s) for s in sides))
+    # every text has the same length, so it sorts as the syndrome tuple does
+    syndromes, first, second = zip(*sorted((_syndrome_text(table, *s), *s) for s in sides))
     corrections, categories = table.classify(first, second)
     rows = ["syndrome\tclass\tcorrection"]
     for syndrome, (cx, cz), category in zip(syndromes, corrections.tolist(), categories.tolist()):
         corr = PauliString(code.k, cx, cz).label(code.qubit_label)
-        rows.append(f"{_syndrome_str(syndrome)}\t{category}\t{corr}")
+        rows.append(f"{syndrome}\t{category}\t{corr}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 

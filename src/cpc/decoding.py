@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ def _check_entries(values, count: int, name: str, noun: str) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
+class ErrorRecord(NamedTuple):
     """One single-qubit error: where it lands and what it leaves behind.
 
     ``sx``/``sz`` are masks of fired bit/phase checks (for generalized codes
@@ -128,21 +127,18 @@ def single_error_records(code: CpcCode | GeneralCpcCode) -> list[ErrorRecord]:
     data_x, data_z = pack_rows(hx[:, :k]), pack_rows(hz[:, :k])
     none = (0, 0)
     records: list[ErrorRecord] = []
-    for q in range(code.qubit_count):
+    for q, (xs, zs) in enumerate(zip(x_syndromes, z_syndromes)):
         if q < k:
             x_res, z_res, harmful = (1 << q, 0), (0, 1 << q), True
         else:
             gen = (data_x[q - k], data_z[q - k])
             x_res, z_res = (none, gen) if hz[q - k, q] else (gen, none)
             harmful = gen != none
-        parts = {
-            "X": (x_syndromes[q], x_res),
-            "Z": (z_syndromes[q], z_res),
-            "Y": (x_syndromes[q] ^ z_syndromes[q], (x_res[0] ^ z_res[0], x_res[1] ^ z_res[1])),
-        }
+        (xx, xz), (zx, zz) = x_res, z_res
         label = code.qubit_label(q)
-        for kind in _KINDS:
-            s, (rx, rz) = parts[kind]
+        for kind, s, rx, rz in (
+            ("X", xs, xx, xz), ("Y", xs ^ zs, xx ^ zx, xz ^ zz), ("Z", zs, zx, zz)
+        ):
             records.append(
                 ErrorRecord(
                     q, kind, f"{kind}_{label}", s & first_mask, s >> n_first, rx, rz, harmful
@@ -231,6 +227,44 @@ def is_single_error_correcting(
     return _correctability(code, _syndrome_classes(single_error_records(code)))
 
 
+# Words of XOR accumulator per distance block, at most (a block keeps one support).
+_DISTANCE_CELLS = 1 << 17
+
+
+@functools.lru_cache(maxsize=16)
+def _supports(n: int, weight: int) -> np.ndarray:
+    """Read-only (weight, C(n, weight)) table: column i is the i-th weight-subset of n qubits."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), weight))
+    table = np.fromiter(flat, dtype=np.intp, count=math.comb(n, weight) * weight)
+    return _read_only(table.reshape(-1, weight).T.copy())
+
+
+def _distance(code, records: list[ErrorRecord], w_max: int) -> int | None:
+    """:func:`code_distance` from the code's :func:`single_error_records`."""
+    n, (n1, n2) = code.qubit_count, _syndrome_widths(code)
+    syndrome_words = (n1 + n2 + 63) // 64
+    words = syndrome_words + (2 * code.k + 63) // 64
+    # Each fault's key as 64-bit words, the syndrome's then the data residual's,
+    # stacked (word, X/Y/Z, qubit).
+    keys = [r.sx | r.sz << n1 | (r.rx | r.rz << code.k) << 64 * syndrome_words for r in records]
+    raw = b"".join(key.to_bytes(8 * words, "little") for key in keys)
+    faults = np.frombuffer(raw, dtype="<u8").reshape(n, 3, words).transpose(2, 1, 0).copy()
+    for weight in range(1, min(w_max, n) + 1):
+        supports = _supports(n, weight)
+        step = max(1, _DISTANCE_CELLS // (3**weight * words))
+        for first in range(0, supports.shape[1], step):
+            block = supports[:, first : first + step]
+            # the XOR of each choice of one fault per qubit: (word, choice, support)
+            xors = faults.take(block[0], axis=2)
+            for qubits in block[1:]:
+                xors = xors[:, :, None] ^ faults.take(qubits, axis=2)[:, None]
+                xors = xors.reshape(words, -1, len(qubits))
+            silent = ~np.logical_or.reduce(xors[:syndrome_words])
+            if (silent & np.logical_or.reduce(xors[syndrome_words:])).any():
+                return weight
+    return None
+
+
 def code_distance(code: CpcCode | GeneralCpcCode, w_max: int = 4) -> int | None:
     """Minimum weight of a Pauli that commutes with all stabilizers but is not one.
 
@@ -238,28 +272,14 @@ def code_distance(code: CpcCode | GeneralCpcCode, w_max: int = 4) -> int | None:
     single-qubit factors in :func:`single_error_records`.  It commutes with
     every generator exactly when its syndrome is zero, and then the decoded
     checks are back in their reference states, so it is a stabilizer exactly
-    when its data residual is zero too.  Exhaustive over weights 1..w_max;
+    when its data residual is zero too.  Exhaustive over weights 1..w_max,
+    one array pass per weight over every support and choice of X, Y, Z;
     returns None when no such Pauli exists in that range (distance greater
     than w_max).
     """
     if w_max < 1:
         raise ValueError(f"w_max must be at least 1, got {w_max}")
-    n1, n2 = _syndrome_widths(code)
-    syndrome_bits = (1 << (n1 + n2)) - 1
-    # One key per fault: the syndrome in the low bits, the data residual above.
-    keys = [
-        r.sx | r.sz << n1 | (r.rx | r.rz << code.k) << (n1 + n2)
-        for r in single_error_records(code)
-    ]
-    qubits = [keys[3 * q : 3 * q + 3] for q in range(code.qubit_count)]
-    for weight in range(1, w_max + 1):
-        for support in itertools.combinations(qubits, weight):
-            xors = [0]
-            for faults in support:
-                xors = [a ^ b for a in xors for b in faults]
-            if any(key and not key & syndrome_bits for key in xors):
-                return weight
-    return None
+    return _distance(code, single_error_records(code), w_max)
 
 
 class DecodingObstruction(ValueError):

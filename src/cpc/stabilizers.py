@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import PauliString, conjugate_pauli, encode_circuit
+from .circuits import PauliString
 from .gf2 import Gf2Matrix, _read_only, multiply, pack_rows, row_space_equal, rref
 from .model import CpcCode, GeneralCpcCode
 
@@ -181,18 +181,25 @@ def css_to_cpc(g_z: Gf2Matrix, g_x: Gf2Matrix) -> CssToCpcResult:
     return CssToCpcResult(code=code, permutation=permutation)
 
 
-def logical_operators(code: CpcCode) -> tuple[list[PauliString], list[PauliString]]:
-    """Logical X and Z operators, one pair per data qubit.
+def logical_operators(
+    code: CpcCode | GeneralCpcCode,
+) -> tuple[list[PauliString], list[PauliString]]:
+    """Logical X and Z operators, one pair per data qubit: the bare data-qubit
+    Paulis conjugated through the encoder, read off the code matrices.
 
-    Conjugating the bare data-qubit Paulis through the encoder yields
-    operators that commute with every stabilizer and act as X/Z on the
-    corresponding encoded qubit.
+    Split code: X_j is X on d_j and on the bit checks in row j of ``mb``, Z_j
+    is Z on d_j and on the phase checks in row j of ``mp``.  Generalized code:
+    X_j is X on d_j and on the checks in row j of ``mbs``, Z_j is Z on d_j
+    times X on the checks in row j of ``mps``.  All carry phase 0.
     """
-    enc = encode_circuit(code)
-    n = code.qubit_count
-    logical_x = [conjugate_pauli(enc, PauliString.single(n, j, "X")) for j in range(code.k)]
-    logical_z = [conjugate_pauli(enc, PauliString.single(n, j, "Z")) for j in range(code.k)]
-    return logical_x, logical_z
+    n, k = code.qubit_count, code.k
+    if isinstance(code, CpcCode):
+        x_rows, z_rows = pack_rows(code.mb.data), pack_rows(code.mp.data)
+        logical_z = [PauliString(n, 0, 1 << j | m << (k + code.n_b)) for j, m in enumerate(z_rows)]
+    else:
+        x_rows, z_rows = pack_rows(code.mbs.data), pack_rows(code.mps.data)
+        logical_z = [PauliString(n, m << k, 1 << j) for j, m in enumerate(z_rows)]
+    return [PauliString(n, 1 << j | m << k) for j, m in enumerate(x_rows)], logical_z
 
 
 def stabilizer_to_text(p: PauliString, namer) -> str:
@@ -201,11 +208,11 @@ def stabilizer_to_text(p: PauliString, namer) -> str:
     Mixed-type generators (possible for generalized codes) fall back to
     per-factor tokens like 'Z_d1 X_c3'.
     """
-    letters = {p.letter(q) for q in range(p.qubit_count)} - {"I"}
+    x, z = p.x_bits, p.z_bits
+    letters = [c for c, m in (("X", x & ~z), ("Z", z & ~x), ("Y", x & z)) if m]
     if not letters:
         return "I"
     if len(letters) == 1:
-        letter = letters.pop()
-        names = [namer(q) for q in range(p.qubit_count) if p.letter(q) != "I"]
-        return " ".join([letter] + names)
+        names = [namer(q) for q in range(p.qubit_count) if p.support >> q & 1]
+        return " ".join([letters[0]] + names)
     return p.label(namer)

@@ -6,10 +6,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import REPO_ROOT
 
+from cpc import cli, decoding
+from cpc.circuits import PauliString
 from cpc.cli import main
+from cpc.decoding import code_distance, decode_table, is_single_error_correcting, single_error_records
+from cpc.model import parse, serialize
+from cpc.search import random_code
 
 
 def _run(capsys, *argv):
@@ -98,6 +104,76 @@ def test_decode_table_tsv(capsys, fixture_dir):
     lines = out.strip().splitlines()
     assert "00110000\tcorrected\tX_d1 X_d2" in lines
     assert any(line.startswith("00000000\tno_error") for line in lines)
+
+
+def test_verify_builds_the_single_error_records_once(capsys, monkeypatch, fixture_dir):
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return single_error_records(code)
+
+    monkeypatch.setattr(decoding, "single_error_records", counted)
+    monkeypatch.setattr(cli, "single_error_records", counted)
+    assert _run(capsys, "verify", str(fixture_dir / "11-3-3.cpc"))[:2] == (
+        0, "single-error correcting: yes, distance: 3\n"
+    )
+    assert len(calls) == 1
+
+
+def test_verify_prints_the_library_verdict_and_distance(capsys, fixture_dir):
+    for path in sorted(fixture_dir.glob("*.cpc")):
+        code = parse(path.read_text(encoding="utf-8"))
+        report = is_single_error_correcting(code)
+        if report.ok:
+            distance = code_distance(code, w_max=3)
+            expected = f"single-error correcting: yes, distance: {distance or '> 3'}\n"
+        else:
+            expected = "single-error correcting: no\n" + "".join(
+                f"  {group}\n" for group in report.collisions
+            )
+        rc, out, _ = _run(capsys, "verify", str(path), "--w-max", "3")
+        assert (rc, out) == (0 if report.ok else 1, expected), path.name
+
+
+def _tuple_formatted_tables(code) -> tuple[str, str]:
+    """error-table and decode-table stdout, each syndrome printed from its tuple."""
+    bits = lambda syndrome: "".join(str(b) for b in syndrome)
+    table = decode_table(code, require_correcting=False)
+    _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
+    rows = ["error\tsyndrome\tclass"] + [
+        f"{rec.label}\t{bits(rec.syndrome(table.n_first, table.n_second))}\t{category}"
+        for rec, category in zip(table.records, categories.tolist())
+    ]
+    errors = "\n".join(rows) + "\n"
+    if not is_single_error_correcting(code):
+        return errors, ""
+    sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
+    syndromes, first, second = zip(*sorted((table.syndrome(*s), *s) for s in sides))
+    corrections, categories = table.classify(first, second)
+    rows = ["syndrome\tclass\tcorrection"] + [
+        f"{bits(syndrome)}\t{category}\t{PauliString(code.k, cx, cz).label(code.qubit_label)}"
+        for syndrome, (cx, cz), category in zip(syndromes, corrections.tolist(), categories.tolist())
+    ]
+    return errors, "\n".join(rows) + "\n"
+
+
+def test_tables_print_the_tuple_formatted_syndromes(tmp_path, capsys, fixture_dir):
+    # the bench's seeded (3, 4, 4) codes, and split codes with no bit checks
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([0, 3])))
+    codes = [random_code(3, 4, 4, rng) for _ in range(4)]
+    codes += [random_code(k, 0, n_p, rng) for k, n_p in ((2, 2), (0, 2), (1, 0))]
+    paths = [fixture_dir / f"{name}.cpc" for name in ("6-3-1", "10-3-3", "11-3-3")]
+    for i, code in enumerate(codes):
+        paths.append(tmp_path / f"code-{i}.cpc")
+        paths[-1].write_text(serialize(code), encoding="utf-8")
+    decoded = 0
+    for path in paths:
+        errors, decodes = _tuple_formatted_tables(parse(path.read_text(encoding="utf-8")))
+        assert _run(capsys, "error-table", str(path))[:2] == (0, errors), path.name
+        assert _run(capsys, "decode-table", str(path))[:2] == (0 if decodes else 1, decodes)
+        decoded += bool(decodes)
+    assert decoded == 3  # 10-3-3, 11-3-3 and the code with no data
 
 
 def test_decode_table_flawed_exits_one(capsys, fixture_dir):

@@ -11,6 +11,7 @@ from conftest import (
     seeded_random_codes,
     seeded_random_general_codes,
 )
+from cpc import decoding
 from cpc.circuits import PauliString, conjugate_pauli, decode_circuit, encode_circuit
 from cpc.decoding import code_distance, correcting_mask, single_error_records
 from cpc.gf2 import Gf2Matrix, multiply, row_space_equal, rref
@@ -337,6 +338,26 @@ def test_logical_operators_1133():
     assert counts == {0: 2, 1: 2, 2: 2, 3: 0}
 
 
+def _conjugated_logicals(code) -> tuple[list[PauliString], list[PauliString]]:
+    """The bare data-qubit X and Z operators conjugated through the encoder."""
+    enc, n = encode_circuit(code), code.qubit_count
+    return tuple(
+        [conjugate_pauli(enc, PauliString.single(n, j, kind)) for j in range(code.k)]
+        for kind in "XZ"
+    )
+
+
+def test_logical_operators_equal_encoder_conjugation(fixture_dir):
+    split = seeded_random_codes(150) + [
+        random_code(k, n_b, n_p, np.random.default_rng(k + n_b))
+        for k, n_b, n_p in ((0, 2, 2), (2, 0, 3), (3, 2, 0), (1, 0, 0))
+    ]
+    codes = [parse(path.read_text(encoding="utf-8")) for path in sorted(fixture_dir.glob("*.cpc"))]
+    codes += split + [generalize(c) for c in split] + seeded_random_general_codes(150)
+    for code in codes:
+        assert logical_operators(code) == _conjugated_logicals(code), code
+
+
 def test_logical_operators_commute_with_stabilizers():
     for code in (fixture_code("11-3-3"), fixture_code("12-4-3")):
         gens = stabilizers(code)
@@ -360,7 +381,7 @@ def _reference_distance(code, w_max: int) -> int | None:
     anticommutes with some logical operator, by enumeration."""
     n = code.qubit_count
     generators = stabilizers(code)
-    logical_x, logical_z = logical_operators(code)
+    logical_x, logical_z = _conjugated_logicals(code)
     logicals = logical_x + logical_z
     bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
     for weight in range(1, w_max + 1):
@@ -410,6 +431,67 @@ def test_code_distance_matches_reference_enumeration():
         for w_max in range(1, 5):
             expected = reference if reference is not None and reference <= w_max else None
             assert code_distance(code, w_max=w_max) == expected, (code, w_max)
+            assert _scalar_distance(code, w_max) == expected, (code, w_max)
+
+
+def _scalar_distance(code, w_max: int) -> int | None:
+    """code_distance as a loop over supports, XORing each fault's integer key:
+    the syndrome in the low bits, the data residual above."""
+    n1, n2 = decoding._syndrome_widths(code)
+    syndrome_bits = (1 << (n1 + n2)) - 1
+    keys = [
+        r.sx | r.sz << n1 | (r.rx | r.rz << code.k) << (n1 + n2)
+        for r in single_error_records(code)
+    ]
+    qubits = [keys[3 * q : 3 * q + 3] for q in range(code.qubit_count)]
+    for weight in range(1, w_max + 1):
+        for support in itertools.combinations(qubits, weight):
+            xors = [0]
+            for faults in support:
+                xors = [a ^ b for a in xors for b in faults]
+            if any(key and not key & syndrome_bits for key in xors):
+                return weight
+    return None
+
+
+def test_code_distance_with_keys_past_64_bits():
+    # 66 syndrome bits, or 66 data-residual bits: more than one key word.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(91)))
+    codes = [random_code(k, n_b, n_p, rng) for k, n_b, n_p in [(2, 33, 33)] * 3 + [(33, 2, 2)]]
+    # A weight-2 logical Z on d2 and the last phase check, whose faults fire
+    # syndrome bit 65 only: the high word alone cancels.
+    mp = codes[0].mp.data.copy()
+    mp[1] = 0
+    mp[1, 32] = 1
+    codes.append(CpcCode(codes[0].mb, Gf2Matrix(mp), codes[0].mc))
+    distances = []
+    for code in codes:
+        distances.append(code_distance(code, w_max=2))
+        assert distances[-1] == _scalar_distance(code, 2), code
+    assert distances[-1] == 2 and None in distances
+
+
+def test_code_distance_blocks_cover_every_support(monkeypatch):
+    codes = [fixture_code(name) for name in ("11-3-3", "10-3-3", "11-3-1", "6-3-1")]
+    expected = [code_distance(code) for code in codes]
+    monkeypatch.setattr(decoding, "_DISTANCE_CELLS", 1)
+    assert [code_distance(code) for code in codes] == expected == [3, 3, 2, 1]
+
+
+def test_code_distance_w_max_above_the_qubit_count():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(13)))
+    for k, n_b, n_p in ((1, 1, 1), (2, 1, 0), (1, 2, 2), (3, 2, 1)):
+        code = random_code(k, n_b, n_p, rng)
+        w_max = code.qubit_count + 3
+        assert code_distance(code, w_max=w_max) == _scalar_distance(code, w_max), code
+        assert code_distance(code, w_max=w_max) == _reference_distance(code, w_max), code
+
+
+def test_code_distance_without_data_is_none():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+    for n_b, n_p in ((1, 1), (2, 3), (3, 0), (0, 2)):
+        code = random_code(0, n_b, n_p, rng)
+        assert code_distance(code, w_max=code.qubit_count + 1) is None
 
 
 def test_code_distance_beyond_search_limit():
