@@ -47,8 +47,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import importlib.machinery
+import importlib.util
 import io
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,16 +265,10 @@ class SimResult:
         return buf.getvalue()
 
 
-def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    """A new generator on the stream of (trial, stream): the reference that
-    ``simulate``'s reset generators are tested against."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _reset(rng: np.random.Generator, key) -> np.random.Generator:
-    """``rng`` with its Philox at counter 0 under ``key`` and its buffers empty,
-    the state in which ``Philox(seed_sequence)`` starts."""
+    """``rng`` with its Philox at counter 0 under ``key`` and its buffers empty:
+    the state in which a new ``Philox(SeedSequence(seed, spawn_key=(trial,
+    stream)))`` starts when ``key`` is that stream's key."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": key},
@@ -741,7 +739,8 @@ def fit_half_life(times, values) -> HalfLifeFit:
 # x = (lambda, F_inf) in [1e-9, inf) x [0, 1]: trf_bounds, approx_derivative,
 # solve_lsq_trust_region and select_step.  Every dot product, norm and power
 # is taken as scipy takes it (numpy's dot may fuse multiply-adds), so every
-# iterate is the same float.
+# iterate is the same float.  Its SVD is the gesdd of scipy's compiled LAPACK
+# module (_gesdd): a fit imports neither scipy.optimize nor scipy.linalg.
 
 _LOWER, _UPPER = (1e-9, 0.0), (math.inf, 1.0)
 _TOL = 1e-8
@@ -750,10 +749,25 @@ _EPS = float(np.finfo(float).eps)
 
 @functools.cache
 def _gesdd():
-    # the LAPACK SVD that scipy.linalg.svd calls; only a fit imports scipy
-    from scipy.linalg.lapack import get_lapack_funcs
+    # The LAPACK SVD that scipy.linalg.svd calls, taken from the compiled module
+    # that get_lapack_funcs(..., ilp64="preferred") takes it from: _flapack_64,
+    # which scipy builds only with ILP64 LAPACK, else _flapack.  Only that
+    # extension is loaded, not the scipy.linalg package (85 scipy modules), and
+    # it is registered so that a later scipy.linalg reuses it.
+    import scipy
 
-    return get_lapack_funcs(("gesdd", "gesdd_lwork"), (np.empty(2),), ilp64="preferred")
+    path = [os.path.join(p, "linalg") for p in scipy.__path__]
+    for name in ("scipy.linalg._flapack_64", "scipy.linalg._flapack"):
+        module = sys.modules.get(name)
+        if module is None:
+            spec = importlib.machinery.PathFinder.find_spec(name, path)
+            if spec is None:
+                continue
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return module.dgesdd, module.dgesdd_lwork
+    raise ImportError(f"no module named 'scipy.linalg._flapack' in {path}")
 
 
 def _norm(v: np.ndarray) -> float:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,17 @@ FIXTURE_DIR = REPO_ROOT / "fixtures"
 HAMMING_743 = Gf2Matrix(
     [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
 )
+
+
+def run_python(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports cpc from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=300
+    )
 
 
 @pytest.fixture

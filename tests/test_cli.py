@@ -2,13 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT
+from conftest import run_python
 
 from cpc import cli, decoding
 from cpc.circuits import PauliString
@@ -338,6 +335,7 @@ print(json.dumps({
     "codes": codes,
     "before": before,
     "lambda_half": fit.lambda_half,
+    "flapack": any(m in sys.modules for m in ("scipy.linalg._flapack", "scipy.linalg._flapack_64")),
     "linalg": "scipy.linalg" in sys.modules,
     "optimize": "scipy.optimize" in sys.modules,
 }))
@@ -345,20 +343,15 @@ print(json.dumps({
 
 
 def test_only_a_fit_imports_scipy(tmp_path, fixture_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(fixture_dir)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
-    )
+    proc = run_python("-c", _COLD_START, str(fixture_dir), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["before"] == []
     assert report["lambda_half"] == pytest.approx(50.0, rel=1e-6)
-    assert report["linalg"]
+    # a fit loads scipy's compiled LAPACK module, not the scipy.linalg package
+    assert report["flapack"]
+    assert not report["linalg"]
     assert not report["optimize"]
 
 

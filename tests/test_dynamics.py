@@ -3,12 +3,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import fixture_code
+from conftest import fixture_code, run_python
 from cpc import dynamics
 from cpc.decoding import decode_table, single_error_records
 from cpc.dynamics import (
@@ -19,6 +20,13 @@ from cpc.dynamics import (
     haar_state,
     simulate,
 )
+
+
+def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
+    """A new generator on the stream of (trial, stream): the reference that
+    ``simulate``'s reset generators are tested against."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def test_error_model_validation():
@@ -411,6 +419,42 @@ def test_fit_is_bitwise_least_squares():
     assert np.sum(f_inf < 1e-12) >= 10 and np.sum(f_inf > 1 - 1e-9) >= 10
 
 
+_GESDD_ORACLE = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg":
+    import scipy.linalg
+from cpc import dynamics
+got = dynamics._gesdd()
+names = ("scipy.linalg._flapack_64", "scipy.linalg._flapack")
+name = next(n for n in names if n in sys.modules)
+module = sys.modules[name]
+from scipy.linalg import lapack
+want = lapack.get_lapack_funcs(("gesdd", "gesdd_lwork"), (np.empty(2),), ilp64="preferred")
+assert len(got) == 2 and all(g is w for g, w in zip(got, want)), (got, want)
+assert getattr(lapack, name.rsplit(".", 1)[1]) is module, name
+"""
+
+
+@pytest.mark.parametrize("first", ["cpc", "scipy.linalg"])
+def test_fit_svd_is_scipys_own_gesdd(first):
+    # the fit loads scipy's LAPACK module by itself and registers it; whichever
+    # of cpc and scipy.linalg loads it first, both hold the one module object
+    # and call the very same gesdd
+    proc = run_python("-c", _GESDD_ORACLE, first)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fit_without_scipys_lapack_module_is_an_import_error(monkeypatch, tmp_path):
+    import scipy
+
+    for name in ("scipy.linalg._flapack_64", "scipy.linalg._flapack"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        dynamics._gesdd.__wrapped__()
+
+
 def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
     rng = np.random.Generator(np.random.Philox(8))
     states = np.array([haar_state(16, rng) for _ in range(5)])
@@ -477,10 +521,10 @@ def test_haar_block_is_bitwise_the_repeated_haar_state():
     for dim in (2, 4, 8, 16, 32, 64):
         for count in (1, 3, 10, 20):
             for seed in (0, 7, 101):
-                block = dynamics._haar_block(dim, count, dynamics._trial_rng(seed, 0, 1))
-                rng = dynamics._trial_rng(seed, 0, 1)
+                block = dynamics._haar_block(dim, count, _trial_rng(seed, 0, 1))
+                rng = _trial_rng(seed, 0, 1)
                 assert np.array_equal(block, np.array([haar_state(dim, rng) for _ in range(count)]))
-                rng = dynamics._trial_rng(seed, 0, 1)
+                rng = _trial_rng(seed, 0, 1)
                 vecs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(count)]
                 assert np.array_equal(block, np.array([v / np.linalg.norm(v) for v in vecs]))
 
@@ -520,14 +564,14 @@ def test_reset_generator_draws_the_trial_streams():
                 for trial, key in zip(trials, _philox_keys(seq, trials, stream).tolist()):
                     rng.integers(0, 7, size=3, dtype=np.uint32)
                     rng.binomial(10, 0.4)
-                    fresh = dynamics._trial_rng(seed, trial, stream)
+                    fresh = _trial_rng(seed, trial, stream)
                     reset = dynamics._reset(rng, key)
                     state = reset.bit_generator.state
                     assert str(state) == str(fresh.bit_generator.state)
                     want = dynamics._sample_error_events(fresh, probs, 50)
                     got = dynamics._sample_error_events(reset, probs, 50)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                    fresh = dynamics._trial_rng(seed, trial, stream)
+                    fresh = _trial_rng(seed, trial, stream)
                     block = dynamics._haar_block(8, 3, dynamics._reset(rng, key))
                     assert np.array_equal(block, dynamics._haar_block(8, 3, fresh))
 
@@ -737,8 +781,8 @@ def _scalar_simulate(code, model, cfg, log):
     sumsq = {m: np.zeros(times.size) for m in cfg.metrics}
     uncorrectable = 0
     for trial in range(cfg.trials):
-        rng_events = dynamics._trial_rng(cfg.rng_seed, trial, 0)
-        rng_haar = dynamics._trial_rng(cfg.rng_seed, trial, 1)
+        rng_events = _trial_rng(cfg.rng_seed, trial, 0)
+        rng_haar = _trial_rng(cfg.rng_seed, trial, 1)
         haar = (
             np.array([haar_state(1 << k, rng_haar) for _ in range(cfg.haar_states)])
             if "Frand" in cfg.metrics
@@ -771,7 +815,7 @@ def _batched_events(code, model, cfg, trial):
     r = cfg.cycle_rate
     faults = dynamics._code_faults(code)
     cycles, fault_ids = dynamics._sample_error_events(
-        dynamics._trial_rng(cfg.rng_seed, trial, 0),
+        _trial_rng(cfg.rng_seed, trial, 0),
         faults.probs(model, r),
         max(1, int(round(cfg.t_max * r))),
     )

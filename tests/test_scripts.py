@@ -1,13 +1,11 @@
 from __future__ import annotations
 
 import importlib.util
-import os
-import subprocess
 import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, run_python
 
 from cpc import dynamics
 from cpc.cli import main
@@ -25,14 +23,7 @@ _T_MAX_PER_RATE = 20.0
 
 
 def _half_life_experiment(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "run_half_life_experiment.py"), *argv],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    return run_python(str(REPO_ROOT / "scripts" / "run_half_life_experiment.py"), *argv)
 
 
 def _small_sweep(fixture_dir, out_dir, **overrides):
