@@ -28,7 +28,7 @@ from .decoding import (
     ising_problem,
     single_error_records,
 )
-from .dynamics import ErrorModel, SimConfig, fit_half_life, simulate
+from .dynamics import METRICS, ErrorModel, SimConfig, fit_half_life, simulate
 from .gf2 import Gf2Matrix
 from .logical_ops import logical_cnot_circuit, logical_hadamard_circuit
 from .model import (
@@ -63,13 +63,6 @@ def _load_code(path: str) -> CpcCode | GeneralCpcCode:
     return parse(Path(path).read_text(encoding="utf-8"))
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
     rows: dict[str, list[list[int]]] = {"GZ": [], "GX": []}
     section = None
@@ -101,13 +94,10 @@ def _serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _syndrome_text(table, first: int, second: int) -> str:
-    """The bits of the syndrome with these side masks, each side least significant first."""
-    width = table.n_first + table.n_second
-    return format(first | second << table.n_first, f"0{width}b")[::-1] if width else ""
-
-
 # --- subcommand handlers -----------------------------------------------------
+#
+# A handler that produces a listing returns its text, which main writes to
+# --out or stdout; one that prints a verdict or refuses returns its exit code.
 
 
 def _require_w_max(w_max: int) -> None:
@@ -132,20 +122,18 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_stabilizers(args) -> int:
+def _cmd_stabilizers(args) -> str:
     code = _load_code(args.code)
     lines = [stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_logicals(args) -> int:
+def _cmd_logicals(args) -> str:
     code = _require_split(_load_code(args.code), "logicals")
     logical_x, logical_z = logical_operators(code)
     lines = [stabilizer_to_text(g, code.qubit_label) for g in logical_x]
     lines += [stabilizer_to_text(g, code.qubit_label) for g in logical_z]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_distance(args) -> int:
@@ -156,18 +144,17 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _cmd_error_table(args) -> int:
+def _cmd_error_table(args) -> str:
     code = _load_code(args.code)
     table = decode_table(code, require_correcting=False)
     _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
     rows = ["error\tsyndrome\tclass"]
     for rec, category in zip(table.records, categories.tolist()):
-        rows.append(f"{rec.label}\t{_syndrome_text(table, rec.sx, rec.sz)}\t{category}")
-    _write_output("\n".join(rows) + "\n", args.out)
-    return 0
+        rows.append(f"{rec.label}\t{table.syndrome_text(rec.sx, rec.sz)}\t{category}")
+    return "\n".join(rows) + "\n"
 
 
-def _cmd_decode_table(args) -> int:
+def _cmd_decode_table(args) -> str | int:
     code = _load_code(args.code)
     try:
         table = decode_table(code)
@@ -176,17 +163,16 @@ def _cmd_decode_table(args) -> int:
         return 1
     sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
     # every text has the same length, so it sorts as the syndrome tuple does
-    syndromes, first, second = zip(*sorted((_syndrome_text(table, *s), *s) for s in sides))
+    syndromes, first, second = zip(*sorted((table.syndrome_text(*s), *s) for s in sides))
     corrections, categories = table.classify(first, second)
     rows = ["syndrome\tclass\tcorrection"]
     for syndrome, (cx, cz), category in zip(syndromes, corrections.tolist(), categories.tolist()):
         corr = PauliString(code.k, cx, cz).label(code.qubit_label)
         rows.append(f"{syndrome}\t{category}\t{corr}")
-    _write_output("\n".join(rows) + "\n", args.out)
-    return 0
+    return "\n".join(rows) + "\n"
 
 
-def _cmd_css_to_cpc(args) -> int:
+def _cmd_css_to_cpc(args) -> str | int:
     g_z, g_x = _parse_css_file(args.css)
     try:
         result = css_to_cpc(g_z, g_x)
@@ -195,15 +181,13 @@ def _cmd_css_to_cpc(args) -> int:
         return 1
     text = serialize(result.code)
     perm = " ".join(str(c) for c in result.permutation)
-    _write_output(text + f"# column permutation: {perm}\n", args.out)
-    return 0
+    return text + f"# column permutation: {perm}\n"
 
 
-def _cmd_cpc_to_css(args) -> int:
+def _cmd_cpc_to_css(args) -> str:
     code = _require_split(_load_code(args.code), "cpc-to-css")
     g_z, g_x = symplectic_matrix(code)
-    _write_output(_serialize_css(g_z, g_x), args.out)
-    return 0
+    return _serialize_css(g_z, g_x)
 
 
 def _format_classical(cc, title: str, bit_namer) -> list[str]:
@@ -233,14 +217,13 @@ def _classical_views(code: CpcCode | GeneralCpcCode) -> dict:
     return {"general": (general_to_classical(code), "combined code:", namer)}
 
 
-def _cmd_effective(args) -> int:
+def _cmd_effective(args) -> str:
     views = _classical_views(_load_code(args.code)).values()
     lines = [line for view in views for line in _format_classical(*view)]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_ising(args) -> int:
+def _cmd_ising(args) -> str:
     code = _load_code(args.code)
     views = _classical_views(code)
     if args.side not in views:
@@ -265,11 +248,10 @@ def _cmd_ising(args) -> int:
     for term in problem.terms:
         spins = " ".join(str(s) for s in term.spins)
         lines.append(f"check {spins} {term.coefficient:.10g}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     code = _load_code(args.code)
     model = ErrorModel(eps_bit=args.eps_bit, eps_phase=args.eps_phase)
     cfg = SimConfig(
@@ -281,8 +263,7 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
     )
     result = simulate(code, model, cfg, backend=args.backend)
-    _write_output(result.to_csv(), args.out)
-    return 0
+    return result.to_csv()
 
 
 def _cmd_fit(args) -> int:
@@ -356,25 +337,22 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_logical_h(args) -> int:
+def _cmd_logical_h(args) -> str:
     code = _require_split(_load_code(args.code), "logical-h")
     circuit = logical_hadamard_circuit(code, args.qubit)
-    _write_output(circuit_to_text(circuit), args.out)
-    return 0
+    return circuit_to_text(circuit)
 
 
-def _cmd_logical_cnot(args) -> int:
+def _cmd_logical_cnot(args) -> str:
     code = _require_split(_load_code(args.code), "logical-cnot")
     circuit = logical_cnot_circuit(code, args.control, args.target)
-    _write_output(circuit_to_text(circuit), args.out)
-    return 0
+    return circuit_to_text(circuit)
 
 
-def _cmd_emit_circuit(args) -> int:
+def _cmd_emit_circuit(args) -> str:
     code = _load_code(args.code)
     circuit = decode_circuit(code) if args.decode else encode_circuit(code)
-    _write_output(circuit_to_text(circuit), args.out)
-    return 0
+    return circuit_to_text(circuit)
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -451,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="half-life fit of a simulate CSV")
     p.add_argument("csv")
-    p.add_argument("--metric", choices=["F0", "Fplus", "Frand"], default="Frand")
+    p.add_argument("--metric", choices=METRICS, default="Frand")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("search", parents=[seeded], help="random code search")
@@ -489,7 +467,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        if args.out:
+            Path(args.out).write_text(result, encoding="utf-8")
+        else:
+            sys.stdout.write(result)
+        return 0
     except (CpcFormatError, InvalidCodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

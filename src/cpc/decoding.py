@@ -344,6 +344,11 @@ class DecodeTable:
         """The syndrome with these side masks; the inverse of :meth:`split_sides`."""
         return _syndrome(first, second, self.n_first, self.n_second)
 
+    def syndrome_text(self, first: int, second: int) -> str:
+        """:meth:`syndrome` as a bit-string, each side least significant bit first."""
+        width = self.n_first + self.n_second
+        return format(first | second << self.n_first, f"0{width}b")[::-1] if width else ""
+
     def lookup(self, first, second) -> tuple[np.ndarray, np.ndarray]:
         """(X, Z) corrections and known flags of side masks, ints or arrays alike.
 

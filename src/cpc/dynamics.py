@@ -64,6 +64,7 @@ from .model import CpcCode, GeneralCpcCode
 from .search import _philox_keys
 
 __all__ = [
+    "METRICS",
     "ErrorModel",
     "SimConfig",
     "SimResult",
@@ -203,6 +204,10 @@ class ErrorModel:
             raise ValueError("error rates must be non-negative")
 
 
+# The fidelity metrics simulate can report, in the order of SimResult's CSV columns.
+METRICS = ("F0", "Fplus", "Frand")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     cycle_rate: float
@@ -211,7 +216,7 @@ class SimConfig:
     haar_states: int = 20
     rng_seed: int = 0
     samples: int = 40
-    metrics: tuple[str, ...] = ("F0", "Fplus", "Frand")
+    metrics: tuple[str, ...] = METRICS
 
     def __post_init__(self):
         _require_finite("cycle_rate", self.cycle_rate)
@@ -228,9 +233,9 @@ class SimConfig:
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if not self.metrics:
-            raise ValueError("metrics must name at least one of F0, Fplus, Frand")
+            raise ValueError(f"metrics must name at least one of {', '.join(METRICS)}")
         for m in self.metrics:
-            if m not in ("F0", "Fplus", "Frand"):
+            if m not in METRICS:
                 raise ValueError(f"unknown metric {m!r}")
         if "Frand" in self.metrics and self.haar_states < 1:
             raise ValueError("haar_states must be at least 1 when Frand is requested")
@@ -250,9 +255,9 @@ class SimResult:
 
     def to_csv(self) -> str:
         """The curves as CSV text: time, then mean and error of each metric
-        simulated, in F0, Fplus, Frand order.
+        simulated, in :data:`METRICS` order.
         """
-        metrics = [m for m in ("F0", "Fplus", "Frand") if m in self.means]
+        metrics = [m for m in METRICS if m in self.means]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["time_s"] + [c for m in metrics for c in (m, f"{m}_err")])
@@ -385,12 +390,6 @@ def _xor_by_keys(keys: tuple[np.ndarray, ...], rows: np.ndarray):
     return [key[starts] for key in keys], xor
 
 
-def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
-    """|<psi| X^fx Z^fz |psi>|^2 for each row of ``states`` (dim 2^k each)."""
-    signed = apply_pauli_masks(states, frame_x, frame_z)
-    return np.abs(np.einsum("ij,ij->i", states.conj(), signed)) ** 2
-
-
 # Trials per block of the Pauli-frame kernel, at most.  A block's largest arrays
 # hold trials x (samples + 2) x max(faults, haar_states * 2**k) cells; a block is
 # cut to _BLOCK_CELLS of them, but keeps at least one trial.
@@ -470,7 +469,7 @@ def _frame_values(frames, haar, metrics) -> dict[str, np.ndarray]:
     if "Fplus" in metrics:
         values["Fplus"] = np.where(frames[..., 1] & 1, 0.0, 1.0)
     if "Frand" in metrics:
-        # _frame_overlaps of the frame that starts each run; a frame is two k-bit masks
+        # |<psi| X^fx Z^fz |psi>|^2 of the frame that starts each run; a frame is two k-bit masks
         n_trials, n_samples = frames.shape[:2]
         starts = np.ones((n_trials, n_samples), dtype=bool)
         starts[:, 1:] = (frames[:, 1:] != frames[:, :-1]).any(axis=2)
@@ -1021,6 +1020,5 @@ def coherent_fidelity_631(
         corrected = apply_pauli_masks(branch, x_mask, 0)
         amp = np.vdot(data_state, corrected)
         fidelity += float(np.abs(amp) ** 2)
-        key = "".join(str((synd >> i) & 1) for i in range(code.n_b))
-        probs[key] = p
+        probs[table.syndrome_text(synd, 0)] = p
     return CoherentFidelity(fidelity=fidelity, syndrome_probs=probs)

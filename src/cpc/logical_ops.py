@@ -125,5 +125,6 @@ def cnot_rewrite(circuit: Circuit, control: int, target: int) -> Circuit:
 
 def logical_cnot_circuit(code: CpcCode, control: int, target: int) -> Circuit:
     """Encoder rewritten to realise a logical CNOT between two data qubits."""
+    _require_split(code, "logical_cnot_circuit")
     _check_cnot(control, target, code.k)
     return cnot_rewrite(encode_circuit(code), control, target)

@@ -12,7 +12,7 @@ from cpc.circuits import PauliString
 from cpc.cli import main
 from cpc.decoding import code_distance, decode_table, is_single_error_correcting, single_error_records
 from cpc.model import parse, serialize
-from cpc.search import random_code
+from cpc.search import cnot_compatible_predicate, random_code, search
 
 
 def _run(capsys, *argv):
@@ -235,6 +235,65 @@ def test_ising_syndrome_length_check(capsys, fixture_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "fixture, side, message",
+    [
+        ("11-3-3", "general", "side 'general' needs a generalized code"),
+        ("10-3-3", "bit", "generalized codes only support --side general"),
+    ],
+)
+def test_ising_side_must_match_the_code(capsys, fixture_dir, fixture, side, message):
+    path = str(fixture_dir / f"{fixture}.cpc")
+    code, out, err = _run(capsys, "ising", path, "--side", side, "--syndrome", "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_css_to_cpc_refuses_an_anticommuting_pair(tmp_path, capsys):
+    css_path = tmp_path / "anti.css"
+    css_path.write_text("CSS\nGZ\n11\nGX\n10\n", encoding="utf-8")
+    out_path = tmp_path / "anti.cpc"
+    code, out, err = _run(capsys, "css-to-cpc", str(css_path), "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == "conversion failed: Z and X generators do not commute\n"
+    assert not out_path.exists()
+
+
+# Every subcommand that writes a listing, with a small input.
+_LISTINGS = [
+    ("stabilizers", "{code}"),
+    ("logicals", "{code}"),
+    ("error-table", "{code}"),
+    ("decode-table", "{code}"),
+    ("css-to-cpc", "{css}"),
+    ("cpc-to-css", "{code}"),
+    ("effective", "{code}"),
+    ("ising", "{code}", "--syndrome", "0110"),
+    ("simulate", "{code}", "--eps-bit", "0.05", "--t-max", "1", "--trials", "2", "--samples", "3"),
+    ("logical-h", "{code}", "--qubit", "1"),
+    ("logical-cnot", "{code}", "--control", "0", "--target", "2"),
+    ("emit-circuit", "{code}", "--decode"),
+]
+
+
+@pytest.mark.parametrize("argv", _LISTINGS, ids=[a[0] for a in _LISTINGS])
+def test_a_listing_goes_to_out_or_stdout(tmp_path, capsys, fixture_dir, argv):
+    argv = [
+        a.format(code=fixture_dir / "11-3-3.cpc", css=fixture_dir / "steane.css") for a in argv
+    ]
+    code, listing, err = _run(capsys, *argv)
+    assert code == 0 and err == "" and listing
+    out_path = tmp_path / "listing.txt"
+    code, out, err = _run(capsys, *argv, "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_bytes() == listing.encode("utf-8")
+    # an --out that cannot be written is an input error, and nothing reaches stdout
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_simulate_and_fit_round_trip(tmp_path, capsys, fixture_dir):
     csv_path = tmp_path / "series.csv"
     code, _, _ = _run(
@@ -355,6 +414,15 @@ def test_only_a_fit_imports_scipy(tmp_path, fixture_dir):
     assert not report["optimize"]
 
 
+def test_fit_of_a_constant_series_is_degenerate(tmp_path, capsys):
+    csv_path = tmp_path / "flat.csv"
+    csv_path.write_text("time_s,Frand\n0,0.5\n1,0.5\n2,0.5\n3,0.5\n", encoding="utf-8")
+    code, out, err = _run(capsys, "fit", str(csv_path))
+    assert code == 1
+    assert out == "degenerate series: no decay to fit\n"
+    assert err == ""
+
+
 def test_fit_that_does_not_converge_exits_1(tmp_path, capsys, monkeypatch):
     from cpc import dynamics
 
@@ -461,6 +529,31 @@ def test_search_command_writes_codes(tmp_path, capsys):
     )
     assert code == 0
     assert written[0].read_text(encoding="utf-8") == first
+
+
+def test_search_cnot_command_writes_the_library_hits(tmp_path, capsys):
+    out_dir = tmp_path / "hits"
+    code, out, _ = _run(
+        capsys,
+        "search",
+        "--data", "3", "--bit", "5", "--phase", "5", "--mirror-bp",
+        "--require", "cnot:0,1", "--budget", "4000", "--seed", "1", "--out", str(out_dir),
+    )
+    assert code == 0
+    assert out == (
+        "predicate=cnot-compatible(0,1) trials=4000 successes=15 rate=0.00375 "
+        f"written=15 dir={out_dir}\n"
+    )
+    result = search(
+        (3, 5, 5), cnot_compatible_predicate(0, 1), 4000, seed=1, constraint="mirror_bp"
+    )
+    written = sorted(out_dir.glob("*.cpc"))
+    assert [p.name for p in written] == [f"trial-{t:06d}.cpc" for t, _ in result.found]
+    assert written[0].name == "trial-000135.cpc"
+    for path, (_, found) in zip(written, result.found):
+        assert path.read_text(encoding="utf-8") == serialize(found)
+        code, out, _ = _run(capsys, "verify", str(path))
+        assert code == 0 and out.startswith("single-error correcting: yes"), path.name
 
 
 def test_search_rejects_negative_seed(tmp_path, capsys):

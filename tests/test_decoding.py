@@ -440,6 +440,10 @@ def test_ising_rejects_bad_priors():
         ising_problem(cc, [0.6] * 3, [0.1] * 3, [0, 0, 0])
     with pytest.raises(ValueError):
         ising_problem(cc, [0.1] * 3, [0.0] * 3, [0, 0, 0])
+    with pytest.raises(ValueError, match=r"^bit_priors: expected 3 probabilities, got 2$"):
+        ising_problem(cc, [0.1] * 2, [0.1] * 3, [0, 0, 0])
+    with pytest.raises(ValueError, match=r"^check_priors: expected 3 probabilities, got 4$"):
+        ising_problem(cc, [0.1] * 3, [0.1] * 4, [0, 0, 0])
 
 
 def test_ml_decode_zero_syndrome():
@@ -539,6 +543,15 @@ def test_ml_decode_too_large():
         ml_decode_exhaustive(cc, [0], [0.1] * 25, [0.1])
 
 
+def test_solve_ising_too_large():
+    from cpc.model import ClassicalCode
+
+    cc = ClassicalCode(bit_count=25, checks=((0, frozenset({0})),))
+    problem = ising_problem(cc, [0.1] * 25, [0.1], [0])
+    with pytest.raises(ValueError, match="^instance too large for exhaustive search: 25 spins$"):
+        solve_ising(problem)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -554,8 +567,12 @@ def test_ml_decode_too_large():
             lambda cc: infer_check_errors(cc, [1], frozenset()),
             r"^expected 4 syndrome bits, got 1$",
         ),
+        (
+            lambda cc: decode_table(fixture_code("11-3-3")).split_sides((0,) * 7),
+            r"^syndrome length 7, expected 8$",
+        ),
     ],
-    ids=["ising_problem", "ml_decode_exhaustive", "infer_check_errors"],
+    ids=["ising_problem", "ml_decode_exhaustive", "infer_check_errors", "split_sides"],
 )
 def test_wrong_length_syndromes_name_both_lengths(call, message):
     cc, _ = effective_codes(fixture_code("11-3-3"))

@@ -738,6 +738,12 @@ def _scalar_cycle_effect(records, x_mask, z_mask):
     return sx, sz, rx, rz
 
 
+def _frame_overlaps(frame_x: int, frame_z: int, states: np.ndarray) -> np.ndarray:
+    """|<psi| X^fx Z^fz |psi>|^2 for each row of ``states`` (dim 2^k each)."""
+    signed = dynamics.apply_pauli_masks(states, frame_x, frame_z)
+    return np.abs(np.einsum("ij,ij->i", states.conj(), signed)) ** 2
+
+
 def _scalar_frame_trial(table, records, ordered_events, sample_cycles, haar, metrics):
     frame_x = frame_z = 0
     bad = 0
@@ -762,7 +768,7 @@ def _scalar_frame_trial(table, records, ordered_events, sample_cycles, haar, met
             values["Fplus"][s_idx] = 0.0 if frame_z & 1 else 1.0
         if "Frand" in metrics:
             values["Frand"][s_idx] = float(
-                np.mean(dynamics._frame_overlaps(frame_x, frame_z, haar))
+                np.mean(_frame_overlaps(frame_x, frame_z, haar))
             )
     return values, bad
 

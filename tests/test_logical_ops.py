@@ -139,6 +139,29 @@ def test_logical_cnot_rejects_bad_indices():
         logical_cnot_circuit(fixture_code("11-3-3"), 0, 9)
 
 
+def test_logical_cnot_refuses_a_generalized_code():
+    with pytest.raises(InvalidCodeError, match="^logical_cnot_circuit requires a split code$"):
+        logical_cnot_circuit(fixture_code("10-3-3"), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda code: hadamard_rewrite(encode_circuit(code), 11), r"^qubit 11 outside 0\.\.10$"),
+        (lambda code: logical_hadamard_circuit(code, 3), r"^data index 3 outside 0\.\.2$"),
+        # CNOT(0,1) and CNOT(1,0) share both qubits: no gate list resolves their commutator
+        (
+            lambda code: cnot_rewrite(Circuit(2, (cnot(1, 0),)), 0, 1),
+            r"^cannot commute CNOT\(0,1\) past Gate\(kind='CNOT', qubits=\(1, 0\)\)$",
+        ),
+    ],
+    ids=["hadamard_rewrite", "logical_hadamard", "cnot_rewrite"],
+)
+def test_rewrites_refuse_what_they_cannot_rewrite(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(fixture_code("11-3-3"))
+
+
 def test_rewrites_on_random_codes():
     # both rewrites must stay unitarily equivalent for arbitrary valid codes
     for code in seeded_random_codes(50, seed=404):

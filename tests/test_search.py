@@ -48,6 +48,19 @@ def test_search_zero_budget():
     assert result.success_rate == 0.0
 
 
+@pytest.mark.parametrize(
+    "dims, budget, message",
+    [
+        ((3, 4, 4), -1, "budget must be non-negative"),
+        ((-1, 4, 4), 10, "dimensions must be non-negative"),
+        ((3, 4, -2), 10, "dimensions must be non-negative"),
+    ],
+)
+def test_search_refuses_bad_arguments(dims, budget, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        search(dims, single_error_correcting_predicate(), budget, seed=1)
+
+
 def _circuit_route_correcting(code) -> bool:
     """Independent re-verification through the decode-circuit error table."""
     from cpc.decoding import error_table, single_error_records

@@ -78,6 +78,14 @@ def test_stabilizers_pure_bit_flip_code():
     assert texts == {"Z d1 d2 b1", "Z d2 d3 b2", "Z d1 d3 b3"}
 
 
+def test_stabilizer_text_of_mixed_generators_and_the_identity():
+    code = fixture_code("10-3-3")
+    first = stabilizers(code)[0]
+    assert stabilizer_to_text(first, code.qubit_label) == "Z_d1 Z_d2 Z_c1 X_c5 X_c7"
+    identity = PauliString(code.qubit_count, 0, 0)
+    assert stabilizer_to_text(identity, code.qubit_label) == "I"
+
+
 def test_stabilizers_mutually_commute():
     for code in (fixture_code("11-3-3"), fixture_code("12-4-3"), fixture_code("13-3-3")):
         gens = stabilizers(code)
