@@ -20,12 +20,10 @@ from .model import (
 from .circuits import (
     Circuit,
     Gate,
-    OPAQUE,
     PauliString,
     circuit_from_text,
     circuit_to_text,
     circuits_equal,
-    cnot_commutator,
     conjugate_pauli,
     decode_circuit,
     encode_circuit,

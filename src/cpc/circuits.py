@@ -7,10 +7,12 @@ to right; ``a + b`` runs ``a`` first and then ``b``.
 
 As in the ZX calculus, the three two-qubit kinds are one gate: a controlled-Z
 whose two ends are each read in the Z or the X basis.  One table gives each
-kind's end bases (CNOT: Z then X, CZ: Z and Z, CCZX: X and X), and both gate
-rules follow from it.  Conjugation fixes each end's basis Pauli and gives its
-other Pauli the far end's basis Pauli; a Hadamard on a qubit swaps the basis
-of that qubit's end, which names the rewritten gate.
+kind's end bases (CNOT: Z then X, CZ: Z and Z, CCZX: X and X), and every
+gate rule follows from it.  Conjugation fixes each end's basis Pauli and
+gives its other Pauli the far end's basis Pauli; a Hadamard on a qubit swaps
+the basis of that qubit's end, which names the rewritten gate.  ``rewrite``
+pushes one gate through a circuit by the same two facts: an end that picks
+up a far Pauli adds a copy of its gate with that end moved there.
 
 Pauli operators are represented as X/Z bitmask pairs with a global phase
 that is a power of i; the operator is ``i**phase * prod_q X_q^x Z_q^z`` with
@@ -30,7 +32,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "PauliString",
-    "OPAQUE",
     "cnot",
     "cz",
     "cczx",
@@ -38,7 +39,7 @@ __all__ = [
     "encode_circuit",
     "decode_circuit",
     "conjugate_pauli",
-    "cnot_commutator",
+    "rewrite",
     "circuits_equal",
     "circuit_to_text",
     "circuit_from_text",
@@ -163,14 +164,9 @@ class PauliString:
         return " ".join(parts) if parts else "-"
 
 
-class _Opaque:
-    """Marker for the CNOT commutator case that is not itself a CNOT circuit."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "OPAQUE"
-
-
-OPAQUE = _Opaque()
+def _ends(gate: Gate) -> tuple[tuple[int, str], ...]:
+    """(qubit, basis) of each end of a two-qubit gate, in qubit order."""
+    return tuple(zip(gate.qubits, _END_BASES[gate.kind]))
 
 
 def _pauli_masks(basis: str, q: int) -> tuple[int, int]:
@@ -187,7 +183,7 @@ def _gate_images(gate: Gate) -> dict[tuple[str, int], tuple[int, int]]:
     if gate.kind == "H":
         (q,) = gate.qubits
         return {("X", q): _pauli_masks("Z", q), ("Z", q): _pauli_masks("X", q)}
-    ends = tuple(zip(gate.qubits, _END_BASES[gate.kind]))
+    ends = _ends(gate)
     images = {}
     for (q, basis), (far, far_basis) in (ends, ends[::-1]):
         other = _OTHER_BASIS[basis]
@@ -197,16 +193,55 @@ def _gate_images(gate: Gate) -> dict[tuple[str, int], tuple[int, int]]:
     return images
 
 
-def _conjugate_gate_by_h(gate: Gate, q: int) -> Gate:
-    """H(q) g H(q) as one gate: the Hadamard swaps the basis of q's end."""
-    if gate.kind == "H" or q not in gate.qubits:
-        return gate
-    qubits, bases = gate.qubits, list(_END_BASES[gate.kind])
-    end = qubits.index(q)
-    bases[end] = _OTHER_BASIS[bases[end]]
-    if bases == ["X", "Z"]:
-        qubits, bases = qubits[::-1], bases[::-1]
-    return Gate(_KIND_OF_BASES[tuple(bases)], qubits)
+def _gate_of_ends(ends) -> Gate:
+    """The two-qubit gate with these (qubit, basis) ends."""
+    (q0, b0), (q1, b1) = ends
+    if (b0, b1) == ("X", "Z"):
+        return cnot(q1, q0)
+    return Gate(_KIND_OF_BASES[(b0, b1)], (q0, q1))
+
+
+@functools.lru_cache(maxsize=None)
+def _push(pushed: Gate, gate: Gate) -> tuple[Gate, ...] | None:
+    """``pushed · gate · pushed`` as a gate list, or None when it is not one.
+
+    A Hadamard swaps the basis of its qubit's end.  A two-qubit ``pushed``
+    maps the other Pauli of each of its ends to itself times the far end's
+    basis Pauli (CNOT(c, t): X_c -> X_c X_t, Z_t -> Z_c Z_t), so a ``gate``
+    end read in that Pauli adds a copy of ``gate`` with the end moved to the
+    far qubit and basis.  None when both ends move, when the moved end lands
+    on ``gate``'s other qubit, or for a Hadamard on a qubit of ``pushed``.
+    """
+    if pushed.kind == "H":
+        (q,) = pushed.qubits
+        if gate.kind == "H" or q not in gate.qubits:
+            return (gate,)
+        return (_gate_of_ends([(p, _OTHER_BASIS[b] if p == q else b) for p, b in _ends(gate)]),)
+    if gate.kind == "H":
+        return None if gate.qubits[0] in pushed.qubits else (gate,)
+    (q0, b0), (q1, b1) = _ends(pushed)
+    moves = {(q0, _OTHER_BASIS[b0]): (q1, b1), (q1, _OTHER_BASIS[b1]): (q0, b0)}
+    ends = list(_ends(gate))
+    moved = [i for i, end in enumerate(ends) if end in moves]
+    if len(moved) != 1:
+        return None if moved else (gate,)
+    ends[moved[0]] = moves[ends[moved[0]]]
+    return None if ends[0][0] == ends[1][0] else (gate, _gate_of_ends(ends))
+
+
+def rewrite(circuit: Circuit, gate: Gate) -> Circuit:
+    """``gate`` first, then ``gate`` pushed through each gate of ``circuit``.
+
+    Unitarily equivalent to ``circuit`` followed by ``gate``; a push that is
+    not a gate list raises ``ValueError``.
+    """
+    gates = [gate]
+    for g in circuit.gates:
+        pushed = _push(gate, g)
+        if pushed is None:
+            raise ValueError(f"cannot commute {gate} past {g}")
+        gates.extend(pushed)
+    return Circuit(circuit.qubit_count, tuple(gates))
 
 
 def _conjugate_gate(gate: Gate, p: PauliString) -> PauliString:
@@ -244,28 +279,6 @@ def conjugate_pauli(circuit: Circuit, p: PauliString) -> PauliString:
     for gate in circuit.gates:
         p = _conjugate_gate(gate, p)
     return p
-
-
-def cnot_commutator(g1: Gate, g2: Gate, qubit_count: int | None = None):
-    """Operational commutator g1 g2 g1 g2 of two CNOTs, resolved as a circuit.
-
-    Sharing the target of one with the control of the other yields a single
-    CNOT; disjoint gates or gates sharing same-role qubits commute (empty
-    circuit); the doubly-shared case returns the OPAQUE marker.
-    """
-    if g1.kind != "CNOT" or g2.kind != "CNOT":
-        raise ValueError("cnot_commutator requires two CNOT gates")
-    i, j = g1.qubits
-    k, l = g2.qubits
-    if qubit_count is None:
-        qubit_count = max(i, j, k, l) + 1
-    if j == k and i == l:
-        return OPAQUE
-    if j == k and i != l:
-        return Circuit(qubit_count, (cnot(i, l),))
-    if i == l and j != k:
-        return Circuit(qubit_count, (cnot(k, j),))
-    return Circuit(qubit_count, ())
 
 
 def circuits_equal(c1: Circuit, c2: Circuit) -> bool:

@@ -37,6 +37,8 @@ from .model import (
     GeneralCpcCode,
     InvalidCodeError,
     _meaningful_lines,
+    # `logicals`, `logical-h` and `logical-cnot` refuse a generalized code only because
+    # the code_analysis golden pins their exit 2 on 10-3-3 (ROADMAP items 15 and 16).
     _require_split,
     parse,
     serialize,

@@ -65,6 +65,11 @@ def _syndrome(first: int, second: int, n_first: int, n_second: int) -> Syndrome:
     )
 
 
+def _bits_text(mask: int, width: int) -> str:
+    """The low ``width`` bits of ``mask`` as a bit-string, least significant first."""
+    return format(mask, f"0{width}b")[::-1] if width else ""
+
+
 def _check_bits(values, name: str) -> None:
     """Refuse a syndrome or measurement list with an entry other than 0 or 1."""
     for i, b in enumerate(values):
@@ -175,7 +180,7 @@ class CollisionGroup:
     labels: tuple[str, ...]
 
     def __str__(self) -> str:
-        bits = "".join(str(b) for b in self.syndrome)
+        bits = _bits_text(sum(b << i for i, b in enumerate(self.syndrome)), len(self.syndrome))
         return f"syndrome {bits} shared by: {', '.join(self.labels)}"
 
 
@@ -346,8 +351,7 @@ class DecodeTable:
 
     def syndrome_text(self, first: int, second: int) -> str:
         """:meth:`syndrome` as a bit-string, each side least significant bit first."""
-        width = self.n_first + self.n_second
-        return format(first | second << self.n_first, f"0{width}b")[::-1] if width else ""
+        return _bits_text(first | second << self.n_first, self.n_first + self.n_second)
 
     def lookup(self, first, second) -> tuple[np.ndarray, np.ndarray]:
         """(X, Z) corrections and known flags of side masks, ints or arrays alike.

@@ -2,34 +2,25 @@
 
 Logical Paulis cost nothing: apply the physical Pauli to the data qubit and
 reinterpret the affected check outcomes.  Hadamard and CNOT are realised by
-rewriting the encoder so that the rewritten cycle is unitarily equivalent to
-"gate first, then the plain encoder".
+pushing the gate through the encoder (``circuits.rewrite``): the gate runs
+first and the rewritten encoder after it, which is unitarily equivalent to
+the plain encoder followed by the gate.  Both work on split and generalized
+codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import (
-    Circuit,
-    Gate,
-    OPAQUE,
-    _conjugate_gate_by_h,
-    cnot,
-    cnot_commutator,
-    encode_circuit,
-    hadamard,
-)
+from .circuits import Circuit, cnot, encode_circuit, hadamard, rewrite
 from .decoding import _check_cnot, single_error_records
-from .model import CpcCode, _require_split
+from .model import CpcCode, GeneralCpcCode, _require_split
 
 __all__ = [
     "PauliFrame",
     "logical_pauli_frame",
     "logical_hadamard_circuit",
     "logical_cnot_circuit",
-    "hadamard_rewrite",
-    "cnot_rewrite",
 ]
 
 
@@ -79,52 +70,23 @@ def logical_pauli_frame(code: CpcCode, paulis: str) -> PauliFrame:
     )
 
 
-def hadamard_rewrite(circuit: Circuit, q: int) -> Circuit:
-    """Absorb a Hadamard on qubit q applied before the circuit.
-
-    Returns H(q) followed by every gate conjugated by H(q); the result is
-    unitarily equivalent to running ``circuit`` and then H(q).
-    """
-    if not 0 <= q < circuit.qubit_count:
-        raise ValueError(f"qubit {q} outside 0..{circuit.qubit_count - 1}")
-    gates = [hadamard(q)]
-    gates.extend(_conjugate_gate_by_h(g, q) for g in circuit.gates)
-    return Circuit(circuit.qubit_count, tuple(gates))
-
-
-def logical_hadamard_circuit(code: CpcCode, data_qubit: int) -> Circuit:
+def logical_hadamard_circuit(code: CpcCode | GeneralCpcCode, data_qubit: int) -> Circuit:
     """Encoder rewritten to realise a logical Hadamard on one data qubit.
 
-    CNOTs controlled by the qubit become conjugate-basis controlled-Z gates,
-    CNOTs targeting it become plain controlled-Z, and the Hadamard itself
-    runs first.
+    The Hadamard runs first and swaps the basis of the qubit's end of each
+    gate: a CNOT it controls becomes CCZX, and one it targets becomes CZ.
     """
     if not 0 <= data_qubit < code.k:
         raise ValueError(f"data index {data_qubit} outside 0..{code.k - 1}")
-    return hadamard_rewrite(encode_circuit(code), data_qubit)
+    return rewrite(encode_circuit(code), hadamard(data_qubit))
 
 
-def cnot_rewrite(circuit: Circuit, control: int, target: int) -> Circuit:
-    """Absorb a CNOT(control, target) applied before the circuit.
+def logical_cnot_circuit(code: CpcCode | GeneralCpcCode, control: int, target: int) -> Circuit:
+    """Encoder rewritten to realise a logical CNOT between two data qubits.
 
-    The CNOT runs first; pushing it through each original CNOT inserts the
-    resolved operational commutator after that gate, which keeps the result
-    unitarily equivalent to ``circuit`` followed by CNOT(control, target).
+    The CNOT runs first; each encoder gate with its Z end on the target or
+    its X end on the control is followed by a copy with that end moved to
+    the other data qubit (a CNOT, or a CCZX of a generalized code).
     """
-    n = circuit.qubit_count
-    inserted = cnot(control, target)
-    gates: list[Gate] = [inserted]
-    for g in circuit.gates:
-        gates.append(g)
-        comm = cnot_commutator(inserted, g, qubit_count=n)
-        if comm is OPAQUE:
-            raise ValueError(f"cannot commute CNOT({control},{target}) past {g}")
-        gates.extend(comm.gates)
-    return Circuit(n, tuple(gates))
-
-
-def logical_cnot_circuit(code: CpcCode, control: int, target: int) -> Circuit:
-    """Encoder rewritten to realise a logical CNOT between two data qubits."""
-    _require_split(code, "logical_cnot_circuit")
     _check_cnot(control, target, code.k)
-    return cnot_rewrite(encode_circuit(code), control, target)
+    return rewrite(encode_circuit(code), cnot(control, target))

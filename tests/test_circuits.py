@@ -1,20 +1,20 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from conftest import fixture_code, seeded_random_codes
 from cpc.circuits import (
-    _conjugate_gate_by_h,
+    _push,
     Circuit,
     Gate,
-    OPAQUE,
     PauliString,
     circuit_from_text,
     circuit_to_text,
     circuits_equal,
     cnot,
-    cnot_commutator,
     conjugate_pauli,
     cz,
     cczx,
@@ -130,7 +130,7 @@ def test_conjugation_matches_statevector_oracle():
 def test_hadamard_rewrite_of_each_gate_end(make, end):
     gate = make(2, 0)
     q = gate.qubits[end]
-    rewritten = _conjugate_gate_by_h(gate, q)
+    (rewritten,) = _push(hadamard(q), gate)
     assert rewritten.kind != gate.kind and set(rewritten.qubits) == {0, 2}
     h = hadamard(q)
     assert circuits_equal(Circuit(3, (rewritten,)), Circuit(3, (h, gate, h)))
@@ -138,27 +138,72 @@ def test_hadamard_rewrite_of_each_gate_end(make, end):
 
 @pytest.mark.parametrize("gate", [hadamard(1), hadamard(0), cnot(0, 2), cz(2, 0), cczx(0, 2)])
 def test_hadamard_rewrite_passes_h_and_gates_off_its_qubit(gate):
-    assert _conjugate_gate_by_h(gate, 1) == gate
+    assert _push(hadamard(1), gate) == (gate,)
 
 
-def test_cnot_commutator_cases():
-    shared = cnot_commutator(cnot(0, 1), cnot(2, 0))
-    assert shared.gates == (cnot(2, 1),)
-    disjoint = cnot_commutator(cnot(0, 1), cnot(2, 3))
-    assert disjoint.gates == ()
-    same_control = cnot_commutator(cnot(0, 1), cnot(0, 2))
-    assert same_control.gates == ()
-    assert cnot_commutator(cnot(0, 1), cnot(1, 0)) is OPAQUE
-    with pytest.raises(ValueError):
-        cnot_commutator(cnot(0, 1), cz(0, 1))
+def _old_cnot_table(pushed: Gate, gate: Gate) -> tuple[Gate, ...] | None:
+    """The CNOT-only commutator table that ``_push`` replaced, as a reference.
+
+    The gates that CNOT(i, j) adds after CNOT(k, l) when pushed through it:
+    one CNOT when the pushed target is the control of the other or the
+    pushed control its target, none when neither, and None when both.
+    """
+    (i, j), (k, l) = pushed.qubits, gate.qubits
+    if j == k and i == l:
+        return None
+    if j == k:
+        return (cnot(i, l),)
+    if i == l:
+        return (cnot(k, j),)
+    return ()
 
 
-def test_cnot_commutator_is_operational_commutator():
-    # resolved commutator C satisfies a b a b == C for the self-inverse CNOTs
-    a, b = cnot(0, 1), cnot(1, 2)
-    comm = cnot_commutator(a, b, qubit_count=3)
-    seq = Circuit(3, (b, a, b, a))  # unitary = a b a b applied right-to-left
-    assert circuits_equal(seq, comm)
+_PAIRS_ON_4 = list(permutations(range(4), 2))
+_GATES_ON_4 = [make(a, b) for make in (cnot, cz, cczx) for a, b in _PAIRS_ON_4]
+_GATES_ON_4 += [hadamard(q) for q in range(4)]
+
+
+def test_push_matches_the_old_cnot_table():
+    cnots = [cnot(a, b) for a, b in _PAIRS_ON_4]
+    assert len(cnots) ** 2 == 144
+    for pushed in cnots:
+        for gate in cnots:
+            extra = _old_cnot_table(pushed, gate)
+            assert _push(pushed, gate) == (None if extra is None else (gate,) + extra)
+
+
+def _why_not_a_gate_list(pushed: Gate, gate: Gate) -> str:
+    """Which stated reason, read off Pauli conjugation, makes a push None."""
+    if gate.kind == "H":
+        return "H on a pushed qubit" if gate.qubits[0] in pushed.qubits else ""
+    bases = {"CNOT": "ZX", "CZ": "ZZ", "CCZX": "XX"}[gate.kind]
+    images = [
+        conjugate_pauli(Circuit(4, (pushed,)), PauliString.single(4, q, b))
+        for q, b in zip(gate.qubits, bases)
+    ]
+    moved = [i for i, image in enumerate(images) if image.weight() == 2]
+    if len(moved) == 2:
+        return "both ends move"
+    if len(moved) == 1:
+        (i,) = moved
+        if images[i].support >> gate.qubits[1 - i] & 1:
+            return "the moved end lands on the other qubit"
+    return ""
+
+
+@pytest.mark.parametrize("pushed", _GATES_ON_4, ids=lambda g: g.kind + "".join(map(str, g.qubits)))
+def test_push_is_the_conjugated_gate_or_a_stated_refusal(pushed):
+    for gate in _GATES_ON_4:
+        out = _push(pushed, gate)
+        if out is None:
+            assert pushed.kind != "H" and _why_not_a_gate_list(pushed, gate), gate
+            continue
+        assert circuits_equal(Circuit(4, (pushed, gate, pushed)), Circuit(4, out)), gate
+        if pushed.kind == "H":
+            assert len(out) == 1, gate
+        else:
+            assert not _why_not_a_gate_list(pushed, gate), gate
+            assert out[0] == gate and len(out) <= 2, gate
 
 
 def test_decode_encode_is_identity_on_fixtures():
@@ -256,9 +301,9 @@ def test_circuit_rejects_negative_qubit_count():
 
 
 def test_commutator_of_bp_gates_matches_cross_propagation():
-    # every B-block/P-block CNOT pair sharing a data qubit commutes into the
-    # CNOT(phase -> bit) whose parity, together with the direct cross checks,
-    # is exactly the cross-propagation matrix
+    # pushing a B-block CNOT through a P-block CNOT that shares its data
+    # qubit adds the CNOT(phase -> bit) whose parity, together with the
+    # direct cross checks, is exactly the cross-propagation matrix
     from cpc.propagation import cross_propagation
 
     for code in seeded_random_codes(20, seed=321):
@@ -270,10 +315,11 @@ def test_commutator_of_bp_gates_matches_cross_propagation():
         induced = np.zeros((code.n_b, code.n_p), dtype=np.uint8)
         for bg in b_gates:
             for pg in p_gates:
-                comm = cnot_commutator(bg, pg, qubit_count=code.qubit_count)
-                if comm is OPAQUE or not comm.gates:
+                pushed = _push(bg, pg)
+                assert pushed is not None and pushed[0] == pg
+                if len(pushed) == 1:
                     continue
-                (gate,) = comm.gates
+                gate = pushed[1]
                 control, target = gate.qubits
                 p = control - code.k - code.n_b
                 b = target - code.k

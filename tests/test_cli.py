@@ -605,6 +605,17 @@ def test_logical_cnot_rejects_index_off_the_data(capsys, fixture_dir):
     assert "data indices must lie in 0..2" in err
 
 
+def test_logical_cnot_still_refuses_a_generalized_code(capsys, fixture_dir):
+    # the library rewrites 10-3-3; the command keeps the exit its golden record pins
+    code, out, err = _run(
+        capsys,
+        "logical-cnot", str(fixture_dir / "10-3-3.cpc"),
+        "--control", "0", "--target", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: logical-cnot requires a split code\n"
+
+
 def test_logical_h_on_general_code_is_input_error(capsys, fixture_dir):
     code, _, err = _run(
         capsys, "logical-h", str(fixture_dir / "10-3-3.cpc"), "--qubit", "0"

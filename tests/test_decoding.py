@@ -10,6 +10,7 @@ import pytest
 from conftest import fixture_code, seeded_random_codes, seeded_random_general_codes
 from cpc.circuits import PauliString
 from cpc.decoding import (
+    CollisionGroup,
     DecodingObstruction,
     augment_for_cnot,
     cnot_compatible,
@@ -587,3 +588,18 @@ def test_infer_check_errors_refuses_bits_outside_the_code(bad):
     with pytest.raises(ValueError, match=rf"bit error {bad} outside 0\.\.6"):
         infer_check_errors(cc, [0, 0, 0, 0], {0, bad})
     assert infer_check_errors(cc, [0, 0, 0, 0], {6}) == infer_check_errors(cc, [0, 0, 0, 0], [6])
+
+
+def test_collision_text_is_the_syndrome_bit_string():
+    # the verify listing's bit-string is the syndrome tuple in order, as
+    # DecodeTable.syndrome_text writes it, for any width including none
+    for code in map(fixture_code, ("6-3-1", "11-3-1")):
+        report = is_single_error_correcting(code)
+        assert report.collisions
+        for group in report.collisions:
+            bits = "".join(str(b) for b in group.syndrome)
+            assert str(group) == f"syndrome {bits} shared by: {', '.join(group.labels)}"
+    first = is_single_error_correcting(fixture_code("6-3-1")).collisions[0]
+    assert str(first) == "syndrome 000 shared by: no error, Z_d1, Z_d2, Z_d3, Z_b1, Z_b2, Z_b3"
+    assert str(CollisionGroup((0, 1, 1, 0, 0), ("X_d1",))) == "syndrome 01100 shared by: X_d1"
+    assert str(CollisionGroup((), ("no error", "Z_d1"))) == "syndrome  shared by: no error, Z_d1"

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+from itertools import permutations
+
+import numpy as np
 import pytest
 
-from conftest import fixture_code, seeded_random_codes
+from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes
 from cpc.circuits import (
     Circuit,
     circuits_equal,
     cnot,
     encode_circuit,
     hadamard,
+    rewrite,
 )
 from cpc.decoding import single_error_records
+from cpc.dynamics import apply_circuit
 from cpc.logical_ops import (
-    cnot_rewrite,
-    hadamard_rewrite,
     logical_cnot_circuit,
     logical_hadamard_circuit,
     logical_pauli_frame,
@@ -97,7 +100,7 @@ def test_logical_hadamard_twice_is_plain_encoder():
     code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     once = logical_hadamard_circuit(code, 1)
-    twice = hadamard_rewrite(once, 1)
+    twice = rewrite(once, hadamard(1))
     assert circuits_equal(twice, enc)
 
 
@@ -128,7 +131,7 @@ def test_logical_cnot_twice_is_plain_encoder():
     code = fixture_code("11-3-3")
     enc = encode_circuit(code)
     once = logical_cnot_circuit(code, 0, 1)
-    twice = cnot_rewrite(once, 0, 1)
+    twice = rewrite(once, cnot(0, 1))
     assert circuits_equal(twice, enc)
 
 
@@ -139,23 +142,59 @@ def test_logical_cnot_rejects_bad_indices():
         logical_cnot_circuit(fixture_code("11-3-3"), 0, 9)
 
 
-def test_logical_cnot_refuses_a_generalized_code():
-    with pytest.raises(InvalidCodeError, match="^logical_cnot_circuit requires a split code$"):
-        logical_cnot_circuit(fixture_code("10-3-3"), 0, 1)
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.cpc")))
+def test_logical_gates_on_every_fixture(name):
+    # generalized 10-3-3 included: the CNOT is pushed through its CCZX gates too
+    code = fixture_code(name)
+    enc = encode_circuit(code)
+    n = enc.qubit_count
+    for d in range(code.k):
+        assert circuits_equal(logical_hadamard_circuit(code, d), enc + Circuit(n, (hadamard(d),)))
+    for c, t in permutations(range(code.k), 2):
+        rewritten = logical_cnot_circuit(code, c, t)
+        assert circuits_equal(rewritten, enc + Circuit(n, (cnot(c, t),))), (c, t)
+
+
+def test_logical_cnot_on_the_generalized_code_round_trips_a_statevector():
+    # an oracle apart from Pauli conjugation: the rewritten encoder and the
+    # encoder followed by the CNOT send random states to the same state
+    code = fixture_code("10-3-3")
+    enc = encode_circuit(code)
+    n = enc.qubit_count
+    assert any(g.kind == "CCZX" for g in enc.gates)
+    rng = np.random.Generator(np.random.Philox(26))
+    for c, t in permutations(range(code.k), 2):
+        rewritten = logical_cnot_circuit(code, c, t)
+        target = enc + Circuit(n, (cnot(c, t),))
+        for _ in range(3):
+            state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            state /= np.linalg.norm(state)
+            got, want = apply_circuit(state, rewritten), apply_circuit(state, target)
+            assert abs(np.vdot(want, got)) == pytest.approx(1.0), (c, t)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda code: hadamard_rewrite(encode_circuit(code), 11), r"^qubit 11 outside 0\.\.10$"),
-        (lambda code: logical_hadamard_circuit(code, 3), r"^data index 3 outside 0\.\.2$"),
-        # CNOT(0,1) and CNOT(1,0) share both qubits: no gate list resolves their commutator
         (
-            lambda code: cnot_rewrite(Circuit(2, (cnot(1, 0),)), 0, 1),
-            r"^cannot commute CNOT\(0,1\) past Gate\(kind='CNOT', qubits=\(1, 0\)\)$",
+            lambda code: rewrite(encode_circuit(code), hadamard(11)),
+            r"^gate Gate\(kind='H', qubits=\(11,\)\) outside 0\.\.10$",
+        ),
+        (lambda code: logical_hadamard_circuit(code, 3), r"^data index 3 outside 0\.\.2$"),
+        # CNOT(0,1) and CNOT(1,0) share both qubits: no gate list resolves the push
+        (
+            lambda code: rewrite(Circuit(2, (cnot(1, 0),)), cnot(0, 1)),
+            r"^cannot commute Gate\(kind='CNOT', qubits=\(0, 1\)\) "
+            r"past Gate\(kind='CNOT', qubits=\(1, 0\)\)$",
+        ),
+        # a CNOT does not push through a Hadamard on one of its qubits
+        (
+            lambda code: rewrite(Circuit(2, (hadamard(1),)), cnot(0, 1)),
+            r"^cannot commute Gate\(kind='CNOT', qubits=\(0, 1\)\) "
+            r"past Gate\(kind='H', qubits=\(1,\)\)$",
         ),
     ],
-    ids=["hadamard_rewrite", "logical_hadamard", "cnot_rewrite"],
+    ids=["hadamard_rewrite", "logical_hadamard", "cnot_rewrite", "cnot_past_h"],
 )
 def test_rewrites_refuse_what_they_cannot_rewrite(call, message):
     with pytest.raises(ValueError, match=message):
