@@ -21,7 +21,6 @@ from .circuits import (
     Circuit,
     Gate,
     PauliString,
-    circuit_from_text,
     circuit_to_text,
     circuits_equal,
     conjugate_pauli,
@@ -55,7 +54,6 @@ from .decoding import (
     error_table,
     is_single_error_correcting,
     ising_problem,
-    ml_decode_exhaustive,
     solve_ising,
 )
 from .logical_ops import (
@@ -72,7 +70,6 @@ from .dynamics import (
     SimResult,
     coherent_fidelity_631,
     fit_half_life,
-    haar_state,
     simulate,
 )
 from .search import SearchResult, random_code, search

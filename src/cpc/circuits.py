@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CpcCode, GeneralCpcCode, _meaningful_lines
+from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
     "Gate",
@@ -42,7 +42,6 @@ __all__ = [
     "rewrite",
     "circuits_equal",
     "circuit_to_text",
-    "circuit_from_text",
 ]
 
 # End bases of each two-qubit kind, in qubit order; (X, Z) is a CNOT written
@@ -338,30 +337,3 @@ def circuit_to_text(circuit: Circuit) -> str:
         lines.append(" ".join([g.kind] + [str(q) for q in g.qubits]))
     return "\n".join(lines) + "\n"
 
-
-def circuit_from_text(text: str) -> Circuit:
-    qubit_count = None
-    gates: list[Gate] = []
-    for number, line in _meaningful_lines(text):
-        parts = line.split()
-        if parts[0] == "qubits":
-            if len(parts) != 2 or not parts[1].isdecimal():
-                raise ValueError(
-                    f"line {number}: expected 'qubits <non-negative int>', got {line!r}"
-                )
-            if qubit_count is not None:
-                raise ValueError(f"line {number}: a second 'qubits' line")
-            if gates:
-                raise ValueError(f"line {number}: 'qubits' must come before the gates")
-            qubit_count = int(parts[1])
-            continue
-        try:
-            gate = Gate(parts[0], tuple(int(t) for t in parts[1:]))
-            if qubit_count is not None:
-                Circuit(qubit_count, (gate,))  # the range check, while the line is known
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-        gates.append(gate)
-    if qubit_count is None:
-        qubit_count = 1 + max((q for g in gates for q in g.qubits), default=-1)
-    return Circuit(qubit_count, tuple(gates))

@@ -20,8 +20,10 @@ from . import __version__
 from .circuits import PauliString, circuit_to_text, decode_circuit, encode_circuit
 from .decoding import (
     DecodingObstruction,
+    _check_cnot,
     _correctability,
     _distance,
+    _require_w_max,
     _syndrome_classes,
     code_distance,
     decode_table,
@@ -91,21 +93,20 @@ def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
     )
 
 
+def _listing(lines: list[str]) -> str:
+    """Each line followed by a newline: no lines, no text."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def _serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
     lines = ["CSS", "GZ", *g_z.to_lines(), "GX", *g_x.to_lines()]
-    return "\n".join(lines) + "\n"
+    return _listing(lines)
 
 
 # --- subcommand handlers -----------------------------------------------------
 #
 # A handler that produces a listing returns its text, which main writes to
 # --out or stdout; one that prints a verdict or refuses returns its exit code.
-
-
-def _require_w_max(w_max: int) -> None:
-    """Reject an empty distance search range before any work."""
-    if w_max < 1:
-        raise ValueError(f"w_max must be at least 1, got {w_max}")
 
 
 def _cmd_verify(args) -> int:
@@ -127,7 +128,7 @@ def _cmd_verify(args) -> int:
 def _cmd_stabilizers(args) -> str:
     code = _load_code(args.code)
     lines = [stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)]
-    return "\n".join(lines) + "\n"
+    return _listing(lines)
 
 
 def _cmd_logicals(args) -> str:
@@ -135,7 +136,7 @@ def _cmd_logicals(args) -> str:
     logical_x, logical_z = logical_operators(code)
     lines = [stabilizer_to_text(g, code.qubit_label) for g in logical_x]
     lines += [stabilizer_to_text(g, code.qubit_label) for g in logical_z]
-    return "\n".join(lines) + "\n"
+    return _listing(lines)
 
 
 def _cmd_distance(args) -> int:
@@ -153,7 +154,7 @@ def _cmd_error_table(args) -> str:
     rows = ["error\tsyndrome\tclass"]
     for rec, category in zip(table.records, categories.tolist()):
         rows.append(f"{rec.label}\t{table.syndrome_text(rec.sx, rec.sz)}\t{category}")
-    return "\n".join(rows) + "\n"
+    return _listing(rows)
 
 
 def _cmd_decode_table(args) -> str | int:
@@ -171,7 +172,7 @@ def _cmd_decode_table(args) -> str | int:
     for syndrome, (cx, cz), category in zip(syndromes, corrections.tolist(), categories.tolist()):
         corr = PauliString(code.k, cx, cz).label(code.qubit_label)
         rows.append(f"{syndrome}\t{category}\t{corr}")
-    return "\n".join(rows) + "\n"
+    return _listing(rows)
 
 
 def _cmd_css_to_cpc(args) -> str | int:
@@ -222,7 +223,7 @@ def _classical_views(code: CpcCode | GeneralCpcCode) -> dict:
 def _cmd_effective(args) -> str:
     views = _classical_views(_load_code(args.code)).values()
     lines = [line for view in views for line in _format_classical(*view)]
-    return "\n".join(lines) + "\n"
+    return _listing(lines)
 
 
 def _cmd_ising(args) -> str:
@@ -250,7 +251,7 @@ def _cmd_ising(args) -> str:
     for term in problem.terms:
         spins = " ".join(str(s) for s in term.spins)
         lines.append(f"check {spins} {term.coefficient:.10g}")
-    return "\n".join(lines) + "\n"
+    return _listing(lines)
 
 
 def _cmd_simulate(args) -> str:
@@ -311,8 +312,8 @@ def _cmd_search(args) -> int:
         c, t = int(match[1]), int(match[2])
         predicate = cnot_compatible_predicate(c, t)
         # before any trial; a negative --data fails the search's dimension check
-        if 0 <= args.data <= max(c, t):
-            raise ValueError(f"data indices must lie in 0..{args.data - 1}")
+        if args.data >= 0:
+            _check_cnot(c, t, args.data)
         predicate_name = f"cnot-compatible({c},{t})"
     else:
         predicate = single_error_correcting_predicate()

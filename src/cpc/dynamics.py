@@ -73,7 +73,6 @@ __all__ = [
     "fit_half_life",
     "CoherentFidelity",
     "coherent_fidelity_631",
-    "haar_state",
     "apply_gate",
     "apply_circuit",
     "apply_pauli_masks",
@@ -161,11 +160,6 @@ def _x_expectations(states: np.ndarray, q: int) -> np.ndarray:
     a, b = pairs[:, :, 0], pairs[:, :, 1]
     real, imag = (np.einsum("ijk,ijk->i", u, v) for u, v in ((a.real, b.real), (a.imag, b.imag)))
     return 2.0 * (real + imag)
-
-
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random pure state: normalized i.i.d. complex Gaussians."""
-    return _haar_block(dim, 1, rng)[0]
 
 
 def _haar_block(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

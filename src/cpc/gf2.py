@@ -119,16 +119,11 @@ def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """Outcome of Gauss-Jordan elimination.
-
-    ``transform`` is the invertible row-operation matrix with
-    ``multiply(transform, matrix) == reduced``; ``rank == len(pivots)``.
-    """
+    """Outcome of Gauss-Jordan elimination; ``rank == len(pivots)``."""
 
     reduced: Gf2Matrix
     pivots: tuple[int, ...]
     rank: int
-    transform: Gf2Matrix
 
 
 def rref(a: Gf2Matrix, column_order: list[int] | None = None) -> RrefResult:
@@ -140,7 +135,6 @@ def rref(a: Gf2Matrix, column_order: list[int] | None = None) -> RrefResult:
     """
     mat = a.data.astype(np.uint8).copy()
     rows, cols = mat.shape
-    trans = np.eye(rows, dtype=np.uint8)
     order = range(cols) if column_order is None else column_order
     pivots: list[int] = []
     pivot_row = 0
@@ -153,20 +147,13 @@ def rref(a: Gf2Matrix, column_order: list[int] | None = None) -> RrefResult:
         src = pivot_row + int(hits[0])
         if src != pivot_row:
             mat[[pivot_row, src]] = mat[[src, pivot_row]]
-            trans[[pivot_row, src]] = trans[[src, pivot_row]]
         others = np.nonzero(mat[:, col])[0]
         for r in others:
             if r != pivot_row:
                 mat[r, :] ^= mat[pivot_row, :]
-                trans[r, :] ^= trans[pivot_row, :]
         pivots.append(col)
         pivot_row += 1
-    return RrefResult(
-        reduced=Gf2Matrix(mat),
-        pivots=tuple(pivots),
-        rank=len(pivots),
-        transform=Gf2Matrix(trans),
-    )
+    return RrefResult(reduced=Gf2Matrix(mat), pivots=tuple(pivots), rank=len(pivots))
 
 
 def _nonzero_rows(a: Gf2Matrix) -> np.ndarray:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, cnot, encode_circuit, hadamard, rewrite
-from .decoding import _check_cnot, single_error_records
-from .model import CpcCode, GeneralCpcCode, _require_split
+from .decoding import _check_cnot, _syndrome_widths, single_error_records
+from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
     "PauliFrame",
@@ -30,7 +30,8 @@ class PauliFrame:
 
     ``bit_check_toggles``/``phase_check_toggles`` list the checks whose
     outcomes must be read flipped (1 <-> 0, + <-> -) once the gates are
-    applied inside the cycle.
+    applied inside the cycle, on the first and second syndrome side.  Every
+    check of a generalized code is on the first side: its phase toggles are empty.
     """
 
     gates: tuple[tuple[int, str], ...]
@@ -38,14 +39,13 @@ class PauliFrame:
     phase_check_toggles: tuple[int, ...]
 
 
-def logical_pauli_frame(code: CpcCode, paulis: str) -> PauliFrame:
+def logical_pauli_frame(code: CpcCode | GeneralCpcCode, paulis: str) -> PauliFrame:
     """Frame update for applying one Pauli per data qubit inside a cycle.
 
     ``paulis`` is a length-k string over IXYZ.  The toggle sets equal the
     syndrome the same Paulis would produce as errors, so applying the gates
     and flipping those check readings leaves an error-free cycle all-clear.
     """
-    _require_split(code, "logical_pauli_frame")
     paulis = paulis.upper()
     if len(paulis) != code.k:
         raise ValueError(f"expected {code.k} Pauli letters, got {len(paulis)}")
@@ -63,10 +63,11 @@ def logical_pauli_frame(code: CpcCode, paulis: str) -> PauliFrame:
         rec = records[(j, ch)]
         sx ^= rec.sx
         sz ^= rec.sz
+    n_first, n_second = _syndrome_widths(code)
     return PauliFrame(
         gates=tuple(gates),
-        bit_check_toggles=tuple(i for i in range(code.n_b) if (sx >> i) & 1),
-        phase_check_toggles=tuple(i for i in range(code.n_p) if (sz >> i) & 1),
+        bit_check_toggles=tuple(i for i in range(n_first) if (sx >> i) & 1),
+        phase_check_toggles=tuple(i for i in range(n_second) if (sz >> i) & 1),
     )
 
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from conftest import HAMMING_743, fixture_code, seeded_random_codes
+from ml_reference import infer_check_errors, ml_decode_exhaustive
 from cpc.circuits import (
     Circuit,
     PauliString,
@@ -27,10 +28,8 @@ from cpc.decoding import (
     cnot_compatible,
     code_distance,
     error_table,
-    infer_check_errors,
     is_single_error_correcting,
     ising_problem,
-    ml_decode_exhaustive,
     solve_ising,
 )
 from cpc.dynamics import ErrorModel, SimConfig, coherent_fidelity_631, fit_half_life, simulate

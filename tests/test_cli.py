@@ -294,6 +294,22 @@ def test_a_listing_goes_to_out_or_stdout(tmp_path, capsys, fixture_dir, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("stabilizers", "CPC split\ndata 2\nbit 0\nphase 0\nB\nP\nC\n"),  # no checks
+        ("logicals", "CPC split\ndata 0\nbit 1\nphase 1\nB\nP\nC\n1\n"),  # k = 0
+    ],
+)
+def test_an_empty_listing_prints_nothing(tmp_path, capsys, command, text):
+    path = tmp_path / "code.cpc"
+    path.write_text(text, encoding="utf-8")
+    assert _run(capsys, command, str(path)) == (0, "", "")
+    out_path = tmp_path / "listing.txt"
+    assert _run(capsys, command, str(path), "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == b""
+
+
 def test_simulate_and_fit_round_trip(tmp_path, capsys, fixture_dir):
     csv_path = tmp_path / "series.csv"
     code, _, _ = _run(

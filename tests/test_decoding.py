@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fixture_code, seeded_random_codes, seeded_random_general_codes
+from ml_reference import infer_check_errors, ml_decode_exhaustive
 from cpc.circuits import PauliString
 from cpc.decoding import (
     CollisionGroup,
@@ -19,10 +20,8 @@ from cpc.decoding import (
     correcting_mask,
     decode_table,
     error_table,
-    infer_check_errors,
     is_single_error_correcting,
     ising_problem,
-    ml_decode_exhaustive,
     single_error_correcting_predicate,
     single_error_records,
     solve_ising,

@@ -112,15 +112,23 @@ def test_rref_hamming_rank():
     assert rref(h).rank == 3
 
 
+def _span(m: Gf2Matrix) -> set[int]:
+    """Every XOR of a subset of the rows of ``m``, as bitmask integers."""
+    span = {0}
+    for row in m.to_lines():
+        span |= {v ^ int(row, 2) for v in span}
+    return span
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
-def test_rref_idempotent_and_transform(m):
+def test_rref_idempotent_and_row_equivalent(m):
     res = rref(m)
-    again = rref(res.reduced)
-    assert again.reduced == res.reduced
-    assert multiply(res.transform, m) == res.reduced
-    # transform is invertible: full rank square matrix
-    assert rref(res.transform).rank == m.rows
+    assert rref(res.reduced).reduced == res.reduced
+    # independent oracle: the input and reduced rows span the same 2^rank sums
+    span = _span(m)
+    assert _span(res.reduced) == span
+    assert len(span) == 2**res.rank
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**30))

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,8 +8,11 @@ import pytest
 from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes
 from cpc.circuits import (
     Circuit,
+    PauliString,
     circuits_equal,
     cnot,
+    conjugate_pauli,
+    decode_circuit,
     encode_circuit,
     hadamard,
     rewrite,
@@ -21,7 +24,7 @@ from cpc.logical_ops import (
     logical_hadamard_circuit,
     logical_pauli_frame,
 )
-from cpc.model import InvalidCodeError
+from cpc.model import CpcCode
 
 
 def test_pauli_frame_x_on_first_qubit():
@@ -62,9 +65,26 @@ def test_pauli_frame_matches_error_syndromes_exhaustively():
                 )
 
 
-def test_pauli_frame_refuses_a_generalized_code():
-    with pytest.raises(InvalidCodeError, match="^logical_pauli_frame requires a split code$"):
-        logical_pauli_frame(fixture_code("10-3-3"), "XII")
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.cpc")))
+def test_pauli_frame_matches_decoder_conjugation(name):
+    # independent oracle, split and generalized: the toggles are the check
+    # flips of every data Pauli string pushed through the decoder, read as
+    # error_table reads them (first side X flips, second side Z flips)
+    code = fixture_code(name)
+    k, n = code.k, code.qubit_count
+    n_first, n_second = (code.n_b, code.n_p) if isinstance(code, CpcCode) else (code.n_c, 0)
+    decoder = decode_circuit(code)
+    for letters in product("IXYZ", repeat=k):
+        frame = logical_pauli_frame(code, "".join(letters))
+        x = sum(1 << j for j, ch in enumerate(letters) if ch in "XY")
+        z = sum(1 << j for j, ch in enumerate(letters) if ch in "ZY")
+        prop = conjugate_pauli(decoder, PauliString(n, x, z))
+        assert frame.bit_check_toggles == tuple(
+            i for i in range(n_first) if (prop.x_bits >> (k + i)) & 1
+        )
+        assert frame.phase_check_toggles == tuple(
+            i for i in range(n_second) if (prop.z_bits >> (k + n_first + i)) & 1
+        )
 
 
 def test_pauli_frame_validates_input():
@@ -106,7 +126,6 @@ def test_logical_hadamard_twice_is_plain_encoder():
 
 def test_logical_hadamard_untouched_qubit():
     from cpc.gf2 import Gf2Matrix
-    from cpc.model import CpcCode
 
     code = CpcCode(
         mb=Gf2Matrix([[1, 0], [0, 0]]),
