@@ -325,11 +325,13 @@ def _code_faults(code: CpcCode | GeneralCpcCode) -> _Faults:
 
 
 class _Size(int):
-    """A draw size that is its own ``np.prod``: ``Generator.integers`` takes it
-    only to test for an empty draw, which on a plain int builds an array."""
+    """A draw size that is its own ``np.prod``, answered in numpy's C dispatch:
+    ``Generator.integers`` takes the product only to test for an empty draw,
+    which on a plain int builds an array.  Any other numpy function given a
+    ``_Size`` raises ``TypeError``."""
 
-    def prod(self, *args, **kwargs):
-        return self
+    def __array_function__(self, func, types, args, kwargs):
+        return self if func is np.prod else NotImplemented
 
 
 def _sample_error_events(
@@ -342,11 +344,11 @@ def _sample_error_events(
     reproduces that law exactly.  The subset is the set of distinct values of
     repeated uniform draws, each round drawing as many values as are still
     missing; the draws are the seeded contract, so their order and sizes must
-    not change.  Each size is passed as a ``_Size``, which only skips numpy's
-    empty-draw test, so the values and the generator state after them are
-    those of a plain int size.  Each round's new values are inserted into the
-    sorted subset, so a round costs one pass over it, and none when nothing
-    new was drawn.
+    not change.  Each size is passed as a ``_Size``, whose ``np.prod`` numpy's
+    dispatcher answers without building an array; the values and the generator
+    state after them are those of a plain int size.  Each round's new values
+    are inserted into the sorted subset, so a round costs one pass over it,
+    and none when nothing new was drawn.
     """
     chosen: list[np.ndarray] = []
     faults: list[int] = []

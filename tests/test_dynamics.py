@@ -532,16 +532,44 @@ def test_haar_block_is_bitwise_the_repeated_haar_state():
                 assert np.array_equal(block, np.array([haar_state(dim, rng) for _ in range(count)]))
 
 
+def test_size_answers_only_np_prod():
+    # _Size's __array_function__ answers np.prod with itself and refuses every
+    # other numpy function rather than return a wrong value
+    for n in (1, 42, 2**32 + 1):
+        assert np.prod(dynamics._Size(n)) == n
+    with pytest.raises(TypeError):
+        np.sum(dynamics._Size(3))
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2,
+    reason="the np.prod(size) call in Generator.integers is numpy 2's",
+)
+def test_integers_reaches_the_size_hook_once():
+    seen = []
+
+    class Counted(dynamics._Size):
+        def __array_function__(self, func, types, args, kwargs):
+            seen.append(func)
+            return super().__array_function__(func, types, args, kwargs)
+
+    rng = np.random.Generator(np.random.Philox(0))
+    assert rng.integers(0, 1000, size=Counted(5)).shape == (5,)
+    assert len(seen) == 1 and seen[0] is np.prod
+
+
 def test_sized_draw_is_the_plain_int_draw():
-    # _sample_error_events sizes its integers draws with _Size, which only skips
-    # numpy's np.prod(size): the values and the generator state after them must
-    # be a plain int size's, with and without a buffered 32-bit half before them.
+    # _sample_error_events sizes its integers draws with _Size, whose np.prod
+    # numpy's C dispatcher answers through __array_function__ instead of
+    # building an array: the values and the generator state after them must be
+    # a plain int size's, with and without a buffered 32-bit half before them.
     # At 2**31 + 1 Lemire's method rejects about half the words; 2**32 + 1 takes
-    # the 64-bit path.
+    # the 64-bit path.  420 and 4,096 are sweep-sized draws (an r=100 X fault
+    # draws about 420 cycles).
     for n in (1, 60_000, 2**31 + 1, 2**32, 2**32 + 1):
         for buffered in (0, 1):
             plain, sized = (np.random.Generator(np.random.Philox(n)) for _ in range(2))
-            for size in range(1, 65):
+            for size in (*range(1, 65), 420, 4096):
                 if plain.bit_generator.state["has_uint32"] != buffered:
                     for rng in (plain, sized):
                         rng.integers(0, 7, size=1, dtype=np.uint32)
