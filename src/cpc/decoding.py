@@ -300,12 +300,6 @@ class DecodingObstruction(ValueError):
         super().__init__(f"code is not single-error correcting: {detail}")
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    correction: PauliString  # on the k data qubits
-    category: str  # no_error | harmless | corrected | uncorrectable
-
-
 def _frozen(values) -> np.ndarray:
     """Read-only int64 array of ``values``, or of Python ints when some pass 63 bits."""
     try:
@@ -329,10 +323,12 @@ class DecodeTable:
     contributing nothing, and the syndrome is uncorrectable when either side
     is unknown.  For split codes the halves are decoded independently
     against the X-type and Z-type errors, so mixed X/Z multi-qubit events
-    (including Y errors) decompose cleanly.
+    (including Y errors) decompose cleanly.  Every single X or Z fault is
+    known: a split code's X faults fire only bit checks and its Z faults only
+    phase checks, a generalized code has one side, and each such fault's side
+    mask is in its side.
     """
 
-    k: int
     n_first: int
     n_second: int
     records: tuple[ErrorRecord, ...] = field(repr=False)
@@ -349,12 +345,8 @@ class DecodeTable:
         second = sum(b << i for i, b in enumerate(syndrome[self.n_first:]))
         return first, second
 
-    def syndrome(self, first: int, second: int) -> Syndrome:
-        """The syndrome with these side masks; the inverse of :meth:`split_sides`."""
-        return _syndrome(first, second, self.n_first, self.n_second)
-
     def syndrome_text(self, first: int, second: int) -> str:
-        """:meth:`syndrome` as a bit-string, each side least significant bit first."""
+        """The syndrome of side masks as a bit-string, each side least significant bit first."""
         return _bits_text(first | second << self.n_first, self.n_first + self.n_second)
 
     def lookup(self, first, second) -> tuple[np.ndarray, np.ndarray]:
@@ -370,6 +362,8 @@ class DecodeTable:
             (first, self.n_first, self.first), (second, self.n_second, self.second)
         ):
             masks = np.asarray(masks)
+            if not masks.size:  # np.asarray([]) is float64, which does not shift
+                masks = masks.astype(np.int64)
             if np.count_nonzero(masks >> width):  # a negative mask shifts to -1
                 bad = masks[(masks >> width) != 0].flat[0]
                 raise ValueError(f"side mask {bad} outside 0..{(1 << width) - 1}")
@@ -393,11 +387,6 @@ class DecodeTable:
             "harmless",
         )
         return corrections, categories
-
-    def decode(self, syndrome: Syndrome) -> TableEntry:
-        """Correction for a measured syndrome; the scalar form of :meth:`classify`."""
-        (cx, cz), category = self.classify(*self.split_sides(syndrome))
-        return TableEntry(PauliString(self.k, int(cx), int(cz)), str(category))
 
 
 def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:
@@ -436,7 +425,7 @@ def decode_table(
             # leaves its X part to the bit side.
             second[sz] = (0, rz)
     first, second = ((_frozen(list(s)), _frozen(list(s.values()))) for s in (first, second))
-    return DecodeTable(code.k, n1, n2, records, first, second)
+    return DecodeTable(n1, n2, records, first, second)
 
 
 def _check_cnot(control: int, target: int, k: int | None = None) -> None:

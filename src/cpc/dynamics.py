@@ -19,8 +19,9 @@ Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
 
 Both backends sample one fault table (``_code_faults``): a row per X and per Z
-fault of the decode table's ``records``, with its (syndrome, residual) effect
-and its Pauli.  The table is built once per code and cached; only the
+fault of the decode table's ``records``, with its syndrome, its Pauli, and
+its correction and net frame change (residual ^ correction) as the table
+decodes it alone.  The table is built once per code and cached; only the
 per-cycle probabilities depend on the call.  A trial's errors are (cycle,
 fault) pairs drawn from it.  Trial t draws its errors from the Philox stream
 of ``SeedSequence(seed, spawn_key=(t, 0))`` and, only when Frand is asked
@@ -29,15 +30,16 @@ from one vectorized kernel (:func:`cpc.search._philox_keys`), and each stream
 is one generator whose Philox state is reset to the trial's key.  The
 Pauli-frame backend is array code over a block of trials at a time.  A
 cycle's correction depends only on its own syndrome, never on the frame, so
-each fault's net frame change (residual ^ correction) is looked up once per
-code by :meth:`cpc.decoding.DecodeTable.lookup`, which the statevector
-oracle calls once per cycle.  A trial's events come grouped by fault, so the
-frame at a sample time is the XOR of the net changes of the faults that fired
-an odd number of times before it: one ``searchsorted`` of the block's events
-into the sample cycles and one ``bincount`` of (trial, fault, sample bin),
-with no sort by cycle.  Only cycles where faults coincide, found by sorting each
-trial's cycles, are looked up again, all of a block's in one call, and put
-their looked-up change in place of their faults' own.  The Haar-state
+a lone fault's net change comes from the fault table, and the statevector
+oracle calls :meth:`cpc.decoding.DecodeTable.lookup` once per cycle.  A
+trial's events come grouped by fault, so the frame at a sample time is the
+XOR of the net changes of the faults that fired an odd number of times
+before it: one ``searchsorted`` of the block's events into the sample
+cycles and one ``bincount`` of (trial, fault, sample bin), with no sort by
+cycle.  Only cycles where faults coincide, found by sorting each trial's
+cycles, are looked up again, all of a block's in one call, and put their
+looked-up change in place of their faults' own.  The table knows every lone
+fault's syndrome, so only such a cycle can be uncorrectable.  The Haar-state
 overlaps behind ``Frand`` are computed for every run of equal frames in a
 trial, all of a block's in one batched pass.  This is the batched Pauli-frame
 pattern of Stim (Gidney, arXiv:2103.02202), in numpy, across trials.
@@ -290,17 +292,17 @@ class _Faults:
 
     One row per X and per Z record of the code's decode table ``records``, in
     record order (qubit, then X before Z); a fault's index is its row.  Holds
-    whether the fault is an X fault, its (sx, sz, rx, rz) effect, the (x, z)
-    Pauli masks it puts on the register mid-window, and its own net frame
-    change (residual ^ correction) and known flag, all read-only.
+    whether the fault is an X fault, its syndrome and the table's correction
+    of it alone as (sx, sz, cx, cz), the (x, z) Pauli masks it puts on the
+    register mid-window, and its own net frame change (residual ^
+    correction), all read-only.  The table knows every such syndrome.
     """
 
     table: DecodeTable
     is_x: np.ndarray
-    effects: np.ndarray
+    decoded: np.ndarray
     paulis: np.ndarray
     net: np.ndarray
-    known: np.ndarray
 
     def probs(self, model: ErrorModel, rate: float) -> np.ndarray:
         """Each fault's per-cycle probability ``1 - exp(-eps / rate)``."""
@@ -319,9 +321,10 @@ def _code_faults(code: CpcCode | GeneralCpcCode) -> _Faults:
         [(1 << rec.qubit, 0) if rec.kind == "X" else (0, 1 << rec.qubit) for rec in rows],
         dtype=np.int64,
     )
-    correction, known = table.lookup(effects[:, 0], effects[:, 1])
+    correction, _ = table.lookup(effects[:, 0], effects[:, 1])
+    decoded = np.concatenate([effects[:, :2], correction], axis=1)
     net = effects[:, 2:] ^ correction
-    return _Faults(table, *(_read_only(a) for a in (is_x, effects, paulis, net, known)))
+    return _Faults(table, *(_read_only(a) for a in (is_x, decoded, paulis, net)))
 
 
 class _Size(int):
@@ -346,9 +349,7 @@ def _sample_error_events(
     missing; the draws are the seeded contract, so their order and sizes must
     not change.  Each size is passed as a ``_Size``, whose ``np.prod`` numpy's
     dispatcher answers without building an array; the values and the generator
-    state after them are those of a plain int size.  Each round's new values
-    are inserted into the sorted subset, so a round costs one pass over it,
-    and none when nothing new was drawn.
+    state after them are those of a plain int size.
     """
     chosen: list[np.ndarray] = []
     faults: list[int] = []
@@ -363,11 +364,8 @@ def _sample_error_events(
         if np.count_nonzero(cycles[1:] == cycles[:-1]):
             cycles = _distinct(cycles)
         while cycles.size < count:
-            more = _distinct(np.sort(rng.integers(0, n_cycles, size=_Size(count - cycles.size))))
-            at = np.searchsorted(cycles, more)
-            fresh = np.take(cycles, at, mode="clip") != more
-            if fresh.any():  # insert the draws not yet chosen in place: no re-sort
-                cycles = np.insert(cycles, at[fresh], more[fresh])
+            more = rng.integers(0, n_cycles, size=_Size(count - cycles.size))
+            cycles = _distinct(np.sort(np.concatenate((cycles, more))))
         chosen.append(cycles)
         faults.append(fault)
     if not chosen:
@@ -393,62 +391,60 @@ _TRIAL_BLOCK = 64
 _BLOCK_CELLS = 1 << 20
 
 
-def _frame_block(events, effects, fault_net, fault_known, table, sample_cycles):
+def _frame_block(events, faults, sample_cycles):
     """The Pauli frames of a block of trials at the sample times, as a
     (trials, samples, 2) array of (x, z) masks, and the number of error cycles
     before the last sample time whose syndrome has no single-error explanation.
 
     ``events`` holds each trial's (cycles, faults) from ``_sample_error_events``:
     grouped by fault, each fault's cycles increasing.  So the frame at sample s
-    is the XOR of ``fault_net[f]`` over the faults f that fired an odd number
+    is the XOR of ``faults.net[f]`` over the faults f that fired an odd number
     of times before ``sample_cycles[s]``, found by one ``searchsorted`` and one
     ``bincount``, with no sort by cycle.  A cycle where faults coincide is
-    looked up again: its net change replaces the XOR of its faults' own.  The
-    block's coincident events are grouped by (trial, cycle) and XORed in one
-    ``reduceat``; XOR is exact in any order, so the grouping moves no bit.
+    looked up again, and only it can be unknown: it toggles the correction of
+    its XORed syndrome and its faults' own, which swaps their nets for its net
+    change.  The block's coincident events are grouped by (trial, cycle) and
+    XORed in one ``reduceat``; XOR is exact in any order, so the grouping moves
+    no bit.
     """
-    n_trials, n_faults, n_bins = len(events), fault_net.shape[0], sample_cycles.size + 1
-    moves = fault_net.any(axis=1)
+    n_trials, n_faults, n_bins = len(events), faults.net.shape[0], sample_cycles.size + 1
+    moves = faults.net.any(axis=1)
     # toggles[t, b]: XOR of the net changes that enter trial t's frame at sample b
     # (b = n_bins - 1: after the last sample, never applied or counted)
     toggles = np.zeros((n_trials, n_bins, 2), dtype=np.int64)
-    unknown = 0
-    matters = moves | ~fault_known  # a fault whose lone events change a frame or a count
-    if matters.any():
+    if moves.any():
         trial = np.repeat(np.arange(n_trials), [c.size for c, _ in events])
         cycles = np.concatenate([c for c, _ in events])
-        faults = np.concatenate([f for _, f in events])
-        keep = matters[faults]
-        trial, faults = trial[keep], faults[keep]
+        rows = np.concatenate([f for _, f in events])
+        keep = moves[rows]
+        trial, rows = trial[keep], rows[keep]
         bins = np.searchsorted(sample_cycles, cycles[keep], side="right")
-        unknown += int(np.count_nonzero(~fault_known[faults] & (bins < n_bins - 1)))
         counts = np.bincount(
-            (trial * n_faults + faults) * n_bins + bins, minlength=n_trials * n_faults * n_bins
+            (trial * n_faults + rows) * n_bins + bins, minlength=n_trials * n_faults * n_bins
         ).reshape(n_trials, n_faults, n_bins)
         for f in np.flatnonzero(moves):
-            toggles ^= (counts[:, f, :, None] & 1) * fault_net[f]
+            toggles ^= (counts[:, f, :, None] & 1) * faults.net[f]
     # Cycles where faults coincide, found by sorting each trial's cycles alone;
     # the events on them are those whose cycle searchsorted finds among the repeats.
     hits = []
-    for t, (cycles, faults) in enumerate(events):
+    for t, (cycles, rows) in enumerate(events):
         ordered = np.sort(cycles)
         repeats = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeats.size:
             hit = np.take(repeats, np.searchsorted(repeats, cycles), mode="clip") == cycles
-            hits.append((t, cycles[hit], faults[hit]))
+            hits.append((t, cycles[hit], rows[hit]))
+    unknown = 0
     if hits:
-        trial, cycles, faults = zip(*hits)
+        trial, cycles, rows = zip(*hits)
         trial = np.repeat(trial, [c.size for c in cycles])
-        cycles, faults = np.concatenate(cycles), np.concatenate(faults)
-        # such a cycle counts once, by its own lookup, not by its faults' flags
-        unknown -= int(np.count_nonzero(~fault_known[faults] & (cycles < sample_cycles[-1])))
-        # each (trial, cycle) gets the XOR of its faults' effects and of their own net changes
-        rows = np.concatenate([effects, fault_net], axis=1)[faults]
-        (cycles, trial), xor = _xor_by_keys((cycles, trial), rows)
-        correction, known = table.lookup(xor[:, 0], xor[:, 1])
+        # each (trial, cycle) gets the XOR of its faults' syndromes and own corrections
+        (cycles, trial), xor = _xor_by_keys(
+            (np.concatenate(cycles), trial), faults.decoded[np.concatenate(rows)]
+        )
+        correction, known = faults.table.lookup(xor[:, 0], xor[:, 1])
         bins = np.searchsorted(sample_cycles, cycles, side="right")
-        np.bitwise_xor.at(toggles, (trial, bins), xor[:, 2:4] ^ correction ^ xor[:, 4:])
-        unknown += int(np.count_nonzero(~known & (bins < n_bins - 1)))
+        np.bitwise_xor.at(toggles, (trial, bins), correction ^ xor[:, 2:])
+        unknown = int(np.count_nonzero(~known & (bins < n_bins - 1)))
     return np.bitwise_xor.accumulate(toggles, axis=1)[:, :-1], unknown
 
 
@@ -498,7 +494,8 @@ def simulate(
     reads 0 from the all-zeros start, ``Fplus`` the conjugate-basis analogue,
     and ``Frand`` the state fidelity averaged over Haar-random data states.
     Syndromes with no single-error explanation are left uncorrected on the
-    unknown side and counted in ``uncorrectable_cycles``.
+    unknown side and counted in ``uncorrectable_cycles``.  A code with no data
+    qubit has no fidelity to track and raises ``ValueError``.
 
     The ``statevector`` backend holds 2 + ``haar_states`` (2 without Frand)
     probe states of 2**n amplitudes in one stack, so it refuses more than 14
@@ -518,6 +515,8 @@ def simulate(
                 f"amplitudes exceed the 2**22-amplitude stack; lower haar_states"
             )
     k = code.k
+    if k == 0:
+        raise ValueError("simulate needs a code with at least one data qubit, got data 0")
     if code.qubit_count > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
     faults = _code_faults(code)
@@ -564,9 +563,7 @@ def simulate(
         trials = range(first, min(first + block, cfg.trials))
         if backend == "pauli_frame":
             haar, events = zip(*draws(trials))
-            frames, unknown = _frame_block(
-                events, faults.effects, faults.net, faults.known, faults.table, sample_cycles
-            )
+            frames, unknown = _frame_block(events, faults, sample_cycles)
             values = _frame_values(frames, np.stack(haar) if frand else None, cfg.metrics)
             uncorrectable += unknown
             add(values)

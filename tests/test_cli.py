@@ -11,8 +11,10 @@ from cpc import cli, decoding
 from cpc.circuits import PauliString
 from cpc.cli import main
 from cpc.decoding import code_distance, decode_table, is_single_error_correcting, single_error_records
+from cpc.gf2 import Gf2Matrix, row_space_equal
 from cpc.model import parse, serialize
 from cpc.search import cnot_compatible_predicate, random_code, search
+from cpc.stabilizers import symplectic_matrix
 
 
 def _run(capsys, *argv):
@@ -146,7 +148,9 @@ def _tuple_formatted_tables(code) -> tuple[str, str]:
     if not is_single_error_correcting(code):
         return errors, ""
     sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
-    syndromes, first, second = zip(*sorted((table.syndrome(*s), *s) for s in sides))
+    widths = (table.n_first, table.n_second)
+    as_tuple = lambda sides: tuple(m >> i & 1 for m, w in zip(sides, widths) for i in range(w))
+    syndromes, first, second = zip(*sorted((as_tuple(s), *s) for s in sides))
     corrections, categories = table.classify(first, second)
     rows = ["syndrome\tclass\tcorrection"] + [
         f"{bits(syndrome)}\t{category}\t{PauliString(code.k, cx, cz).label(code.qubit_label)}"
@@ -171,6 +175,29 @@ def test_tables_print_the_tuple_formatted_syndromes(tmp_path, capsys, fixture_di
         assert _run(capsys, "decode-table", str(path))[:2] == (0 if decodes else 1, decodes)
         decoded += bool(decodes)
     assert decoded == 3  # 10-3-3, 11-3-3 and the code with no data
+
+
+def test_error_table_of_a_code_with_no_qubits_is_its_header(tmp_path, capsys):
+    path = tmp_path / "empty.cpc"
+    path.write_text("CPC split\ndata 0\nbit 0\nphase 0\nB\nP\nC\n", encoding="utf-8")
+    assert _run(capsys, "error-table", str(path)) == (0, "error\tsyndrome\tclass\n", "")
+
+
+def test_css_file_with_an_empty_gx_section_converts(tmp_path, capsys, fixture_dir):
+    # 6-3-1 has no phase checks, so its CSS form has a GX header and no rows
+    css_path = tmp_path / "631.css"
+    rc, css, _ = _run(capsys, "cpc-to-css", str(fixture_dir / "6-3-1.cpc"))
+    assert rc == 0 and css.startswith("CSS\nGZ\n") and css.endswith("\nGX\n")
+    css_path.write_text(css, encoding="utf-8")
+    g_z = Gf2Matrix([[int(ch) for ch in row] for row in css.split("\n")[2:-2]])
+    rc, out, _ = _run(capsys, "css-to-cpc", str(css_path))
+    assert rc == 0 and out.endswith("# column permutation: 2 4 5 0 1 3\n")
+    code = parse(out)
+    assert "phase 0\n" in out and code.n_p == 0
+    new_gz, new_gx = symplectic_matrix(code)
+    original_order = np.argsort([2, 4, 5, 0, 1, 3])
+    assert row_space_equal(Gf2Matrix(new_gz.data[:, original_order]), g_z)
+    assert new_gx.rows == 0
 
 
 def test_decode_table_flawed_exits_one(capsys, fixture_dir):
@@ -521,6 +548,23 @@ def test_simulate_rejects_out_of_domain_input(capsys, fixture_dir, flag, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag.lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize("backend", ["pauli_frame", "statevector"])
+@pytest.mark.parametrize(
+    "text",
+    ["bit 0\nphase 0\nB\nP\nC\n", "bit 1\nphase 1\nB\nP\nC\n1\n"],
+    ids=["no-checks", "two-checks"],
+)
+def test_simulate_refuses_a_code_with_no_data_qubit(tmp_path, capsys, text, backend):
+    path = tmp_path / "no-data.cpc"
+    path.write_text("CPC split\ndata 0\n" + text, encoding="utf-8")
+    code, out, err = _run(
+        capsys, "simulate", str(path), "--eps-bit", "1", "--eps-phase", "1", "--t-max", "2",
+        "--trials", "2", "--samples", "2", "--haar-states", "1", "--backend", backend,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: simulate needs a code with at least one data qubit, got data 0\n"
 
 
 def test_search_command_writes_codes(tmp_path, capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixture_code, seeded_random_codes, seeded_random_general_codes
+from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes, seeded_random_general_codes
 from ml_reference import infer_check_errors, ml_decode_exhaustive
 from cpc.circuits import PauliString
 from cpc.decoding import (
@@ -29,6 +29,7 @@ from cpc.decoding import (
 from cpc.gf2 import Gf2Matrix
 from cpc.model import CpcCode, GeneralCpcCode, InvalidCodeError, generalize
 from cpc.propagation import effective_codes, general_to_classical
+from cpc.search import random_code
 from cpc.stabilizers import check_matrix, split_check_rows
 
 
@@ -121,20 +122,20 @@ def test_decode_table_known_corrections():
     code = fixture_code("11-3-3")
     table = decode_table(code)
     # single data error
-    entry = table.decode((1, 0, 1, 0, 0, 0, 0, 0))
-    assert entry.correction == PauliString(3, x_bits=0b001) and entry.category == "corrected"
+    (cx, cz), category = table.classify(*table.split_sides((1, 0, 1, 0, 0, 0, 0, 0)))
+    assert (cx, cz, category) == (0b001, 0, "corrected")
     # propagated bit-flip from the first phase check: fix both data qubits
-    entry = table.decode((0, 0, 1, 1, 0, 0, 0, 0))
-    assert entry.correction == PauliString(3, x_bits=0b011)
+    (cx, cz), category = table.classify(*table.split_sides((0, 0, 1, 1, 0, 0, 0, 0)))
+    assert (cx, cz, category) == (0b011, 0, "corrected")
     # harmless: an X on a bit check flags only itself
-    entry = table.decode((1, 0, 0, 0, 0, 0, 0, 0))
-    assert entry.category == "harmless" and entry.correction.weight() == 0
+    (cx, cz), category = table.classify(*table.split_sides((1, 0, 0, 0, 0, 0, 0, 0)))
+    assert (cx, cz, category) == (0, 0, "harmless")
     # empty syndrome
-    entry = table.decode((0,) * 8)
-    assert entry.category == "no_error"
+    (cx, cz), category = table.classify(*table.split_sides((0,) * 8))
+    assert (cx, cz, category) == (0, 0, "no_error")
     # unknown syndrome
-    entry = table.decode((1, 1, 1, 0, 0, 0, 0, 0))
-    assert entry.category == "uncorrectable"
+    _, category = table.classify(*table.split_sides((1, 1, 1, 0, 0, 0, 0, 0)))
+    assert category == "uncorrectable"
 
 
 def test_decode_corrects_every_harmful_single_error():
@@ -144,10 +145,9 @@ def test_decode_corrects_every_harmful_single_error():
         n1 = code.n_b if hasattr(code, "n_b") else code.n_c
         n2 = code.n_p if hasattr(code, "n_p") else 0
         for rec in single_error_records(code):
-            entry = table.decode(rec.syndrome(n1, n2))
+            (cx, cz), _ = table.classify(*table.split_sides(rec.syndrome(n1, n2)))
             # correction must cancel the residual exactly
-            assert entry.correction.x_bits == rec.rx, rec.label
-            assert entry.correction.z_bits == rec.rz, rec.label
+            assert (cx, cz) == (rec.rx, rec.rz), rec.label
 
 
 def test_decode_y_on_parity_qubit_composes_sides():
@@ -155,8 +155,8 @@ def test_decode_y_on_parity_qubit_composes_sides():
     table = decode_table(code)
     recs = {(r.qubit, r.kind): r for r in single_error_records(code)}
     rec = recs[(code.phase_index(0), "Y")]  # Y on p1
-    entry = table.decode(rec.syndrome(code.n_b, code.n_p))
-    assert entry.correction.x_bits == rec.rx and entry.correction.z_bits == rec.rz
+    (cx, cz), _ = table.classify(*table.split_sides(rec.syndrome(code.n_b, code.n_p)))
+    assert (cx, cz) == (rec.rx, rec.rz)
 
 
 def _side_dict(side):
@@ -181,18 +181,18 @@ def test_side_arrays_match_decode_on_every_syndrome():
             syndrome = tuple((a >> i) & 1 for i in range(table.n_first)) + tuple(
                 (b >> i) & 1 for i in range(table.n_second)
             )
-            assert table.syndrome(a, b) == syndrome
             assert table.split_sides(syndrome) == (a, b)
-            entry = table.decode(syndrome)
             known = a in first and b in second
-            assert known == (entry.category != "uncorrectable"), (code, syndrome)
             (ax, az), (bx, bz) = first.get(a, (0, 0)), second.get(b, (0, 0))
             cx, cz = ax ^ bx, az ^ bz
-            assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
             (lx, lz), lknown = table.lookup(a, b)
             assert (lx, lz, lknown) == (cx, cz, known), (code, syndrome)
+            expected = (
+                "no_error" if a == b == 0 else "uncorrectable" if not known
+                else "corrected" if cx or cz else "harmless"
+            )
             (lx, lz), category = table.classify(a, b)
-            assert (lx, lz, category) == (cx, cz, entry.category), (code, syndrome)
+            assert (lx, lz, category) == (cx, cz, expected), (code, syndrome)
         # the same lookup over arrays of side masks, every pair at once
         grid_a, grid_b = np.divmod(np.arange(width_a * width_b), width_b)
         corrections, known = table.lookup(grid_a, grid_b)
@@ -202,10 +202,28 @@ def test_side_arrays_match_decode_on_every_syndrome():
         for a, b, (cx, cz), ok, category in zip(
             grid_a.tolist(), grid_b.tolist(), corrections, known, categories
         ):
-            entry = table.decode(table.syndrome(a, b))
-            assert ok == (entry.category != "uncorrectable"), (code, a, b)
-            assert (cx, cz) == (entry.correction.x_bits, entry.correction.z_bits)
-            assert category == entry.category, (code, a, b)
+            (sx, sz), scalar_ok = table.lookup(a, b)
+            assert (cx, cz, ok) == (sx, sz, scalar_ok), (code, a, b)
+            assert category == table.classify(a, b)[1], (code, a, b)
+
+
+def test_lookup_knows_every_lone_x_and_z_fault():
+    # The frame kernel takes every lone X or Z fault as known: a split code's X
+    # faults fire only bit checks and its Z faults only phase checks, a
+    # generalized code has one side, and each side holds its faults' masks.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(29)))
+    codes = [fixture_code(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cpc"))]
+    codes += seeded_random_codes(300, seed=93) + seeded_random_general_codes(300, seed=94)
+    # empty sides: no bit checks, no phase checks, no checks at all
+    for k, n_b, n_p in itertools.product((1, 3), (0, 3), (0, 3)):
+        codes.append(random_code(k, n_b, n_p, rng))
+    no_checks = Gf2Matrix.zeros(2, 0)
+    codes.append(GeneralCpcCode(mbs=no_checks, mps=no_checks, mcs=Gf2Matrix.zeros(0, 0)))
+    for code in codes:
+        table = decode_table(code, require_correcting=False)
+        lone = [r for r in table.records if r.kind != "Y"]
+        _, known = table.lookup([r.sx for r in lone], [r.sz for r in lone])
+        assert known.all(), (code, [r.label for r, ok in zip(lone, known) if not ok])
 
 
 @pytest.mark.parametrize(
@@ -241,6 +259,11 @@ def test_lookup_edges_of_the_mask_range():
     assert corrections.shape == (0, 2) and known.shape == (0,)
     corrections, categories = table.classify(empty, empty)
     assert corrections.shape == (0, 2) and categories.shape == (0,)
+    # and empty lists, as the error table of a code with no qubits passes them
+    corrections, known = table.lookup([], [])
+    assert corrections.shape == (0, 2) and known.shape == (0,)
+    corrections, categories = table.classify([], [])
+    assert corrections.shape == (0, 2) and categories.shape == (0,)
 
 
 def test_decode_table_keeps_masks_past_63_bits():
@@ -258,8 +281,9 @@ def test_decode_table_keeps_masks_past_63_bits():
     unique = [r for r in table.records if counts[r.sx, r.sz] == 1 and (r.sx or r.sz)]
     assert any((r.rx | r.rz) >> 63 for r in unique)
     for rec in unique:
-        entry = table.decode(rec.syndrome(table.n_first, table.n_second))
-        assert (entry.correction.x_bits, entry.correction.z_bits) == (rec.rx, rec.rz), rec.label
+        syndrome = rec.syndrome(table.n_first, table.n_second)
+        (cx, cz), _ = table.classify(*table.split_sides(syndrome))
+        assert (cx, cz) == (rec.rx, rec.rz), rec.label
 
 
 def test_decode_table_obstruction_certificate():
@@ -268,7 +292,7 @@ def test_decode_table_obstruction_certificate():
     assert "Z_b1" in str(err.value)
     # non-strict mode still yields a usable (best-effort) table
     table = decode_table(fixture_code("11-3-1"), require_correcting=False)
-    assert table.decode((0,) * 8).category == "no_error"
+    assert table.classify(*table.split_sides((0,) * 8))[1] == "no_error"
 
 
 def test_cnot_compatible_fixtures():
@@ -500,7 +524,9 @@ def test_ising_matches_ml_on_general_classical_code():
     "call, message",
     [
         (
-            lambda cc: decode_table(fixture_code("11-3-3")).decode((2, 0, 0, 0, 0, 0, 0, 0)),
+            lambda cc: (table := decode_table(fixture_code("11-3-3"))).classify(
+                *table.split_sides((2, 0, 0, 0, 0, 0, 0, 0))
+            ),
             r"syndrome\[0\] is 2, expected 0 or 1",
         ),
         (

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import sys
@@ -209,6 +208,24 @@ def test_statevector_stack_memory_bound(monkeypatch, capsys, fixture_dir):
     assert "haar_states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["pauli_frame", "statevector"])
+@pytest.mark.parametrize("n_checks", [0, 1])
+def test_simulate_refuses_a_code_with_no_data_qubit(backend, n_checks):
+    # no data qubit, no fidelity: neither a fault table with no rows nor a
+    # check qubit read as data qubit 0
+    from cpc.gf2 import Gf2Matrix
+    from cpc.model import CpcCode
+
+    code = CpcCode(
+        mb=Gf2Matrix.zeros(0, n_checks),
+        mp=Gf2Matrix.zeros(0, n_checks),
+        mc=Gf2Matrix(np.ones((n_checks, n_checks), dtype=np.uint8)),
+    )
+    cfg = SimConfig(cycle_rate=10.0, t_max=2.0, trials=2, haar_states=1, samples=2)
+    with pytest.raises(ValueError, match="at least one data qubit"):
+        simulate(code, ErrorModel(1.0, 1.0), cfg, backend=backend)
+
+
 def test_pauli_frame_qubit_limit():
     from cpc.gf2 import Gf2Matrix
     from cpc.model import CpcCode
@@ -238,8 +255,8 @@ def test_split_code_with_21_bit_checks_decodes_and_simulates():
     assert code.n_b == 21
     table = decode_table(code)
     for rec in table.records:
-        entry = table.decode(rec.syndrome(code.n_b, code.n_p))
-        assert (entry.correction.x_bits, entry.correction.z_bits) == (rec.rx, rec.rz), rec.label
+        (cx, cz), _ = table.classify(*table.split_sides(rec.syndrome(code.n_b, code.n_p)))
+        assert (cx, cz) == (rec.rx, rec.rz), rec.label
     cfg = SimConfig(cycle_rate=10.0, t_max=20.0, trials=4, haar_states=2, samples=4)
     res = simulate(code, ErrorModel(0.05, 0.05), cfg)
     assert res.trials == 4 and res.uncorrectable_cycles > 0
@@ -623,7 +640,7 @@ def test_interleaved_simulations_keep_their_results():
 
 def test_cached_fault_arrays_are_read_only():
     faults = dynamics._code_faults(fixture_code("10-3-3"))
-    arrays = [faults.is_x, faults.effects, faults.paulis, faults.net, faults.known]
+    arrays = [faults.is_x, faults.decoded, faults.paulis, faults.net]
     arrays += [*faults.table.first, *faults.table.second]
     for array in arrays:
         assert not array.flags.writeable
@@ -788,11 +805,11 @@ def _scalar_frame_trial(table, records, ordered_events, sample_cycles, haar, met
             syndrome = tuple((sx >> i) & 1 for i in range(table.n_first)) + tuple(
                 (sz >> i) & 1 for i in range(table.n_second)
             )
-            entry = table.decode(syndrome)
-            if entry.category == "uncorrectable":
+            (cx, cz), category = table.classify(*table.split_sides(syndrome))
+            if category == "uncorrectable":
                 bad += 1
-            frame_x ^= rx ^ entry.correction.x_bits
-            frame_z ^= rz ^ entry.correction.z_bits
+            frame_x ^= rx ^ int(cx)
+            frame_z ^= rz ^ int(cz)
         if "F0" in metrics:
             values["F0"][s_idx] = 0.0 if frame_x & 1 else 1.0
         if "Fplus" in metrics:
@@ -987,30 +1004,6 @@ def test_trial_block_size_does_not_change_the_output(monkeypatch, name, eps):
         results.append((res.uncorrectable_cycles, _curve_sha256(res)))
     assert results[0][0] > 0
     assert results == [results[0]] * len(results)
-
-
-def test_backends_count_unknown_lone_faults_the_same(monkeypatch):
-    # A table that explains no phase-side syndrome leaves every lone Z fault
-    # unknown; a cycle where such a fault coincides with others counts once,
-    # by its own lookup, not once per unknown fault.
-    def bit_side_only(code, require_correcting):
-        table = decode_table(code, require_correcting=require_correcting)
-        nothing = (np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
-        return replace(table, second=nothing)
-
-    monkeypatch.setattr(dynamics, "decode_table", bit_side_only)
-    # a fresh per-code cache, so the patched table is built and is not kept
-    fresh_cache = functools.lru_cache(dynamics._code_faults.__wrapped__)
-    monkeypatch.setattr(dynamics, "_code_faults", fresh_cache)
-    code = fixture_code("11-3-3")
-    model = ErrorModel(eps_bit=3.0, eps_phase=3.0)
-    cfg = SimConfig(10.0, 2.0, 4, haar_states=2, rng_seed=8, samples=4)
-    frame = simulate(code, model, cfg, backend="pauli_frame")
-    vector = simulate(code, model, cfg, backend="statevector")
-    assert frame.uncorrectable_cycles > 0
-    assert vector.uncorrectable_cycles == frame.uncorrectable_cycles
-    for metric in cfg.metrics:
-        assert np.allclose(frame.means[metric], vector.means[metric], atol=1e-10)
 
 
 def test_kernel_matches_scalar_reference_near_2_to_the_62_cycles():
