@@ -433,7 +433,9 @@ def _check_cnot(control: int, target: int, k: int | None = None) -> None:
     if control == target:
         raise ValueError("control and target must differ")
     if k is not None and not (0 <= control < k and 0 <= target < k):
-        raise ValueError(f"data indices must lie in 0..{k - 1}")
+        raise ValueError(
+            f"data indices must lie in 0..{k - 1}" if k else "the code has no data qubits"
+        )
 
 
 def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityReport:

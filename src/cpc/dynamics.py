@@ -25,9 +25,12 @@ decodes it alone.  The table is built once per code and cached; only the
 per-cycle probabilities depend on the call.  A trial's errors are (cycle,
 fault) pairs drawn from it.  Trial t draws its errors from the Philox stream
 of ``SeedSequence(seed, spawn_key=(t, 0))`` and, only when Frand is asked
-for, its Haar states from ``(t, 1)``; the keys of a block of trials come
-from one vectorized kernel (:func:`cpc.search._philox_keys`), and each stream
-is one generator whose Philox state is reset to the trial's key.  The
+for, its Haar states' Gaussians from ``(t, 1)``; the keys of a block of
+trials come from one vectorized kernel (:func:`cpc.search._philox_keys`), and
+each stream is one generator whose Philox state is reset to the trial's key.
+Cycle indices are int32 in a run of fewer than 2**31 cycles and int64 from
+2**31 on, through the same code; the int32 draws are the int64 draws'
+values (see :func:`_sample_error_events`).  The
 Pauli-frame backend is array code over a block of trials at a time.  A
 cycle's correction depends only on its own syndrome, never on the frame, so
 a lone fault's net change comes from the fault table, and the statevector
@@ -39,9 +42,10 @@ cycles and one ``bincount`` of (trial, fault, sample bin), with no sort by
 cycle.  Only cycles where faults coincide, found by sorting each trial's
 cycles, are looked up again, all of a block's in one call, and put their
 looked-up change in place of their faults' own.  The table knows every lone
-fault's syndrome, so only such a cycle can be uncorrectable.  The Haar-state
-overlaps behind ``Frand`` are computed for every run of equal frames in a
-trial, all of a block's in one batched pass.  This is the batched Pauli-frame
+fault's syndrome, so only such a cycle can be uncorrectable.  The Haar states
+behind ``Frand`` are normalised once per block, over the trials' stacked
+draws, and their overlaps computed for every run of equal frames in a trial,
+all of a block's in one batched pass.  This is the batched Pauli-frame
 pattern of Stim (Gidney, arXiv:2103.02202), in numpy, across trials.
 """
 
@@ -164,18 +168,18 @@ def _x_expectations(states: np.ndarray, q: int) -> np.ndarray:
     return 2.0 * (real + imag)
 
 
-def _haar_block(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar states from one draw, bit-identical to drawing each state's
-    real then imaginary Gaussians in turn: ``normal`` fills in order, and each
-    row keeps its own norm, computed as ``np.linalg.norm`` computes it (a
-    batched norm sums in another order).  That norm is ``re.dot(re) +
-    im.dot(im)`` on the strided views; stacked (1 x dim) @ (dim x 1) matmuls
-    run that same dot on every row, in one call per part."""
-    parts = rng.normal(size=(count, 2, dim))
-    vecs = parts[:, 0] + 1j * parts[:, 1]
-    re, im = vecs.real[:, None], vecs.imag[:, None]
-    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
-    return vecs / norms[:, 0]
+def _haar_states(parts: np.ndarray) -> np.ndarray:
+    """Haar states from Gaussian draws shaped (..., 2, dim): each state's real
+    then imaginary parts, as ``normal`` fills them when a trial draws its
+    states one after another.  Each row keeps its own norm, computed as
+    ``np.linalg.norm`` computes it (a batched norm sums in another order).
+    That norm is ``re.dot(re) + im.dot(im)`` on the strided views; stacked
+    (1 x dim) @ (dim x 1) matmuls run that same dot on every row, in one call
+    per part however many leading axes (trials, states) the draws have."""
+    vecs = parts[..., 0, :] + 1j * parts[..., 1, :]
+    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
+    norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    return vecs / norms[..., 0]
 
 
 # --- stochastic cycle simulation ---------------------------------------------
@@ -337,6 +341,12 @@ class _Size(int):
         return self if func is np.prod else NotImplemented
 
 
+def _cycle_dtype(n_cycles: int) -> type:
+    """The dtype of cycle indices in a run of ``n_cycles`` cycles: a sample
+    cycle can equal ``n_cycles``, so int32 holds them only below 2**31."""
+    return np.int32 if n_cycles < 2**31 else np.int64
+
+
 def _sample_error_events(
     rng: np.random.Generator, probs: np.ndarray, n_cycles: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +360,14 @@ def _sample_error_events(
     not change.  Each size is passed as a ``_Size``, whose ``np.prod`` numpy's
     dispatcher answers without building an array; the values and the generator
     state after them are those of a plain int size.
+
+    The cycles come as ``_cycle_dtype(n_cycles)``: int32 below 2**31 cycles,
+    else int64.  Under a bound below 2**32 numpy draws either dtype with the
+    same 32-bit Lemire routine, so the values and the generator state after
+    them are those of the default int64 draw; int32 halves the bytes that the
+    sorts here and in ``_frame_block`` move.
     """
+    dtype = _cycle_dtype(n_cycles)
     chosen: list[np.ndarray] = []
     faults: list[int] = []
     for fault, prob in enumerate(probs.tolist()):
@@ -359,17 +376,17 @@ def _sample_error_events(
         count = int(rng.binomial(n_cycles, prob))
         if not count:
             continue
-        cycles = rng.integers(0, n_cycles, size=_Size(count))
+        cycles = rng.integers(0, n_cycles, size=_Size(count), dtype=dtype)
         cycles.sort()
         if np.count_nonzero(cycles[1:] == cycles[:-1]):
             cycles = _distinct(cycles)
         while cycles.size < count:
-            more = rng.integers(0, n_cycles, size=_Size(count - cycles.size))
+            more = rng.integers(0, n_cycles, size=_Size(count - cycles.size), dtype=dtype)
             cycles = _distinct(np.sort(np.concatenate((cycles, more))))
         chosen.append(cycles)
         faults.append(fault)
     if not chosen:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
     sizes = [c.size for c in chosen]
     return np.concatenate(chosen), np.repeat(np.array(faults, dtype=np.int64), sizes)
 
@@ -405,7 +422,10 @@ def _frame_block(events, faults, sample_cycles):
     its XORed syndrome and its faults' own, which swaps their nets for its net
     change.  The block's coincident events are grouped by (trial, cycle) and
     XORed in one ``reduceat``; XOR is exact in any order, so the grouping moves
-    no bit.
+    no bit.  The cycles and ``sample_cycles`` share one dtype, int32 below
+    2**31 cycles (``_cycle_dtype``), so the per-trial sorts, the
+    concatenations and the ``searchsorted`` calls move half the bytes of
+    int64.
     """
     n_trials, n_faults, n_bins = len(events), faults.net.shape[0], sample_cycles.size + 1
     moves = faults.net.any(axis=1)
@@ -526,7 +546,7 @@ def simulate(
     times = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     sample_cycles = np.minimum(
         np.floor(times * r + 1e-9).astype(int), n_cycles
-    )
+    ).astype(_cycle_dtype(n_cycles))
 
     sums = {m: np.zeros(times.size) for m in cfg.metrics}
     sumsq = {m: np.zeros(times.size) for m in cfg.metrics}
@@ -539,14 +559,15 @@ def simulate(
     haar_rng = np.random.Generator(np.random.Philox(seq)) if frand else None
 
     def draws(trials):
-        """Each trial's Haar states (None without Frand) and error events."""
+        """Each trial's Haar-state Gaussians (None without Frand), shaped
+        (haar_states, 2, 2**k) for ``_haar_states``, and its error events."""
         event_keys = _philox_keys(seq, trials, 0).tolist()
         haar_keys = _philox_keys(seq, trials, 1).tolist() if frand else [None] * len(trials)
         for event_key, haar_key in zip(event_keys, haar_keys):
-            haar = None
+            parts = None
             if frand:
-                haar = _haar_block(1 << k, cfg.haar_states, _reset(haar_rng, haar_key))
-            yield haar, _sample_error_events(_reset(event_rng, event_key), probs, n_cycles)
+                parts = _reset(haar_rng, haar_key).normal(size=(cfg.haar_states, 2, 1 << k))
+            yield parts, _sample_error_events(_reset(event_rng, event_key), probs, n_cycles)
 
     def add(values):
         """Add one trial's values, or a block's (trials, samples) rows trial by
@@ -562,14 +583,16 @@ def simulate(
     for first in range(0, cfg.trials, block):
         trials = range(first, min(first + block, cfg.trials))
         if backend == "pauli_frame":
-            haar, events = zip(*draws(trials))
+            parts, events = zip(*draws(trials))
             frames, unknown = _frame_block(events, faults, sample_cycles)
-            values = _frame_values(frames, np.stack(haar) if frand else None, cfg.metrics)
+            haar = _haar_states(np.stack(parts)) if frand else None
+            values = _frame_values(frames, haar, cfg.metrics)
             uncorrectable += unknown
             add(values)
         else:
-            for haar, (event_cycles, fault_ids) in draws(trials):
+            for parts, (event_cycles, fault_ids) in draws(trials):
                 (cycles,), masks = _xor_by_keys((event_cycles,), faults.paulis[fault_ids])
+                haar = _haar_states(parts) if frand else None
                 values, unknown = _run_statevector_trial(
                     code, faults.table, cycles, masks, sample_cycles, haar, cfg.metrics
                 )

@@ -77,6 +77,8 @@ def logical_hadamard_circuit(code: CpcCode | GeneralCpcCode, data_qubit: int) ->
     The Hadamard runs first and swaps the basis of the qubit's end of each
     gate: a CNOT it controls becomes CCZX, and one it targets becomes CZ.
     """
+    if not code.k:
+        raise ValueError("the code has no data qubits")
     if not 0 <= data_qubit < code.k:
         raise ValueError(f"data index {data_qubit} outside 0..{code.k - 1}")
     return rewrite(encode_circuit(code), hadamard(data_qubit))

@@ -676,6 +676,17 @@ def test_logical_cnot_still_refuses_a_generalized_code(capsys, fixture_dir):
     assert err == "error: logical-cnot requires a split code\n"
 
 
+@pytest.mark.parametrize(
+    "command", [("logical-h", "--qubit", "0"), ("logical-cnot", "--control", "0", "--target", "1")]
+)
+def test_logical_gates_refuse_a_code_with_no_data_qubits(tmp_path, capsys, command):
+    path = tmp_path / "no-data.cpc"
+    path.write_text("CPC split\ndata 0\nbit 1\nphase 1\nB\nP\nC\n1\n", encoding="utf-8")
+    code, out, err = _run(capsys, command[0], str(path), *command[1:])
+    assert code == 2 and out == ""
+    assert err == "error: the code has no data qubits\n"
+
+
 def test_logical_h_on_general_code_is_input_error(capsys, fixture_dir):
     code, _, err = _run(
         capsys, "logical-h", str(fixture_dir / "10-3-3.cpc"), "--qubit", "0"
@@ -748,7 +759,10 @@ def test_search_rejects_out_of_range_cnot_before_any_trial(tmp_path, capsys, req
     )
     assert code == 2
     assert out == "" and not out_dir.exists()
-    assert err == f"error: data indices must lie in 0..{int(data) - 1}\n"
+    if data == "0":
+        assert err == "error: the code has no data qubits\n"
+    else:
+        assert err == f"error: data indices must lie in 0..{int(data) - 1}\n"
 
 
 def test_search_rejects_negative_cap(tmp_path, capsys):

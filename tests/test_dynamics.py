@@ -539,14 +539,26 @@ def test_haar_states_unit_norm_and_purity():
 
 
 def test_haar_block_is_bitwise_the_repeated_haar_state():
-    # simulate draws a trial's Haar states as one block; it must equal count
-    # successive haar_state calls, the two-draw formula the pinned curves assume
+    # simulate draws each trial's Haar states in one normal() call on the trial's
+    # own stream and normalises them with _haar_states: one trial's draw alone on
+    # the statevector backend, a block's stacked draws at once on the Pauli
+    # frame.  Each trial's states must equal count successive haar_state calls,
+    # the two-draw formula the pinned curves assume.
     for dim in (2, 4, 8, 16, 32, 64):
         for count in (1, 3, 10, 20):
             for seed in (0, 7, 101):
-                block = dynamics._haar_block(dim, count, _trial_rng(seed, 0, 1))
+                parts = _trial_rng(seed, 0, 1).normal(size=(count, 2, dim))
                 rng = _trial_rng(seed, 0, 1)
-                assert np.array_equal(block, np.array([haar_state(dim, rng) for _ in range(count)]))
+                want = np.array([haar_state(dim, rng) for _ in range(count)])
+                assert np.array_equal(dynamics._haar_states(parts), want)
+    for trials in (1, 8, 64):
+        for dim, count, seed in ((2, 20, 0), (8, 3, 7), (64, 1, 101), (16, 10, 2**40 + 3)):
+            parts = [_trial_rng(seed, t, 1).normal(size=(count, 2, dim)) for t in range(trials)]
+            block = dynamics._haar_states(np.stack(parts))
+            for t in range(trials):
+                rng = _trial_rng(seed, t, 1)
+                want = np.array([haar_state(dim, rng) for _ in range(count)])
+                assert np.array_equal(block[t], want), (trials, dim, count, seed, t)
 
 
 def test_size_answers_only_np_prod():
@@ -597,6 +609,33 @@ def test_sized_draw_is_the_plain_int_draw():
                 assert str(sized.bit_generator.state) == str(plain.bit_generator.state)
 
 
+def test_int32_draw_is_the_default_draw():
+    # Below 2**31 cycles _sample_error_events draws its cycles as int32.  Under
+    # a bound below 2**32 numpy's int32 and default int64 draws run the same
+    # 32-bit Lemire routine, so they must give the same values and leave the
+    # generator in the same state, between binomial draws as the sampler makes
+    # them.  A draw of an odd count of 32-bit words leaves a buffered half.
+    def state(rng):
+        s = rng.bit_generator.state
+        return (
+            s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"],
+        )
+
+    buffered = set()
+    for n in (1, 2, 60_000, 6_000_000, 2**31 - 1):
+        plain, narrow = (np.random.Generator(np.random.Philox(n)) for _ in range(2))
+        for size in (1, 42, 420) * 3:
+            for prob in (0.3, 1e-4):
+                assert plain.binomial(n, prob) == narrow.binomial(n, prob)
+            want = plain.integers(0, n, size=size)
+            got = narrow.integers(0, n, size=dynamics._Size(size), dtype=np.int32)
+            assert got.dtype == np.int32 and np.array_equal(got, want), (n, size)
+            assert state(narrow) == state(plain), (n, size)
+            buffered.add(state(plain)[4])
+    assert buffered == {0, 1}
+
+
 def test_reset_generator_draws_the_trial_streams():
     # simulate resets one generator per stream to each trial's key from the
     # search's key kernel; after any earlier draws (a buffered 32-bit half, a
@@ -620,8 +659,8 @@ def test_reset_generator_draws_the_trial_streams():
                     got = dynamics._sample_error_events(reset, probs, 50)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
                     fresh = _trial_rng(seed, trial, stream)
-                    block = dynamics._haar_block(8, 3, dynamics._reset(rng, key))
-                    assert np.array_equal(block, dynamics._haar_block(8, 3, fresh))
+                    parts = dynamics._reset(rng, key).normal(size=(3, 2, 8))
+                    assert np.array_equal(parts, fresh.normal(size=(3, 2, 8)))
 
 
 def test_interleaved_simulations_keep_their_results():
@@ -1017,6 +1056,31 @@ def test_kernel_matches_scalar_reference_near_2_to_the_62_cycles():
     log = {"rounds": [], "events": []}
     means, errors, uncorrectable = _scalar_simulate(code, model, cfg, log)
     assert max(max(events) for events in log["events"]) > 2**61
+    res = simulate(code, model, cfg)
+    assert res.uncorrectable_cycles == uncorrectable
+    assert res.means["Fplus"].min() < 1.0
+    for m in cfg.metrics:
+        assert np.array_equal(res.means[m], means[m]), m
+        assert np.array_equal(res.errors[m], errors[m]), m
+
+
+@pytest.mark.parametrize("n_cycles, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_kernel_matches_scalar_reference_at_the_int32_cycle_bound(n_cycles, dtype):
+    # A sample cycle can equal n_cycles, so cycle indices are int32 only below
+    # 2**31 cycles; at 2**31 the same code runs on int64.  p = 500 / n_cycles:
+    # each of 11-3-1's phase faults fires some 500 times per trial, cycles near
+    # the bound included, and a lone phase fault changes the frame.
+    code = fixture_code("11-3-1")
+    cfg = SimConfig(float(n_cycles), 1.0, 2, haar_states=2, rng_seed=31, samples=6)
+    model = ErrorModel(0.0, 500.0)
+    log = {"rounds": [], "events": []}
+    means, errors, uncorrectable = _scalar_simulate(code, model, cfg, log)
+    assert max(max(events) for events in log["events"]) > n_cycles - 2**22
+    probs = dynamics._code_faults(code).probs(model, cfg.cycle_rate)
+    cycles, _ = dynamics._sample_error_events(_trial_rng(cfg.rng_seed, 0, 0), probs, n_cycles)
+    assert cycles.dtype == dtype
+    for trial, events in enumerate(log["events"]):
+        assert _batched_events(code, model, cfg, trial) == events
     res = simulate(code, model, cfg)
     assert res.uncorrectable_cycles == uncorrectable
     assert res.means["Fplus"].min() < 1.0
