@@ -69,9 +69,8 @@ def _sweep(args) -> int:
         result = simulate(code, model, cfg)
         csv_path = args.out / f"rate-{rate:g}.csv"
         csv_path.write_text(result.to_csv(), encoding="utf-8", newline="")
-        mean, _ = result.column("Frand")
         try:
-            fit = fit_half_life(result.times, mean)
+            fit = fit_half_life(result.times, result.means["Frand"])
         except RuntimeError as exc:  # no convergence: exit 1, as for a degenerate series
             print(f"error: rate {rate:g} /s: {exc}", file=sys.stderr)
             return 1

@@ -56,6 +56,7 @@ from .decoding import (
     ising_problem,
     solve_ising,
 )
+from .faults import ErrorModel
 from .logical_ops import (
     PauliFrame,
     logical_cnot_circuit,
@@ -64,7 +65,6 @@ from .logical_ops import (
 )
 from .dynamics import (
     CoherentFidelity,
-    ErrorModel,
     HalfLifeFit,
     SimConfig,
     SimResult,

@@ -18,20 +18,16 @@ exactly, on the same small statevector engine.
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
 
-Both backends sample one fault table (``_code_faults``): a row per X and per Z
-fault of the decode table's ``records``, with its syndrome, its Pauli, and
-its correction and net frame change (residual ^ correction) as the table
-decodes it alone.  The table is built once per code and cached; only the
-per-cycle probabilities depend on the call.  A trial's errors are (cycle,
-fault) pairs drawn from it.  Trial t draws its errors from the Philox stream
-of ``SeedSequence(seed, spawn_key=(t, 0))`` and, only when Frand is asked
-for, its Haar states' Gaussians from ``(t, 1)``; the keys of a block of
-trials come from one vectorized kernel (:func:`cpc.search._philox_keys`), and
-each stream is one generator whose Philox state is reset to the trial's key.
-Cycle indices are int32 in a run of fewer than 2**31 cycles and int64 from
-2**31 on, through the same code; the int32 draws are the int64 draws'
-values (see :func:`_sample_error_events`).  The
-Pauli-frame backend is array code over a block of trials at a time.  A
+Both backends sample one fault table, :func:`cpc.faults.fault_table`; a
+trial's errors are (cycle, fault) pairs drawn from it.  Trial t draws its
+errors from the Philox stream of ``SeedSequence(seed, spawn_key=(t, 0))`` and,
+only when Frand is asked for, its Haar states' Gaussians from ``(t, 1)``; the
+keys of a block of trials come from one vectorized kernel
+(:func:`cpc.search._philox_keys`), and each stream is one generator whose
+Philox state is reset to the trial's key.  Cycle indices are int32 in a run of
+fewer than 2**31 cycles and int64 from 2**31 on, through the same code; the
+int32 draws are the int64 draws' values (see :func:`_sample_error_events`).
+The Pauli-frame backend is array code over a block of trials at a time.  A
 cycle's correction depends only on its own syndrome, never on the frame, so
 a lone fault's net change comes from the fault table, and the statevector
 oracle calls :meth:`cpc.decoding.DecodeTable.lookup` once per cycle.  A
@@ -64,14 +60,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, decode_circuit, encode_circuit
-from .decoding import DecodeTable, decode_table
-from .gf2 import Gf2Matrix, _read_only
+from .decoding import decode_table
+from .faults import ErrorModel, _require_finite, fault_table
+from .gf2 import Gf2Matrix
 from .model import CpcCode, GeneralCpcCode
 from .search import _philox_keys
 
 __all__ = [
     "METRICS",
-    "ErrorModel",
     "SimConfig",
     "SimResult",
     "simulate",
@@ -185,25 +181,6 @@ def _haar_states(parts: np.ndarray) -> np.ndarray:
 # --- stochastic cycle simulation ---------------------------------------------
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Independent X and Z error rates per qubit, in events per second."""
-
-    eps_bit: float
-    eps_phase: float
-
-    def __post_init__(self):
-        _require_finite("eps_bit", self.eps_bit)
-        _require_finite("eps_phase", self.eps_phase)
-        if self.eps_bit < 0 or self.eps_phase < 0:
-            raise ValueError("error rates must be non-negative")
-
-
 # The fidelity metrics simulate can report, in the order of SimResult's CSV columns.
 METRICS = ("F0", "Fplus", "Frand")
 
@@ -250,9 +227,6 @@ class SimResult:
     trials: int
     backend: str
 
-    def column(self, metric: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.means[metric], self.errors[metric]
-
     def to_csv(self) -> str:
         """The curves as CSV text: time, then mean and error of each metric
         simulated, in :data:`METRICS` order.
@@ -264,8 +238,7 @@ class SimResult:
         for i, t in enumerate(self.times):
             row = [f"{t:.6g}"]
             for metric in metrics:
-                mean, err = self.column(metric)
-                row += [f"{mean[i]:.8g}", f"{err[i]:.8g}"]
+                row += [f"{self.means[metric][i]:.8g}", f"{self.errors[metric][i]:.8g}"]
             writer.writerow(row)
         return buf.getvalue()
 
@@ -288,47 +261,6 @@ def _reset(rng: np.random.Generator, key) -> np.random.Generator:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array; np.unique would sort it again."""
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
-@dataclass(frozen=True)
-class _Faults:
-    """The per-cycle faults of the stochastic model, one row per fault.
-
-    One row per X and per Z record of the code's decode table ``records``, in
-    record order (qubit, then X before Z); a fault's index is its row.  Holds
-    whether the fault is an X fault, its syndrome and the table's correction
-    of it alone as (sx, sz, cx, cz), the (x, z) Pauli masks it puts on the
-    register mid-window, and its own net frame change (residual ^
-    correction), all read-only.  The table knows every such syndrome.
-    """
-
-    table: DecodeTable
-    is_x: np.ndarray
-    decoded: np.ndarray
-    paulis: np.ndarray
-    net: np.ndarray
-
-    def probs(self, model: ErrorModel, rate: float) -> np.ndarray:
-        """Each fault's per-cycle probability ``1 - exp(-eps / rate)``."""
-        p_x, p_z = (1.0 - math.exp(-eps / rate) for eps in (model.eps_bit, model.eps_phase))
-        return np.where(self.is_x, p_x, p_z)
-
-
-@functools.lru_cache(maxsize=16)
-def _code_faults(code: CpcCode | GeneralCpcCode) -> _Faults:
-    """The code's decode table and fault rows, built once per code."""
-    table = decode_table(code, require_correcting=False)
-    rows = [rec for rec in table.records if rec.kind != "Y"]
-    is_x = np.array([rec.kind == "X" for rec in rows], dtype=bool)
-    effects = np.array([(rec.sx, rec.sz, rec.rx, rec.rz) for rec in rows], dtype=np.int64)
-    paulis = np.array(
-        [(1 << rec.qubit, 0) if rec.kind == "X" else (0, 1 << rec.qubit) for rec in rows],
-        dtype=np.int64,
-    )
-    correction, _ = table.lookup(effects[:, 0], effects[:, 1])
-    decoded = np.concatenate([effects[:, :2], correction], axis=1)
-    net = effects[:, 2:] ^ correction
-    return _Faults(table, *(_read_only(a) for a in (is_x, decoded, paulis, net)))
 
 
 class _Size(int):
@@ -539,7 +471,7 @@ def simulate(
         raise ValueError("simulate needs a code with at least one data qubit, got data 0")
     if code.qubit_count > 62:
         raise ValueError("simulate supports at most 62 qubits (frames are int64 masks)")
-    faults = _code_faults(code)
+    faults = fault_table(code)
     r = cfg.cycle_rate
     probs = faults.probs(model, r)
     n_cycles = max(1, int(round(cfg.t_max * r)))

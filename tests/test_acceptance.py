@@ -215,8 +215,7 @@ def test_criterion_8_monte_carlo_protection():
             metrics=("Frand",),
         )
         res = simulate(fixture_code("11-3-3"), model, cfg)
-        mean, _ = res.column("Frand")
-        fit = fit_half_life(res.times, mean)
+        fit = fit_half_life(res.times, res.means["Frand"])
         half_lives.append(fit.lambda_half)
     lam = dict(zip(rates, half_lives))
     unprotected = math.log(2.0) / model.eps_bit  # ~99 s
@@ -238,7 +237,7 @@ def test_criterion_8_monte_carlo_protection():
         metrics=("Fplus",),
     )
     res631 = simulate(fixture_code("6-3-1"), ErrorModel(eps_bit=0.007, eps_phase=0.0), cfg631)
-    fplus, fplus_err = res631.column("Fplus")
+    fplus, fplus_err = res631.means["Fplus"], res631.errors["Fplus"]
     fplus_ok = bool(np.all(np.abs(fplus - 1.0) <= 3 * fplus_err + 1e-12))
 
     elapsed = time.perf_counter() - start

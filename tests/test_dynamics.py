@@ -18,6 +18,7 @@ from cpc.dynamics import (
     fit_half_life,
     simulate,
 )
+from cpc.faults import fault_table
 
 
 def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -72,28 +73,25 @@ def test_zero_rates_give_unit_fidelity():
     cfg = SimConfig(cycle_rate=10.0, t_max=5.0, trials=5, haar_states=4, rng_seed=1, samples=5)
     res = simulate(fixture_code("11-3-3"), ErrorModel(0.0, 0.0), cfg)
     for metric in ("F0", "Fplus"):
-        mean, err = res.column(metric)
-        assert np.all(mean == 1.0)
-        assert np.all(err == 0.0)
-    mean, err = res.column("Frand")
-    assert np.allclose(mean, 1.0, atol=1e-12)
-    assert np.all(err < 1e-12)
+        assert np.all(res.means[metric] == 1.0)
+        assert np.all(res.errors[metric] == 0.0)
+    assert np.allclose(res.means["Frand"], 1.0, atol=1e-12)
+    assert np.all(res.errors["Frand"] < 1e-12)
 
 
 def test_fidelities_stay_in_unit_interval():
     cfg = SimConfig(cycle_rate=5.0, t_max=10.0, trials=20, haar_states=5, rng_seed=5, samples=8)
     res = simulate(fixture_code("11-3-3"), ErrorModel(0.5, 0.2), cfg)
     for metric in ("F0", "Fplus", "Frand"):
-        mean, _ = res.column(metric)
+        mean = res.means[metric]
         assert np.all(mean >= 0.0) and np.all(mean <= 1.0)
 
 
 def test_631_fplus_immune_to_bit_flips():
     cfg = SimConfig(cycle_rate=100.0, t_max=400.0, trials=150, haar_states=4, rng_seed=9, samples=8)
     res = simulate(fixture_code("6-3-1"), ErrorModel(0.007, 0.0), cfg)
-    fplus, err = res.column("Fplus")
-    assert np.all(fplus == 1.0)
-    assert np.all(err == 0.0)
+    assert np.all(res.means["Fplus"] == 1.0)
+    assert np.all(res.errors["Fplus"] == 0.0)
 
 
 def test_reproducibility_same_seed():
@@ -191,7 +189,7 @@ def test_statevector_stack_memory_bound(monkeypatch, capsys, fixture_dir):
         raise AssertionError("the simulation started")
 
     # the first work of a simulation is its code's (cached) fault table
-    monkeypatch.setattr(dynamics, "_code_faults", no_work)
+    monkeypatch.setattr(dynamics, "fault_table", no_work)
     code = fixture_code("13-3-3")
     cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, haar_states=600)
     with pytest.raises(ValueError, match="lower haar_states"):
@@ -668,7 +666,7 @@ def test_interleaved_simulations_keep_their_results():
     # another must leave both calls' curves as they were
     model = ErrorModel(eps_bit=2.0, eps_phase=1.0)
     cfg = SimConfig(10.0, 3.0, 5, haar_states=2, rng_seed=13, samples=4)
-    dynamics._code_faults.cache_clear()
+    fault_table.cache_clear()
     results = []
     for name in ("11-3-3", "10-3-3", "11-3-3", "10-3-3", "11-3-3"):
         res = simulate(fixture_code(name), model, cfg)
@@ -678,7 +676,7 @@ def test_interleaved_simulations_keep_their_results():
 
 
 def test_cached_fault_arrays_are_read_only():
-    faults = dynamics._code_faults(fixture_code("10-3-3"))
+    faults = fault_table(fixture_code("10-3-3"))
     arrays = [faults.is_x, faults.decoded, faults.paulis, faults.net]
     arrays += [*faults.table.first, *faults.table.second]
     for array in arrays:
@@ -906,7 +904,7 @@ def _scalar_simulate(code, model, cfg, log):
 def _batched_events(code, model, cfg, trial):
     """The array sampler's events of one trial, in the scalar sampler's form."""
     r = cfg.cycle_rate
-    faults = dynamics._code_faults(code)
+    faults = fault_table(code)
     cycles, fault_ids = dynamics._sample_error_events(
         _trial_rng(cfg.rng_seed, trial, 0),
         faults.probs(model, r),
@@ -1076,7 +1074,7 @@ def test_kernel_matches_scalar_reference_at_the_int32_cycle_bound(n_cycles, dtyp
     log = {"rounds": [], "events": []}
     means, errors, uncorrectable = _scalar_simulate(code, model, cfg, log)
     assert max(max(events) for events in log["events"]) > n_cycles - 2**22
-    probs = dynamics._code_faults(code).probs(model, cfg.cycle_rate)
+    probs = fault_table(code).probs(model, cfg.cycle_rate)
     cycles, _ = dynamics._sample_error_events(_trial_rng(cfg.rng_seed, 0, 0), probs, n_cycles)
     assert cycles.dtype == dtype
     for trial, events in enumerate(log["events"]):

@@ -1,4 +1,5 @@
-"""Every public name of the traced modules has a caller or a stated reason.
+"""Every public name of the library has a caller or a stated reason, and its
+modules import one another without a cycle.
 
 The library serves one workflow: build a code from classical parity checks,
 verify it, decode it, simulate it and search for more.  Its callers are the
@@ -10,6 +11,7 @@ stay in ``KEPT`` or belongs next to its only user (the tests) or nowhere.
 from __future__ import annotations
 
 import ast
+import graphlib
 import importlib
 
 from conftest import REPO_ROOT
@@ -29,13 +31,10 @@ KEPT = {
 }
 
 
-def _traced_modules() -> tuple[str, ...]:
-    """``MODULES`` of bench/tracer.py: the tracer reads each one's ``__all__``."""
-    tree = ast.parse((REPO_ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["MODULES"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py defines no MODULES")
+def _library_modules() -> list[str]:
+    """Every module under src/cpc but the package's ``__init__``."""
+    files = (REPO_ROOT / "src" / "cpc").glob("*.py")
+    return sorted(p.stem for p in files if p.stem != "__init__")
 
 
 def _names_read_as_code() -> set[str]:
@@ -55,7 +54,7 @@ def _names_read_as_code() -> set[str]:
 def test_every_public_name_has_a_caller_or_a_reason():
     read = _names_read_as_code()
     exported = set()
-    for short in _traced_modules():
+    for short in _library_modules():
         module = importlib.import_module(f"cpc.{short}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"cpc.{short}.__all__ names what it does not define: {missing}"
@@ -64,3 +63,29 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not unread, f"public names with no caller and no reason to stay: {unread}"
     stale = sorted(KEPT.keys() - exported)
     assert not stale, f"kept names that are no longer public: {stale}"
+
+
+def _relative_imports() -> dict[str, set[str]]:
+    """The library modules each module imports, at module level or inside a
+    function.  ``from . import name`` counts only when ``name`` is a module:
+    anything else comes from ``__init__``, which imports every module."""
+    modules = _library_modules()
+    graph = {}
+    for short in modules:
+        tree = ast.parse((REPO_ROOT / "src" / "cpc" / f"{short}.py").read_text(encoding="utf-8"))
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                targets.update(name for name in names if name in modules)
+        graph[short] = targets
+    return graph
+
+
+def test_library_imports_have_no_cycle():
+    graph = _relative_imports()
+    # prepare raises CycleError, naming the cycle, if there is one
+    graphlib.TopologicalSorter(graph).prepare()
+    # the fault table's import rule: neither dynamics nor search, so that any
+    # module, the search included, can read the table
+    assert graph["faults"] <= {"decoding", "gf2", "model"}
