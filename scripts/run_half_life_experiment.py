@@ -39,7 +39,7 @@ def main() -> int:
     args = ap.parse_args()
     try:
         return _sweep(args)
-    except (OSError, ValueError) as exc:  # as `cpc`: bad input exits 2
+    except (OSError, ValueError, MemoryError) as exc:  # as `cpc`: bad input exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification or predicate fails, 2 on
-input errors (bad files, bad flags).  All output is deterministic given the
-inputs and --seed.
+input errors (bad files, bad flags, a run too large for memory).  All output
+is deterministic given the inputs and --seed.
 """
 
 from __future__ import annotations
@@ -478,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(result)
         return 0
-    except (CpcFormatError, InvalidCodeError, OSError, ValueError) as exc:
+    except (CpcFormatError, InvalidCodeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

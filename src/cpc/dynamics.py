@@ -7,13 +7,15 @@ every error is a Pauli, a cycle maps the product state (data) x (reference
 checks) to another such product state with deterministic check outcomes, so
 the default backend tracks the accumulated data-register Pauli frame and is
 exactly equivalent to the full statevector evolution (the ``statevector``
-backend, kept as the cross-checking oracle).  The oracle evolves all of a
-trial's probe states (|0..0>, |+..+> and the Haar states) as one stack and
-reads each check as the +-1 expectation of its measured Pauli, which every
-probe must agree on; nothing is sampled.  The engine's gates act on the last
-axis, so one call maps a single state or a stack.  Coherent errors are not a
-``simulate`` model: :func:`coherent_fidelity_631` treats a coherent rotation
-exactly, on the same small statevector engine.
+backend, kept as the cross-checking oracle).  The oracle carries only the
+data states of a trial's probes (|0..0>, |+..+> and the Haar states) between
+cycles, as one stack.  Each cycle runs them through the full register with
+every check turned to read in Z, and the syndrome is the one block of data
+amplitudes that holds every probe's weight; nothing is sampled.  The
+engine's gates act on the last axis, so one call maps a single state or a
+stack.  Coherent errors are not a ``simulate`` model:
+:func:`coherent_fidelity_631` treats a coherent rotation exactly, on the same
+small statevector engine, and reads its syndrome blocks the same way.
 
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, decode_circuit, encode_circuit
+from .circuits import Circuit, decode_circuit, encode_circuit, hadamard
 from .decoding import decode_table
 from .faults import ErrorModel, _require_finite, fault_table
 from .gf2 import Gf2Matrix
@@ -150,18 +152,6 @@ def apply_pauli_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray
     out = np.empty_like(state)
     out[..., idx ^ x_mask] = signs * state
     return out
-
-
-def _x_expectations(states: np.ndarray, q: int) -> np.ndarray:
-    """<psi| X_q |psi> for each row of a stack of states, with no copy of it.
-
-    Over the (high, bit q, low) reshape that ``apply_1q`` uses, X_q swaps the
-    amplitudes a (bit 0) and b (bit 1), so the expectation is 2 Re sum conj(a) b.
-    """
-    pairs = states.reshape(len(states), -1, 2, 1 << q)
-    a, b = pairs[:, :, 0], pairs[:, :, 1]
-    real, imag = (np.einsum("ijk,ijk->i", u, v) for u, v in ((a.real, b.real), (a.imag, b.imag)))
-    return 2.0 * (real + imag)
 
 
 def _haar_states(parts: np.ndarray) -> np.ndarray:
@@ -449,11 +439,12 @@ def simulate(
     unknown side and counted in ``uncorrectable_cycles``.  A code with no data
     qubit has no fidelity to track and raises ``ValueError``.
 
-    The ``statevector`` backend holds 2 + ``haar_states`` (2 without Frand)
+    The ``statevector`` backend runs 2 + ``haar_states`` (2 without Frand)
     probe states of 2**n amplitudes in one stack, so it refuses more than 14
-    qubits or a stack over 2**22 amplitudes (64 MiB) with ``ValueError``.  A
-    check that is not in an eigenstate of its measured Pauli after a cycle
-    raises ``RuntimeError``.
+    qubits or a stack over 2**22 amplitudes (64 MiB) with ``ValueError``.  It
+    reads a cycle's syndrome as the one block of 2**k data amplitudes that
+    holds every probe's weight; if there is none, ``RuntimeError`` names the
+    lowest check over which the weight spreads.
     """
     if backend not in ("pauli_frame", "statevector"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -555,63 +546,54 @@ def _run_statevector_trial(
     """Metric values at the sample times by full statevector evolution, and the
     number of cycles whose syndrome has no single-error explanation.
 
-    The probes are the rows of one stack: |0..0> for F0, |+..+> for Fplus,
-    then the Haar states.  ``cycles`` are the error cycles in increasing order,
-    ``masks`` their (x, z) Paulis.  A check reads as the expectation of its
-    measured Pauli, which must be the same +-1 on every row.  Every check is
-    read before any is reset, and the first side's Z checks all come from one
-    pass over ``|stack|**2``.
+    The probes are the rows of one stack of k-qubit data states: |0..0> for
+    F0, |+..+> for Fplus, then the Haar states.  ``cycles`` are the error
+    cycles in increasing order, ``masks`` their (x, z) Paulis.  Each cycle
+    puts the data next to checks in |0..0>; a Hadamard on each second-side
+    check before encoding and after decoding makes every check read in Z, so
+    the decoded register is one block of 2**k data amplitudes per syndrome.
+    The syndrome is the block that holds every probe's weight, and that block,
+    renormalised and corrected, is the next cycle's data.
     """
     n, k = code.qubit_count, code.k
-    enc, dec = encode_circuit(code), decode_circuit(code)
     # Check i is qubit k + i, measured in Z on the first syndrome side, X on the second.
-    n_first, n_checks = table.n_first, table.n_first + table.n_second
-    idx = np.arange(1 << n)
-    # +-1 by basis state of each first-side check's Z: <Z> of every row is |stack|**2 @ z_signs
-    z_signs = 1.0 - 2.0 * ((idx[:, None] >> (k + np.arange(n_first))) & 1)
-    first_side = (1 << (k + n_first)) - (1 << k)
+    turn = Circuit(n, tuple(hadamard(q) for q in range(k + table.n_first, n)))
+    enc, dec = turn + encode_circuit(code), decode_circuit(code) + turn
     plus = np.full(1 << k, 1.0 / math.sqrt(1 << k))
-    probes = [zero_state(k), plus, *(() if haar is None else haar)]
-    stack = np.zeros((len(probes), 1 << n), dtype=np.complex128)
-    stack[:, : 1 << k] = probes
-    for q in range(k + table.n_first, n):
-        stack = apply_1q(stack, q, _H_MATRIX)
-    reference = stack[2:]
-    even = idx & 1 == 0
+    data = np.array([zero_state(k), plus, *(() if haar is None else haar)])
+    even = np.arange(1 << k) & 1 == 0
     values = {m: np.zeros(len(sample_cycles)) for m in metrics}
     unknown = done = 0
     for s_idx, stop in enumerate(np.searchsorted(cycles, sample_cycles).tolist()):
         for x_mask, z_mask in masks[done:stop].tolist():
-            stack = apply_pauli_masks(apply_circuit(stack, enc), x_mask, z_mask)
-            stack = apply_circuit(stack, dec)
-            # 1/sqrt(2) rounds up, so every pair of H gates grows the norm by ~2e-16
-            stack /= np.linalg.norm(stack, axis=1, keepdims=True)
-            # Every check reads the same stack: the Pauli that resets one commutes
-            # with every other check's.  The first side's all come from one pass.
-            readout = list(((np.abs(stack) ** 2) @ z_signs).T) + [
-                _x_expectations(stack, q) for q in range(k + n_first, k + n_checks)
-            ]
-            fired = [int(value[0] < 0) for value in readout]
-            for i, value in enumerate(readout):
-                if np.abs(value - (1 - 2 * fired[i])).max() > 1e-9:
-                    raise RuntimeError(f"check {i} is not in an eigenstate of its measured Pauli")
-            (cx, cz), known = table.lookup(*table.split_sides(fired))
-            unknown += not known
-            # reset each fired check with the anticommuting Pauli (X on the first
-            # side, Z on the second), then correct; all act on distinct qubits
-            reset = sum(bit << (k + i) for i, bit in enumerate(fired))
-            stack = apply_pauli_masks(
-                stack, int(cx) | reset & first_side, int(cz) | reset & ~first_side
+            register = np.zeros((len(data), 1 << n), dtype=np.complex128)
+            register[:, : 1 << k] = data
+            register = apply_pauli_masks(apply_circuit(register, enc), x_mask, z_mask)
+            blocks = apply_circuit(register, dec).reshape(len(data), -1, 1 << k)
+            weights = (np.abs(blocks) ** 2).sum(axis=2)
+            syndrome = int(weights[0].argmax())
+            if weights[:, syndrome].min() < 1.0 - 1e-9:
+                # each check's weight on the blocks that read it otherwise: the
+                # weight off the syndrome is at most their sum, so one passes 1e-9 / checks
+                other = ((np.arange(weights.shape[1]) ^ syndrome)[:, None] >> np.arange(n - k)) & 1
+                check = ((weights @ other).max(axis=0) > 1e-9 / (n - k)).argmax()
+                raise RuntimeError(f"check {check} is not in an eigenstate of its measured Pauli")
+            (cx, cz), known = table.lookup(
+                syndrome & ((1 << table.n_first) - 1), syndrome >> table.n_first
             )
+            unknown += not known
+            # 1/sqrt(2) rounds up, so every pair of H gates grows the norm by ~2e-16
+            block = blocks[:, syndrome] / np.sqrt(weights[:, syndrome, None])
+            data = apply_pauli_masks(block, int(cx), int(cz))
         done = stop
         # F0 and Fplus: the weight of data qubit 0 reading 0, in Z and in X.
         if "F0" in metrics:
-            values["F0"][s_idx] = np.sum(np.abs(stack[0, even]) ** 2)
+            values["F0"][s_idx] = np.sum(np.abs(data[0, even]) ** 2)
         if "Fplus" in metrics:
-            values["Fplus"][s_idx] = np.sum(np.abs(apply_1q(stack[1], 0, _H_MATRIX)[even]) ** 2)
+            values["Fplus"][s_idx] = np.sum(np.abs(apply_1q(data[1], 0, _H_MATRIX)[even]) ** 2)
         if "Frand" in metrics:
             # per-row np.vdot summed in order; a batched reduction rounds the CSV's last digits
-            overlaps = [abs(np.vdot(r, v)) ** 2 for r, v in zip(reference, stack[2:])]
+            overlaps = [abs(np.vdot(r, v)) ** 2 for r, v in zip(haar, data[2:])]
             values["Frand"][s_idx] = sum(overlaps) / len(overlaps)
     return values, unknown
 
@@ -960,13 +942,11 @@ def coherent_fidelity_631(
     table = decode_table(code, require_correcting=False)
     fidelity = 0.0
     probs: dict[str, float] = {}
-    dim_k = 1 << k
-    for synd in range(1 << code.n_b):
-        branch = state[synd * dim_k : (synd + 1) * dim_k]
-        p = float(np.sum(np.abs(branch) ** 2))
-        (x_mask, _), _ = table.lookup(synd, 0)
+    # one block of 2**k data amplitudes per syndrome, as the statevector backend reads it
+    branches = state.reshape(-1, 1 << k)
+    corrections, _ = table.lookup(np.arange(len(branches)), 0)
+    for synd, (branch, (x_mask, _)) in enumerate(zip(branches, corrections.tolist())):
         corrected = apply_pauli_masks(branch, x_mask, 0)
-        amp = np.vdot(data_state, corrected)
-        fidelity += float(np.abs(amp) ** 2)
-        probs[table.syndrome_text(synd, 0)] = p
+        fidelity += float(np.abs(np.vdot(data_state, corrected)) ** 2)
+        probs[table.syndrome_text(synd, 0)] = float(np.sum(np.abs(branch) ** 2))
     return CoherentFidelity(fidelity=fidelity, syndrome_probs=probs)

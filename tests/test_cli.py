@@ -550,6 +550,23 @@ def test_simulate_rejects_out_of_domain_input(capsys, fixture_dir, flag, value):
     assert err.startswith("error: ") and flag.lstrip("-").replace("-", "_") in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t-max", "1e18", "--rate", "1", "--trials", "1"],  # ~10**17 cycle indices: 676 PiB
+        ["--t-max", "1", "--haar-states", str(10**16)],  # the Haar Gaussians: 1.11 EiB
+    ],
+    ids=["cycles", "haar-states"],
+)
+def test_simulate_too_large_for_memory_is_input_error(capsys, fixture_dir, argv):
+    # sizes far beyond any address space, which numpy refuses without allocating
+    code, out, err = _run(
+        capsys, "simulate", str(fixture_dir / "11-3-3.cpc"), "--eps-bit", "0.1", *argv
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate ")
+
+
 @pytest.mark.parametrize("backend", ["pauli_frame", "statevector"])
 @pytest.mark.parametrize(
     "text",

@@ -138,18 +138,23 @@ def test_backends_agree(name, eps, cfg):
     assert frame.uncorrectable_cycles == vector.uncorrectable_cycles
 
 
-def test_statevector_backend_refuses_a_check_off_its_eigenstates(monkeypatch):
-    # an H after decoding leaves check 0 in |+> or |->: <Z> = 0 is no readout
+@pytest.mark.parametrize(
+    "name, check", [("6-3-1", 0), ("11-3-3", 4), ("10-3-3", 5)], ids=["6-3-1", "11-3-3", "10-3-3"]
+)
+def test_statevector_backend_refuses_a_check_off_its_eigenstates(monkeypatch, name, check):
+    # an H after decoding leaves the check off the eigenstates of its measured
+    # Pauli (Z on 6-3-1's check 0 and generalized 10-3-3's check 5, X on 11-3-3's
+    # phase check 4): its weight spreads over two syndrome blocks
     from cpc.circuits import Circuit, decode_circuit, hadamard
 
     def broken_decode(code):
         circuit = decode_circuit(code)
-        return circuit + Circuit(circuit.qubit_count, (hadamard(code.k),))
+        return circuit + Circuit(circuit.qubit_count, (hadamard(code.k + check),))
 
     monkeypatch.setattr(dynamics, "decode_circuit", broken_decode)
     cfg = SimConfig(10.0, 2.0, 2, haar_states=1, rng_seed=1, samples=2)
-    with pytest.raises(RuntimeError, match="check 0 is not in an eigenstate"):
-        simulate(fixture_code("6-3-1"), ErrorModel(2.0, 0.0), cfg, backend="statevector")
+    with pytest.raises(RuntimeError, match=f"check {check} is not in an eigenstate"):
+        simulate(fixture_code(name), ErrorModel(2.0, 0.0), cfg, backend="statevector")
 
 
 @pytest.mark.parametrize("metrics", [("F0", "Fplus", "Frand"), ("Frand",), ("Fplus",)])
@@ -484,17 +489,6 @@ def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
         stacked = dynamics.apply_pauli_masks(states, x_mask, z_mask)
         rows = [dynamics.apply_pauli_masks(s, x_mask, z_mask) for s in states]
         assert np.array_equal(stacked, np.array(rows))
-
-
-def test_x_expectations_match_the_pauli_mask_readout():
-    # the reference applies X_q as a permuted copy; the sums run in another order
-    rng = np.random.Generator(np.random.Philox(9))
-    states = np.array([haar_state(1 << 6, rng) for _ in range(4)])
-    for stack in (states, np.asfortranarray(states)):  # gathers can leave either layout
-        for q in range(6):
-            flipped = dynamics.apply_pauli_masks(stack, 1 << q, 0)
-            reference = np.einsum("ij,ij->i", stack.conj(), flipped).real
-            assert np.allclose(dynamics._x_expectations(stack, q), reference, rtol=0, atol=1e-13)
 
 
 def test_apply_circuit_on_a_stack_matches_row_by_row():

@@ -73,6 +73,17 @@ def test_half_life_experiment_refuses_bad_input_before_any_work(
     assert proc.stdout == "" and not out_dir.exists()
 
 
+def test_half_life_experiment_too_large_for_memory_exits_2(tmp_path, fixture_dir):
+    # 10**18 cycles: one fault's ~10**17 cycle indices (676 PiB) are far beyond
+    # any address space, and numpy refuses them without allocating
+    proc = _half_life_experiment(
+        str(fixture_dir / "11-3-3.cpc"), "--eps-bit", "0.1", "--rates", "1",
+        "--t-max-per-rate", "1e18", "--out", str(tmp_path / "results"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate ") and proc.stdout == ""
+
+
 def test_half_life_experiment_without_bit_errors(tmp_path, fixture_dir):
     proc = _small_sweep(fixture_dir, tmp_path, **{"--eps-bit": "0", "--eps-phase": "0.05"})
     assert proc.returncode == 0, proc.stderr
