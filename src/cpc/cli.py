@@ -38,6 +38,7 @@ from .model import (
     CpcFormatError,
     GeneralCpcCode,
     InvalidCodeError,
+    _bit_rows,
     _meaningful_lines,
     # `logicals`, `logical-h` and `logical-cnot` refuse a generalized code only because
     # the code_analysis golden pins their exit 2 on 10-3-3 (ROADMAP items 15 and 16).
@@ -63,14 +64,19 @@ from .stabilizers import (
 __all__ = ["main"]
 
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text, from one binary read."""
+    return Path(path).read_bytes().decode("utf-8")
+
+
 def _load_code(path: str) -> CpcCode | GeneralCpcCode:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    return parse(_read_text(path))
 
 
 def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
-    rows: dict[str, list[list[int]]] = {"GZ": [], "GX": []}
+    rows: dict[str, list[str]] = {"GZ": [], "GX": []}
     section = None
-    for lineno, line in _meaningful_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in _meaningful_lines(_read_text(path)):
         if line == "CSS":
             continue
         if line in rows:
@@ -78,19 +84,16 @@ def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
             continue
         if section is None:
             raise CpcFormatError(f"unexpected content before a GZ/GX section: {line!r}", lineno)
-        if any(ch not in "01" for ch in line):
+        if line.strip("01"):
             raise CpcFormatError(f"non-binary row {line!r}", lineno)
-        rows[section].append([int(ch) for ch in line])
+        rows[section].append(line)
     widths = {len(r) for section_rows in rows.values() for r in section_rows}
     if not widths:
         raise CpcFormatError("no GZ or GX rows")
     if len(widths) > 1:
         raise CpcFormatError(f"inconsistent row widths: {sorted(widths)}")
     cols = widths.pop()
-    return (
-        Gf2Matrix.from_rows(rows["GZ"], cols=cols),
-        Gf2Matrix.from_rows(rows["GX"], cols=cols),
-    )
+    return _bit_rows(rows["GZ"], cols), _bit_rows(rows["GX"], cols)
 
 
 def _listing(lines: list[str]) -> str:

@@ -130,8 +130,9 @@ def single_error_records(code: CpcCode | GeneralCpcCode) -> list[ErrorRecord]:
     x_syndromes, z_syndromes = pack_rows(hz.T), pack_rows(hx.T)
     data_x, data_z = pack_rows(hx[:, :k]), pack_rows(hz[:, :k])
     none = (0, 0)
+    make = ErrorRecord._make
     records: list[ErrorRecord] = []
-    for q, (xs, zs) in enumerate(zip(x_syndromes, z_syndromes)):
+    for q, (xs, zs, label) in enumerate(zip(x_syndromes, z_syndromes, code.qubit_labels)):
         if q < k:
             x_res, z_res, harmful = (1 << q, 0), (0, 1 << q), True
         else:
@@ -139,15 +140,12 @@ def single_error_records(code: CpcCode | GeneralCpcCode) -> list[ErrorRecord]:
             x_res, z_res = (none, gen) if hz[q - k, q] else (gen, none)
             harmful = gen != none
         (xx, xz), (zx, zz) = x_res, z_res
-        label = code.qubit_label(q)
-        for kind, s, rx, rz in (
-            ("X", xs, xx, xz), ("Y", xs ^ zs, xx ^ zx, xz ^ zz), ("Z", zs, zx, zz)
-        ):
-            records.append(
-                ErrorRecord(
-                    q, kind, f"{kind}_{label}", s & first_mask, s >> n_first, rx, rz, harmful
-                )
-            )
+        ys, yx, yz = xs ^ zs, xx ^ zx, xz ^ zz
+        records += (
+            make((q, "X", "X_" + label, xs & first_mask, xs >> n_first, xx, xz, harmful)),
+            make((q, "Y", "Y_" + label, ys & first_mask, ys >> n_first, yx, yz, harmful)),
+            make((q, "Z", "Z_" + label, zs & first_mask, zs >> n_first, zx, zz, harmful)),
+        )
     return records
 
 

@@ -40,6 +40,14 @@ class Gf2Matrix:
         object.__setattr__(self, "_data", arr)
 
     @classmethod
+    def _wrap(cls, arr: np.ndarray) -> Gf2Matrix:
+        """``arr`` frozen in place, unchecked: for a fresh 2-d uint8 0/1 array."""
+        arr.setflags(write=False)
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "_data", arr)
+        return mat
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> Gf2Matrix:
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 

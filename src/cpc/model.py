@@ -12,6 +12,8 @@ checks, then phase checks; general codes order data first, then checks.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -56,13 +58,28 @@ def _refuse(violations: list[str]) -> None:
         raise InvalidCodeError("; ".join(violations))
 
 
+# A code's sizes (``k``, ``n_b``/``n_p`` or ``n_c``, and ``qubit_count``) are
+# plain attributes set once on construction, and its labels are cached on
+# first use.  Neither is a dataclass field, so ``==``, ``hash``, ``repr`` and
+# ``serialize`` see the three matrices alone.
+def _set_shapes(code, **sizes: int) -> None:
+    sizes["qubit_count"] = sum(sizes.values())
+    code.__dict__.update(sizes)
+
+
+def _labels(*roles: tuple[str, int]) -> tuple[str, ...]:
+    return tuple(f"{role}{i}" for role, count in roles for i in range(1, count + 1))
+
+
 @dataclass(frozen=True)
 class CpcCode:
     """Split CPC code defined by three adjacency matrices.
 
     ``mb`` (k x n_b) holds CNOTs from data qubits to bit checks, ``mp``
     (k x n_p) CNOTs from phase checks to data qubits, and ``mc`` (n_b x n_p)
-    the cross checks between the two parity species.
+    the cross checks between the two parity species.  The sizes ``k``,
+    ``n_b``, ``n_p`` and ``qubit_count`` are read off the matrices once, on
+    construction.
     """
 
     mb: Gf2Matrix
@@ -79,22 +96,7 @@ class CpcCode:
         if mc.cols != mp.cols:
             violations.append(f"mc has {mc.cols} columns but mp has {mp.cols} columns")
         _refuse(violations)
-
-    @property
-    def k(self) -> int:
-        return self.mb.rows
-
-    @property
-    def n_b(self) -> int:
-        return self.mb.cols
-
-    @property
-    def n_p(self) -> int:
-        return self.mp.cols
-
-    @property
-    def qubit_count(self) -> int:
-        return self.k + self.n_b + self.n_p
+        _set_shapes(self, k=mb.rows, n_b=mb.cols, n_p=mp.cols)
 
     def bit_index(self, i: int) -> int:
         return self.k + i
@@ -102,13 +104,14 @@ class CpcCode:
     def phase_index(self, i: int) -> int:
         return self.k + self.n_b + i
 
+    @functools.cached_property
+    def qubit_labels(self) -> tuple[str, ...]:
+        """1-based role label of each qubit, e.g. 'd1', 'b2', 'p4'."""
+        return _labels(("d", self.k), ("b", self.n_b), ("p", self.n_p))
+
     def qubit_label(self, q: int) -> str:
-        """1-based role label, e.g. 'd1', 'b2', 'p4'."""
-        if q < self.k:
-            return f"d{q + 1}"
-        if q < self.k + self.n_b:
-            return f"b{q - self.k + 1}"
-        return f"p{q - self.k - self.n_b + 1}"
+        """The role label of qubit ``q``."""
+        return self.qubit_labels[q]
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,9 @@ class GeneralCpcCode:
 
     ``mbs`` (k x n_c) holds CNOT edges, ``mps`` (k x n_c) conjugate-CZ edges
     between data and checks, and ``mcs`` (n_c x n_c, strictly upper
-    triangular) conjugate-CZ edges between pairs of checks.
+    triangular) conjugate-CZ edges between pairs of checks.  The sizes
+    ``k``, ``n_c`` and ``qubit_count`` are read off the matrices once, on
+    construction.
     """
 
     mbs: Gf2Matrix
@@ -141,26 +146,19 @@ class GeneralCpcCode:
                 for i, j in np.argwhere(np.tril(mcs.data))
             ]
         _refuse(violations)
-
-    @property
-    def k(self) -> int:
-        return self.mbs.rows
-
-    @property
-    def n_c(self) -> int:
-        return self.mbs.cols
-
-    @property
-    def qubit_count(self) -> int:
-        return self.k + self.n_c
+        _set_shapes(self, k=mbs.rows, n_c=mbs.cols)
 
     def check_index(self, i: int) -> int:
         return self.k + i
 
+    @functools.cached_property
+    def qubit_labels(self) -> tuple[str, ...]:
+        """1-based role label of each qubit, e.g. 'd1', 'c3'."""
+        return _labels(("d", self.k), ("c", self.n_c))
+
     def qubit_label(self, q: int) -> str:
-        if q < self.k:
-            return f"d{q + 1}"
-        return f"c{q - self.k + 1}"
+        """The role label of qubit ``q``."""
+        return self.qubit_labels[q]
 
 
 @dataclass(frozen=True)
@@ -238,11 +236,14 @@ def _require_split(code: CpcCode | GeneralCpcCode, what: str) -> CpcCode:
 
 
 def _meaningful_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+    """(1-based number, stripped text) of each line that is not blank or a comment."""
+    return iter(
+        [
+            (lineno, line)
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and line[0] != "#"
+        ]
+    )
 
 
 def _parse_count(line: str, lineno: int, keyword: str) -> int:
@@ -258,31 +259,33 @@ def _parse_count(line: str, lineno: int, keyword: str) -> int:
     return value
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_rows(rows: list[str], cols: int) -> Gf2Matrix:
+    """Rows already checked to be ``cols`` characters of '0'/'1', as one matrix."""
+    bits = np.frombuffer("".join(rows).encode("ascii").translate(_BITS), dtype=np.uint8)
+    return Gf2Matrix._wrap(bits.reshape(len(rows), cols))
+
+
 def _parse_matrix(lines, rows: int, cols: int, section: str) -> Gf2Matrix:
     if cols == 0:
         # zero-width rows carry no text; the header fixes the shape
         return Gf2Matrix.zeros(rows, 0)
-    collected = []
-    for _ in range(rows):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise CpcFormatError(
-                f"section {section}: expected {rows} rows, file ended early"
-            ) from None
+    numbered = list(itertools.islice(lines, rows))
+    for lineno, line in numbered:
         if len(line) != cols:
             raise CpcFormatError(
                 f"section {section}: expected {cols} columns, got {len(line)}", lineno
             )
-        for col, ch in enumerate(line, start=1):
-            if ch not in "01":
-                raise CpcFormatError(
-                    f"section {section}: non-binary character {ch!r} at column {col}",
-                    lineno,
-                )
-        collected.append(line)
-    bits = np.frombuffer("".join(collected).encode("ascii"), dtype=np.uint8) - ord("0")
-    return Gf2Matrix(bits.reshape(rows, cols))
+        if line.strip("01"):  # only a bad row walks its characters, to name the column
+            col, ch = next((c, ch) for c, ch in enumerate(line, start=1) if ch not in "01")
+            raise CpcFormatError(
+                f"section {section}: non-binary character {ch!r} at column {col}", lineno
+            )
+    if len(numbered) < rows:
+        raise CpcFormatError(f"section {section}: expected {rows} rows, file ended early")
+    return _bit_rows([line for _, line in numbered], cols)
 
 
 def _expect_section(lines, name: str) -> None:
@@ -295,7 +298,7 @@ def _expect_section(lines, name: str) -> None:
 
 
 # Per header: the code class, its count lines as (keyword, size) pairs, and
-# the B, P and C shapes in those sizes.  Each size is also the code property
+# the B, P and C shapes in those sizes.  Each size is also the code attribute
 # that serialize writes back, and the class's fields are B, P, C in order.
 _LAYOUTS = {
     "CPC split": (

@@ -62,6 +62,24 @@ def test_directory_is_input_error(capsys, tmp_path):
     assert out == "" and err.startswith("error: ") and "Is a directory" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "css-to-cpc"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda d: d / "absent.cpc", "No such file or directory"),
+        (lambda d: d, "Is a directory"),
+        (lambda d: d / "latin-1.cpc", "'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["missing", "directory", "not-utf-8"],
+)
+def test_unreadable_file_is_input_error(capsys, tmp_path, command, make, message):
+    (tmp_path / "latin-1.cpc").write_bytes("CPC split\n# café\n".encode("latin-1"))
+    code, out, err = _run(capsys, command, str(make(tmp_path)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_malformed_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.cpc"
     bad.write_text("CPC split\ndata 1\nbit 1\nphase 0\nB\n2\nP\nC\n", encoding="utf-8")

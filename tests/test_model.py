@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_code
+from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes, seeded_random_general_codes
+from cpc.faults import fault_table
 from cpc.gf2 import Gf2Matrix
 from cpc.model import (
     CpcCode,
@@ -209,6 +212,7 @@ def test_parse_rejects_trailing_content():
 
 _SPLIT_HEAD = "CPC split\ndata 1\nbit 2\nphase 1\n"
 _GENERAL_HEAD = "CPC general\ndata 1\nchecks 2\n"
+_WIDE_HEAD = "CPC split\ndata 1\nbit 4\nphase 0\n"
 
 
 @pytest.mark.parametrize(
@@ -237,6 +241,14 @@ _GENERAL_HEAD = "CPC general\ndata 1\nchecks 2\n"
         (_SPLIT_HEAD + "B\n101\n", "section B: expected 2 columns, got 3", 6),
         (_SPLIT_HEAD + "B\n10\nP\n\n# c\n11\n", "section P: expected 1 columns, got 2", 10),
         (_GENERAL_HEAD + "B\n1x\n", "section B: non-binary character 'x' at column 2", 5),
+        (_GENERAL_HEAD + "B\nx1\n", "section B: non-binary character 'x' at column 1", 5),
+        (_WIDE_HEAD + "B\n0102\n", "section B: non-binary character '2' at column 4", 6),
+        (
+            _SPLIT_HEAD + "B\n10\nP\n1\nC\n1\nO\n",
+            "section C: non-binary character 'O' at column 1",
+            11,
+        ),
+        (_WIDE_HEAD + "B\n10 1\n", "section B: non-binary character ' ' at column 3", 6),
         (_SPLIT_HEAD + "B\n10\nP\n1\nC\n1\n0\nB\n", "unexpected content after the C section: 'B'", 12),
         (_GENERAL_HEAD + "B\n10\nP\n01\nC\n01\n00\n00\n", "unexpected content after the C section: '00'", 11),
     ],
@@ -246,3 +258,91 @@ def test_parse_errors_name_the_line(text, message, line):
         parse(text)
     assert err.value.line == line
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+_FIXTURES = sorted(path.stem for path in FIXTURE_DIR.glob("*.cpc"))
+
+
+def _codes():
+    return [
+        *(fixture_code(name) for name in _FIXTURES),
+        *seeded_random_codes(20, seed=11),
+        *seeded_random_general_codes(20, seed=12),
+    ]
+
+
+def test_parse_inverts_serialize_on_fixtures_and_random_codes():
+    for code in _codes():
+        again = parse(serialize(code))
+        assert type(again) is type(code) and again == code
+
+
+def test_parsed_matrices_match_checked_construction():
+    for code in _codes():
+        for field in dataclasses.fields(code):
+            mat = getattr(parse(serialize(code)), field.name)
+            assert mat.data.dtype == np.uint8 and not mat.data.flags.writeable
+            checked = Gf2Matrix(mat.data.astype(np.int64))
+            assert mat == checked and hash(mat) == hash(checked)
+
+
+def _role_label(code, q: int) -> str:
+    if q < code.k:
+        return f"d{q + 1}"
+    if isinstance(code, GeneralCpcCode):
+        return f"c{q - code.k + 1}"
+    if q < code.k + code.n_b:
+        return f"b{q - code.k + 1}"
+    return f"p{q - code.k - code.n_b + 1}"
+
+
+def test_qubit_labels_follow_the_role_formula():
+    for name in _FIXTURES:
+        code = fixture_code(name)
+        assert len(code.qubit_labels) == code.qubit_count
+        for q in range(code.qubit_count):
+            assert code.qubit_label(q) == _role_label(code, q)
+
+
+def test_sizes_match_the_matrices():
+    for code in _codes():
+        if isinstance(code, CpcCode):
+            sizes = (code.mb.rows, code.mb.cols, code.mp.cols)
+            assert (code.k, code.n_b, code.n_p) == sizes
+        else:
+            sizes = (code.mbs.rows, code.mbs.cols)
+            assert (code.k, code.n_c) == sizes
+        assert code.qubit_count == sum(sizes)
+
+
+def _twin(code):
+    """An equal code built afresh from copies of the matrices."""
+    matrices = (getattr(code, f.name) for f in dataclasses.fields(code))
+    return type(code)(*(Gf2Matrix(m.data.copy()) for m in matrices))
+
+
+@pytest.mark.parametrize("name, matrices", [("11-3-3", "mb mp mc"), ("10-3-3", "mbs mps mcs")])
+def test_cached_labels_leave_fields_equality_and_hash_alone(name, matrices):
+    code = parse((FIXTURE_DIR / f"{name}.cpc").read_text(encoding="utf-8"))
+    twin = _twin(code)
+    assert code == twin and hash(code) == hash(twin)
+    labels = code.qubit_labels  # read on one side only
+    assert code == twin and hash(code) == hash(twin)
+    assert repr(code) == repr(twin) and serialize(code) == serialize(twin)
+    assert twin.qubit_labels == labels
+    assert [f.name for f in dataclasses.fields(code)] == matrices.split()
+
+
+def test_codes_stay_frozen():
+    code = _twin(fixture_code("11-3-3"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.k = 4
+
+
+def test_fault_table_cache_hits_an_equal_code():
+    code = fixture_code("11-3-3")
+    code.qubit_labels
+    table = fault_table(code)
+    hits = fault_table.cache_info().hits
+    assert fault_table(_twin(code)) is table
+    assert fault_table.cache_info().hits == hits + 1
