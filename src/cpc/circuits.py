@@ -148,9 +148,6 @@ class PauliString:
     def support(self) -> int:
         return self.x_bits | self.z_bits
 
-    def weight(self) -> int:
-        return self.support.bit_count()
-
     def label(self, namer=None) -> str:
         """Human-readable form like 'X_d1 X_b2'; identity reads '-'."""
         if namer is None:

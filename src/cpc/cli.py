@@ -39,6 +39,7 @@ from .model import (
     GeneralCpcCode,
     InvalidCodeError,
     _bit_rows,
+    _expect_section,
     _meaningful_lines,
     # `logicals`, `logical-h` and `logical-cnot` refuse a generalized code only because
     # the code_analysis golden pins their exit 2 on 10-3-3 (ROADMAP items 15 and 16).
@@ -74,19 +75,24 @@ def _load_code(path: str) -> CpcCode | GeneralCpcCode:
 
 
 def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """GZ and GX of a CSS file: headers CSS, GZ and GX, each once and in that order."""
+    lines = _meaningful_lines(_read_text(path))
+    _expect_section(next(lines, None), "CSS")
+    _expect_section(next(lines, None), "GZ")
     rows: dict[str, list[str]] = {"GZ": [], "GX": []}
-    section = None
-    for lineno, line in _meaningful_lines(_read_text(path)):
-        if line == "CSS":
-            continue
-        if line in rows:
-            section = line
-            continue
-        if section is None:
-            raise CpcFormatError(f"unexpected content before a GZ/GX section: {line!r}", lineno)
-        if line.strip("01"):
+    section = "GZ"
+    for lineno, line in lines:
+        if line in ("CSS", "GZ", "GX"):
+            if section == "GX":
+                raise CpcFormatError(f"unexpected section header after GX: {line!r}", lineno)
+            _expect_section((lineno, line), "GX")
+            section = "GX"
+        elif line.strip("01"):
             raise CpcFormatError(f"non-binary row {line!r}", lineno)
-        rows[section].append(line)
+        else:
+            rows[section].append(line)
+    if section == "GZ":
+        _expect_section(None, "GX")
     widths = {len(r) for section_rows in rows.values() for r in section_rows}
     if not widths:
         raise CpcFormatError("no GZ or GX rows")

@@ -333,16 +333,6 @@ class DecodeTable:
     first: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     second: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
-    def split_sides(self, syndrome: Syndrome) -> tuple[int, int]:
-        if len(syndrome) != self.n_first + self.n_second:
-            raise ValueError(
-                f"syndrome length {len(syndrome)}, expected {self.n_first + self.n_second}"
-            )
-        _check_bits(syndrome, "syndrome")
-        first = sum(b << i for i, b in enumerate(syndrome[: self.n_first]))
-        second = sum(b << i for i, b in enumerate(syndrome[self.n_first:]))
-        return first, second
-
     def syndrome_text(self, first: int, second: int) -> str:
         """The syndrome of side masks as a bit-string, each side least significant bit first."""
         return _bits_text(first | second << self.n_first, self.n_first + self.n_second)

@@ -51,18 +51,6 @@ class Gf2Matrix:
     def zeros(cls, rows: int, cols: int) -> Gf2Matrix:
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 
-    @classmethod
-    def identity(cls, n: int) -> Gf2Matrix:
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> Gf2Matrix:
-        """Build from an iterable of rows; ``cols`` disambiguates the empty case."""
-        rows = [list(r) for r in rows]
-        if not rows:
-            return cls.zeros(0, 0 if cols is None else cols)
-        return cls(rows)
-
     @property
     def data(self) -> np.ndarray:
         return self._data
@@ -93,9 +81,6 @@ class Gf2Matrix:
 
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix(self._data.T)
-
-    def count_ones(self) -> int:
-        return int(self._data.sum())
 
     def is_zero(self) -> bool:
         return not self._data.any()

@@ -288,11 +288,12 @@ def _parse_matrix(lines, rows: int, cols: int, section: str) -> Gf2Matrix:
     return _bit_rows([line for _, line in numbered], cols)
 
 
-def _expect_section(lines, name: str) -> None:
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise CpcFormatError(f"expected section header {name!r}, file ended") from None
+def _expect_section(item: tuple[int, str] | None, name: str) -> None:
+    """Refuse ``item``, a (number, text) line or None at the end of the file,
+    unless it is the section header ``name``."""
+    if item is None:
+        raise CpcFormatError(f"expected section header {name!r}, file ended")
+    lineno, line = item
     if line != name:
         raise CpcFormatError(f"expected section header {name!r}, got {line!r}", lineno)
 
@@ -333,7 +334,7 @@ def parse(text: str) -> CpcCode | GeneralCpcCode:
         sizes[size] = _parse_count(line, lineno, keyword)
     matrices = []
     for section, (rows, cols) in zip("BPC", shapes):
-        _expect_section(lines, section)
+        _expect_section(next(lines, None), section)
         matrices.append(_parse_matrix(lines, sizes[rows], sizes[cols], section))
     extra = next(lines, None)
     if extra is not None:

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import FIXTURE_DIR, fixture_code, run_python
 
 from cpc import cli, decoding
 from cpc.circuits import PauliString
@@ -235,6 +235,28 @@ def test_cpc_to_css_and_back(tmp_path, capsys, fixture_dir):
     assert "CPC split" in out_cpc.read_text(encoding="utf-8")
 
 
+SPLIT_FIXTURES = sorted(
+    path.stem for path in FIXTURE_DIR.glob("*.cpc")
+    if path.read_text(encoding="utf-8").startswith("CPC split")
+)
+
+
+@pytest.mark.parametrize("name", SPLIT_FIXTURES)
+def test_cpc_to_css_and_back_keeps_the_stabilizer_group(tmp_path, capsys, fixture_dir, name):
+    css_path = tmp_path / f"{name}.css"
+    rc, _, _ = _run(capsys, "cpc-to-css", str(fixture_dir / f"{name}.cpc"), "--out", str(css_path))
+    assert rc == 0
+    rc, out, err = _run(capsys, "css-to-cpc", str(css_path))
+    assert (rc, err) == (0, "")
+    prefix = "# column permutation: "
+    last = out.splitlines()[-1]
+    assert last.startswith(prefix)
+    # permutation[new qubit] = original qubit, so argsort reads the new columns back in order
+    original_order = np.argsort([int(c) for c in last[len(prefix):].split()])
+    for before, after in zip(symplectic_matrix(fixture_code(name)), symplectic_matrix(parse(out))):
+        assert row_space_equal(Gf2Matrix(after.data[:, original_order]), before), name
+
+
 def test_css_to_cpc_steane(capsys, fixture_dir):
     code, out, _ = _run(capsys, "css-to-cpc", str(fixture_dir / "steane.css"))
     assert code == 0
@@ -244,11 +266,17 @@ def test_css_to_cpc_steane(capsys, fixture_dir):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("CSS\n1010\nGZ\n1111\n", "line 2: unexpected content before a GZ/GX section: '1010'"),
-        ("GZ\n10a\n", "line 2: non-binary row '10a'"),
-        ("GZ\n10\n101\n", "inconsistent row widths: [2, 3]"),
-        ("", "no GZ or GX rows"),
+        ("CSS\n1010\nGZ\n1111\n", "line 2: expected section header 'GZ', got '1010'"),
+        ("CSS\nGZ\n10a\n", "line 3: non-binary row '10a'"),
+        ("CSS\nGZ\n10\n101\nGX\n", "inconsistent row widths: [2, 3]"),
+        ("", "expected section header 'CSS', file ended"),
         ("# only a comment\nCSS\nGZ\n\nGX\n", "no GZ or GX rows"),
+        # the headers come first, once each, in the order CSS, GZ, GX
+        ("GZ\n1100\nGX\nCSS\n0011\n", "line 1: expected section header 'CSS', got 'GZ'"),
+        ("CSS\nGZ\n1100\nGZ\n0110\nGX\n", "line 4: expected section header 'GX', got 'GZ'"),
+        ("CSS\nGX\n0011\nGZ\n1100\n", "line 2: expected section header 'GZ', got 'GX'"),
+        ("CSS\nGZ\n1100\nGX\n0011\nGX\n", "line 6: unexpected section header after GX: 'GX'"),
+        ("CSS\nGZ\n1100\n", "expected section header 'GX', file ended"),
     ],
 )
 def test_css_to_cpc_rejects_malformed_css(tmp_path, capsys, text, message):

@@ -121,20 +121,21 @@ def test_correctability_verdicts():
 def test_decode_table_known_corrections():
     code = fixture_code("11-3-3")
     table = decode_table(code)
-    # single data error
-    (cx, cz), category = table.classify(*table.split_sides((1, 0, 1, 0, 0, 0, 0, 0)))
+    # first side mask: bit i is bit check b(i+1); no phase check fires here
+    # single data error: b1 and b3 fire
+    (cx, cz), category = table.classify(0b0101, 0)
     assert (cx, cz, category) == (0b001, 0, "corrected")
     # propagated bit-flip from the first phase check: fix both data qubits
-    (cx, cz), category = table.classify(*table.split_sides((0, 0, 1, 1, 0, 0, 0, 0)))
+    (cx, cz), category = table.classify(0b1100, 0)
     assert (cx, cz, category) == (0b011, 0, "corrected")
     # harmless: an X on a bit check flags only itself
-    (cx, cz), category = table.classify(*table.split_sides((1, 0, 0, 0, 0, 0, 0, 0)))
+    (cx, cz), category = table.classify(0b0001, 0)
     assert (cx, cz, category) == (0, 0, "harmless")
     # empty syndrome
-    (cx, cz), category = table.classify(*table.split_sides((0,) * 8))
+    (cx, cz), category = table.classify(0, 0)
     assert (cx, cz, category) == (0, 0, "no_error")
     # unknown syndrome
-    _, category = table.classify(*table.split_sides((1, 1, 1, 0, 0, 0, 0, 0)))
+    _, category = table.classify(0b0111, 0)
     assert category == "uncorrectable"
 
 
@@ -142,10 +143,8 @@ def test_decode_corrects_every_harmful_single_error():
     codes = [fixture_code(name) for name in ("11-3-3", "12-4-3", "13-3-3", "10-3-3")]
     for code in codes:
         table = decode_table(code)
-        n1 = code.n_b if hasattr(code, "n_b") else code.n_c
-        n2 = code.n_p if hasattr(code, "n_p") else 0
         for rec in single_error_records(code):
-            (cx, cz), _ = table.classify(*table.split_sides(rec.syndrome(n1, n2)))
+            (cx, cz), _ = table.classify(rec.sx, rec.sz)
             # correction must cancel the residual exactly
             assert (cx, cz) == (rec.rx, rec.rz), rec.label
 
@@ -155,7 +154,7 @@ def test_decode_y_on_parity_qubit_composes_sides():
     table = decode_table(code)
     recs = {(r.qubit, r.kind): r for r in single_error_records(code)}
     rec = recs[(code.phase_index(0), "Y")]  # Y on p1
-    (cx, cz), _ = table.classify(*table.split_sides(rec.syndrome(code.n_b, code.n_p)))
+    (cx, cz), _ = table.classify(rec.sx, rec.sz)
     assert (cx, cz) == (rec.rx, rec.rz)
 
 
@@ -178,21 +177,17 @@ def test_side_arrays_match_decode_on_every_syndrome():
         first, second = _side_dict(table.first), _side_dict(table.second)
         width_a, width_b = 1 << table.n_first, 1 << table.n_second
         for a, b in itertools.product(range(width_a), range(width_b)):
-            syndrome = tuple((a >> i) & 1 for i in range(table.n_first)) + tuple(
-                (b >> i) & 1 for i in range(table.n_second)
-            )
-            assert table.split_sides(syndrome) == (a, b)
             known = a in first and b in second
             (ax, az), (bx, bz) = first.get(a, (0, 0)), second.get(b, (0, 0))
             cx, cz = ax ^ bx, az ^ bz
             (lx, lz), lknown = table.lookup(a, b)
-            assert (lx, lz, lknown) == (cx, cz, known), (code, syndrome)
+            assert (lx, lz, lknown) == (cx, cz, known), (code, a, b)
             expected = (
                 "no_error" if a == b == 0 else "uncorrectable" if not known
                 else "corrected" if cx or cz else "harmless"
             )
             (lx, lz), category = table.classify(a, b)
-            assert (lx, lz, category) == (cx, cz, expected), (code, syndrome)
+            assert (lx, lz, category) == (cx, cz, expected), (code, a, b)
         # the same lookup over arrays of side masks, every pair at once
         grid_a, grid_b = np.divmod(np.arange(width_a * width_b), width_b)
         corrections, known = table.lookup(grid_a, grid_b)
@@ -281,8 +276,7 @@ def test_decode_table_keeps_masks_past_63_bits():
     unique = [r for r in table.records if counts[r.sx, r.sz] == 1 and (r.sx or r.sz)]
     assert any((r.rx | r.rz) >> 63 for r in unique)
     for rec in unique:
-        syndrome = rec.syndrome(table.n_first, table.n_second)
-        (cx, cz), _ = table.classify(*table.split_sides(syndrome))
+        (cx, cz), _ = table.classify(rec.sx, rec.sz)
         assert (cx, cz) == (rec.rx, rec.rz), rec.label
 
 
@@ -292,7 +286,7 @@ def test_decode_table_obstruction_certificate():
     assert "Z_b1" in str(err.value)
     # non-strict mode still yields a usable (best-effort) table
     table = decode_table(fixture_code("11-3-1"), require_correcting=False)
-    assert table.classify(*table.split_sides((0,) * 8))[1] == "no_error"
+    assert table.classify(0, 0)[1] == "no_error"
 
 
 def test_cnot_compatible_fixtures():
@@ -524,16 +518,6 @@ def test_ising_matches_ml_on_general_classical_code():
     "call, message",
     [
         (
-            lambda cc: (table := decode_table(fixture_code("11-3-3"))).classify(
-                *table.split_sides((2, 0, 0, 0, 0, 0, 0, 0))
-            ),
-            r"syndrome\[0\] is 2, expected 0 or 1",
-        ),
-        (
-            lambda cc: decode_table(fixture_code("10-3-3")).split_sides((0,) * 6 + (-1,)),
-            r"syndrome\[6\] is -1, expected 0 or 1",
-        ),
-        (
             lambda cc: ising_problem(cc, [0.1] * cc.bit_count, [0.1] * 4, [0, 3, 0, 0]),
             r"measurements\[1\] is 3, expected 0 or 1",
         ),
@@ -551,7 +535,7 @@ def test_ising_matches_ml_on_general_classical_code():
         ),
     ],
     ids=[
-        "decode", "split_sides", "ising_problem", "ml_decode_exhaustive",
+        "ising_problem", "ml_decode_exhaustive",
         "infer_check_errors", "infer_check_errors_length",
     ],
 )
@@ -593,12 +577,8 @@ def test_solve_ising_too_large():
             lambda cc: infer_check_errors(cc, [1], frozenset()),
             r"^expected 4 syndrome bits, got 1$",
         ),
-        (
-            lambda cc: decode_table(fixture_code("11-3-3")).split_sides((0,) * 7),
-            r"^syndrome length 7, expected 8$",
-        ),
     ],
-    ids=["ising_problem", "ml_decode_exhaustive", "infer_check_errors", "split_sides"],
+    ids=["ising_problem", "ml_decode_exhaustive", "infer_check_errors"],
 )
 def test_wrong_length_syndromes_name_both_lengths(call, message):
     cc, _ = effective_codes(fixture_code("11-3-3"))

@@ -235,9 +235,9 @@ def test_pauli_frame_qubit_limit():
 
     k = 61  # 63 qubits: the int64 frame masks would overflow
     code = CpcCode(
-        mb=Gf2Matrix.from_rows([[1]] * k, cols=1),
-        mp=Gf2Matrix.from_rows([[1]] * k, cols=1),
-        mc=Gf2Matrix.from_rows([[0]], cols=1),
+        mb=Gf2Matrix([[1]] * k),
+        mp=Gf2Matrix([[1]] * k),
+        mc=Gf2Matrix([[0]]),
     )
     cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=("F0",))
     with pytest.raises(ValueError, match="at most 62 qubits"):
@@ -258,7 +258,7 @@ def test_split_code_with_21_bit_checks_decodes_and_simulates():
     assert code.n_b == 21
     table = decode_table(code)
     for rec in table.records:
-        (cx, cz), _ = table.classify(*table.split_sides(rec.syndrome(code.n_b, code.n_p)))
+        (cx, cz), _ = table.classify(rec.sx, rec.sz)
         assert (cx, cz) == (rec.rx, rec.rz), rec.label
     cfg = SimConfig(cycle_rate=10.0, t_max=20.0, trials=4, haar_states=2, samples=4)
     res = simulate(code, ErrorModel(0.05, 0.05), cfg)
@@ -833,10 +833,7 @@ def _scalar_frame_trial(table, records, ordered_events, sample_cycles, haar, met
             _, (x_mask, z_mask) = ordered_events[ev_idx]
             ev_idx += 1
             sx, sz, rx, rz = _scalar_cycle_effect(records, x_mask, z_mask)
-            syndrome = tuple((sx >> i) & 1 for i in range(table.n_first)) + tuple(
-                (sz >> i) & 1 for i in range(table.n_second)
-            )
-            (cx, cz), category = table.classify(*table.split_sides(syndrome))
+            (cx, cz), category = table.classify(sx, sz)
             if category == "uncorrectable":
                 bad += 1
             frame_x ^= rx ^ int(cx)

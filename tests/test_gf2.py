@@ -43,11 +43,6 @@ def test_rejects_entries_other_than_exactly_0_or_1(data):
         Gf2Matrix(data)
 
 
-def test_from_rows_rejects_non_binary_entries():
-    with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
-        Gf2Matrix.from_rows([[1, -1]])
-
-
 @pytest.mark.parametrize(
     "data",
     [[[1.0, 0.0]], [[True, False]], np.array([[1, 0]], dtype=np.int64)],
@@ -78,7 +73,7 @@ def test_multiply_known_product():
 
 def test_multiply_identity_and_zero():
     code = fixture_code("11-3-3")
-    eye = Gf2Matrix.identity(3)
+    eye = Gf2Matrix(np.eye(3, dtype=np.uint8))
     assert multiply(eye, code.mb) == code.mb
     zero = Gf2Matrix.zeros(2, 3)
     assert multiply(zero, code.mb) == Gf2Matrix.zeros(2, 4)
@@ -90,7 +85,7 @@ def test_multiply_dimension_mismatch():
 
 
 def test_rref_identity_and_zero():
-    eye = Gf2Matrix.identity(4)
+    eye = Gf2Matrix(np.eye(4, dtype=np.uint8))
     res = rref(eye)
     assert res.reduced == eye and res.rank == 4
     res = rref(Gf2Matrix.zeros(3, 3))
@@ -151,6 +146,7 @@ def test_row_space_equal_row_operations():
 
 
 def test_row_space_not_equal():
-    assert not row_space_equal(Gf2Matrix.identity(2), Gf2Matrix([[1, 0]]))
+    eye2, eye3 = (Gf2Matrix(np.eye(n, dtype=np.uint8)) for n in (2, 3))
+    assert not row_space_equal(eye2, Gf2Matrix([[1, 0]]))
     with pytest.raises(ValueError):
-        row_space_equal(Gf2Matrix.identity(2), Gf2Matrix.identity(3))
+        row_space_equal(eye2, eye3)

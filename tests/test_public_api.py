@@ -6,13 +6,21 @@ verify it, decode it, simulate it and search for more.  Its callers are the
 other library modules, the CLI, the benchmark and the scripts; a name in a
 module's ``__all__`` that none of them reads as code either has a reason to
 stay in ``KEPT`` or belongs next to its only user (the tests) or nowhere.
+
+The same rule reaches into the classes those modules define and export: each
+public function, property, classmethod and staticmethod of such a class must
+be read as an attribute by those callers, or have a reason to stay in
+``KEPT_MEMBERS``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import graphlib
 import importlib
+import inspect
+import types
 
 from conftest import REPO_ROOT
 
@@ -30,6 +38,19 @@ KEPT = {
     "coherent_fidelity_631": "the paper's epsilon^4 analysis of the coherent 6-3-1",
 }
 
+# Public class members that no library module, benchmark file or script reads
+# as an attribute, and why each stays.
+KEPT_MEMBERS = {
+    "PauliString.commutes_with": (
+        "the commutation oracle the stabilizer tests run on every generator set"
+    ),
+}
+
+# The kinds of class member that the member rule checks.
+_MEMBER_KINDS = (
+    types.FunctionType, property, functools.cached_property, classmethod, staticmethod
+)
+
 
 def _library_modules() -> list[str]:
     """Every module under src/cpc but the package's ``__init__``."""
@@ -37,18 +58,33 @@ def _library_modules() -> list[str]:
     return sorted(p.stem for p in files if p.stem != "__init__")
 
 
-def _names_read_as_code() -> set[str]:
-    """Names loaded, and attributes read, anywhere in the library's callers."""
+def _caller_trees() -> list[ast.AST]:
+    """The parsed library modules, benchmark files and scripts."""
     files = [p for p in (REPO_ROOT / "src" / "cpc").glob("*.py") if p.name != "__init__.py"]
     files += [*(REPO_ROOT / "bench").glob("*.py"), *(REPO_ROOT / "scripts").glob("*.py")]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in files]
+
+
+def _names_read_as_code() -> set[str]:
+    """Names loaded, and attributes read, anywhere in the library's callers."""
     names = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+def _attributes_read() -> set[str]:
+    """Attributes read (loaded, not assigned or deleted) in the library's callers."""
+    return {
+        node.attr
+        for tree in _caller_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -63,6 +99,29 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not unread, f"public names with no caller and no reason to stay: {unread}"
     stale = sorted(KEPT.keys() - exported)
     assert not stale, f"kept names that are no longer public: {stale}"
+
+
+def test_every_public_member_has_a_caller_or_a_reason():
+    read = _attributes_read()
+    members = {}  # "Class.member" -> member
+    for short in _library_modules():
+        module = importlib.import_module(f"cpc.{short}")
+        for name in module.__all__:
+            cls = getattr(module, name)
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            members.update(
+                (f"{name}.{attr}", attr)
+                for attr, value in vars(cls).items()
+                if not attr.startswith("_") and isinstance(value, _MEMBER_KINDS)
+            )
+    unread = sorted(
+        member for member, attr in members.items()
+        if attr not in read and member not in KEPT_MEMBERS
+    )
+    assert not unread, f"public members with no caller and no reason to stay: {unread}"
+    stale = sorted(KEPT_MEMBERS.keys() - members.keys())
+    assert not stale, f"kept members that are no longer public: {stale}"
 
 
 def _relative_imports() -> dict[str, set[str]]:

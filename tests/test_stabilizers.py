@@ -336,7 +336,7 @@ def test_logical_operators_1133():
     logical_x, logical_z = logical_operators(code)
     labels = [g.label(code.qubit_label) for g in logical_x]
     assert labels == ["X_d1 X_b1 X_b3", "X_d2 X_b1 X_b2", "X_d3 X_b2 X_b3"]
-    assert all(g.weight() == 3 for g in logical_x)
+    assert all(g.support.bit_count() == 3 for g in logical_x)
     # every bit check appears in exactly two logical X operators
     counts = {b: 0 for b in range(code.n_b)}
     for g in logical_x:
