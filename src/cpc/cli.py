@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .circuits import PauliString, circuit_to_text, decode_circuit, encode_circuit
 from .decoding import (
-    DecodingObstruction,
     _check_cnot,
     _correctability,
     _distance,
@@ -158,7 +157,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_error_table(args) -> str:
     code = _load_code(args.code)
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
     rows = ["error\tsyndrome\tclass"]
     for rec, category in zip(table.records, categories.tolist()):
@@ -168,10 +167,11 @@ def _cmd_error_table(args) -> str:
 
 def _cmd_decode_table(args) -> str | int:
     code = _load_code(args.code)
-    try:
-        table = decode_table(code)
-    except DecodingObstruction as exc:
-        print(f"decode table unavailable: {exc}", file=sys.stderr)
+    table = decode_table(code)
+    if not table.report.ok:
+        detail = "; ".join(str(c) for c in table.report.collisions)
+        print(f"decode table unavailable: code is not single-error correcting: {detail}",
+              file=sys.stderr)
         return 1
     sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
     # every text has the same length, so it sorts as the syndrome tuple does

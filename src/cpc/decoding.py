@@ -37,7 +37,6 @@ __all__ = [
     "is_single_error_correcting",
     "code_distance",
     "DecodeTable",
-    "DecodingObstruction",
     "decode_table",
     "cnot_compatible",
     "correcting_mask",
@@ -289,15 +288,6 @@ def code_distance(code: CpcCode | GeneralCpcCode, w_max: int = 4) -> int | None:
     return _distance(code, single_error_records(code), w_max)
 
 
-class DecodingObstruction(ValueError):
-    """Raised when a decode table is requested for an ambiguous code."""
-
-    def __init__(self, report: CorrectabilityReport):
-        self.report = report
-        detail = "; ".join(str(c) for c in report.collisions)
-        super().__init__(f"code is not single-error correcting: {detail}")
-
-
 def _frozen(values) -> np.ndarray:
     """Read-only int64 array of ``values``, or of Python ints when some pass 63 bits."""
     try:
@@ -324,7 +314,8 @@ class DecodeTable:
     (including Y errors) decompose cleanly.  Every single X or Z fault is
     known: a split code's X faults fire only bit checks and its Z faults only
     phase checks, a generalized code has one side, and each such fault's side
-    mask is in its side.
+    mask is in its side.  ``report`` is the code's
+    :func:`is_single_error_correcting` verdict.
     """
 
     n_first: int
@@ -332,6 +323,7 @@ class DecodeTable:
     records: tuple[ErrorRecord, ...] = field(repr=False)
     first: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     second: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    report: CorrectabilityReport = field(repr=False, compare=False)
 
     def syndrome_text(self, first: int, second: int) -> str:
         """The syndrome of side masks as a bit-string, each side least significant bit first."""
@@ -385,22 +377,15 @@ def _resolve_group(members: list[ErrorRecord]) -> tuple[int, int]:
     return (members[0].rx, members[0].rz)
 
 
-def decode_table(
-    code: CpcCode | GeneralCpcCode, *, require_correcting: bool = True
-) -> DecodeTable:
+def decode_table(code: CpcCode | GeneralCpcCode) -> DecodeTable:
     """Build the syndrome -> correction table from the single-error model.
 
-    With ``require_correcting`` (the default) an ambiguity between harmful
-    errors raises :class:`DecodingObstruction` carrying the certificate.
-    Otherwise colliding syndromes resolve to the harmless explanation when
-    one exists, matching maximum likelihood under independent rare errors.
+    Colliding syndromes resolve to the harmless explanation when one exists,
+    matching maximum likelihood under independent rare errors; the table's
+    ``report`` says whether any collision is between harmful errors.
     """
     records = tuple(single_error_records(code))
     classes = _syndrome_classes(records)
-    if require_correcting:
-        report = _correctability(code, classes)
-        if not report.ok:
-            raise DecodingObstruction(report)
     n1, n2 = _syndrome_widths(code)
     # Filled in sorted order, each side's masks increase from 0.
     first, second = {0: (0, 0)}, {0: (0, 0)}
@@ -413,7 +398,7 @@ def decode_table(
             # leaves its X part to the bit side.
             second[sz] = (0, rz)
     first, second = ((_frozen(list(s)), _frozen(list(s.values()))) for s in (first, second))
-    return DecodeTable(n1, n2, records, first, second)
+    return DecodeTable(n1, n2, records, first, second, _correctability(code, classes))
 
 
 def _check_cnot(control: int, target: int, k: int | None = None) -> None:

@@ -939,7 +939,7 @@ def coherent_fidelity_631(
         state = apply_1q(state, q, err)
     state = apply_circuit(state, decode_circuit(code))
 
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     fidelity = 0.0
     probs: dict[str, float] = {}
     # one block of 2**k data amplitudes per syndrome, as the statevector backend reads it

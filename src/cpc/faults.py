@@ -66,7 +66,7 @@ class FaultTable:
 @functools.lru_cache(maxsize=16)
 def fault_table(code: CpcCode | GeneralCpcCode) -> FaultTable:
     """The code's decode table and fault rows, built once per code."""
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     rows = [rec for rec in table.records if rec.kind != "Y"]
     is_x = np.array([rec.kind == "X" for rec in rows], dtype=bool)
     effects = np.array([(rec.sx, rec.sz, rec.rx, rec.rz) for rec in rows], dtype=np.int64)

@@ -156,7 +156,7 @@ def test_verify_prints_the_library_verdict_and_distance(capsys, fixture_dir):
 def _tuple_formatted_tables(code) -> tuple[str, str]:
     """error-table and decode-table stdout, each syndrome printed from its tuple."""
     bits = lambda syndrome: "".join(str(b) for b in syndrome)
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
     rows = ["error\tsyndrome\tclass"] + [
         f"{rec.label}\t{bits(rec.syndrome(table.n_first, table.n_second))}\t{category}"
@@ -219,20 +219,18 @@ def test_css_file_with_an_empty_gx_section_converts(tmp_path, capsys, fixture_di
 
 
 def test_decode_table_flawed_exits_one(capsys, fixture_dir):
-    code, _, err = _run(capsys, "decode-table", str(fixture_dir / "11-3-1.cpc"))
-    assert code == 1 and "not single-error correcting" in err
-
-
-def test_cpc_to_css_and_back(tmp_path, capsys, fixture_dir):
-    css_path = tmp_path / "pair.css"
-    code, _, _ = _run(capsys, "cpc-to-css", str(fixture_dir / "11-3-3.cpc"), "--out", str(css_path))
-    assert code == 0
-    text = css_path.read_text(encoding="utf-8")
-    assert text.startswith("CSS\nGZ\n")
-    out_cpc = tmp_path / "round.cpc"
-    code, _, _ = _run(capsys, "css-to-cpc", str(css_path), "--out", str(out_cpc))
-    assert code == 0
-    assert "CPC split" in out_cpc.read_text(encoding="utf-8")
+    collisions = {
+        "11-3-1": "syndrome 00000001 shared by: Z_b1, Z_b2, Z_b3, Z_p4",
+        "6-3-1": (
+            "syndrome 000 shared by: no error, Z_d1, Z_d2, Z_d3, Z_b1, Z_b2, Z_b3; "
+            "syndrome 100 shared by: X_b1, Y_b1; syndrome 010 shared by: X_b2, Y_b2; "
+            "syndrome 110 shared by: X_d2, Y_d2; syndrome 001 shared by: X_b3, Y_b3; "
+            "syndrome 101 shared by: X_d1, Y_d1; syndrome 011 shared by: X_d3, Y_d3"
+        ),
+    }
+    for name, detail in collisions.items():
+        err = f"decode table unavailable: code is not single-error correcting: {detail}\n"
+        assert _run(capsys, "decode-table", str(fixture_dir / f"{name}.cpc")) == (1, "", err)
 
 
 SPLIT_FIXTURES = sorted(
@@ -246,8 +244,9 @@ def test_cpc_to_css_and_back_keeps_the_stabilizer_group(tmp_path, capsys, fixtur
     css_path = tmp_path / f"{name}.css"
     rc, _, _ = _run(capsys, "cpc-to-css", str(fixture_dir / f"{name}.cpc"), "--out", str(css_path))
     assert rc == 0
-    rc, out, err = _run(capsys, "css-to-cpc", str(css_path))
-    assert (rc, err) == (0, "")
+    cpc_path = tmp_path / f"{name}.cpc"
+    assert _run(capsys, "css-to-cpc", str(css_path), "--out", str(cpc_path)) == (0, "", "")
+    out = cpc_path.read_text(encoding="utf-8")
     prefix = "# column permutation: "
     last = out.splitlines()[-1]
     assert last.startswith(prefix)
@@ -463,8 +462,7 @@ def test_fit_names_the_line_and_column_of_a_bad_field(tmp_path, capsys, rows, li
 _COLD_START = """
 import json, math, sys
 import numpy as np
-import cpc
-from cpc import cli
+from cpc import cli, dynamics
 fixtures = sys.argv[1]
 codes = []
 for argv in (
@@ -478,7 +476,7 @@ for argv in (
     codes.append(cli.main(argv))
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 times = np.linspace(0.0, 200.0, 40)
-fit = cpc.fit_half_life(times, 0.25 + 0.75 * np.exp(-math.log(2.0) * times / 50.0))
+fit = dynamics.fit_half_life(times, 0.25 + 0.75 * np.exp(-math.log(2.0) * times / 50.0))
 print(json.dumps({
     "codes": codes,
     "before": before,

@@ -12,7 +12,6 @@ from ml_reference import infer_check_errors, ml_decode_exhaustive
 from cpc.circuits import PauliString
 from cpc.decoding import (
     CollisionGroup,
-    DecodingObstruction,
     augment_for_cnot,
     cnot_compatible,
     cnot_compatible_mask,
@@ -172,7 +171,7 @@ def test_side_arrays_match_decode_on_every_syndrome():
     codes = [fixture_code(name) for name in ("11-3-3", "10-3-3", "6-3-1", "11-3-1")]
     codes += seeded_random_codes(10, seed=91) + seeded_random_general_codes(10, seed=92)
     for code in codes:
-        table = decode_table(code, require_correcting=False)
+        table = decode_table(code)
         assert table.records == tuple(single_error_records(code))
         first, second = _side_dict(table.first), _side_dict(table.second)
         width_a, width_b = 1 << table.n_first, 1 << table.n_second
@@ -215,7 +214,7 @@ def test_lookup_knows_every_lone_x_and_z_fault():
     no_checks = Gf2Matrix.zeros(2, 0)
     codes.append(GeneralCpcCode(mbs=no_checks, mps=no_checks, mcs=Gf2Matrix.zeros(0, 0)))
     for code in codes:
-        table = decode_table(code, require_correcting=False)
+        table = decode_table(code)
         lone = [r for r in table.records if r.kind != "Y"]
         _, known = table.lookup([r.sx for r in lone], [r.sz for r in lone])
         assert known.all(), (code, [r.label for r, ok in zip(lone, known) if not ok])
@@ -270,7 +269,7 @@ def test_decode_table_keeps_masks_past_63_bits():
         mps=Gf2Matrix(rng.integers(0, 2, (k, n_c), dtype=np.uint8)),
         mcs=Gf2Matrix(np.triu(rng.integers(0, 2, (n_c, n_c), dtype=np.uint8), 1)),
     )
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     assert table.first[1].dtype == object and not table.first[1].flags.writeable
     counts = collections.Counter((r.sx, r.sz) for r in table.records)
     unique = [r for r in table.records if counts[r.sx, r.sz] == 1 and (r.sx or r.sz)]
@@ -281,12 +280,18 @@ def test_decode_table_keeps_masks_past_63_bits():
 
 
 def test_decode_table_obstruction_certificate():
-    with pytest.raises(DecodingObstruction) as err:
-        decode_table(fixture_code("11-3-1"))
-    assert "Z_b1" in str(err.value)
-    # non-strict mode still yields a usable (best-effort) table
-    table = decode_table(fixture_code("11-3-1"), require_correcting=False)
+    table = decode_table(fixture_code("11-3-1"))
+    assert not table.report.ok
+    assert any("Z_b1" in group.labels for group in table.report.collisions)
+    # a code that is not single-error correcting still yields a usable (best-effort) table
     assert table.classify(0, 0)[1] == "no_error"
+
+
+def test_decode_table_report_is_the_correctability_verdict():
+    codes = [fixture_code(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cpc"))]
+    codes += seeded_random_codes(100, seed=95) + seeded_random_general_codes(100, seed=96)
+    for code in codes:
+        assert decode_table(code).report == is_single_error_correcting(code), code
 
 
 def test_cnot_compatible_fixtures():

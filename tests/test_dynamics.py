@@ -851,7 +851,7 @@ def _scalar_frame_trial(table, records, ordered_events, sample_cycles, haar, met
 
 def _scalar_simulate(code, model, cfg, log):
     """The Pauli-frame simulate loop, one cycle at a time."""
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     records = {(r.qubit, r.kind): r for r in single_error_records(code)}
     n, k, r = code.qubit_count, code.k, cfg.cycle_rate
     n_cycles = max(1, int(round(cfg.t_max * r)))
@@ -914,7 +914,7 @@ def _coincident_cycles(code, trial_events):
     net frame change differs from the XOR of its faults' own net changes, and
     whether its syndrome is known.
     """
-    table = decode_table(code, require_correcting=False)
+    table = decode_table(code)
     records = {(r.qubit, r.kind): r for r in single_error_records(code)}
 
     def net_change(x_mask, z_mask):

@@ -127,7 +127,7 @@ def test_every_public_member_has_a_caller_or_a_reason():
 def _relative_imports() -> dict[str, set[str]]:
     """The library modules each module imports, at module level or inside a
     function.  ``from . import name`` counts only when ``name`` is a module:
-    anything else comes from ``__init__``, which imports every module."""
+    anything else comes from ``__init__``, which imports no module."""
     modules = _library_modules()
     graph = {}
     for short in modules:
@@ -148,3 +148,18 @@ def test_library_imports_have_no_cycle():
     # the fault table's import rule: neither dynamics nor search, so that any
     # module, the search included, can read the table
     assert graph["faults"] <= {"decoding", "gf2", "model"}
+
+
+def test_package_binds_only_its_version_and_submodules():
+    # each name has one import path, from the module that defines it
+    import cpc
+    import cpc.cli  # imports every library module
+    import cpc.search as search
+    import cpc.stabilizers as stabilizers
+
+    extra = sorted(
+        name for name, value in vars(cpc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert not extra, f"the package binds names that are not modules: {extra}"
+    assert isinstance(search, types.ModuleType) and isinstance(stabilizers, types.ModuleType)
