@@ -1,4 +1,4 @@
-"""Syndrome tables, decode tables, correctability verdicts, code distance, ML decoding.
+"""Syndrome tables, decode tables, correctability verdicts, code distance, ML decode Hamiltonian.
 
 A syndrome is the tuple of parity-check measurement flips after one cycle:
 for split codes the n_b bit-check outcomes followed by the n_p phase-check
@@ -8,8 +8,8 @@ matrix (:func:`cpc.stabilizers.check_matrix`): a fault flips the checks whose
 generators it anticommutes with.  Error propagation is linear, so the
 syndrome (and the residual Pauli left on the data register) of any error
 pattern is the XOR of single-qubit contributions.  An ML decode is the ground
-state of :func:`ising_problem`'s spin Hamiltonian, found by :func:`solve_ising`;
-the tests check it against a direct enumeration of error sets.
+state of :func:`ising_problem`'s spin Hamiltonian; the tests find that ground
+state by enumeration and check it against a direct enumeration of error sets.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ __all__ = [
     "augment_for_cnot",
     "IsingTerm",
     "IsingProblem",
-    "IsingSolution",
     "ising_problem",
-    "solve_ising",
 ]
 
 Syndrome = tuple[int, ...]
@@ -68,20 +66,19 @@ def _bits_text(mask: int, width: int) -> str:
     return format(mask, f"0{width}b")[::-1] if width else ""
 
 
-def _check_bits(values, name: str) -> None:
-    """Refuse a syndrome or measurement list with an entry other than 0 or 1."""
-    for i, b in enumerate(values):
-        if b not in (0, 1):
-            raise ValueError(f"{name}[{i}] is {b!r}, expected 0 or 1")
-
-
 def _check_entries(values, count: int, name: str, noun: str) -> list[int]:
-    """``values`` as a list of ``count`` bits, else ValueError."""
+    """``values`` as a list of ``count`` ints, each 0 or 1, else ValueError.
+
+    An entry equal to 0 or 1 of another type, such as ``1.0`` or
+    ``np.float64(1)``, is read as that bit.
+    """
     values = list(values)
     if len(values) != count:
         raise ValueError(f"expected {count} {noun}, got {len(values)}")
-    _check_bits(values, name)
-    return values
+    for i, b in enumerate(values):
+        if b not in (0, 1):
+            raise ValueError(f"{name}[{i}] is {b!r}, expected 0 or 1")
+    return [int(b) for b in values]
 
 
 class ErrorRecord(NamedTuple):
@@ -184,9 +181,6 @@ class CollisionGroup:
 class CorrectabilityReport:
     ok: bool
     collisions: tuple[CollisionGroup, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _syndrome_classes(
@@ -582,16 +576,8 @@ class IsingProblem:
     measured parity disagrees with the inferred bit errors was itself errored.
     """
 
-    spin_count: int
     fields: tuple[float, ...]
     terms: tuple[IsingTerm, ...]
-
-
-@dataclass(frozen=True)
-class IsingSolution:
-    spins: tuple[int, ...]
-    energy: float
-    bit_errors: frozenset[int]
 
 
 def _check_priors(values, count, name) -> list[float]:
@@ -621,36 +607,7 @@ def ising_problem(
     fields = tuple(math.log(p / (1.0 - p)) for p in bit_priors)
     terms = []
     for (check_id, members), p, m in zip(cc.checks, check_priors, measurements):
-        coeff = (-1) ** (m & 1) * math.log(p / (1.0 - p))
+        coeff = (-1) ** m * math.log(p / (1.0 - p))
         terms.append(IsingTerm(spins=tuple(sorted(members)), coefficient=coeff))
-    return IsingProblem(spin_count=cc.bit_count, fields=fields, terms=tuple(terms))
+    return IsingProblem(fields=fields, terms=tuple(terms))
 
-
-def solve_ising(problem: IsingProblem) -> IsingSolution:
-    """Exhaustive ground-state search; ties break to the smallest error set.
-
-    Error sets are compared as sorted index tuples, so fewer/earlier flipped
-    spins win deterministically.
-    """
-    n = problem.spin_count
-    if n > 24:
-        raise ValueError(f"instance too large for exhaustive search: {n} spins")
-    best = None
-    for bits in range(1 << n):
-        spins = [1 - 2 * ((bits >> i) & 1) for i in range(n)]
-        energy = sum(f * s for f, s in zip(problem.fields, spins))
-        for term in problem.terms:
-            prod = term.coefficient
-            for j in term.spins:
-                prod *= spins[j]
-            energy += prod
-        errors = tuple(i for i in range(n) if spins[i] == -1)
-        key = (energy, errors)
-        if best is None or key[0] < best[0][0] - 1e-12 or (
-            abs(key[0] - best[0][0]) <= 1e-12 and errors < best[0][1]
-        ):
-            best = (key, spins)
-    (energy, errors), spins = best
-    return IsingSolution(
-        spins=tuple(spins), energy=energy, bit_errors=frozenset(errors)
-    )

@@ -28,7 +28,6 @@ __all__ = [
     "InvalidCodeError",
     "parse",
     "serialize",
-    "from_classical",
     "generalize",
 ]
 
@@ -77,7 +76,9 @@ class CpcCode:
 
     ``mb`` (k x n_b) holds CNOTs from data qubits to bit checks, ``mp``
     (k x n_p) CNOTs from phase checks to data qubits, and ``mc`` (n_b x n_p)
-    the cross checks between the two parity species.  The sizes ``k``,
+    the cross checks between the two parity species.  Building a code from
+    classical parity checks is this constructor: ``mb`` and ``mp`` are the
+    bit and phase codes' checks, one row per data qubit.  The sizes ``k``,
     ``n_b``, ``n_p`` and ``qubit_count`` are read off the matrices once, on
     construction.
     """
@@ -181,15 +182,6 @@ class ClassicalCode:
                     raise ValueError(
                         f"check {check_id} references bit {b} outside 0..{self.bit_count - 1}"
                     )
-
-
-def from_classical(h_bit: Gf2Matrix, h_phase: Gf2Matrix, mc: Gf2Matrix) -> CpcCode:
-    """Assemble a split code from two classical parity-check matrices plus cross checks.
-
-    ``h_bit`` and ``h_phase`` are bits-x-checks matrices for the bit-flip and
-    phase codes respectively; both must have one row per data qubit.
-    """
-    return CpcCode(mb=h_bit, mp=h_phase, mc=mc)
 
 
 def generalize(code: CpcCode) -> GeneralCpcCode:

@@ -1,8 +1,9 @@
 """Maximum-likelihood decoding of a classical code by direct enumeration.
 
-The reference that the library's Ising form (``cpc.decoding.ising_problem``
-and ``solve_ising``) is checked against: the same most likely error set,
-found by scoring every bit-error pattern instead of a spin Hamiltonian.
+Two references for the library's Ising form (``cpc.decoding.ising_problem``):
+:func:`ising_ground_state` enumerates the spin Hamiltonian's configurations,
+and :func:`ml_decode_exhaustive` finds the same most likely error set by
+scoring every bit-error pattern instead of a spin Hamiltonian.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from cpc.decoding import _check_entries, _check_priors
+import numpy as np
+
+from cpc.decoding import IsingProblem, _check_entries, _check_priors
 from cpc.model import ClassicalCode
 
 
@@ -50,6 +53,24 @@ def infer_check_errors(cc: ClassicalCode, syndrome, bit_errors) -> frozenset[int
     return frozenset(
         cc.checks[i][0] for i in _disagreeing_checks(_member_masks(cc), syndrome, pattern)
     )
+
+
+def ising_ground_state(problem: IsingProblem) -> frozenset[int]:
+    """The spins set to -1 (the errored bits) in ``problem``'s ground state.
+
+    Scores every configuration in one array, bit i of a pattern being spin i's
+    flip.  Every configuration within 1e-12 of the lowest energy ties, and a
+    tie breaks to the smallest sorted error set, as in
+    :func:`ml_decode_exhaustive`.
+    """
+    n = len(problem.fields)
+    patterns = np.arange(1 << n)
+    spins = 1 - 2 * ((patterns[:, None] >> np.arange(n)) & 1)
+    energy = spins @ np.array(problem.fields, dtype=float)
+    for term in problem.terms:
+        energy += term.coefficient * spins[:, list(term.spins)].prod(axis=1)
+    ties = np.flatnonzero(energy <= energy.min() + 1e-12)
+    return frozenset(min(tuple(i for i in range(n) if p >> i & 1) for p in ties))
 
 
 def ml_decode_exhaustive(

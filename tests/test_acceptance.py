@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from conftest import HAMMING_743, fixture_code, seeded_random_codes
-from ml_reference import infer_check_errors, ml_decode_exhaustive
+from ml_reference import infer_check_errors, ising_ground_state, ml_decode_exhaustive
 from cpc.circuits import (
     Circuit,
     PauliString,
@@ -30,7 +30,6 @@ from cpc.decoding import (
     error_table,
     is_single_error_correcting,
     ising_problem,
-    solve_ising,
 )
 from cpc.dynamics import ErrorModel, SimConfig, coherent_fidelity_631, fit_half_life, simulate
 from cpc.gf2 import Gf2Matrix, multiply, row_space_equal
@@ -298,12 +297,12 @@ def test_criterion_10_decoder_oracle_equivalence():
         check_priors = [0.05] * n_checks
         for bits in itertools.product((0, 1), repeat=n_checks):
             problem = ising_problem(cc, bit_priors, check_priors, bits)
-            ground = solve_ising(problem)
+            ground = ising_ground_state(problem)
             ml = ml_decode_exhaustive(cc, bits, bit_priors, check_priors)
             total += 1
-            if ground.bit_errors != ml.bit_errors:
+            if ground != ml.bit_errors:
                 mismatches += 1
-            elif infer_check_errors(cc, bits, ground.bit_errors) != ml.check_errors:
+            elif infer_check_errors(cc, bits, ground) != ml.check_errors:
                 mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 60.0

@@ -13,6 +13,7 @@ from cpc.cli import main
 from cpc.decoding import code_distance, decode_table, is_single_error_correcting, single_error_records
 from cpc.gf2 import Gf2Matrix, row_space_equal
 from cpc.model import parse, serialize
+from cpc.propagation import effective_codes, general_to_classical
 from cpc.search import cnot_compatible_predicate, random_code, search
 from cpc.stabilizers import symplectic_matrix
 
@@ -163,7 +164,7 @@ def _tuple_formatted_tables(code) -> tuple[str, str]:
         for rec, category in zip(table.records, categories.tolist())
     ]
     errors = "\n".join(rows) + "\n"
-    if not is_single_error_correcting(code):
+    if not is_single_error_correcting(code).ok:
         return errors, ""
     sides = {(0, 0)} | {(r.sx, r.sz) for r in table.records}
     widths = (table.n_first, table.n_second)
@@ -287,17 +288,36 @@ def test_css_to_cpc_rejects_malformed_css(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
-def test_ising_output(capsys, fixture_dir):
-    code, out, _ = _run(
-        capsys, "ising", str(fixture_dir / "6-3-1.cpc"), "--syndrome", "011", "--p-bit", "0.1"
+@pytest.mark.parametrize(
+    "fixture, side, syndrome",
+    [("6-3-1", "bit", "011"), ("11-3-3", "phase", "0110"), ("10-3-3", "general", "0110010")],
+    ids=["bit", "phase", "general"],
+)
+def test_ising_output(capsys, fixture_dir, fixture, side, syndrome):
+    code, out, err = _run(
+        capsys, "ising", str(fixture_dir / f"{fixture}.cpc"), "--side", side,
+        "--syndrome", syndrome, "--p-bit", "0.1", "--p-check", "0.05",
     )
-    assert code == 0
+    assert code == 0 and err == ""
+    source = fixture_code(fixture)
+    if side == "general":
+        cc = general_to_classical(source)
+    else:
+        bit_code, phase_code = effective_codes(source)
+        cc = bit_code if side == "bit" else phase_code
     lines = out.strip().splitlines()
-    assert lines[0].startswith("field 0 -2.19722")
-    assert any(l.startswith("check 0 1 ") for l in lines)
-    # fired checks flip the coefficient sign to positive
-    coeffs = [float(l.split()[-1]) for l in lines if l.startswith("check")]
-    assert sorted(c > 0 for c in coeffs) == [False, True, True]
+    fields = [l.split() for l in lines if l.startswith("field ")]
+    checks = [l.split() for l in lines if l.startswith("check ")]
+    assert len(fields) + len(checks) == len(lines)
+    # one field per classical bit, log(0.1/0.9) each
+    assert [f[1] for f in fields] == [str(i) for i in range(cc.bit_count)]
+    assert all(float(f[2]) == pytest.approx(-2.19722, abs=1e-5) for f in fields)
+    # one check line per classical check, on its member spins; a fired check
+    # flips the coefficient log(0.05/0.95) to positive
+    assert len(checks) == len(cc.checks) == len(syndrome)
+    for line, (_, members), fired in zip(checks, cc.checks, syndrome):
+        assert line[1:-1] == [str(b) for b in sorted(members)]
+        assert float(line[-1]) == pytest.approx((-1) ** int(fired) * -2.94444, abs=1e-5)
 
 
 def test_ising_syndrome_length_check(capsys, fixture_dir):

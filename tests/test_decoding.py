@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes, seeded_random_general_codes
-from ml_reference import infer_check_errors, ml_decode_exhaustive
+from ml_reference import infer_check_errors, ising_ground_state, ml_decode_exhaustive
 from cpc.circuits import PauliString
 from cpc.decoding import (
     CollisionGroup,
@@ -23,7 +23,6 @@ from cpc.decoding import (
     ising_problem,
     single_error_correcting_predicate,
     single_error_records,
-    solve_ising,
 )
 from cpc.gf2 import Gf2Matrix
 from cpc.model import CpcCode, GeneralCpcCode, InvalidCodeError, generalize
@@ -444,17 +443,21 @@ def test_ising_field_coefficient_value():
 def test_ising_all_even_ground_state_is_error_free():
     cc, _ = effective_codes(fixture_code("6-3-1"))
     problem = ising_problem(cc, [0.1] * 3, [0.1] * 3, [0, 0, 0])
-    sol = solve_ising(problem)
-    assert sol.bit_errors == frozenset()
-    assert sol.spins == (1, 1, 1)
+    assert ising_ground_state(problem) == frozenset()
 
 
 def test_ising_flips_shared_bit():
     # syndrome 011 on the three-bit code: both firing checks cover bit C
     cc, _ = effective_codes(fixture_code("6-3-1"))
     problem = ising_problem(cc, [0.1] * 3, [0.1] * 3, [0, 1, 1])
-    sol = solve_ising(problem)
-    assert sol.bit_errors == frozenset({2})
+    assert ising_ground_state(problem) == frozenset({2})
+
+
+@pytest.mark.parametrize("one", [1.0, np.float64(1)])
+def test_ising_problem_reads_a_bit_of_another_type_as_that_bit(one):
+    cc, _ = effective_codes(fixture_code("11-3-3"))
+    priors = [0.1] * cc.bit_count, [0.1] * 4
+    assert ising_problem(cc, *priors, [one, 0, 0, 0]) == ising_problem(cc, *priors, [1, 0, 0, 0])
 
 
 def test_ising_rejects_bad_priors():
@@ -501,10 +504,10 @@ def test_ising_matches_ml_on_both_1133_effective_codes():
         n_checks = len(cc.checks)
         for bits in itertools.product((0, 1), repeat=n_checks):
             problem = ising_problem(cc, [0.05] * cc.bit_count, [0.05] * n_checks, bits)
-            sol = solve_ising(problem)
+            ground = ising_ground_state(problem)
             ml = ml_decode_exhaustive(cc, bits, [0.05] * cc.bit_count, [0.05] * n_checks)
-            assert sol.bit_errors == ml.bit_errors, bits
-            assert infer_check_errors(cc, bits, sol.bit_errors) == ml.check_errors
+            assert ground == ml.bit_errors, bits
+            assert infer_check_errors(cc, bits, ground) == ml.check_errors
 
 
 def test_ising_matches_ml_on_general_classical_code():
@@ -514,9 +517,8 @@ def test_ising_matches_ml_on_general_classical_code():
     for _ in range(40):
         bits = [int(b) for b in rng.integers(0, 2, size=n_checks)]
         problem = ising_problem(cc, [0.08] * cc.bit_count, [0.08] * n_checks, bits)
-        sol = solve_ising(problem)
         ml = ml_decode_exhaustive(cc, bits, [0.08] * cc.bit_count, [0.08] * n_checks)
-        assert sol.bit_errors == ml.bit_errors
+        assert ising_ground_state(problem) == ml.bit_errors
 
 
 @pytest.mark.parametrize(
@@ -556,15 +558,6 @@ def test_ml_decode_too_large():
     cc = ClassicalCode(bit_count=25, checks=((0, frozenset({0})),))
     with pytest.raises(ValueError):
         ml_decode_exhaustive(cc, [0], [0.1] * 25, [0.1])
-
-
-def test_solve_ising_too_large():
-    from cpc.model import ClassicalCode
-
-    cc = ClassicalCode(bit_count=25, checks=((0, frozenset({0})),))
-    problem = ising_problem(cc, [0.1] * 25, [0.1], [0])
-    with pytest.raises(ValueError, match="^instance too large for exhaustive search: 25 spins$"):
-        solve_ising(problem)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from cpc.model import (
     CpcFormatError,
     GeneralCpcCode,
     InvalidCodeError,
-    from_classical,
     generalize,
     parse,
     serialize,
@@ -126,24 +125,14 @@ _HAMMING_74_DATA = Gf2Matrix([[1, 0, 1], [1, 1, 0], [1, 1, 1], [0, 1, 1]])
 
 def test_from_classical_builds_1133():
     pad = Gf2Matrix(np.hstack([_THREE_BIT.data, np.zeros((3, 1), dtype=np.uint8)]))
-    code = from_classical(pad, pad, fixture_code("11-3-3").mc)
+    code = CpcCode(mb=pad, mp=pad, mc=fixture_code("11-3-3").mc)
     assert code == fixture_code("11-3-3")
 
 
 def test_from_classical_hamming_1243():
     pad = Gf2Matrix(np.hstack([_HAMMING_74_DATA.data, np.zeros((4, 1), dtype=np.uint8)]))
-    code = from_classical(pad, pad, fixture_code("12-4-3").mc)
+    code = CpcCode(mb=pad, mp=pad, mc=fixture_code("12-4-3").mc)
     assert code == fixture_code("12-4-3")
-
-
-def test_from_classical_zero_cross_is_constructible():
-    code = from_classical(_THREE_BIT, _THREE_BIT, Gf2Matrix.zeros(3, 3))
-    assert code.mc.is_zero()
-
-
-def test_from_classical_rejects_mismatch():
-    with pytest.raises(InvalidCodeError):
-        from_classical(Gf2Matrix.zeros(3, 2), Gf2Matrix.zeros(2, 2), Gf2Matrix.zeros(2, 2))
 
 
 def test_generalize_1133_block_layout():

@@ -27,13 +27,11 @@ from conftest import REPO_ROOT
 # Public names that no library module, benchmark file or script reads, and why
 # each stays.
 KEPT = {
-    "from_classical": "the paper's construction of a code from classical parity checks",
     "generalize": "the paper's generalized form of a split code",
     "circuits_equal": "the gate certificate; the CI console step calls it",
     "cross_propagation": "the graphical language's split-code propagation view",
     "general_propagation": "the graphical language's generalized-code propagation view",
     "augment_for_cnot": "built the 13-3-3 fixture, the CNOT-compatible 11-3-3",
-    "solve_ising": "decodes the Hamiltonian that `cpc ising` prints",
     "logical_pauli_frame": "the paper's logical Paulis inside a cycle",
     "coherent_fidelity_631": "the paper's epsilon^4 analysis of the coherent 6-3-1",
 }
