@@ -33,7 +33,6 @@ __all__ = [
     "Circuit",
     "PauliString",
     "cnot",
-    "cz",
     "cczx",
     "hadamard",
     "encode_circuit",
@@ -68,10 +67,6 @@ class Gate:
 
 def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
-
-
-def cz(a: int, b: int) -> Gate:
-    return Gate("CZ", (a, b))
 
 
 def cczx(a: int, b: int) -> Gate:

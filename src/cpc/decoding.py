@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "cnot_compatible",
     "correcting_mask",
     "cnot_compatible_mask",
-    "single_error_correcting_predicate",
-    "cnot_compatible_predicate",
     "augment_for_cnot",
     "IsingTerm",
     "IsingProblem",
@@ -510,21 +508,6 @@ def cnot_compatible_mask(mb, mp, mc, control: int, target: int) -> np.ndarray:
     # checks, so nonzero pair keys also differ from each other.
     fresh = ~(keys[:, :, None] == pairs[:, None, :]).any(axis=(1, 2))
     return _correcting_keys(keys, harmful) & fresh
-
-
-def single_error_correcting_predicate() -> Callable[..., np.ndarray]:
-    """Search predicate ``(mb, mp, mc) -> (N,) bool`` of :func:`correcting_mask`."""
-    return correcting_mask
-
-
-def cnot_compatible_predicate(control: int, target: int) -> Callable[..., np.ndarray]:
-    """Search predicate ``(mb, mp, mc) -> (N,) bool`` of :func:`cnot_compatible_mask`.
-
-    Equal indices are rejected here; out-of-range ones when the data count
-    is known, on the first block of codes.
-    """
-    _check_cnot(control, target)
-    return functools.partial(cnot_compatible_mask, control=control, target=target)
 
 
 def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:

@@ -7,44 +7,46 @@ every error is a Pauli, a cycle maps the product state (data) x (reference
 checks) to another such product state with deterministic check outcomes, so
 the default backend tracks the accumulated data-register Pauli frame and is
 exactly equivalent to the full statevector evolution (the ``statevector``
-backend, kept as the cross-checking oracle).  The oracle carries only the
-data states of a trial's probes (|0..0>, |+..+> and the Haar states) between
+backend, kept as the cross-checking oracle).  The oracle carries only the data
+states of a trial's probes (|0..0>, |+..+> and the Haar states) between
 cycles, as one stack.  Each cycle runs them through the full register with
 every check turned to read in Z, and the syndrome is the one block of data
-amplitudes that holds every probe's weight; nothing is sampled.  The
-engine's gates act on the last axis, so one call maps a single state or a
-stack.  Coherent errors are not a ``simulate`` model:
-:func:`coherent_fidelity_631` treats a coherent rotation exactly, on the same
-small statevector engine, and reads its syndrome blocks the same way.
+amplitudes that holds every probe's weight; nothing is sampled.  The engine's
+gates act on the last axis, so one call maps a single state or a stack, and
+:func:`apply_pauli_masks` is the one place where a Pauli meets a state.
+Coherent errors are not a ``simulate`` model: :func:`coherent_fidelity_631`
+treats a coherent rotation exactly, on the same small statevector engine, and
+reads its syndrome blocks the same way.
 
 Error-free cycles are the identity and are skipped by sampling the cycles on
 which at least one error fires; the per-cycle error law is unchanged.
 
-Both backends sample one fault table, :func:`cpc.faults.fault_table`; a
-trial's errors are (cycle, fault) pairs drawn from it.  Trial t draws its
-errors from the Philox stream of ``SeedSequence(seed, spawn_key=(t, 0))`` and,
-only when Frand is asked for, its Haar states' Gaussians from ``(t, 1)``; the
-keys of a block of trials come from one vectorized kernel
-(:func:`cpc.search._philox_keys`), and each stream is one generator whose
-Philox state is reset to the trial's key.  Cycle indices are int32 in a run of
-fewer than 2**31 cycles and int64 from 2**31 on, through the same code; the
-int32 draws are the int64 draws' values (see :func:`_sample_error_events`).
-The Pauli-frame backend is array code over a block of trials at a time.  A
-cycle's correction depends only on its own syndrome, never on the frame, so
-a lone fault's net change comes from the fault table, and the statevector
-oracle calls :meth:`cpc.decoding.DecodeTable.lookup` once per cycle.  A
-trial's events come grouped by fault, so the frame at a sample time is the
-XOR of the net changes of the faults that fired an odd number of times
-before it: one ``searchsorted`` of the block's events into the sample
-cycles and one ``bincount`` of (trial, fault, sample bin), with no sort by
-cycle.  Only cycles where faults coincide, found by sorting each trial's
-cycles, are looked up again, all of a block's in one call, and put their
-looked-up change in place of their faults' own.  The table knows every lone
-fault's syndrome, so only such a cycle can be uncorrectable.  The Haar states
-behind ``Frand`` are normalised once per block, over the trials' stacked
-draws, and their overlaps computed for every run of equal frames in a trial,
-all of a block's in one batched pass.  This is the batched Pauli-frame
-pattern of Stim (Gidney, arXiv:2103.02202), in numpy, across trials.
+Both backends sample one fault table, :func:`cpc.faults.fault_table`, a block
+of trials at a time; a trial's errors are (cycle, fault) pairs drawn from it.
+Trial t draws its errors from the Philox stream of ``SeedSequence(seed,
+spawn_key=(t, 0))`` and, only when Frand is asked for, its Haar states'
+Gaussians from ``(t, 1)``; the keys of a block of trials come from one
+vectorized kernel (:func:`cpc.search._philox_keys`), and each stream is one
+generator whose Philox state is reset to the trial's key.  Cycle indices are
+int32 in a run of fewer than 2**31 cycles and int64 from 2**31 on, through the
+same code; the int32 draws are the int64 draws' values (see
+:func:`_sample_error_events`).  The Pauli-frame backend is array code over a
+block; the oracle runs its trials one by one.  A cycle's correction depends
+only on its own syndrome, never on the frame, so a lone fault's net change
+comes from the fault table, and the oracle calls
+:meth:`cpc.decoding.DecodeTable.lookup` once per cycle.  A trial's events come
+grouped by fault, so the frame at a sample time is the XOR of the net changes
+of the faults that fired an odd number of times before it: one
+``searchsorted`` of the block's events into the sample cycles and one
+``bincount`` of (trial, fault, sample bin), with no sort by cycle.  Only
+cycles where faults coincide, found by sorting each trial's cycles, are looked
+up again, all of a block's in one call, and put their looked-up change in
+place of their faults' own.  The table knows every lone fault's syndrome, so
+only such a cycle can be uncorrectable.  The Haar states behind ``Frand`` are
+normalised once per block, over the trials' stacked draws, and the frame
+kernel's overlaps computed for every run of equal frames in a trial, all of a
+block's in one :func:`apply_pauli_masks` call.  This is Stim's batched
+Pauli-frame pattern (Gidney, arXiv:2103.02202), in numpy, across trials.
 """
 
 from __future__ import annotations
@@ -141,17 +143,20 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return state
 
 
-def apply_pauli_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
+def apply_pauli_masks(state: np.ndarray, x_mask, z_mask) -> np.ndarray:
     """Apply prod X^x Z^z (Z first, then X) to a state or a stack of states.
 
     The basis index runs along the last axis, so a ``(m, 2**n)`` array is m
-    states, each mapped as a single one would be.
+    states, each mapped as a single one would be.  The masks are ints or
+    integer arrays that broadcast over the stack's leading axes: ``(m,)``
+    masks give each of m states its own Pauli.
     """
     idx = np.arange(state.shape[-1])
-    signs = 1.0 - 2.0 * _parity(idx & z_mask)
-    out = np.empty_like(state)
-    out[..., idx ^ x_mask] = signs * state
-    return out
+    x_mask, z_mask = np.asarray(x_mask)[..., None], np.asarray(z_mask)[..., None]
+    signed = (1.0 - 2.0 * _parity(idx & z_mask)) * state
+    # amplitude i of each state moves to i ^ x: one gather from the flattened stack
+    rows = np.arange(signed.size // idx.size).reshape(signed.shape[:-1] + (1,))
+    return np.take(signed, rows * idx.size + (idx ^ x_mask))
 
 
 def _haar_states(parts: np.ndarray) -> np.ndarray:
@@ -215,7 +220,6 @@ class SimResult:
     errors: dict[str, np.ndarray]
     uncorrectable_cycles: int
     trials: int
-    backend: str
 
     def to_csv(self) -> str:
         """The curves as CSV text: time, then mean and error of each metric
@@ -323,7 +327,7 @@ def _xor_by_keys(keys: tuple[np.ndarray, ...], rows: np.ndarray):
     return [key[starts] for key in keys], xor
 
 
-# Trials per block of the Pauli-frame kernel, at most.  A block's largest arrays
+# Trials per block of either backend, at most.  The frame kernel's largest arrays
 # hold trials x (samples + 2) x max(faults, haar_states * 2**k) cells; a block is
 # cut to _BLOCK_CELLS of them, but keeps at least one trial.
 _TRIAL_BLOCK = 64
@@ -395,7 +399,7 @@ def _frame_values(frames, haar, metrics) -> dict[str, np.ndarray]:
 
     ``frames`` is (trials, samples, 2), ``haar`` the trials' Haar states
     stacked as (trials, haar_states, 2**k).  Frand is evaluated once per run
-    of equal frames within a trial, for all runs of the block in one pass.
+    of equal frames in a trial, the block's runs in one ``apply_pauli_masks``.
     """
     values = {}
     if "F0" in metrics:
@@ -409,11 +413,8 @@ def _frame_values(frames, haar, metrics) -> dict[str, np.ndarray]:
         starts[:, 1:] = (frames[:, 1:] != frames[:, :-1]).any(axis=2)
         first = np.flatnonzero(starts)
         states = haar[first // n_samples]
-        fx, fz = frames.reshape(-1, 2)[first].T
-        idx = np.arange(haar.shape[-1])
-        signed = (1.0 - 2.0 * _parity(idx & fz[:, None]))[:, None, :] * states
-        permuted = np.take_along_axis(signed, (idx ^ fx[:, None])[:, None, :], axis=-1)
-        amps = np.einsum("pij,pij->pi", states.conj(), permuted)
+        fx, fz = frames.reshape(-1, 2)[first].T[..., None]  # (runs, 1) masks
+        amps = np.einsum("pij,pij->pi", states.conj(), apply_pauli_masks(states, fx, fz))
         run_values = (np.abs(amps) ** 2).mean(axis=1)
         values["Frand"] = run_values[np.cumsum(starts).reshape(n_trials, n_samples) - 1]
     return values
@@ -482,45 +483,34 @@ def simulate(
     haar_rng = np.random.Generator(np.random.Philox(seq)) if frand else None
 
     def draws(trials):
-        """Each trial's Haar-state Gaussians (None without Frand), shaped
-        (haar_states, 2, 2**k) for ``_haar_states``, and its error events."""
-        event_keys = _philox_keys(seq, trials, 0).tolist()
-        haar_keys = _philox_keys(seq, trials, 1).tolist() if frand else [None] * len(trials)
-        for event_key, haar_key in zip(event_keys, haar_keys):
-            parts = None
-            if frand:
-                parts = _reset(haar_rng, haar_key).normal(size=(cfg.haar_states, 2, 1 << k))
-            yield parts, _sample_error_events(_reset(event_rng, event_key), probs, n_cycles)
+        """The block's error events, one (cycles, faults) pair per trial, and
+        its Haar states, (trials, haar_states, 2**k), or None without Frand."""
+        keys = _philox_keys(seq, trials, 0).tolist()
+        events = [_sample_error_events(_reset(event_rng, key), probs, n_cycles) for key in keys]
+        if not frand:
+            return events, None
+        keys = _philox_keys(seq, trials, 1).tolist()
+        parts = [_reset(haar_rng, key).normal(size=(cfg.haar_states, 2, 1 << k)) for key in keys]
+        return events, _haar_states(np.stack(parts))
 
     def add(values):
-        """Add one trial's values, or a block's (trials, samples) rows trial by
-        trial: an axis-0 reduce of [sums; rows] adds row after row, in order."""
+        """Add a block's (trials, samples) rows trial by trial: an axis-0
+        reduce of [sums; rows] adds row after row, in order."""
         for m in cfg.metrics:
             sums[m] = np.add.reduce(np.vstack((sums[m], values[m])))
             sumsq[m] = np.add.reduce(np.vstack((sumsq[m], values[m] ** 2)))
 
-    block = _TRIAL_BLOCK
-    if backend == "pauli_frame":
-        cells = (sample_cycles.size + 1) * max(probs.size, cfg.haar_states << k if frand else 0)
-        block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // cells))
+    cells = (sample_cycles.size + 1) * max(probs.size, cfg.haar_states << k if frand else 0)
+    block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // cells))
     for first in range(0, cfg.trials, block):
-        trials = range(first, min(first + block, cfg.trials))
+        events, haar = draws(range(first, min(first + block, cfg.trials)))
         if backend == "pauli_frame":
-            parts, events = zip(*draws(trials))
             frames, unknown = _frame_block(events, faults, sample_cycles)
-            haar = _haar_states(np.stack(parts)) if frand else None
             values = _frame_values(frames, haar, cfg.metrics)
-            uncorrectable += unknown
-            add(values)
         else:
-            for parts, (event_cycles, fault_ids) in draws(trials):
-                (cycles,), masks = _xor_by_keys((event_cycles,), faults.paulis[fault_ids])
-                haar = _haar_states(parts) if frand else None
-                values, unknown = _run_statevector_trial(
-                    code, faults.table, cycles, masks, sample_cycles, haar, cfg.metrics
-                )
-                uncorrectable += unknown
-                add(values)
+            values, unknown = _statevector_block(code, events, sample_cycles, haar, cfg.metrics)
+        uncorrectable += unknown
+        add(values)
 
     means = {m: sums[m] / cfg.trials for m in cfg.metrics}
     errors = {}
@@ -536,65 +526,70 @@ def simulate(
         errors=errors,
         uncorrectable_cycles=uncorrectable,
         trials=cfg.trials,
-        backend=backend,
     )
 
 
-def _run_statevector_trial(
-    code, table, cycles, masks, sample_cycles, haar, metrics
+def _statevector_block(
+    code, events, sample_cycles, haar, metrics
 ) -> tuple[dict[str, np.ndarray], int]:
-    """Metric values at the sample times by full statevector evolution, and the
-    number of cycles whose syndrome has no single-error explanation.
+    """Metric values, (trials, samples) each, of a block of trials by full
+    statevector evolution, and the number of cycles whose syndrome has no
+    single-error explanation.
 
-    The probes are the rows of one stack of k-qubit data states: |0..0> for
-    F0, |+..+> for Fplus, then the Haar states.  ``cycles`` are the error
-    cycles in increasing order, ``masks`` their (x, z) Paulis.  Each cycle
-    puts the data next to checks in |0..0>; a Hadamard on each second-side
-    check before encoding and after decoding makes every check read in Z, so
-    the decoded register is one block of 2**k data amplitudes per syndrome.
-    The syndrome is the block that holds every probe's weight, and that block,
-    renormalised and corrected, is the next cycle's data.
+    Each trial runs alone, on the events and Haar states that the Pauli-frame
+    kernel reads, its faults merged into one (x, z) Pauli per error cycle.
+    Its probes are the rows of one stack of k-qubit data states: |0..0> for
+    F0, |+..+> for Fplus, then its Haar states.  Each cycle puts the data next
+    to checks in |0..0>; a Hadamard on each second-side check before encoding
+    and after decoding makes every check read in Z, so the decoded register is
+    one block of 2**k data amplitudes per syndrome.  The syndrome is the block
+    that holds every probe's weight, and that block, renormalised and
+    corrected, is the next cycle's data.
     """
-    n, k = code.qubit_count, code.k
+    n, k, faults = code.qubit_count, code.k, fault_table(code)
+    table = faults.table
     # Check i is qubit k + i, measured in Z on the first syndrome side, X on the second.
     turn = Circuit(n, tuple(hadamard(q) for q in range(k + table.n_first, n)))
     enc, dec = turn + encode_circuit(code), decode_circuit(code) + turn
     plus = np.full(1 << k, 1.0 / math.sqrt(1 << k))
-    data = np.array([zero_state(k), plus, *(() if haar is None else haar)])
     even = np.arange(1 << k) & 1 == 0
-    values = {m: np.zeros(len(sample_cycles)) for m in metrics}
-    unknown = done = 0
-    for s_idx, stop in enumerate(np.searchsorted(cycles, sample_cycles).tolist()):
-        for x_mask, z_mask in masks[done:stop].tolist():
-            register = np.zeros((len(data), 1 << n), dtype=np.complex128)
-            register[:, : 1 << k] = data
-            register = apply_pauli_masks(apply_circuit(register, enc), x_mask, z_mask)
-            blocks = apply_circuit(register, dec).reshape(len(data), -1, 1 << k)
-            weights = (np.abs(blocks) ** 2).sum(axis=2)
-            syndrome = int(weights[0].argmax())
-            if weights[:, syndrome].min() < 1.0 - 1e-9:
-                # each check's weight on the blocks that read it otherwise: the
-                # weight off the syndrome is at most their sum, so one passes 1e-9 / checks
-                other = ((np.arange(weights.shape[1]) ^ syndrome)[:, None] >> np.arange(n - k)) & 1
-                check = ((weights @ other).max(axis=0) > 1e-9 / (n - k)).argmax()
-                raise RuntimeError(f"check {check} is not in an eigenstate of its measured Pauli")
-            (cx, cz), known = table.lookup(
-                syndrome & ((1 << table.n_first) - 1), syndrome >> table.n_first
-            )
-            unknown += not known
-            # 1/sqrt(2) rounds up, so every pair of H gates grows the norm by ~2e-16
-            block = blocks[:, syndrome] / np.sqrt(weights[:, syndrome, None])
-            data = apply_pauli_masks(block, int(cx), int(cz))
-        done = stop
-        # F0 and Fplus: the weight of data qubit 0 reading 0, in Z and in X.
-        if "F0" in metrics:
-            values["F0"][s_idx] = np.sum(np.abs(data[0, even]) ** 2)
-        if "Fplus" in metrics:
-            values["Fplus"][s_idx] = np.sum(np.abs(apply_1q(data[1], 0, _H_MATRIX)[even]) ** 2)
-        if "Frand" in metrics:
-            # per-row np.vdot summed in order; a batched reduction rounds the CSV's last digits
-            overlaps = [abs(np.vdot(r, v)) ** 2 for r, v in zip(haar, data[2:])]
-            values["Frand"][s_idx] = sum(overlaps) / len(overlaps)
+    values = {m: np.zeros((len(events), len(sample_cycles))) for m in metrics}
+    unknown = 0
+    for t, (event_cycles, fault_ids) in enumerate(events):
+        (cycles,), masks = _xor_by_keys((event_cycles,), faults.paulis[fault_ids])
+        data = np.array([zero_state(k), plus, *(() if haar is None else haar[t])])
+        # each sample time's new error cycles; those after the last one are never read
+        for s, new in enumerate(np.split(masks, np.searchsorted(cycles, sample_cycles))[:-1]):
+            for x_mask, z_mask in new.tolist():
+                register = np.zeros((len(data), 1 << n), dtype=np.complex128)
+                register[:, : 1 << k] = data
+                register = apply_pauli_masks(apply_circuit(register, enc), x_mask, z_mask)
+                blocks = apply_circuit(register, dec).reshape(len(data), -1, 1 << k)
+                weights = (np.abs(blocks) ** 2).sum(axis=2)
+                syndrome = int(weights[0].argmax())
+                if weights[:, syndrome].min() < 1.0 - 1e-9:
+                    # each check's weight on the blocks that read it otherwise: the weight
+                    # off the syndrome is at most their sum, so one passes 1e-9 / checks
+                    other = (np.arange(weights.shape[1]) ^ syndrome)[:, None] >> np.arange(n - k)
+                    check = ((weights @ (other & 1)).max(axis=0) > 1e-9 / (n - k)).argmax()
+                    message = f"check {check} is not in an eigenstate of its measured Pauli"
+                    raise RuntimeError(message)
+                (cx, cz), known = table.lookup(
+                    syndrome & ((1 << table.n_first) - 1), syndrome >> table.n_first
+                )
+                unknown += not known
+                # 1/sqrt(2) rounds up, so every pair of H gates grows the norm by ~2e-16
+                block = blocks[:, syndrome] / np.sqrt(weights[:, syndrome, None])
+                data = apply_pauli_masks(block, cx, cz)
+            # F0 and Fplus: the weight of data qubit 0 reading 0, in Z and in X.
+            if "F0" in metrics:
+                values["F0"][t, s] = np.sum(np.abs(data[0, even]) ** 2)
+            if "Fplus" in metrics:
+                values["Fplus"][t, s] = np.sum(np.abs(apply_1q(data[1], 0, _H_MATRIX)[even]) ** 2)
+            if "Frand" in metrics:
+                # per-row np.vdot summed in order; a batched reduction rounds the CSV's last digits
+                overlaps = [abs(np.vdot(r, v)) ** 2 for r, v in zip(haar[t], data[2:])]
+                values["Frand"][t, s] = sum(overlaps) / len(overlaps)
     return values, unknown
 
 
@@ -945,8 +940,8 @@ def coherent_fidelity_631(
     # one block of 2**k data amplitudes per syndrome, as the statevector backend reads it
     branches = state.reshape(-1, 1 << k)
     corrections, _ = table.lookup(np.arange(len(branches)), 0)
-    for synd, (branch, (x_mask, _)) in enumerate(zip(branches, corrections.tolist())):
-        corrected = apply_pauli_masks(branch, x_mask, 0)
-        fidelity += float(np.abs(np.vdot(data_state, corrected)) ** 2)
+    corrected = apply_pauli_masks(branches, corrections[:, 0], 0)
+    for synd, (branch, fixed) in enumerate(zip(branches, corrected)):
+        fidelity += float(np.abs(np.vdot(data_state, fixed)) ** 2)
         probs[table.syndrome_text(synd, 0)] = float(np.sum(np.abs(branch) ** 2))
     return CoherentFidelity(fidelity=fidelity, syndrome_probs=probs)

@@ -15,10 +15,11 @@ the full-shape Philox operands (per block of trials).  The key kernel,
 also keys the per-trial streams of :func:`cpc.dynamics.simulate`.  Blocks
 are stacked uint8 arrays mb (N, k, n_b), mp (N, k, n_p) and mc
 (N, n_b, n_p), and a predicate judges a whole block at once:
-``predicate(mb, mp, mc)`` returns an (N,) bool array.  The predicates of
-:mod:`cpc.decoding` read each code's single-fault syndromes off its stacked
-check rows (:func:`cpc.stabilizers.split_check_rows`).  Codes are built only
-for the hits.
+``predicate(mb, mp, mc)`` returns an (N,) bool array.  This module's
+predicate factories return the batched verdicts of :mod:`cpc.decoding`,
+which read each code's single-fault syndromes off its stacked check rows
+(:func:`cpc.stabilizers.split_check_rows`).  Codes are built only for the
+hits.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decoding import cnot_compatible_predicate, single_error_correcting_predicate
+from .decoding import _check_cnot, cnot_compatible_mask, correcting_mask
 from .gf2 import Gf2Matrix, _read_only
 from .model import CpcCode
 
@@ -322,3 +323,18 @@ def search(
         for i in hits[: cap - len(found)]:
             found.append((trials[i], _code(mb[i], mp[i], mc[i])))
     return SearchResult(tuple(found), budget, successes, draw_s, predicate_s)
+
+
+def single_error_correcting_predicate() -> Callable[..., np.ndarray]:
+    """Search predicate ``(mb, mp, mc) -> (N,) bool`` of :func:`correcting_mask`."""
+    return correcting_mask
+
+
+def cnot_compatible_predicate(control: int, target: int) -> Callable[..., np.ndarray]:
+    """Search predicate ``(mb, mp, mc) -> (N,) bool`` of :func:`cnot_compatible_mask`.
+
+    Equal indices are rejected here; out-of-range ones when the data count
+    is known, on the first block of codes.
+    """
+    _check_cnot(control, target)
+    return functools.partial(cnot_compatible_mask, control=control, target=target)

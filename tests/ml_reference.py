@@ -83,8 +83,9 @@ def ml_decode_exhaustive(
 
     Maximizes ``sum log(p/(1-p))`` over bit and check errors subject to the
     measured parities; the check errors are determined by the bit choices, so
-    the search space is the 2^bit_count bit-error patterns.  Ties break to
-    the lexicographically smallest bit-error set.
+    the search space is the 2^bit_count bit-error patterns, scored in one
+    array.  Every pattern within 1e-12 of the best score ties, and a tie
+    breaks to the lexicographically smallest bit-error set.
     """
     bit_priors = _check_priors(bit_priors, cc.bit_count, "bit_priors")
     check_priors = _check_priors(check_priors, len(cc.checks), "check_priors")
@@ -92,26 +93,23 @@ def ml_decode_exhaustive(
     n = cc.bit_count
     if n > 24:
         raise ValueError(f"instance too large for exhaustive search: {n} bits")
-    bit_weight = [math.log(p / (1.0 - p)) for p in bit_priors]
-    check_weight = [math.log(p / (1.0 - p)) for p in check_priors]
-    member_masks = _member_masks(cc)
-    best = None
-    for pattern in range(1 << n):
-        score = 0.0
-        for i in range(n):
-            if (pattern >> i) & 1:
-                score += bit_weight[i]
-        for idx in _disagreeing_checks(member_masks, syndrome, pattern):
-            score += check_weight[idx]
-        errors = tuple(i for i in range(n) if (pattern >> i) & 1)
-        key = (-score, errors)
-        if best is None or key[0] < best[0] - 1e-12 or (
-            abs(key[0] - best[0]) <= 1e-12 and errors < best[1]
-        ):
-            best = (-score, errors, score)
-    _, errors, score = best
+    weights = [math.log(p / (1.0 - p)) for p in (*bit_priors, *check_priors)]
+    patterns = np.arange(1 << n)
+    bits = (patterns[:, None] >> np.arange(n)) & 1
+    # each check that disagrees with its syndrome bit over a pattern's bit errors
+    disagree = [
+        (bits[:, list(members)].sum(axis=1) & 1) != m
+        for (_, members), m in zip(cc.checks, syndrome)
+    ]
+    # summed bit by bit, then check by check, as one pattern's score is summed
+    score = np.zeros(patterns.size)
+    for errs, weight in zip([*bits.T.astype(bool), *disagree], weights):
+        score += np.where(errs, weight, 0.0)
+    ties = np.flatnonzero(score >= score.max() - 1e-12).tolist()
+    best = min(ties, key=lambda p: tuple(i for i in range(n) if p >> i & 1))
+    errors = tuple(i for i in range(n) if best >> i & 1)
     return MlDecodeResult(
         bit_errors=frozenset(errors),
         check_errors=infer_check_errors(cc, syndrome, errors),
-        log_likelihood=score,
+        log_likelihood=float(score[best]),
     )

@@ -15,19 +15,17 @@ from cpc.decoding import (
     augment_for_cnot,
     cnot_compatible,
     cnot_compatible_mask,
-    cnot_compatible_predicate,
     correcting_mask,
     decode_table,
     error_table,
     is_single_error_correcting,
     ising_problem,
-    single_error_correcting_predicate,
     single_error_records,
 )
 from cpc.gf2 import Gf2Matrix
 from cpc.model import CpcCode, GeneralCpcCode, InvalidCodeError, generalize
 from cpc.propagation import effective_codes, general_to_classical
-from cpc.search import random_code
+from cpc.search import cnot_compatible_predicate, random_code, single_error_correcting_predicate
 from cpc.stabilizers import check_matrix, split_check_rows
 
 

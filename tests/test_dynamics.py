@@ -121,6 +121,10 @@ _AGREEMENT_CASES = [
 ] + [
     (name, (1.0, 0.5), SimConfig(10.0, 1.5, 3, haar_states=2, rng_seed=11, samples=4))
     for name in ("11-3-3-cnot", "12-4-3", "12-4-3-cnot", "13-3-3")
+] + [
+    # 70 trials: both backends cross a 64-trial block boundary, and the flawed
+    # code's uncorrectable cycles are counted in both blocks
+    ("11-3-1", (1.0, 1.0), SimConfig(10.0, 1.0, 70, haar_states=2, rng_seed=3, samples=4)),
 ]
 
 
@@ -129,7 +133,7 @@ _AGREEMENT_CASES = [
 )
 def test_backends_agree(name, eps, cfg):
     # the Pauli-frame fast path and the full statevector evolution are the
-    # same physics, on every fixture (11-3-1 is checked on its own below)
+    # same physics, on every fixture (11-3-1 is also checked on its own below)
     code = fixture_code(name)
     frame = simulate(code, ErrorModel(*eps), cfg, backend="pauli_frame")
     vector = simulate(code, ErrorModel(*eps), cfg, backend="statevector")
@@ -489,15 +493,32 @@ def test_apply_pauli_masks_on_a_stack_matches_row_by_row():
         stacked = dynamics.apply_pauli_masks(states, x_mask, z_mask)
         rows = [dynamics.apply_pauli_masks(s, x_mask, z_mask) for s in states]
         assert np.array_equal(stacked, np.array(rows))
+    # a mask per row: each state gets its own Pauli, as the scalar call gives it
+    x_masks, z_masks = rng.integers(0, 16, size=(2, 5))
+    stacked = dynamics.apply_pauli_masks(states, x_masks, z_masks)
+    rows = [
+        dynamics.apply_pauli_masks(s, int(x), int(z)) for s, x, z in zip(states, x_masks, z_masks)
+    ]
+    assert np.array_equal(stacked, np.array(rows))
+    # (runs, 1) masks over a (runs, states, 2**n) stack, as the Frand pass applies each
+    # run's frame to all of its trial's Haar states
+    runs = np.array([[haar_state(16, rng) for _ in range(3)] for _ in range(4)])
+    x_masks, z_masks = rng.integers(0, 16, size=(2, 4, 1))
+    stacked = dynamics.apply_pauli_masks(runs, x_masks, z_masks)
+    for run, states_of_run, x, z in zip(stacked, runs, x_masks[:, 0], z_masks[:, 0]):
+        rows = [dynamics.apply_pauli_masks(s, int(x), int(z)) for s in states_of_run]
+        assert np.array_equal(run, np.array(rows))
 
 
 def test_apply_circuit_on_a_stack_matches_row_by_row():
     # the statevector oracle evolves all its probes as one stack
-    from cpc.circuits import Circuit, cczx, cnot, cz, hadamard
+    from cpc.circuits import Circuit, Gate, cczx, cnot, hadamard
 
     rng = np.random.Generator(np.random.Philox(9))
     states = np.array([haar_state(16, rng) for _ in range(5)])
-    gates = (hadamard(2), cnot(0, 3), cnot(3, 1), cz(1, 2), cczx(0, 2), hadamard(0), cczx(3, 1))
+    gates = (
+        hadamard(2), cnot(0, 3), cnot(3, 1), Gate("CZ", (1, 2)), cczx(0, 2), hadamard(0), cczx(3, 1)
+    )
     circuit = Circuit(4, gates)
     rows = [dynamics.apply_circuit(s, circuit) for s in states]
     assert np.array_equal(dynamics.apply_circuit(states, circuit), np.array(rows))
@@ -532,10 +553,9 @@ def test_haar_states_unit_norm_and_purity():
 
 def test_haar_block_is_bitwise_the_repeated_haar_state():
     # simulate draws each trial's Haar states in one normal() call on the trial's
-    # own stream and normalises them with _haar_states: one trial's draw alone on
-    # the statevector backend, a block's stacked draws at once on the Pauli
-    # frame.  Each trial's states must equal count successive haar_state calls,
-    # the two-draw formula the pinned curves assume.
+    # own stream and normalises them with _haar_states, a block's stacked draws
+    # at once on either backend.  Each trial's states must equal count
+    # successive haar_state calls, the two-draw formula the pinned curves assume.
     for dim in (2, 4, 8, 16, 32, 64):
         for count in (1, 3, 10, 20):
             for seed in (0, 7, 101):
@@ -1019,19 +1039,20 @@ def test_batched_kernel_matches_scalar_reference():
 def test_trial_block_size_does_not_change_the_output(monkeypatch, name, eps):
     # p near 1: most cycles carry coincident faults; 11-3-1 and 6-3-1 have faults
     # whose own net change is nonzero.  Blocks of 1, 3 and 7 trials, and a cell
-    # budget that cuts every block to one trial, give the same bytes.
+    # budget that cuts every block to one trial, give the same bytes, on either
+    # backend.
     code = fixture_code(name)
     cfg = SimConfig(10.0, 2.0, 7, haar_states=2, rng_seed=19, samples=5)
-    results = []
-    default = dynamics._TRIAL_BLOCK
-    for block, cells in [(1, None), (3, None), (default, None), (default, 1)]:
-        monkeypatch.setattr(dynamics, "_TRIAL_BLOCK", block)
-        if cells is not None:
-            monkeypatch.setattr(dynamics, "_BLOCK_CELLS", cells)
-        res = simulate(code, ErrorModel(*eps), cfg)
-        results.append((res.uncorrectable_cycles, _curve_sha256(res)))
-    assert results[0][0] > 0
-    assert results == [results[0]] * len(results)
+    default_block, default_cells = dynamics._TRIAL_BLOCK, dynamics._BLOCK_CELLS
+    for backend in ("pauli_frame", "statevector"):
+        results = []
+        for block, cells in [(1, None), (3, None), (default_block, None), (default_block, 1)]:
+            monkeypatch.setattr(dynamics, "_TRIAL_BLOCK", block)
+            monkeypatch.setattr(dynamics, "_BLOCK_CELLS", cells or default_cells)
+            res = simulate(code, ErrorModel(*eps), cfg, backend=backend)
+            results.append((res.uncorrectable_cycles, _curve_sha256(res)))
+        assert results[0][0] > 0
+        assert results == [results[0]] * len(results)
 
 
 def test_kernel_matches_scalar_reference_near_2_to_the_62_cycles():

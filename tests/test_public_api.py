@@ -56,20 +56,45 @@ def _library_modules() -> list[str]:
     return sorted(p.stem for p in files if p.stem != "__init__")
 
 
-def _caller_trees() -> list[ast.AST]:
-    """The parsed library modules, benchmark files and scripts."""
-    files = [p for p in (REPO_ROOT / "src" / "cpc").glob("*.py") if p.name != "__init__.py"]
-    files += [*(REPO_ROOT / "bench").glob("*.py"), *(REPO_ROOT / "scripts").glob("*.py")]
-    return [ast.parse(path.read_text(encoding="utf-8")) for path in files]
+def _caller_trees() -> list[tuple[bool, ast.AST]]:
+    """The parsed library modules, benchmark files and scripts, each with
+    whether it is a library module."""
+    library = [p for p in (REPO_ROOT / "src" / "cpc").glob("*.py") if p.name != "__init__.py"]
+    others = [*(REPO_ROOT / "bench").glob("*.py"), *(REPO_ROOT / "scripts").glob("*.py")]
+    return [
+        (path in library, ast.parse(path.read_text(encoding="utf-8")))
+        for path in library + others
+    ]
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module defines at module level: its functions, classes and
+    assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def _names_read_as_code() -> set[str]:
-    """Names loaded, and attributes read, anywhere in the library's callers."""
+    """Attributes read anywhere in the library's callers, and names loaded
+    where they refer to a public name: in the library module that defines
+    them, or in a file that imports them by name.  A local variable that
+    shares a public name does not read it."""
     names = set()
-    for tree in _caller_trees():
+    for is_library, tree in _caller_trees():
+        # the public name each bare name of this file refers to
+        bound = {name: name for name in _module_level_names(tree)} if is_library else {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+            if isinstance(node, ast.ImportFrom):
+                bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+                names.add(bound[node.id])
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
@@ -79,7 +104,7 @@ def _attributes_read() -> set[str]:
     """Attributes read (loaded, not assigned or deleted) in the library's callers."""
     return {
         node.attr
-        for tree in _caller_trees()
+        for _, tree in _caller_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
@@ -97,6 +122,20 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not unread, f"public names with no caller and no reason to stay: {unread}"
     stale = sorted(KEPT.keys() - exported)
     assert not stale, f"kept names that are no longer public: {stale}"
+
+
+def test_every_public_function_and_class_is_defined_in_its_module():
+    # one home per name: a module exports the functions and classes it
+    # defines, and a caller imports each from there
+    elsewhere = []
+    for short in _library_modules():
+        module = importlib.import_module(f"cpc.{short}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                if value.__module__ != module.__name__:
+                    elsewhere.append(f"cpc.{short}.{name} (defined in {value.__module__})")
+    assert not elsewhere, f"public names defined in another module: {elsewhere}"
 
 
 def test_every_public_member_has_a_caller_or_a_reason():
