@@ -430,84 +430,75 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityR
 # --- batched verdicts for the code search ------------------------------------
 #
 # The masks below judge N split codes at once from stacked matrices mb
-# (N, k, n_b), mp (N, k, n_p) and mc (N, n_b, n_p).  A fault's syndrome is the
-# key ``sx | sz << n_b``, packed from its column of the stacked check rows of
-# :func:`cpc.stabilizers.split_check_rows`, the rows :func:`check_matrix` and
-# so :func:`single_error_records` read; keys carry one spare bit for a sort tag.
+# (N, k, n_b), mp (N, k, n_p) and mc (N, n_b, n_p).  A fault's key is its
+# column of the stacked check rows of :func:`cpc.stabilizers.split_check_rows`
+# (the rows :func:`check_matrix`, so :func:`single_error_records`, reads) with
+# check i at bit i + 1; bit 0 is a sort tag, set on the harmful faults.
 
 _KEY_BITS = 63
 
 
 @functools.lru_cache(maxsize=32)
-def _check_weights(n_b: int, n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only uint64 check indices 0..n_b + n_p - 1, and the key bits
-    ``1 << check`` of the bit checks and of the phase checks."""
-    checks = np.arange(n_b + n_p, dtype=np.uint64)
-    weights = np.left_shift(np.uint64(1), checks)
-    return tuple(_read_only(w) for w in (checks, weights[:n_b].copy(), weights[n_b:].copy()))
+def _check_weights(n_b: int, n_p: int) -> np.ndarray:
+    """Read-only uint64 key bits ``2 << check`` of checks 0..n_b + n_p - 1."""
+    return _read_only(np.left_shift(np.uint64(2), np.arange(n_b + n_p, dtype=np.uint64)))
 
 
-def _single_fault_keys(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome keys and harmful flags of every single fault of N split codes.
+def _tagged_keys(mb, mp, mc, spare: int = 0) -> np.ndarray:
+    """(N, 3n + spare) uint64 tagged keys of every single fault of N split codes.
 
-    Returns (N, 3n) uint64 keys and bools: the X faults of qubits 0..n-1,
-    then their Z faults, then their Y faults.  An X fault's key is its column
-    of the bit-check rows, a Z fault's its column of the phase-check rows
-    shifted past the n_b bit checks.  A data fault is harmful, and a check
-    fault when the check's own row has data support, that is when some data
-    fault's key holds the check's bit.
+    The X, then Z, then Y faults of qubits 0..n-1, then ``spare`` columns for
+    the caller.  Data faults are harmful, and a check's faults when its own
+    row has data support, that is when some data fault's key holds its bit.
     """
     n_b, n_p = mb.shape[2], mp.shape[2]
     if n_b + n_p > _KEY_BITS:
-        raise ValueError(
-            f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}"
-        )
+        raise ValueError(f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}")
     bit_rows, phase_rows = split_check_rows(mb, mp, mc)
-    checks, bit_weights, phase_weights = _check_weights(n_b, n_p)
-    x, z = bit_weights @ bit_rows, phase_weights @ phase_rows
-    k = mb.shape[1]
-    by_data = np.bitwise_or.reduce(x[:, :k] | z[:, :k], axis=1)
-    harmful = np.ones((len(x), 3, k + n_b + n_p), dtype=bool)
-    harmful[:, :, k:] = (by_data[:, None] >> checks & np.uint64(1)).astype(bool)[:, None]
-    return np.concatenate([x, z, x ^ z], axis=1), harmful.reshape(len(x), -1)
+    weights, (count, k), n = _check_weights(n_b, n_p), mb.shape[:2], bit_rows.shape[2]
+    keys = np.empty((count, 3 * n + spare), dtype=np.uint64)
+    faults = keys[:, : 3 * n].reshape(count, 3, n)  # a view
+    np.matmul(weights[:n_b], bit_rows, out=faults[:, 0])
+    np.matmul(weights[n_b:], phase_rows, out=faults[:, 1])
+    np.bitwise_xor(faults[:, 0], faults[:, 1], out=faults[:, 2])
+    harmful = np.ones((count, 1, n), dtype=np.uint64)
+    by_data = np.bitwise_or.reduce(faults[:, 2, :k], axis=1)
+    np.minimum(by_data[:, None] & weights, np.uint64(1), out=harmful[:, 0, k:])
+    faults |= harmful
+    return keys
 
 
-def _correcting_keys(keys: np.ndarray, harmful: np.ndarray) -> np.ndarray:
-    """(N,) verdicts: no harmful key is shared with another key in its row.
+def _unshared(keys: np.ndarray) -> np.ndarray:
+    """(N,) verdicts: no harmful key shares its syndrome with another in its row.
 
-    A zero key needs no test of its own: a qubit's Y key is the XOR of its X
-    and Z keys, so when one of the three is 0 the other two are equal.
+    Sorts the tagged ``keys`` in place, so a shared harmful key is odd and
+    follows its twin, harmless or harmful.  A zero syndrome needs no test: a
+    qubit's Y key is its X key XOR its Z key, so if one is 0 the others match.
     """
-    # Sort each row with the harmful flag in bit 0: equal keys end up side by
-    # side, harmless before harmful, so a shared harmful key follows its twin.
-    tagged = np.sort((keys << np.uint64(1)) | harmful, axis=1)
-    key, harmful = tagged >> np.uint64(1), (tagged & np.uint64(1)).astype(bool)
-    return ~((key[:, 1:] == key[:, :-1]) & harmful[:, 1:]).any(axis=1)
+    keys.sort(axis=1)
+    return ((keys[:, :-1] | np.uint64(1)) != keys[:, 1:]).all(axis=1)
 
 
 def correcting_mask(mb, mp, mc) -> np.ndarray:
     """Batched :func:`is_single_error_correcting` verdicts of N split codes."""
-    return _correcting_keys(*_single_fault_keys(mb, mp, mc))
+    return _unshared(_tagged_keys(mb, mp, mc))
 
 
 def cnot_compatible_mask(mb, mp, mc, control: int, target: int) -> np.ndarray:
     """Batched :func:`cnot_compatible` verdicts of N split codes.
 
-    Both propagated pair keys must be nonzero, distinct from each other and
-    from every single-fault key of their code, on top of correctability.
+    The two propagated pair keys join their code's keys, tagged harmful, so
+    the one sort also rejects a pair key equal to the other or to any fault's
+    key, harmless or harmful.  A zero pair key means two data keys are equal.
     """
     _check_cnot(control, target, mb.shape[1])
-    keys, harmful = _single_fault_keys(mb, mp, mc)
-    n = keys.shape[1] // 3
-    pairs = np.stack(
-        [keys[:, control] ^ keys[:, target], keys[:, n + control] ^ keys[:, n + target]],
-        axis=1,
-    )
-    # A zero pair key means two data faults share a key, which correctability
-    # rejects; the X pair fires only bit checks and the Z pair only phase
-    # checks, so nonzero pair keys also differ from each other.
-    fresh = ~(keys[:, :, None] == pairs[:, None, :]).any(axis=(1, 2))
-    return _correcting_keys(keys, harmful) & fresh
+    keys = _tagged_keys(mb, mp, mc, spare=2)
+    n = (keys.shape[1] - 2) // 3
+    # each end's X and Z keys; the XOR clears their tags
+    ends = (keys[:, q : 2 * n : n] for q in (control, target))
+    np.bitwise_xor(*ends, out=keys[:, 3 * n :])
+    keys[:, 3 * n :] |= np.uint64(1)
+    return _unshared(keys)
 
 
 def augment_for_cnot(code: CpcCode, control: int, target: int) -> CpcCode:

@@ -370,6 +370,48 @@ def test_batched_verdicts_match_scalar():
     assert all(0 < n < checked for n in hits.values()), hits
 
 
+def _pair_clashes(code, control, target):
+    """The single-fault records whose syndrome equals a CNOT-propagated pair's."""
+    records = single_error_records(code)
+    by_fault = {(r.qubit, r.kind): r for r in records}
+    clashes = []
+    for kind in ("X", "Z"):
+        c, t = by_fault[control, kind], by_fault[target, kind]
+        clashes += [r for r in records if (r.sx, r.sz) == (c.sx ^ t.sx, c.sz ^ t.sz)]
+    return clashes
+
+
+def test_cnot_pair_keys_are_sorted_with_every_fault_key():
+    # cnot_compatible_mask sorts the two pair keys, tagged harmful, with the
+    # fault keys.  The pair then fails on a correcting code whose pair keys
+    # clash with nothing but harmless check keys; an untagged pair would not.
+    # A pair key equal to a Y key fails too.  On a split code that Y key's
+    # qubit has an X or a Z key of 0, so its other two keys are equal and the
+    # code is not correcting: the Y clashes come from such codes.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(407)))
+    count, control, target = 4000, 0, 1
+    mb, mp, mc = (
+        rng.integers(0, 2, size=(count,) + shape, dtype=np.uint8)
+        for shape in ((2, 6), (2, 6), (6, 6))
+    )
+    batch = cnot_compatible_mask(mb, mp, mc, control, target)
+    kinds = {"harmless check": 0, "Y": 0}
+    for b, p, c, verdict in zip(mb, mp, mc, batch):
+        code = CpcCode(mb=Gf2Matrix(b), mp=Gf2Matrix(p), mc=Gf2Matrix(c))
+        clashes = _pair_clashes(code, control, target)
+        correcting = is_single_error_correcting(code).ok
+        if any(r.kind == "Y" for r in clashes):
+            assert not correcting
+            kind = "Y"
+        elif correcting and clashes and not any(r.harmful for r in clashes):
+            kind = "harmless check"
+        else:
+            continue
+        assert not verdict and not cnot_compatible(code, control, target).ok, (kind, code)
+        kinds[kind] += 1
+    assert all(kinds.values()), kinds
+
+
 def test_cnot_certificate_names_the_pairs_and_their_clashes():
     report = cnot_compatible(fixture_code("11-3-3"), 0, 1)
     assert not report.ok
