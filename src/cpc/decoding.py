@@ -453,9 +453,13 @@ def _tagged_keys(mb, mp, mc, spare: int = 0) -> np.ndarray:
     """
     n_b, n_p = mb.shape[2], mp.shape[2]
     if n_b + n_p > _KEY_BITS:
-        raise ValueError(f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}")
+        raise ValueError(
+            f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}"
+        )
     bit_rows, phase_rows = split_check_rows(mb, mp, mc)
-    weights, (count, k), n = _check_weights(n_b, n_p), mb.shape[:2], bit_rows.shape[2]
+    weights = _check_weights(n_b, n_p)
+    count, k = mb.shape[:2]
+    n = bit_rows.shape[2]
     keys = np.empty((count, 3 * n + spare), dtype=np.uint64)
     faults = keys[:, : 3 * n].reshape(count, 3, n)  # a view
     np.matmul(weights[:n_b], bit_rows, out=faults[:, 0])

@@ -7,19 +7,19 @@ result set depends only on (seed, budget, dimensions, predicate).  Trial
 block of trials is drawn by one vectorized numpy computation: the trials'
 spawn words mixed into the pool of the call's one ``SeedSequence(seed)``,
 Philox4x64-10 rounds and numpy's bounded-integer bit extraction, all over
-arrays of trials.  What does not depend on the seed's value is cached
-read-only: where each matrix's bits sit in a trial's Philox output (per
-dimensions and constraint), SeedSequence's hash constants, the full-shape
-Philox operands (per block of trials), and the hashed spawn words of the
-trials (per trial range, seed word count and stream), which a call mixes
-into its own seed's pool.  The key kernel, :func:`_philox_keys`, takes a
-spawn-key suffix ``(trial[, stream])`` and so also keys the per-trial
-streams of :func:`cpc.dynamics.simulate`.  Blocks are stacked uint8 arrays
-mb (N, k, n_b), mp (N, k, n_p) and mc (N, n_b, n_p), and a predicate judges
-a whole block at once: ``predicate(mb, mp, mc)`` returns an (N,) bool
-array.  This module's predicate factories return the batched verdicts of
-:mod:`cpc.decoding`: one sort of each code's tagged single-fault syndromes,
-read off its stacked check rows.  Codes are built only for the hits.
+arrays of trials.  What depends only on the shape of a draw is built once
+and cached read-only: where each matrix's bits sit in a trial's Philox
+output (per dimensions and constraint), SeedSequence's hash constants, and
+the full-shape Philox operands (per block of trials).  The key kernel,
+:func:`_philox_keys`, takes a spawn-key suffix ``(trial[, stream])`` and so
+also keys the per-trial streams of :func:`cpc.dynamics.simulate`.  Blocks
+are stacked uint8 arrays mb (N, k, n_b), mp (N, k, n_p) and mc
+(N, n_b, n_p), and a predicate judges a whole block at once:
+``predicate(mb, mp, mc)`` returns an (N,) bool array.  This module's
+predicate factories return the batched verdicts of :mod:`cpc.decoding`: one
+sort of each code's tagged single-fault syndromes, read off its stacked
+check rows (:func:`cpc.stabilizers.split_check_rows`).  Codes are built
+only for the hits.
 """
 
 from __future__ import annotations
@@ -152,17 +152,6 @@ def _word_count(entropy) -> int:
     return sum(_word_count(e) for e in entropy)
 
 
-@functools.lru_cache(maxsize=8)
-def _spawn_hashes(start: int, stop: int, used: int, stream: int | None) -> tuple:
-    """Read-only hashes of each spawn word of trials start..stop - 1, (4, N)
-    per trial word and (4, 1) for the stream's, after ``used`` earlier hashes."""
-    t = np.uint64(start) + np.arange(stop - start, dtype=np.uint64)
-    words = [t & _LO] + ([t >> _U32] if start >> 32 else [])
-    words += [] if stream is None else [np.uint64(stream)]
-    consts = [_hash_consts(_INIT_A, _MULT_A, used + i * _POOL) for i in range(len(words))]
-    return tuple(_read_only(_hashmix(w, c)) for w, c in zip(words, consts))
-
-
 def _philox_keys(seq: np.random.SeedSequence, trials: range, stream: int | None = None):
     """(N, 2) Philox keys of ``SeedSequence(seq.entropy, spawn_key=suffix)``.
 
@@ -172,18 +161,20 @@ def _philox_keys(seq: np.random.SeedSequence, trials: range, stream: int | None 
     mixes to ``seq.pool``, since SeedSequence hashes a zero for every missing
     pool word.  That mixing took one hash per pool word, one per ordered pair
     of pool words, and one per pool word for every seed word past the pool
-    size; each spawn word then takes one hash per pool word, which depends
-    on the seed only through that count, so :func:`_spawn_hashes` caches it.
-    A trial below 2**32 is one spawn word, a larger one two (low word first).
+    size; each spawn word then takes one hash per pool word.  A trial below
+    2**32 is one spawn word, a larger one two (low word first).
     """
     if trials.start < 1 << 32 < trials.stop:  # trials of one and of two words
         cut = (1 << 32) - trials.start
         parts = (trials[:cut], trials[cut:])
         return np.concatenate([_philox_keys(seq, part, stream) for part in parts])
     used = _POOL * _POOL + _POOL * max(0, _word_count(seq.entropy) - _POOL)
+    t = np.uint64(trials.start) + np.arange(len(trials), dtype=np.uint64)
+    words = [t & _LO] + ([t >> _U32] if trials.start >> 32 else [])
+    words += [] if stream is None else [np.uint64(stream)]
     pool = seq.pool.astype(np.uint64)[:, None]
-    for hashed in _spawn_hashes(trials.start, trials.stop, used, stream):
-        pool = _mix(pool, hashed)
+    for i, word in enumerate(words):
+        pool = _mix(pool, _hashmix(word, _hash_consts(_INIT_A, _MULT_A, used + i * _POOL)))
     # generate_state(2, uint64): four hashed pool words, little-endian pairs.
     state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 0))
     return (state[0::2] | state[1::2] << _U32).T

@@ -385,9 +385,10 @@ def test_cnot_pair_keys_are_sorted_with_every_fault_key():
     # cnot_compatible_mask sorts the two pair keys, tagged harmful, with the
     # fault keys.  The pair then fails on a correcting code whose pair keys
     # clash with nothing but harmless check keys; an untagged pair would not.
-    # A pair key equal to a Y key fails too.  On a split code that Y key's
-    # qubit has an X or a Z key of 0, so its other two keys are equal and the
-    # code is not correcting: the Y clashes come from such codes.
+    # A clash with a Y key alone cannot occur on a split code: the X pair key
+    # fires only bit checks, so a Y key equal to it belongs to a qubit with a
+    # Z key of 0, whose X key (with the same harmful flag) is equal as well.
+    # The Z pair is the same with the roles swapped.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(407)))
     count, control, target = 4000, 0, 1
     mb, mp, mc = (
@@ -395,21 +396,19 @@ def test_cnot_pair_keys_are_sorted_with_every_fault_key():
         for shape in ((2, 6), (2, 6), (6, 6))
     )
     batch = cnot_compatible_mask(mb, mp, mc, control, target)
-    kinds = {"harmless check": 0, "Y": 0}
+    cases = 0
     for b, p, c, verdict in zip(mb, mp, mc, batch):
         code = CpcCode(mb=Gf2Matrix(b), mp=Gf2Matrix(p), mc=Gf2Matrix(c))
         clashes = _pair_clashes(code, control, target)
-        correcting = is_single_error_correcting(code).ok
-        if any(r.kind == "Y" for r in clashes):
-            assert not correcting
-            kind = "Y"
-        elif correcting and clashes and not any(r.harmful for r in clashes):
-            kind = "harmless check"
-        else:
+        twins = {r.qubit for r in clashes if r.kind != "Y"}
+        assert all(r.qubit in twins for r in clashes if r.kind == "Y"), code
+        if not clashes or any(r.harmful for r in clashes):
             continue
-        assert not verdict and not cnot_compatible(code, control, target).ok, (kind, code)
-        kinds[kind] += 1
-    assert all(kinds.values()), kinds
+        if not is_single_error_correcting(code).ok:
+            continue
+        assert not verdict and not cnot_compatible(code, control, target).ok, code
+        cases += 1
+    assert cases > 0
 
 
 def test_cnot_certificate_names_the_pairs_and_their_clashes():

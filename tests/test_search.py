@@ -10,7 +10,6 @@ from cpc.search import (
     _hash_consts,
     _philox_keys,
     _philox_operands,
-    _spawn_hashes,
     cnot_compatible_predicate,
     random_code,
     search,
@@ -256,40 +255,10 @@ def test_key_kernel_matches_seed_sequence(stream):
             assert np.array_equal(got, want), (seed, trials, stream)
 
 
-def test_spawn_hashes_are_cached_per_seed_word_count():
-    # Seeds of 1 and 7 words hash the spawn words after 16 and 28 pool hashes.
-    # Taken in turn on the same trials, each must key its own cached hashes.
-    _clear_draw_caches()
-    for trials in (range(0, 5), range(2**32 - 2, 2**32 + 3)):
-        for _ in range(2):
-            for seed in (5, 2**200):
-                for stream in (None, 0, 1):
-                    want = [
-                        np.random.SeedSequence(
-                            seed, spawn_key=(t,) if stream is None else (t, stream)
-                        ).generate_state(2, np.uint64)
-                        for t in trials
-                    ]
-                    got = _philox_keys(np.random.SeedSequence(seed), trials, stream)
-                    assert np.array_equal(got, want), (seed, trials, stream)
-    assert _spawn_hashes.cache_info().hits > 0
-
-
-def test_spawn_hash_cache_stays_bounded():
-    # A long search keys 49 blocks of trials once each: the cache keeps at
-    # most its maxsize of them.
-    _clear_draw_caches()
-    search((3, 4, 4), single_error_correcting_predicate(), 10**5, seed=0)
-    info = _spawn_hashes.cache_info()
-    assert info.misses == 49
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-
-
 def _clear_draw_caches():
     for cached in (
         _hash_consts,
         _philox_operands,
-        _spawn_hashes,
         _draw_plan,
         _check_weights,
         _identity_block,
@@ -324,8 +293,6 @@ def test_cached_draw_arrays_are_read_only():
     arrays = [
         *_hash_consts(0x43B0D7E5, 0x931E8875, 16),
         *_philox_operands(5, 2),
-        *_spawn_hashes(0, 5, 16, None),
-        *_spawn_hashes(2**32, 2**32 + 5, 28, 1),
         *_draw_plan((2, 3, 4), None)[1],
         _check_weights(3, 4),
         _identity_block((5,), 3),
