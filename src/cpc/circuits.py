@@ -143,10 +143,8 @@ class PauliString:
     def support(self) -> int:
         return self.x_bits | self.z_bits
 
-    def label(self, namer=None) -> str:
-        """Human-readable form like 'X_d1 X_b2'; identity reads '-'."""
-        if namer is None:
-            namer = lambda q: f"q{q + 1}"
+    def label(self, namer) -> str:
+        """Human-readable form like 'X_d1 X_b2', qubit q named ``namer(q)``; identity reads '-'."""
         parts = []
         for q in range(self.qubit_count):
             letter = self.letter(q)

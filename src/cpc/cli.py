@@ -69,10 +69,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_bytes().decode("utf-8")
 
 
-def _load_code(path: str) -> CpcCode | GeneralCpcCode:
-    return parse(_read_text(path))
-
-
 def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
     """GZ and GX of a CSS file: headers CSS, GZ and GX, each once and in that order."""
     lines = _meaningful_lines(_read_text(path))
@@ -113,13 +109,12 @@ def _serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
 
 # --- subcommand handlers -----------------------------------------------------
 #
-# A handler that produces a listing returns its text, which main writes to
-# --out or stdout; one that prints a verdict or refuses returns its exit code.
+# A handler takes the code main parsed from its .cpc file (None if it reads none)
+# and the arguments.  One that produces a listing returns its text, which main
+# writes to --out or stdout; one that prints a verdict or refuses, its exit code.
 
 
-def _cmd_verify(args) -> int:
-    _require_w_max(args.w_max)
-    code = _load_code(args.code)
+def _cmd_verify(code, args) -> int:
     records = single_error_records(code)
     report = _correctability(code, _syndrome_classes(records))
     if not report.ok:
@@ -133,30 +128,26 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_stabilizers(args) -> str:
-    code = _load_code(args.code)
+def _cmd_stabilizers(code, args) -> str:
     lines = [stabilizer_to_text(g, code.qubit_label) for g in stabilizers(code)]
     return _listing(lines)
 
 
-def _cmd_logicals(args) -> str:
-    code = _require_split(_load_code(args.code), "logicals")
+def _cmd_logicals(code, args) -> str:
+    code = _require_split(code, "logicals")
     logical_x, logical_z = logical_operators(code)
     lines = [stabilizer_to_text(g, code.qubit_label) for g in logical_x]
     lines += [stabilizer_to_text(g, code.qubit_label) for g in logical_z]
     return _listing(lines)
 
 
-def _cmd_distance(args) -> int:
-    _require_w_max(args.w_max)
-    code = _load_code(args.code)
+def _cmd_distance(code, args) -> int:
     distance = code_distance(code, w_max=args.w_max)
     print(f"distance: {distance if distance is not None else f'> {args.w_max}'}")
     return 0
 
 
-def _cmd_error_table(args) -> str:
-    code = _load_code(args.code)
+def _cmd_error_table(code, args) -> str:
     table = decode_table(code)
     _, categories = table.classify([r.sx for r in table.records], [r.sz for r in table.records])
     rows = ["error\tsyndrome\tclass"]
@@ -165,8 +156,7 @@ def _cmd_error_table(args) -> str:
     return _listing(rows)
 
 
-def _cmd_decode_table(args) -> str | int:
-    code = _load_code(args.code)
+def _cmd_decode_table(code, args) -> str | int:
     table = decode_table(code)
     if not table.report.ok:
         detail = "; ".join(str(c) for c in table.report.collisions)
@@ -184,7 +174,7 @@ def _cmd_decode_table(args) -> str | int:
     return _listing(rows)
 
 
-def _cmd_css_to_cpc(args) -> str | int:
+def _cmd_css_to_cpc(_, args) -> str | int:
     g_z, g_x = _parse_css_file(args.css)
     try:
         result = css_to_cpc(g_z, g_x)
@@ -196,17 +186,17 @@ def _cmd_css_to_cpc(args) -> str | int:
     return text + f"# column permutation: {perm}\n"
 
 
-def _cmd_cpc_to_css(args) -> str:
-    code = _require_split(_load_code(args.code), "cpc-to-css")
+def _cmd_cpc_to_css(code, args) -> str:
+    code = _require_split(code, "cpc-to-css")
     g_z, g_x = symplectic_matrix(code)
     return _serialize_css(g_z, g_x)
 
 
 def _format_classical(cc, title: str, bit_namer) -> list[str]:
     lines = [title]
-    for check_id, members in cc.checks:
+    for number, members in enumerate(cc.checks, start=1):
         names = " ".join(bit_namer(b) for b in sorted(members))
-        lines.append(f"  check {check_id + 1}: {names}")
+        lines.append(f"  check {number}: {names}")
     if cc.harmless:
         lines.append(
             "  harmless: " + " ".join(bit_namer(b) for b in sorted(cc.harmless))
@@ -229,14 +219,13 @@ def _classical_views(code: CpcCode | GeneralCpcCode) -> dict:
     return {"general": (general_to_classical(code), "combined code:", namer)}
 
 
-def _cmd_effective(args) -> str:
-    views = _classical_views(_load_code(args.code)).values()
+def _cmd_effective(code, args) -> str:
+    views = _classical_views(code).values()
     lines = [line for view in views for line in _format_classical(*view)]
     return _listing(lines)
 
 
-def _cmd_ising(args) -> str:
-    code = _load_code(args.code)
+def _cmd_ising(code, args) -> str:
     views = _classical_views(code)
     if args.side not in views:
         if isinstance(code, CpcCode):
@@ -263,8 +252,7 @@ def _cmd_ising(args) -> str:
     return _listing(lines)
 
 
-def _cmd_simulate(args) -> str:
-    code = _load_code(args.code)
+def _cmd_simulate(code, args) -> str:
     model = ErrorModel(eps_bit=args.eps_bit, eps_phase=args.eps_phase)
     cfg = SimConfig(
         cycle_rate=args.rate,
@@ -278,7 +266,7 @@ def _cmd_simulate(args) -> str:
     return result.to_csv()
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(_, args) -> int:
     with open(args.csv, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = sorted({"time_s", args.metric} - set(reader.fieldnames or ()))
@@ -311,7 +299,7 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(_, args) -> int:
     if args.require:
         match = re.fullmatch(r"cnot:(\d+),(\d+)", args.require)
         if match is None:
@@ -349,20 +337,19 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_logical_h(args) -> str:
-    code = _require_split(_load_code(args.code), "logical-h")
+def _cmd_logical_h(code, args) -> str:
+    code = _require_split(code, "logical-h")
     circuit = logical_hadamard_circuit(code, args.qubit)
     return circuit_to_text(circuit)
 
 
-def _cmd_logical_cnot(args) -> str:
-    code = _require_split(_load_code(args.code), "logical-cnot")
+def _cmd_logical_cnot(code, args) -> str:
+    code = _require_split(code, "logical-cnot")
     circuit = logical_cnot_circuit(code, args.control, args.target)
     return circuit_to_text(circuit)
 
 
-def _cmd_emit_circuit(args) -> str:
-    code = _load_code(args.code)
+def _cmd_emit_circuit(code, args) -> str:
     circuit = decode_circuit(code) if args.decode else encode_circuit(code)
     return circuit_to_text(circuit)
 
@@ -378,57 +365,50 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (or directory for search)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
+    coded = argparse.ArgumentParser(add_help=False)  # main reads this .cpc file
+    coded.add_argument("code")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[coded])
+    bounded.add_argument("--w-max", type=int, default=4)
+    code_out = argparse.ArgumentParser(add_help=False, parents=[coded, common])
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="validate + correctability + distance")
-    p.add_argument("code")
-    p.add_argument("--w-max", type=int, default=4)
+    p = sub.add_parser("verify", parents=[bounded], help="validate + correctability + distance")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("stabilizers", parents=[common], help="print stabilizer generators")
-    p.add_argument("code")
+    p = sub.add_parser("stabilizers", parents=[code_out], help="print stabilizer generators")
     p.set_defaults(func=_cmd_stabilizers)
 
-    p = sub.add_parser("logicals", parents=[common], help="print logical X/Z operators")
-    p.add_argument("code")
+    p = sub.add_parser("logicals", parents=[code_out], help="print logical X/Z operators")
     p.set_defaults(func=_cmd_logicals)
 
-    p = sub.add_parser("distance", help="exhaustive code distance")
-    p.add_argument("code")
-    p.add_argument("--w-max", type=int, default=4)
+    p = sub.add_parser("distance", parents=[bounded], help="exhaustive code distance")
     p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("error-table", parents=[common], help="single-error syndrome table")
-    p.add_argument("code")
+    p = sub.add_parser("error-table", parents=[code_out], help="single-error syndrome table")
     p.set_defaults(func=_cmd_error_table)
 
-    p = sub.add_parser("decode-table", parents=[common], help="syndrome -> correction table")
-    p.add_argument("code")
+    p = sub.add_parser("decode-table", parents=[code_out], help="syndrome -> correction table")
     p.set_defaults(func=_cmd_decode_table)
 
     p = sub.add_parser("css-to-cpc", parents=[common], help="rewrite a CSS pair as a code")
     p.add_argument("css")
     p.set_defaults(func=_cmd_css_to_cpc)
 
-    p = sub.add_parser("cpc-to-css", parents=[common], help="emit the CSS presentation")
-    p.add_argument("code")
+    p = sub.add_parser("cpc-to-css", parents=[code_out], help="emit the CSS presentation")
     p.set_defaults(func=_cmd_cpc_to_css)
 
-    p = sub.add_parser("effective", parents=[common], help="effective classical codes")
-    p.add_argument("code")
+    p = sub.add_parser("effective", parents=[code_out], help="effective classical codes")
     p.set_defaults(func=_cmd_effective)
 
-    p = sub.add_parser("ising", parents=[common], help="emit the decode Hamiltonian")
-    p.add_argument("code")
+    p = sub.add_parser("ising", parents=[code_out], help="emit the decode Hamiltonian")
     p.add_argument("--side", choices=["bit", "phase", "general"], default="bit")
     p.add_argument("--syndrome", required=True, help="measured parity bits, e.g. 011")
     p.add_argument("--p-bit", type=float, default=0.1)
     p.add_argument("--p-check", type=float, default=0.1)
     p.set_defaults(func=_cmd_ising)
 
-    p = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo fidelity curves")
-    p.add_argument("code")
+    p = sub.add_parser("simulate", parents=[coded, seeded], help="Monte Carlo fidelity curves")
     p.add_argument("--eps-bit", type=float, required=True)
     p.add_argument("--eps-phase", type=float, default=0.0)
     p.add_argument("--rate", type=float, default=100.0)
@@ -454,19 +434,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=100)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("logical-h", parents=[common], help="encoder realising a logical H")
-    p.add_argument("code")
+    p = sub.add_parser("logical-h", parents=[code_out], help="encoder realising a logical H")
     p.add_argument("--qubit", type=int, required=True)
     p.set_defaults(func=_cmd_logical_h)
 
-    p = sub.add_parser("logical-cnot", parents=[common], help="encoder realising a logical CNOT")
-    p.add_argument("code")
+    p = sub.add_parser("logical-cnot", parents=[code_out], help="encoder realising a logical CNOT")
     p.add_argument("--control", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.set_defaults(func=_cmd_logical_cnot)
 
-    p = sub.add_parser("emit-circuit", parents=[common], help="encode/decode circuit text")
-    p.add_argument("code")
+    p = sub.add_parser("emit-circuit", parents=[code_out], help="encode/decode circuit text")
     p.add_argument("--decode", action="store_true")
     p.set_defaults(func=_cmd_emit_circuit)
     return parser
@@ -479,7 +456,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.func(args)
+        if "w_max" in args:
+            _require_w_max(args.w_max)
+        code = parse(_read_text(args.code)) if "code" in args else None
+        result = args.func(code, args)
         if isinstance(result, int):
             return result
         if args.out:
@@ -487,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(result)
         return 0
-    except (CpcFormatError, InvalidCodeError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -584,7 +584,7 @@ def ising_problem(
     measurements = _check_entries(measurements, len(cc.checks), "measurements", "measurements")
     fields = tuple(math.log(p / (1.0 - p)) for p in bit_priors)
     terms = []
-    for (check_id, members), p, m in zip(cc.checks, check_priors, measurements):
+    for members, p, m in zip(cc.checks, check_priors, measurements):
         coeff = (-1) ** m * math.log(p / (1.0 - p))
         terms.append(IsingTerm(spins=tuple(sorted(members)), coefficient=coeff))
     return IsingProblem(fields=fields, terms=tuple(terms))

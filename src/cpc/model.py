@@ -172,11 +172,11 @@ class ClassicalCode:
     """
 
     bit_count: int
-    checks: tuple[tuple[int, frozenset[int]], ...]
+    checks: tuple[frozenset[int], ...]
     harmless: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for check_id, members in self.checks:
+        for check_id, members in enumerate(self.checks):
             for b in members:
                 if not 0 <= b < self.bit_count:
                     raise ValueError(

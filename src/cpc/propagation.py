@@ -43,7 +43,7 @@ def _classical(h: np.ndarray, check_data: np.ndarray, offset: int) -> ClassicalC
     """
     return ClassicalCode(
         bit_count=h.shape[1],
-        checks=tuple((i, frozenset(np.flatnonzero(row).tolist())) for i, row in enumerate(h)),
+        checks=tuple(frozenset(np.flatnonzero(row).tolist()) for row in h),
         harmless=frozenset(offset + i for i, row in enumerate(check_data) if not row.any()),
     )
 

@@ -19,7 +19,7 @@ from cpc.model import ClassicalCode
 
 @dataclass(frozen=True)
 class MlDecodeResult:
-    """``check_errors`` holds check ids, as :func:`infer_check_errors` reports them."""
+    """``check_errors`` holds check indices, as :func:`infer_check_errors` reports them."""
 
     bit_errors: frozenset[int]
     check_errors: frozenset[int]
@@ -36,11 +36,11 @@ def _disagreeing_checks(member_masks, syndrome, pattern: int) -> list[int]:
 
 
 def _member_masks(cc: ClassicalCode) -> list[int]:
-    return [sum(1 << b for b in members) for _, members in cc.checks]
+    return [sum(1 << b for b in members) for members in cc.checks]
 
 
 def infer_check_errors(cc: ClassicalCode, syndrome, bit_errors) -> frozenset[int]:
-    """Ids of the checks whose measured parity disagrees with the inferred bit errors.
+    """Indices of the checks whose measured parity disagrees with the inferred bit errors.
 
     ``bit_errors`` must index bits of the code.
     """
@@ -50,9 +50,7 @@ def infer_check_errors(cc: ClassicalCode, syndrome, bit_errors) -> frozenset[int
     if outside:
         raise ValueError(f"bit error {min(outside)} outside 0..{cc.bit_count - 1}")
     pattern = sum(1 << b for b in flipped)
-    return frozenset(
-        cc.checks[i][0] for i in _disagreeing_checks(_member_masks(cc), syndrome, pattern)
-    )
+    return frozenset(_disagreeing_checks(_member_masks(cc), syndrome, pattern))
 
 
 def ising_ground_state(problem: IsingProblem) -> frozenset[int]:
@@ -99,7 +97,7 @@ def ml_decode_exhaustive(
     # each check that disagrees with its syndrome bit over a pattern's bit errors
     disagree = [
         (bits[:, list(members)].sum(axis=1) & 1) != m
-        for (_, members), m in zip(cc.checks, syndrome)
+        for members, m in zip(cc.checks, syndrome)
     ]
     # summed bit by bit, then check by check, as one pattern's score is summed
     score = np.zeros(patterns.size)

@@ -246,6 +246,24 @@ def test_circuit_rejects_negative_qubit_count():
         Circuit(-3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Circuit(2) + Circuit(3), "^cannot concatenate circuits with different qubit counts$"),
+        (lambda: PauliString(2, x_bits=4), "^mask exceeds qubit count$"),
+        (lambda: PauliString.single(2, 0, "W"), "^kind must be X, Y or Z, got 'W'$"),
+        (
+            lambda: conjugate_pauli(Circuit(3), PauliString(2)),
+            "^pauli is on 2 qubits, circuit on 3$",
+        ),
+    ],
+    ids=["concatenate", "pauli-mask", "pauli-kind", "conjugate-sizes"],
+)
+def test_circuit_and_pauli_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_commutator_of_bp_gates_matches_cross_propagation():
     # pushing a B-block CNOT through a P-block CNOT that shares its data
     # qubit adds the CNOT(phase -> bit) whose parity, together with the

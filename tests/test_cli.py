@@ -63,7 +63,19 @@ def test_directory_is_input_error(capsys, tmp_path):
     assert out == "" and err.startswith("error: ") and "Is a directory" in err
 
 
-@pytest.mark.parametrize("command", ["verify", "css-to-cpc"])
+# each command that reads a file, with the flags it requires
+_FILE_COMMANDS = {
+    "verify": (), "distance": (), "stabilizers": (), "logicals": (), "error-table": (),
+    "decode-table": (), "cpc-to-css": (), "effective": (), "emit-circuit": (),
+    "ising": ("--syndrome", "0"),
+    "simulate": ("--eps-bit", "0.1", "--t-max", "1"),
+    "logical-h": ("--qubit", "0"),
+    "logical-cnot": ("--control", "0", "--target", "1"),
+    "css-to-cpc": (),
+}
+
+
+@pytest.mark.parametrize("command", list(_FILE_COMMANDS))
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -75,7 +87,7 @@ def test_directory_is_input_error(capsys, tmp_path):
 )
 def test_unreadable_file_is_input_error(capsys, tmp_path, command, make, message):
     (tmp_path / "latin-1.cpc").write_bytes("CPC split\n# café\n".encode("latin-1"))
-    code, out, err = _run(capsys, command, str(make(tmp_path)))
+    code, out, err = _run(capsys, command, str(make(tmp_path)), *_FILE_COMMANDS[command])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
@@ -315,7 +327,7 @@ def test_ising_output(capsys, fixture_dir, fixture, side, syndrome):
     # one check line per classical check, on its member spins; a fired check
     # flips the coefficient log(0.05/0.95) to positive
     assert len(checks) == len(cc.checks) == len(syndrome)
-    for line, (_, members), fired in zip(checks, cc.checks, syndrome):
+    for line, members, fired in zip(checks, cc.checks, syndrome):
         assert line[1:-1] == [str(b) for b in sorted(members)]
         assert float(line[-1]) == pytest.approx((-1) ** int(fired) * -2.94444, abs=1e-5)
 

@@ -526,15 +526,15 @@ def test_ml_decode_check_only_explanation():
     assert result.check_errors == frozenset({0})
 
 
-def test_ml_decode_reports_check_ids_not_positions():
+def test_ml_decode_reports_check_positions():
     from cpc.model import ClassicalCode
 
-    cc = ClassicalCode(2, ((5, frozenset({0, 1})), (2, frozenset({1}))))
+    cc = ClassicalCode(2, (frozenset({0, 1}), frozenset({1})))
     for syndrome in itertools.product((0, 1), repeat=2):
         ml = ml_decode_exhaustive(cc, syndrome, [0.01] * 2, [0.3] * 2)
         assert ml.check_errors == infer_check_errors(cc, syndrome, ml.bit_errors)
-    lone = ClassicalCode(2, ((5, frozenset({0, 1})),))
-    assert ml_decode_exhaustive(lone, [1], [0.01] * 2, [0.3]).check_errors == {5}
+    # cheap checks: a fired check is its own error, reported by its position
+    assert ml_decode_exhaustive(cc, [0, 1], [0.01] * 2, [0.3] * 2).check_errors == {1}
 
 
 def test_ising_matches_ml_on_both_1133_effective_codes():
@@ -594,7 +594,7 @@ def test_malformed_syndromes_are_rejected(call, message):
 def test_ml_decode_too_large():
     from cpc.model import ClassicalCode
 
-    cc = ClassicalCode(bit_count=25, checks=((0, frozenset({0})),))
+    cc = ClassicalCode(bit_count=25, checks=(frozenset({0}),))
     with pytest.raises(ValueError):
         ml_decode_exhaustive(cc, [0], [0.1] * 25, [0.1])
 

@@ -181,6 +181,12 @@ def test_sim_config_refuses_empty_metrics():
         SimConfig(cycle_rate=1.0, t_max=1.0, trials=1, metrics=())
 
 
+def test_simulate_refuses_an_unknown_backend():
+    cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1)
+    with pytest.raises(ValueError, match="^unknown backend 'bogus'$"):
+        simulate(fixture_code("6-3-1"), ErrorModel(0.0, 0.0), cfg, backend="bogus")
+
+
 def test_statevector_qubit_limit():
     cfg = SimConfig(cycle_rate=1.0, t_max=1.0, trials=1)
     big = fixture_code("13-3-3")  # 13 qubits: fine

@@ -26,6 +26,11 @@ def test_rejects_non_binary_entries():
         Gf2Matrix([[0, 2]])
 
 
+def test_rejects_arrays_that_are_not_2d():
+    with pytest.raises(ValueError, match=r"^expected a 2-d array of bits, got shape \(3,\)$"):
+        Gf2Matrix(np.zeros(3))
+
+
 @pytest.mark.parametrize(
     "data",
     [

@@ -11,6 +11,7 @@ from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes, seeded_rand
 from cpc.faults import fault_table
 from cpc.gf2 import Gf2Matrix
 from cpc.model import (
+    ClassicalCode,
     CpcCode,
     CpcFormatError,
     GeneralCpcCode,
@@ -77,6 +78,16 @@ def test_code_constructors_list_every_violation(cls, matrices, message):
     with pytest.raises(InvalidCodeError) as err:
         cls(*matrices)
     assert str(err.value) == message
+
+
+def test_classical_code_refuses_a_bit_outside_its_range():
+    with pytest.raises(ValueError, match=r"^check 1 references bit 2 outside 0\.\.1$"):
+        ClassicalCode(2, (frozenset({0, 1}), frozenset({2})))
+
+
+def test_serialize_refuses_an_object_that_is_not_a_code():
+    with pytest.raises(TypeError, match="^not a code object: object$"):
+        serialize(object())
 
 
 def test_parse_refuses_c_not_strictly_upper_triangular():

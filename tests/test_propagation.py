@@ -41,9 +41,9 @@ def _syndrome_signatures(cc):
     """Syndrome of each single bit error plus each check error; None if clash."""
     signatures = {}
     for bit in range(cc.bit_count):
-        fired = frozenset(cid for cid, members in cc.checks if bit in members)
+        fired = frozenset(cid for cid, members in enumerate(cc.checks) if bit in members)
         signatures[f"bit{bit}"] = fired
-    for cid, _ in cc.checks:
+    for cid in range(len(cc.checks)):
         signatures[f"check{cid}"] = frozenset([cid])
     return signatures
 
@@ -74,7 +74,7 @@ def test_effective_codes_1131_phase_degenerate():
 def test_effective_code_minimal():
     code = CpcCode(mb=Gf2Matrix([[1]]), mp=Gf2Matrix.zeros(1, 0), mc=Gf2Matrix.zeros(1, 0))
     bit_code, phase_code = effective_codes(code)
-    assert bit_code.checks == ((0, frozenset({0})),)
+    assert bit_code.checks == (frozenset({0}),)
     assert phase_code.checks == ()
 
 
@@ -90,7 +90,7 @@ def test_effective_codes_match_circuit_syndromes():
             (phase_code, "Z", k, code.n_p),
         ):
             for bit in range(cc.bit_count):
-                fired = frozenset(cid for cid, members in cc.checks if bit in members)
+                fired = frozenset(cid for cid, members in enumerate(cc.checks) if bit in members)
                 if bit < k:
                     qubit = bit
                 elif kind == "X":
@@ -176,16 +176,16 @@ def test_general_to_classical_union_of_split_codes():
     cc = general_to_classical(g)
     bit_code, phase_code = effective_codes(code)
     k = code.k
-    for cid, members in cc.checks:
+    for cid, members in enumerate(cc.checks):
         if cid < code.n_b:
             want = set()
-            for m in bit_code.checks[cid][1]:
+            for m in bit_code.checks[cid]:
                 want.add(m if m < k else 2 * k + (m - k) + code.n_b)
             assert members == frozenset(want)
         else:
             pid = cid - code.n_b
             want = set()
-            for m in phase_code.checks[pid][1]:
+            for m in phase_code.checks[pid]:
                 want.add(m + k if m < k else 2 * k + (m - k))
             assert members == frozenset(want)
 
