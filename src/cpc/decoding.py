@@ -25,7 +25,7 @@ import numpy as np
 from .circuits import PauliString, conjugate_pauli, decode_circuit
 from .gf2 import Gf2Matrix, _read_only, pack_rows
 from .model import ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError, _require_split
-from .stabilizers import check_matrix, split_check_rows
+from .stabilizers import check_matrix, split_check_blocks
 
 __all__ = [
     "Syndrome",
@@ -431,9 +431,10 @@ def cnot_compatible(code: CpcCode, control: int, target: int) -> CorrectabilityR
 #
 # The masks below judge N split codes at once from stacked matrices mb
 # (N, k, n_b), mp (N, k, n_p) and mc (N, n_b, n_p).  A fault's key is its
-# column of the stacked check rows of :func:`cpc.stabilizers.split_check_rows`
-# (the rows :func:`check_matrix`, so :func:`single_error_records`, reads) with
-# check i at bit i + 1; bit 0 is a sort tag, set on the harmful faults.
+# column of the check rows that :func:`check_matrix`, and so
+# :func:`single_error_records`, reads, with check i at bit i + 1, packed from
+# the one block of :func:`cpc.stabilizers.split_check_blocks` (or identity)
+# that holds it; bit 0 is a sort tag, set on the harmful faults.
 
 _KEY_BITS = 63
 
@@ -445,28 +446,32 @@ def _check_weights(n_b: int, n_p: int) -> np.ndarray:
 
 
 def _tagged_keys(mb, mp, mc, spare: int = 0) -> np.ndarray:
-    """(N, 3n + spare) uint64 tagged keys of every single fault of N split codes.
+    """(N, 2n + 1 + spare) uint64 tagged keys of the single faults of N split codes.
 
-    The X, then Z, then Y faults of qubits 0..n-1, then ``spare`` columns for
-    the caller.  Data faults are harmful, and a check's faults when its own
+    The X, then Z faults of qubits 0..n-1, a zero key, then ``spare`` columns
+    for the caller.  Data faults are harmful, and a check's faults when its own
     row has data support, that is when some data fault's key holds its bit.
     """
-    n_b, n_p = mb.shape[2], mp.shape[2]
+    (count, k, n_b), n_p = mb.shape, mp.shape[2]
     if n_b + n_p > _KEY_BITS:
         raise ValueError(
             f"batched verdicts support at most {_KEY_BITS} checks, got {n_b + n_p}"
         )
-    bit_rows, phase_rows = split_check_rows(mb, mp, mc)
     weights = _check_weights(n_b, n_p)
-    count, k = mb.shape[:2]
-    n = bit_rows.shape[2]
-    keys = np.empty((count, 3 * n + spare), dtype=np.uint64)
-    faults = keys[:, : 3 * n].reshape(count, 3, n)  # a view
-    np.matmul(weights[:n_b], bit_rows, out=faults[:, 0])
-    np.matmul(weights[n_b:], phase_rows, out=faults[:, 1])
-    np.bitwise_xor(faults[:, 0], faults[:, 1], out=faults[:, 2])
+    w_b, w_p = weights[:n_b], weights[n_b:]
+    (_, cross), _ = split_check_blocks(mb, mp, mc)
+    n = k + n_b + n_p
+    keys = np.zeros((count, 2 * n + 1 + spare), dtype=np.uint64)
+    faults = keys[:, : 2 * n].reshape(count, 2, n)  # a view
+    x, z = faults[:, 0], faults[:, 1]
+    np.matmul(mb, w_b, out=x[:, :k])
+    x[:, k : k + n_b] = w_b
+    np.matmul(w_b, cross, out=x[:, k + n_b :])
+    np.matmul(mp, w_p, out=z[:, :k])
+    np.matmul(mc, w_p, out=z[:, k : k + n_b])
+    z[:, k + n_b :] = w_p
     harmful = np.ones((count, 1, n), dtype=np.uint64)
-    by_data = np.bitwise_or.reduce(faults[:, 2, :k], axis=1)
+    by_data = np.bitwise_or.reduce(faults[:, :, :k], axis=(1, 2))
     np.minimum(by_data[:, None] & weights, np.uint64(1), out=harmful[:, 0, k:])
     faults |= harmful
     return keys
@@ -476,8 +481,11 @@ def _unshared(keys: np.ndarray) -> np.ndarray:
     """(N,) verdicts: no harmful key shares its syndrome with another in its row.
 
     Sorts the tagged ``keys`` in place, so a shared harmful key is odd and
-    follows its twin, harmless or harmful.  A zero syndrome needs no test: a
-    qubit's Y key is its X key XOR its Z key, so if one is 0 the others match.
+    follows its twin, harmless or harmful, or the row's zero key.  Y faults
+    need no keys: X keys hold only bit-check bits, Z keys only phase-check
+    bits, and a qubit's Y key is their OR.  So a Y key equal to another key
+    forces, on the same qubits, an equal X or Z key or a zero one, with the
+    Y key's harmful tag.
     """
     keys.sort(axis=1)
     return ((keys[:, :-1] | np.uint64(1)) != keys[:, 1:]).all(axis=1)
@@ -497,11 +505,11 @@ def cnot_compatible_mask(mb, mp, mc, control: int, target: int) -> np.ndarray:
     """
     _check_cnot(control, target, mb.shape[1])
     keys = _tagged_keys(mb, mp, mc, spare=2)
-    n = (keys.shape[1] - 2) // 3
+    n = (keys.shape[1] - 3) // 2
     # each end's X and Z keys; the XOR clears their tags
     ends = (keys[:, q : 2 * n : n] for q in (control, target))
-    np.bitwise_xor(*ends, out=keys[:, 3 * n :])
-    keys[:, 3 * n :] |= np.uint64(1)
+    np.bitwise_xor(*ends, out=keys[:, 2 * n + 1 :])
+    keys[:, 2 * n + 1 :] |= np.uint64(1)
     return _unshared(keys)
 
 

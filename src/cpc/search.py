@@ -17,9 +17,10 @@ are stacked uint8 arrays mb (N, k, n_b), mp (N, k, n_p) and mc
 (N, n_b, n_p), and a predicate judges a whole block at once:
 ``predicate(mb, mp, mc)`` returns an (N,) bool array.  This module's
 predicate factories return the batched verdicts of :mod:`cpc.decoding`: one
-sort of each code's tagged single-fault syndromes, read off its stacked
-check rows (:func:`cpc.stabilizers.split_check_rows`).  Codes are built
-only for the hits.
+sort of each code's tagged X and Z single-fault syndromes and a zero key,
+each syndrome packed from its block of the check rows
+(:func:`cpc.stabilizers.split_check_blocks`).  Codes are built only for the
+hits.
 """
 
 from __future__ import annotations
@@ -45,17 +46,30 @@ __all__ = [
     "cnot_compatible_predicate",
 ]
 
-# Trials drawn and judged per predicate call; bounds the (block, 3n) key arrays.
+# Trials drawn and judged per predicate call; bounds the (block, 2n + 1) key arrays.
 _BLOCK = 2048
 
 
-def _check_draw(k: int, n_b: int, n_p: int, constraint: str | None) -> None:
+def _integer(name: str, value) -> int:
+    """``value`` through :func:`operator.index`; bools and non-integers are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_draw(k: int, n_b: int, n_p: int, constraint: str | None) -> tuple[int, int, int]:
+    """The checked dimensions of a draw, as ints."""
     if constraint not in (None, "mirror_bp"):
         raise ValueError(f"unknown constraint {constraint!r}")
+    k, n_b, n_p = _integer("k", k), _integer("n_b", n_b), _integer("n_p", n_p)
     if min(k, n_b, n_p) < 0:
         raise ValueError("dimensions must be non-negative")
     if constraint == "mirror_bp" and n_b != n_p:
         raise ValueError("mirror_bp requires n_b == n_p")
+    return k, n_b, n_p
 
 
 def _code(mb, mp, mc) -> CpcCode:
@@ -74,7 +88,7 @@ def random_code(
     With ``constraint="mirror_bp"`` the phase matrix is set equal to the bit
     matrix instead of being drawn (requires n_b == n_p).
     """
-    _check_draw(k, n_b, n_p, constraint)
+    k, n_b, n_p = _check_draw(k, n_b, n_p, constraint)
     mb = rng.integers(0, 2, size=(k, n_b), dtype=np.uint8)
     if constraint == "mirror_bp":
         mp = mb
@@ -297,16 +311,19 @@ def search(
 
     ``seed`` is any entropy :class:`numpy.random.SeedSequence` accepts (a
     non-negative int, a sequence of them, or None for fresh entropy), checked
-    by it.  At most ``cap`` codes are returned (the earliest trial indices
-    win); ``successes`` counts all hits.  Trials run serially in one thread:
-    ``threads`` is accepted for compatibility and changes neither the result
-    nor the speed (worker threads only contend for the interpreter lock).
+    by it.  The dimensions, ``budget`` and ``cap`` must be integers, not
+    bools, checked before any draw.  At most ``cap`` codes are returned (the
+    earliest trial indices win); ``successes`` counts all hits.  Trials run
+    serially in one thread: ``threads`` is accepted for compatibility and
+    changes neither the result nor the speed (worker threads only contend for
+    the interpreter lock).
     """
+    budget, cap = _integer("budget", budget), _integer("cap", cap)
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    _check_draw(*dims, constraint)
+    dims = _check_draw(*dims, constraint)
     seq = np.random.SeedSequence(seed)  # validates; None draws entropy
     found: list[tuple[int, CpcCode]] = []
     successes = 0

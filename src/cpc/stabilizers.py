@@ -10,17 +10,16 @@ and the CSS pair here, and the single-error map and code distance of
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import PauliString
-from .gf2 import Gf2Matrix, _read_only, multiply, pack_rows, row_space_equal, rref
+from .gf2 import Gf2Matrix, multiply, pack_rows, row_space_equal, rref
 from .model import CpcCode, GeneralCpcCode
 
 __all__ = [
-    "split_check_rows",
+    "split_check_blocks",
     "check_matrix",
     "stabilizers",
     "symplectic_matrix",
@@ -32,30 +31,18 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=16)
-def _identity_block(lead: tuple[int, ...], n: int) -> np.ndarray:
-    """Read-only n x n identities stacked on the ``lead`` axes."""
-    return _read_only(np.broadcast_to(np.eye(n, dtype=np.uint8), (*lead, n, n)).copy())
-
-
-def split_check_rows(mb, mp, mc) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-check and phase-check rows of split codes stacked on leading axes.
+def split_check_blocks(mb, mp, mc) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Non-identity blocks of the check rows of split codes stacked on leading axes.
 
     From uint8 mb (..., k, n_b), mp (..., k, n_p) and mc (..., n_b, n_p),
-    returns the Z supports of the bit checks (..., n_b, n) and the X supports
-    of the phase checks (..., n_p, n).  Bit check i is Z on itself, on the
-    data in column i of mb, and on the phase checks in row i of the cross
-    propagation mc + mb^T mp.  Phase check i is X on itself, on column i of
-    mp and on column i of mc.
+    returns ``((mb^T, cross), (mp^T, mc^T))``.  Bit check i is Z on itself,
+    on the data in column i of mb, and on the phase checks in row i of the
+    cross propagation ``cross = mc + mb^T mp``.  Phase check i is X on
+    itself, on column i of mp and on column i of mc.
     """
-    *lead, n_b, n_p = mc.shape
-    mb_t, mp_t, mc_t = (np.swapaxes(m, -1, -2) for m in (mb, mp, mc))
+    mb_t, mp_t, mc_t = (m.swapaxes(-1, -2) for m in (mb, mp, mc))
     # uint8 products wrap mod 256, which keeps their parity
-    cross = mc ^ ((mb_t @ mp) & 1)
-    return (
-        np.concatenate([mb_t, _identity_block(tuple(lead), n_b), cross], axis=-1),
-        np.concatenate([mp_t, mc_t, _identity_block(tuple(lead), n_p)], axis=-1),
-    )
+    return (mb_t, mc ^ ((mb_t @ mp) & 1)), (mp_t, mc_t)
 
 
 def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +52,9 @@ def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray
     is the generator read out by syndrome bit i: the n_b bit checks then the
     n_p phase checks of a split code, or the n_c checks of a generalized one.
 
-    Split code: the rows of :func:`split_check_rows`, bit checks in ``hz``
-    and phase checks in ``hx``.
+    Split code: the bit checks in ``hz`` and the phase checks in ``hx``,
+    each the blocks of :func:`split_check_blocks` and an identity on the
+    checks themselves.
 
     Generalized code: check i is Z on itself and on its CNOT data neighbours,
     X on its conjugate-CZ data neighbours, and X on every check j with
@@ -78,9 +66,13 @@ def check_matrix(code: CpcCode | GeneralCpcCode) -> tuple[np.ndarray, np.ndarray
     its qubit has a 1 in row i.
     """
     if isinstance(code, CpcCode):
-        hx = np.zeros((code.n_b + code.n_p, code.qubit_count), dtype=np.uint8)
-        hz = np.zeros_like(hx)
-        hz[: code.n_b], hx[code.n_b :] = split_check_rows(code.mb.data, code.mp.data, code.mc.data)
+        k, n_b = code.k, code.n_b
+        bit, phase = split_check_blocks(code.mb.data, code.mp.data, code.mc.data)
+        hx = np.eye(n_b + code.n_p, code.qubit_count, k, dtype=np.uint8)  # check i is qubit k + i
+        hz = hx.copy()
+        hx[:n_b] = hz[n_b:] = 0
+        hz[:n_b, :k], hz[:n_b, k + n_b :] = bit
+        hx[n_b:, :k], hx[n_b:, k : k + n_b] = phase
         return hx, hz
     mbs, mps, mcs = code.mbs.data, code.mps.data, code.mcs.data
     # uint8 products wrap mod 256, which keeps their parity

@@ -12,6 +12,7 @@ from ml_reference import infer_check_errors, ising_ground_state, ml_decode_exhau
 from cpc.circuits import PauliString
 from cpc.decoding import (
     CollisionGroup,
+    _tagged_keys,
     augment_for_cnot,
     cnot_compatible,
     cnot_compatible_mask,
@@ -26,7 +27,7 @@ from cpc.gf2 import Gf2Matrix
 from cpc.model import CpcCode, GeneralCpcCode, InvalidCodeError, generalize
 from cpc.propagation import effective_codes, general_to_classical
 from cpc.search import cnot_compatible_predicate, random_code, single_error_correcting_predicate
-from cpc.stabilizers import check_matrix, split_check_rows
+from cpc.stabilizers import check_matrix, split_check_blocks
 
 
 def _syndrome_of(code, table, qubit, kind):
@@ -319,23 +320,52 @@ _BATCH_ORACLE_CASES = [
 ]
 
 
-def test_stacked_split_check_rows_match_check_matrix():
+def test_stacked_split_check_blocks_match_check_matrix():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(405)))
     for (k, n_b, n_p), mirrored, _, _ in _BATCH_ORACLE_CASES:
         # two leading axes, so any stacking is exercised
         mb = rng.integers(0, 2, size=(3, 20, k, n_b), dtype=np.uint8)
         mp = mb if mirrored else rng.integers(0, 2, size=(3, 20, k, n_p), dtype=np.uint8)
         mc = rng.integers(0, 2, size=(3, 20, n_b, n_p), dtype=np.uint8)
-        bit_rows, phase_rows = split_check_rows(mb, mp, mc)
-        n = k + n_b + n_p
-        assert bit_rows.shape == (3, 20, n_b, n) and phase_rows.shape == (3, 20, n_p, n)
-        assert bit_rows.dtype == phase_rows.dtype == np.uint8
+        (bit_data, cross), (phase_data, phase_bits) = split_check_blocks(mb, mp, mc)
+        assert bit_data.shape == (3, 20, n_b, k) and cross.shape == (3, 20, n_b, n_p)
+        assert phase_data.shape == (3, 20, n_p, k) and phase_bits.shape == (3, 20, n_p, n_b)
+        assert all(a.dtype == np.uint8 for a in (bit_data, cross, phase_data, phase_bits))
+        eye_b, eye_p = np.eye(n_b, dtype=np.uint8), np.eye(n_p, dtype=np.uint8)
         for i, j in itertools.product(range(3), range(20)):
-            code = CpcCode(mb=Gf2Matrix(mb[i, j]), mp=Gf2Matrix(mp[i, j]), mc=Gf2Matrix(mc[i, j]))
-            hx, hz = check_matrix(code)
-            assert np.array_equal(hz[:n_b], bit_rows[i, j]), ((k, n_b, n_p), i, j)
-            assert np.array_equal(hx[n_b:], phase_rows[i, j]), ((k, n_b, n_p), i, j)
+            b, p, c = mb[i, j], mp[i, j], mc[i, j]
+            # the cross propagation in integers, away from uint8 wrapping
+            assert np.array_equal(cross[i, j], (c + b.T.astype(int) @ p) % 2)
+            hx, hz = check_matrix(CpcCode(mb=Gf2Matrix(b), mp=Gf2Matrix(p), mc=Gf2Matrix(c)))
+            where = ((k, n_b, n_p), i, j)
+            assert np.array_equal(hz[:n_b], np.hstack([b.T, eye_b, cross[i, j]])), where
+            assert np.array_equal(hx[n_b:], np.hstack([p.T, c.T, eye_p])), where
+            assert np.array_equal(bit_data[i, j], b.T) and np.array_equal(phase_bits[i, j], c.T)
+            assert np.array_equal(phase_data[i, j], p.T)
             assert not hx[:n_b].any() and not hz[n_b:].any()
+
+
+def test_tagged_keys_are_packed_check_matrix_columns():
+    # A fault's key is its column of check_matrix (hz for X, hx for Z) with
+    # check i at bit i + 1, and bit 0 its harmful flag; every row ends in one
+    # zero key.  Also on a code with no qubits.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(408)))
+    for (k, n_b, n_p), mirrored, _, _ in _BATCH_ORACLE_CASES + [((0, 0, 0), False, 0, [])]:
+        mb = rng.integers(0, 2, size=(60, k, n_b), dtype=np.uint8)
+        mp = mb if mirrored else rng.integers(0, 2, size=(60, k, n_p), dtype=np.uint8)
+        mc = rng.integers(0, 2, size=(60, n_b, n_p), dtype=np.uint8)
+        keys = _tagged_keys(mb, mp, mc)
+        n = k + n_b + n_p
+        assert keys.shape == (60, 2 * n + 1) and keys.dtype == np.uint64
+        for row, b, p, c in zip(keys, mb, mp, mc):
+            code = CpcCode(mb=Gf2Matrix(b), mp=Gf2Matrix(p), mc=Gf2Matrix(c))
+            hx, hz = check_matrix(code)
+            harmful = {(r.qubit, r.kind): r.harmful for r in single_error_records(code)}
+            for kind, rows, part in (("X", hz, row[:n]), ("Z", hx, row[n : 2 * n])):
+                for q in range(n):
+                    syndrome = sum(int(bit) << (i + 1) for i, bit in enumerate(rows[:, q]))
+                    assert int(part[q]) == syndrome | harmful[q, kind], (code, kind, q)
+            assert row[2 * n] == 0
 
 
 def test_batched_verdicts_match_scalar():

@@ -15,7 +15,6 @@ from cpc.search import (
     search,
     single_error_correcting_predicate,
 )
-from cpc.stabilizers import _identity_block
 
 
 def _rng(seed=0):
@@ -59,6 +58,40 @@ def test_search_zero_budget():
 def test_search_refuses_bad_arguments(dims, budget, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         search(dims, single_error_correcting_predicate(), budget, seed=1)
+
+
+@pytest.mark.parametrize(
+    "dims, budget, cap, message",
+    [
+        ((3.0, 4, 4), 10, 5, "k must be an integer"),
+        ((3, 4, np.float64(4)), 10, 5, "n_p must be an integer"),
+        ((3, True, 4), 10, 5, "n_b must be an integer"),
+        ((3, 4, 4), True, 5, "budget must be an integer"),
+        ((3, 4, 4), 10.0, 5, "budget must be an integer"),
+        ((3, 4, 4), 10, 2.5, "cap must be an integer"),
+        ((3, 4, 4), 10, np.True_, "cap must be an integer"),
+    ],
+)
+def test_search_refuses_non_integer_arguments(monkeypatch, dims, budget, cap, message):
+    # Refused before any draw, whatever the draw caches hold: an equal
+    # integer plan is cached first.
+    search((3, 4, 4), single_error_correcting_predicate(), 10, seed=1)
+
+    def no_draw(*args):
+        raise AssertionError("drew trials")
+
+    monkeypatch.setattr("cpc.search._draw_block", no_draw)
+    # the value's repr follows, and numpy scalars print differently across versions
+    with pytest.raises(TypeError, match=f"^{message}, got "):
+        search(dims, single_error_correcting_predicate(), budget, seed=1, cap=cap)
+
+
+def test_search_takes_numpy_integers():
+    predicate = single_error_correcting_predicate()
+    dims = tuple(np.int64(d) for d in (3, 4, 4))
+    result = search(dims, predicate, np.int32(3000), seed=4, cap=np.uint8(1))
+    assert result == search((3, 4, 4), predicate, 3000, seed=4, cap=1)
+    assert type(result.trials) is int
 
 
 def _circuit_route_correcting(code) -> bool:
@@ -151,6 +184,16 @@ def test_search_found_trials_are_pinned():
         dims = (code.k, code.n_b, code.n_p)
         rng = np.random.Generator(np.random.Philox(ss))
         assert code == random_code(*dims, rng, constraint=constraint)
+
+
+def test_search_at_criterion_scale_is_pinned():
+    # 10^5 trials of (3, 4, 4) at seed 0, as criterion 11 and the CLI run them
+    sec = search((3, 4, 4), single_error_correcting_predicate(), 100_000, seed=0)
+    assert [t for t, _ in sec.found] == [9613, 27495] and sec.successes == 2
+    cnot = search(
+        (3, 4, 4), cnot_compatible_predicate(0, 1), 100_000, seed=0, constraint="mirror_bp"
+    )
+    assert [t for t, _ in cnot.found] == [94458, 96432] and cnot.successes == 2
 
 
 def _numpy_streams(seed, trials, dims, constraint=None):
@@ -261,7 +304,6 @@ def _clear_draw_caches():
         _philox_operands,
         _draw_plan,
         _check_weights,
-        _identity_block,
     ):
         cached.cache_clear()
 
@@ -295,7 +337,6 @@ def test_cached_draw_arrays_are_read_only():
         *_philox_operands(5, 2),
         *_draw_plan((2, 3, 4), None)[1],
         _check_weights(3, 4),
-        _identity_block((5,), 3),
     ]
     for array in arrays:
         assert not array.flags.writeable
