@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CpcCode, GeneralCpcCode
+from .model import CpcCode, GeneralCpcCode, _integer
 
 __all__ = [
     "Gate",
@@ -56,13 +56,19 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind != "H" and self.kind not in _END_BASES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        expected = 1 if self.kind == "H" else 2
-        if len(self.qubits) != expected:
-            raise ValueError(f"{self.kind} takes {expected} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.kind} qubits must be distinct: {self.qubits}")
+        kind, qubits = self.kind, self.qubits
+        if kind != "H" and kind not in _END_BASES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        expected = 1 if kind == "H" else 2
+        if len(qubits) != expected:
+            raise ValueError(f"{kind} takes {expected} qubit(s), got {qubits}")
+        # one or two qubits: the first and the last are all of them
+        first, last = qubits[0], qubits[-1]
+        if type(first) is not int or type(last) is not int:
+            qubits = tuple(_integer(f"{kind} qubit", q) for q in qubits)
+            object.__setattr__(self, "qubits", qubits)
+        if expected == 2 and first == last:
+            raise ValueError(f"{kind} qubits must be distinct: {qubits}")
 
 
 def cnot(control: int, target: int) -> Gate:

@@ -1,8 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, file reading and dispatch.
 
-Exit codes: 0 on success, 1 when a verification or predicate fails, 2 on
-input errors (bad files, bad flags, a run too large for memory).  All output
-is deterministic given the inputs and --seed.
+:mod:`cpc.model` reads and writes the ``.cpc`` and CSS text.  Exit codes: 0 on
+success, 1 when a verification or predicate fails, 2 on input errors (bad
+files, bad flags, a run too large for memory).  All output is deterministic
+given the inputs and --seed.
 """
 
 from __future__ import annotations
@@ -30,21 +31,19 @@ from .decoding import (
     single_error_records,
 )
 from .dynamics import METRICS, ErrorModel, SimConfig, fit_half_life, simulate
-from .gf2 import Gf2Matrix
 from .logical_ops import logical_cnot_circuit, logical_hadamard_circuit
 from .model import (
     CpcCode,
     CpcFormatError,
     GeneralCpcCode,
     InvalidCodeError,
-    _bit_rows,
-    _expect_section,
-    _meaningful_lines,
     # `logicals`, `logical-h` and `logical-cnot` refuse a generalized code only because
     # the code_analysis golden pins their exit 2 on 10-3-3 (ROADMAP items 15 and 16).
     _require_split,
     parse,
+    parse_css,
     serialize,
+    serialize_css,
 )
 from .propagation import effective_codes, general_to_classical
 from .search import (
@@ -69,42 +68,9 @@ def _read_text(path: str) -> str:
     return Path(path).read_bytes().decode("utf-8")
 
 
-def _parse_css_file(path: str) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """GZ and GX of a CSS file: headers CSS, GZ and GX, each once and in that order."""
-    lines = _meaningful_lines(_read_text(path))
-    _expect_section(next(lines, None), "CSS")
-    _expect_section(next(lines, None), "GZ")
-    rows: dict[str, list[str]] = {"GZ": [], "GX": []}
-    section = "GZ"
-    for lineno, line in lines:
-        if line in ("CSS", "GZ", "GX"):
-            if section == "GX":
-                raise CpcFormatError(f"unexpected section header after GX: {line!r}", lineno)
-            _expect_section((lineno, line), "GX")
-            section = "GX"
-        elif line.strip("01"):
-            raise CpcFormatError(f"non-binary row {line!r}", lineno)
-        else:
-            rows[section].append(line)
-    if section == "GZ":
-        _expect_section(None, "GX")
-    widths = {len(r) for section_rows in rows.values() for r in section_rows}
-    if not widths:
-        raise CpcFormatError("no GZ or GX rows")
-    if len(widths) > 1:
-        raise CpcFormatError(f"inconsistent row widths: {sorted(widths)}")
-    cols = widths.pop()
-    return _bit_rows(rows["GZ"], cols), _bit_rows(rows["GX"], cols)
-
-
 def _listing(lines: list[str]) -> str:
     """Each line followed by a newline: no lines, no text."""
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def _serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
-    lines = ["CSS", "GZ", *g_z.to_lines(), "GX", *g_x.to_lines()]
-    return _listing(lines)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -175,7 +141,7 @@ def _cmd_decode_table(code, args) -> str | int:
 
 
 def _cmd_css_to_cpc(_, args) -> str | int:
-    g_z, g_x = _parse_css_file(args.css)
+    g_z, g_x = parse_css(_read_text(args.css))
     try:
         result = css_to_cpc(g_z, g_x)
     except CssConversionError as exc:
@@ -187,9 +153,7 @@ def _cmd_css_to_cpc(_, args) -> str | int:
 
 
 def _cmd_cpc_to_css(code, args) -> str:
-    code = _require_split(code, "cpc-to-css")
-    g_z, g_x = symplectic_matrix(code)
-    return _serialize_css(g_z, g_x)
+    return serialize_css(*symplectic_matrix(_require_split(code, "cpc-to-css")))
 
 
 def _format_classical(cc, title: str, bit_namer) -> list[str]:

@@ -24,7 +24,9 @@ import numpy as np
 
 from .circuits import PauliString, conjugate_pauli, decode_circuit
 from .gf2 import Gf2Matrix, _read_only, pack_rows
-from .model import ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError, _require_split
+from .model import (
+    ClassicalCode, CpcCode, GeneralCpcCode, InvalidCodeError, _integer, _require_split,
+)
 from .stabilizers import check_matrix, split_check_blocks
 
 __all__ = [
@@ -259,8 +261,8 @@ def _distance(code, records: list[ErrorRecord], w_max: int) -> int | None:
 
 
 def _require_w_max(w_max: int) -> None:
-    """Reject an empty distance search range before any work."""
-    if w_max < 1:
+    """Reject a non-integer or empty distance search range before any work."""
+    if _integer("w_max", w_max) < 1:
         raise ValueError(f"w_max must be at least 1, got {w_max}")
 
 
@@ -394,8 +396,9 @@ def decode_table(code: CpcCode | GeneralCpcCode) -> DecodeTable:
 
 
 def _check_cnot(control: int, target: int, k: int | None = None) -> None:
-    """Refuse a CNOT from a qubit to itself, or off the k data qubits when k is given."""
-    if control == target:
+    """Refuse a CNOT on non-integer qubits, from a qubit to itself, or, when k is
+    given, off the k data qubits."""
+    if _integer("control", control) == _integer("target", target):
         raise ValueError("control and target must differ")
     if k is not None and not (0 <= control < k and 0 <= target < k):
         raise ValueError(

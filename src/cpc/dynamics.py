@@ -67,7 +67,7 @@ from .circuits import Circuit, decode_circuit, encode_circuit, hadamard
 from .decoding import decode_table
 from .faults import ErrorModel, _require_finite, fault_table
 from .gf2 import Gf2Matrix
-from .model import CpcCode, GeneralCpcCode
+from .model import CpcCode, GeneralCpcCode, _integer
 from .search import _philox_keys
 
 __all__ = [
@@ -191,6 +191,8 @@ class SimConfig:
     metrics: tuple[str, ...] = METRICS
 
     def __post_init__(self):
+        for name in ("trials", "samples", "haar_states"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         _require_finite("cycle_rate", self.cycle_rate)
         _require_finite("t_max", self.t_max)
         if self.cycle_rate <= 0:

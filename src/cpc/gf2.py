@@ -85,10 +85,6 @@ class Gf2Matrix:
     def is_zero(self) -> bool:
         return not self._data.any()
 
-    def to_lines(self) -> list[str]:
-        """One '0'/'1' string per row, no separators."""
-        return ["".join(str(int(b)) for b in row) for row in self._data]
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array``, marked read-only: for arrays that caches hand out."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, cnot, encode_circuit, hadamard, rewrite
 from .decoding import _check_cnot, _syndrome_widths, single_error_records
-from .model import CpcCode, GeneralCpcCode
+from .model import CpcCode, GeneralCpcCode, _integer
 
 __all__ = [
     "PauliFrame",
@@ -77,6 +77,7 @@ def logical_hadamard_circuit(code: CpcCode | GeneralCpcCode, data_qubit: int) ->
     The Hadamard runs first and swaps the basis of the qubit's end of each
     gate: a CNOT it controls becomes CCZX, and one it targets becomes CZ.
     """
+    data_qubit = _integer("data_qubit", data_qubit)
     if not code.k:
         raise ValueError("the code has no data qubits")
     if not 0 <= data_qubit < code.k:

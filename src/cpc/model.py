@@ -1,4 +1,4 @@
-"""Code definitions and the ``.cpc`` text format.
+"""Code definitions and the two code text formats, ``.cpc`` and CSS.
 
 A split CPC code keeps two species of parity check qubit: bit checks (CNOT
 targets, measured in the computational basis) and phase checks (CNOT
@@ -8,12 +8,15 @@ information through conjugate-basis controlled-Z gates.
 
 Qubit ordering is fixed globally: data qubits first (0..k-1), then bit
 checks, then phase checks; general codes order data first, then checks.
+
+Both text formats read and write their 0/1 rows through one codec pair.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +31,8 @@ __all__ = [
     "InvalidCodeError",
     "parse",
     "serialize",
+    "parse_css",
+    "serialize_css",
     "generalize",
 ]
 
@@ -211,6 +216,16 @@ def _require_split(code: CpcCode | GeneralCpcCode, what: str) -> CpcCode:
     return code
 
 
+def _integer(name: str, value) -> int:
+    """``value`` through :func:`operator.index`; bools and non-integers are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 # --- .cpc text format ------------------------------------------------------
 #
 #   CPC split            |  CPC general
@@ -224,7 +239,8 @@ def _require_split(code: CpcCode | GeneralCpcCode, what: str) -> CpcCode:
 #   C                    |  C            (n_c x n_c cross conjugate-CZ edges)
 #   ...                  |  ...
 #
-# Blank lines are ignored; '#' starts a comment line.
+# CSS text is the header CSS, then GZ and its rows, then GX and its rows, all of
+# one width.  In both formats blank lines are ignored; '#' starts a comment line.
 
 
 def _meaningful_lines(text: str):
@@ -242,22 +258,29 @@ def _parse_count(line: str, lineno: int, keyword: str) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword:
         raise CpcFormatError(f"expected '{keyword} <count>', got {line!r}", lineno)
-    try:
-        value = int(parts[1])
-    except ValueError:
-        raise CpcFormatError(f"bad count in {line!r}", lineno) from None
+    digits = parts[1].removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):  # int() also takes '+', '_' and non-ASCII
+        raise CpcFormatError(f"bad count in {line!r}", lineno)
+    value = int(parts[1])
     if value < 0:
         raise CpcFormatError(f"negative count in {line!r}", lineno)
     return value
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bit_rows(rows: list[str], cols: int) -> Gf2Matrix:
     """Rows already checked to be ``cols`` characters of '0'/'1', as one matrix."""
     bits = np.frombuffer("".join(rows).encode("ascii").translate(_BITS), dtype=np.uint8)
     return Gf2Matrix._wrap(bits.reshape(len(rows), cols))
+
+
+def _row_text(mat: Gf2Matrix) -> list[str]:
+    """Each row as '0'/'1' text, inverting :func:`_bit_rows`; zero-width rows give none."""
+    text = mat.data.tobytes().translate(_CHARS).decode("ascii")
+    return [text[i : i + mat.cols] for i in range(0, len(text), mat.cols or 1)]
 
 
 def _parse_matrix(lines, rows: int, cols: int, section: str) -> Gf2Matrix:
@@ -343,8 +366,36 @@ def serialize(code: CpcCode | GeneralCpcCode) -> str:
         raise TypeError(f"not a code object: {type(code).__name__}")
     out = [header] + [f"{keyword} {getattr(code, size)}" for keyword, size in counts]
     for section, field in zip("BPC", fields(code)):
-        mat = getattr(code, field.name)
-        out.append(section)
-        if mat.cols:
-            out.extend(mat.to_lines())
+        out += [section, *_row_text(getattr(code, field.name))]
     return "\n".join(out) + "\n"
+
+
+def parse_css(text: str) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """GZ and GX of CSS text: headers CSS, GZ and GX, each once and in that order."""
+    lines = _meaningful_lines(text)
+    _expect_section(next(lines, None), "CSS")
+    _expect_section(next(lines, None), "GZ")
+    rows: dict[str, list[str]] = {"GZ": [], "GX": []}
+    section = "GZ"
+    for lineno, line in lines:
+        if line in ("CSS", "GZ", "GX"):
+            if section == "GX":
+                raise CpcFormatError(f"unexpected section header after GX: {line!r}", lineno)
+            _expect_section((lineno, line), "GX")
+            section = "GX"
+        elif line.strip("01"):
+            raise CpcFormatError(f"non-binary row {line!r}", lineno)
+        else:
+            rows[section].append(line)
+    if section == "GZ":
+        _expect_section(None, "GX")
+    widths = sorted({len(r) for r in rows["GZ"] + rows["GX"]})
+    if len(widths) != 1:
+        message = f"inconsistent row widths: {widths}" if widths else "no GZ or GX rows"
+        raise CpcFormatError(message)
+    return _bit_rows(rows["GZ"], widths[0]), _bit_rows(rows["GX"], widths[0])
+
+
+def serialize_css(g_z: Gf2Matrix, g_x: Gf2Matrix) -> str:
+    """CSS text of the pair (GZ, GX), rows stored exactly as given."""
+    return "\n".join(["CSS", "GZ", *_row_text(g_z), "GX", *_row_text(g_x)]) + "\n"

@@ -36,7 +36,7 @@ import numpy as np
 
 from .decoding import _check_cnot, cnot_compatible_mask, correcting_mask
 from .gf2 import Gf2Matrix, _read_only
-from .model import CpcCode
+from .model import CpcCode, _integer
 
 __all__ = [
     "random_code",
@@ -48,16 +48,6 @@ __all__ = [
 
 # Trials drawn and judged per predicate call; bounds the (block, 2n + 1) key arrays.
 _BLOCK = 2048
-
-
-def _integer(name: str, value) -> int:
-    """``value`` through :func:`operator.index`; bools and non-integers are refused."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_draw(k: int, n_b: int, n_p: int, constraint: str | None) -> tuple[int, int, int]:

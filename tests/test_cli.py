@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from cpc.circuits import PauliString
 from cpc.cli import main
 from cpc.decoding import code_distance, decode_table, is_single_error_correcting, single_error_records
 from cpc.gf2 import Gf2Matrix, row_space_equal
-from cpc.model import parse, serialize
+from cpc.model import parse, parse_css, serialize
 from cpc.propagation import effective_codes, general_to_classical
 from cpc.search import cnot_compatible_predicate, random_code, search
 from cpc.stabilizers import symplectic_matrix
@@ -220,7 +221,7 @@ def test_css_file_with_an_empty_gx_section_converts(tmp_path, capsys, fixture_di
     rc, css, _ = _run(capsys, "cpc-to-css", str(fixture_dir / "6-3-1.cpc"))
     assert rc == 0 and css.startswith("CSS\nGZ\n") and css.endswith("\nGX\n")
     css_path.write_text(css, encoding="utf-8")
-    g_z = Gf2Matrix([[int(ch) for ch in row] for row in css.split("\n")[2:-2]])
+    g_z, _ = parse_css(css)
     rc, out, _ = _run(capsys, "css-to-cpc", str(css_path))
     assert rc == 0 and out.endswith("# column permutation: 2 4 5 0 1 3\n")
     code = parse(out)
@@ -267,6 +268,26 @@ def test_cpc_to_css_and_back_keeps_the_stabilizer_group(tmp_path, capsys, fixtur
     original_order = np.argsort([int(c) for c in last[len(prefix):].split()])
     for before, after in zip(symplectic_matrix(fixture_code(name)), symplectic_matrix(parse(out))):
         assert row_space_equal(Gf2Matrix(after.data[:, original_order]), before), name
+
+
+# SHA-256 of each split fixture's `cpc-to-css` text, as the CLI wrote it
+# before the CSS writer moved into cpc.model.
+CSS_DIGESTS = {
+    "11-3-1": "93409824358c17c6076113ba4c314d5bf8f772f5d0b860d58da5090f698f2cec",
+    "11-3-3-cnot": "0f7618b6b02b0832a912cf3ead09fd8ed3fd4cbc9e48ffe735250972790b63de",
+    "11-3-3": "aa7e24f9f13a063064e9f420c2796875cb58a3fd8868510bafdbe5e60e701e5e",
+    "12-4-3-cnot": "0b3c2781f4cf895e34d73df21228fd42376b754a18152494ab8dcad31d723eaa",
+    "12-4-3": "474d038c88b506e0f0c2286dbc9217b5da47d09267dfc777c36891b588582738",
+    "13-3-3": "8e4692433a2cda487d54cdf14e42c9523d01fea8fc07345a4384d1180b4be172",
+    "6-3-1": "ddc8e975ddbdec2657d8a6735fd93bd416f5d924994139daf7d0aa1b72793eff",
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_FIXTURES)
+def test_cpc_to_css_text_is_pinned(capsys, fixture_dir, name):
+    rc, out, err = _run(capsys, "cpc-to-css", str(fixture_dir / f"{name}.cpc"))
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CSS_DIGESTS[name]
 
 
 def test_css_to_cpc_steane(capsys, fixture_dir):

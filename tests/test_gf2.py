@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HAMMING_743, fixture_code
-from cpc.gf2 import Gf2Matrix, multiply, row_space_equal, rref
+from cpc.gf2 import Gf2Matrix, multiply, pack_rows, row_space_equal, rref
 
 
 def matrices(max_rows=5, max_cols=6):
@@ -115,8 +115,8 @@ def test_rref_hamming_rank():
 def _span(m: Gf2Matrix) -> set[int]:
     """Every XOR of a subset of the rows of ``m``, as bitmask integers."""
     span = {0}
-    for row in m.to_lines():
-        span |= {v ^ int(row, 2) for v in span}
+    for row in pack_rows(m.data):
+        span |= {v ^ row for v in span}
     return span
 
 

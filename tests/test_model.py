@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, fixture_code, seeded_random_codes, seeded_random_general_codes
+from cpc.circuits import Gate, cnot
+from cpc.decoding import cnot_compatible, code_distance
+from cpc.dynamics import SimConfig
 from cpc.faults import fault_table
 from cpc.gf2 import Gf2Matrix
+from cpc.logical_ops import logical_cnot_circuit, logical_hadamard_circuit
 from cpc.model import (
     ClassicalCode,
     CpcCode,
@@ -18,8 +22,11 @@ from cpc.model import (
     InvalidCodeError,
     generalize,
     parse,
+    parse_css,
     serialize,
+    serialize_css,
 )
+from cpc.stabilizers import symplectic_matrix
 
 
 def test_validate_good_fixture():
@@ -224,6 +231,11 @@ _WIDE_HEAD = "CPC split\ndata 1\nbit 4\nphase 0\n"
         ("CPC split\ndata 1\nbit 1.5\n", "bad count in 'bit 1.5'", 3),
         ("CPC general\ndata 1\nchecks -2\n", "negative count in 'checks -2'", 3),
         ("CPC split\ndata -1\n", "negative count in 'data -1'", 2),
+        # int() would read each of these: only ASCII digits make a count
+        ("CPC split\ndata 1_0\n", "bad count in 'data 1_0'", 2),
+        ("CPC split\ndata \uff13\n", "bad count in 'data \uff13'", 2),
+        ("CPC split\ndata +3\n", "bad count in 'data +3'", 2),
+        ("CPC split\ndata 1\nbit -1_0\n", "bad count in 'bit -1_0'", 3),
         ("CPC split\nbit 1\n", "expected 'data <count>', got 'bit 1'", 2),
         ("CPC split\ndata 1\nphase 1\n", "expected 'bit <count>', got 'phase 1'", 3),
         ("CPC general\ndata 1\nbit 1\n", "expected 'checks <count>', got 'bit 1'", 3),
@@ -284,6 +296,60 @@ def test_parsed_matrices_match_checked_construction():
             assert mat.data.dtype == np.uint8 and not mat.data.flags.writeable
             checked = Gf2Matrix(mat.data.astype(np.int64))
             assert mat == checked and hash(mat) == hash(checked)
+
+
+def test_parse_css_inverts_serialize_css_on_split_fixtures_and_random_codes():
+    split = [code for code in _codes() if isinstance(code, CpcCode)]
+    assert any(code.n_p == 0 for code in split)  # e.g. 6-3-1: a GX header and no rows
+    for code in split:
+        g_z, g_x = symplectic_matrix(code)
+        assert parse_css(serialize_css(g_z, g_x)) == (g_z, g_x)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("worked before checking its arguments")
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda code: logical_cnot_circuit(code, True, 0), "control"),
+        (lambda code: logical_cnot_circuit(code, 0, 1.0), "target"),
+        (lambda code: logical_hadamard_circuit(code, 0.0), "data_qubit"),
+        (lambda code: Gate("H", (1.5,)), "H qubit"),
+        (lambda code: cnot(0, np.float64(1)), "CNOT qubit"),
+        (lambda code: cnot_compatible(code, False, True), "control"),
+        (lambda code: code_distance(code, w_max=2.5), "w_max"),
+        (lambda code: code_distance(code, w_max=True), "w_max"),
+        (lambda code: SimConfig(cycle_rate=10.0, t_max=1.0, trials=True), "trials"),
+        (lambda code: SimConfig(cycle_rate=10.0, t_max=1.0, trials=2.5), "trials"),
+        (lambda code: SimConfig(cycle_rate=10.0, t_max=1.0, trials=2, samples=4.0), "samples"),
+        (
+            lambda code: SimConfig(cycle_rate=10.0, t_max=1.0, trials=2, haar_states=np.True_),
+            "haar_states",
+        ),
+    ],
+    ids=[
+        "cnot-control-bool", "cnot-target-float", "hadamard-float", "gate-float",
+        "gate-numpy-float", "cnot-compatible-bool", "w_max-float", "w_max-bool",
+        "trials-bool", "trials-float", "samples-float", "haar_states-numpy-bool",
+    ],
+)
+def test_integer_arguments_are_refused_before_any_work(monkeypatch, call, name):
+    monkeypatch.setattr("cpc.logical_ops.encode_circuit", _no_work)
+    monkeypatch.setattr("cpc.decoding.single_error_records", _no_work)
+    # the value's repr follows, and numpy scalars print differently across versions
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call(fixture_code("11-3-3-cnot"))
+
+
+def test_numpy_integer_arguments_are_taken_as_ints():
+    gate = cnot(np.int64(0), np.uint8(1))
+    assert gate == cnot(0, 1) and all(type(q) is int for q in gate.qubits)
+    cfg = SimConfig(cycle_rate=10.0, t_max=1.0, trials=np.int32(3), samples=np.int64(4))
+    assert (cfg.trials, cfg.samples) == (3, 4)
+    assert all(type(v) is int for v in (cfg.trials, cfg.samples, cfg.haar_states))
+    assert code_distance(fixture_code("11-3-3"), w_max=np.int64(3)) == 3
 
 
 def _role_label(code, q: int) -> str:
